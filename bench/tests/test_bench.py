@@ -25,18 +25,16 @@ run.load_program()
 
 import workloads  # noqa: E402
 
-#: Small sizes that keep every workload's mix: corpus members, optimizer
-#: starts per level, and probe sets.
-SMALL = {"verify-corpus": 300, "minimize-levels": 1, "stationarity-probe": 60}
+NAMES = sorted(workloads.WORKLOADS)
 
 
 def spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module", params=sorted(SMALL))
+@pytest.fixture(scope="module", params=NAMES)
 def traced(request):
-    """One traced run of a small workload: its result and the spans it wrote."""
+    """One traced run of a workload: its result and the spans it wrote."""
     name = request.param
     seed = 7
     trace_file = run.OUT / f"trace-{name}-seed{seed}.json"
@@ -48,20 +46,21 @@ def traced(request):
 
 
 def run_main(name: str, seed: int, trace: int) -> dict:
+    """Run the workload at its real size with ``--seconds 0``: a warm-up and one timed iteration."""
     out = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--workload", name, "--seed", str(seed),
-         "--seconds", "0", "--trace", str(trace), "--size", str(SMALL[name])],
+         "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("name", sorted(SMALL))
+@pytest.mark.parametrize("name", NAMES)
 def test_inputs_are_deterministic_per_seed_and_differ_across_seeds(name, tmp_path):
     cls = workloads.WORKLOADS[name]
-    first = cls(11, tmp_path, size=SMALL[name]).fingerprint()
-    again = cls(11, tmp_path, size=SMALL[name]).fingerprint()
-    other = cls(12, tmp_path, size=SMALL[name]).fingerprint()
+    first = cls(11, tmp_path).fingerprint()
+    again = cls(11, tmp_path).fingerprint()
+    other = cls(12, tmp_path).fingerprint()
     assert first == again
     assert first != other
 
@@ -84,7 +83,7 @@ def test_benchmark_json_lists_the_code_tables():
     assert setup["bound"] == max(m["bound"] for m in s["end_to_end"])
 
 
-@pytest.mark.parametrize("name", sorted(SMALL))
+@pytest.mark.parametrize("name", NAMES)
 def test_untraced_run_prints_the_end_to_end_metrics(name):
     result = run_main(name, seed=5, trace=0)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}

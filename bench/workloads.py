@@ -64,8 +64,19 @@ from gaussiso.cli import cli_main
 from gaussiso.quadrature import QuadSettings, adaptive_quad
 from gaussiso.special import gauss_cdf, gauss_cdf_inv, gauss_density
 
-#: The mass levels the minimizer's acceptance test covers.
+#: Corpus members of one ``verify-corpus`` iteration.
+CORPUS_SIZE = 10_000
+
+#: The mass levels the minimizer's acceptance test covers.  Each level runs
+#: once per optimizer seed, with one random start per template of up to three
+#: components (11 templates).  Eleven-start calls keep each timed unit short;
+#: three seeds keep the seed-to-seed spread of the optimizer's work low.
 MINIMIZE_LEVELS = (0.0, -0.5, -1.0, -2.0)
+MINIMIZE_STARTS = 11
+MINIMIZE_SEEDS = 3
+
+#: Interval unions of one ``stationarity-probe`` iteration.
+PROBE_SETS = 2000
 
 #: Settings of the measure-oracle check in ``verify``.
 ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
@@ -192,11 +203,10 @@ class VerifyCorpus:
 
     name = "verify-corpus"
 
-    def __init__(self, seed: int, out_dir: Path, size: int = 10_000) -> None:
+    def __init__(self, seed: int, out_dir: Path) -> None:
         self.seed = seed
-        self.size = size
         self.report_path = out_dir / f"verify-corpus-{seed}-{os.getpid()}.json"
-        self.argv = ["verify", "--suite", "all", "--samples", str(size), "--seed", str(seed)]
+        self.argv = ["verify", "--suite", "all", "--samples", str(CORPUS_SIZE), "--seed", str(seed)]
         self.failures = Failures(self.name)
         self.report_text = ""
         self._first: list[str] | None = None
@@ -205,12 +215,13 @@ class VerifyCorpus:
     def fingerprint(self) -> str:
         return " ".join(self.argv)
 
-    def iteration(self, index: int) -> tuple[float, list[bool]]:
+    def iteration(self, index: int) -> tuple[list[float], list[bool]]:
+        """One timed unit: the CLI call."""
         self.report_path.unlink(missing_ok=True)
         with contextlib.redirect_stdout(io.StringIO()):
             started = time.perf_counter()
             code = cli_main(self.argv + ["--out", str(self.report_path)])
-            elapsed = time.perf_counter() - started
+            elapsed = [time.perf_counter() - started]
         expected = len(self._first) if self._first else 1
         if code not in (0, 1) or not self.report_path.exists():
             self.failures.report(f"iteration {index} exited with code {code}")
@@ -233,7 +244,7 @@ class VerifyCorpus:
 
     def replay(self, tracer) -> tuple[dict[str, float], list[bool]]:
         """The CLI's layer order, one public call at a time."""
-        n, seed = self.size, self.seed
+        n, seed = CORPUS_SIZE, self.seed
         with tracer.span("corpus.mixed_corpus") as index:
             corpus = mixed_corpus(n, seed)
         self._corpus = corpus
@@ -330,17 +341,22 @@ def half_line_ok(s: float, eps: float, best_set, best_value: float, optimal: boo
 
 
 class MinimizeLevels:
-    """``gaussiso minimize --s=S --kmax 3 --starts K --seed X`` at each level.
+    """``gaussiso minimize --s=S --kmax 3 --starts 11 --seed X`` at each level.
 
-    Iteration ``i`` draws its optimizer seed X from the run seed and ``i``,
-    so one run times several start sets, not one.
+    X runs over a fixed list of optimizer seeds drawn from the run seed, so
+    every iteration, and the traced replay, runs the same start sets.
     """
 
     name = "minimize-levels"
 
-    def __init__(self, seed: int, out_dir: Path, size: int = 16) -> None:
+    def __init__(self, seed: int, out_dir: Path) -> None:
         self.seed = seed
-        self.size = size
+        optimizer_seeds = [child_seed(seed, _STREAM_MINIMIZE, j) for j in range(MINIMIZE_SEEDS)]
+        self.calls = [(s, x) for s in MINIMIZE_LEVELS for x in optimizer_seeds]
+        self.argvs = [
+            ["minimize", f"--s={s}", "--kmax", "3", "--starts", str(MINIMIZE_STARTS), "--seed", str(x)]
+            for s, x in self.calls
+        ]
         self.failures = Failures(self.name)
         self.sample = [
             IntervalUnion1D(intervals=iv) for iv in draw_unions(seed, _STREAM_SAMPLE, LAYER_SAMPLE)
@@ -348,28 +364,21 @@ class MinimizeLevels:
         self._minimize_ns = 0
         self._evaluations = 0
 
-    def optimizer_seed(self, index: int) -> int:
-        return child_seed(self.seed, _STREAM_MINIMIZE, index)
-
     def fingerprint(self) -> str:
-        seeds = [self.optimizer_seed(i) for i in range(4)]
-        return json.dumps([self.size, seeds, [e.intervals for e in self.sample]])
+        return json.dumps([self.argvs, [e.intervals for e in self.sample]])
 
-    def argv(self, s: float, index: int) -> list[str]:
-        return ["minimize", f"--s={s}", "--kmax", "3", "--starts", str(self.size),
-                "--seed", str(self.optimizer_seed(index))]
-
-    def iteration(self, index: int) -> tuple[float, list[bool]]:
-        argvs = [self.argv(s, index) for s in MINIMIZE_LEVELS]
-        sinks = [io.StringIO() for _ in argvs]
+    def iteration(self, index: int) -> tuple[list[float], list[bool]]:
+        """One timed unit per CLI call."""
+        sinks = [io.StringIO() for _ in self.argvs]
         codes = []
-        started = time.perf_counter()
-        for argv, sink in zip(argvs, sinks):
+        elapsed = []
+        for argv, sink in zip(self.argvs, sinks):
             with contextlib.redirect_stdout(sink):
+                started = time.perf_counter()
                 codes.append(cli_main(argv))
-        elapsed = time.perf_counter() - started
+                elapsed.append(time.perf_counter() - started)
         ok = []
-        for s, code, sink in zip(MINIMIZE_LEVELS, codes, sinks):
+        for (s, _), code, sink in zip(self.calls, codes, sinks):
             good = False
             if code == 0:
                 out = json.loads(sink.getvalue())
@@ -381,10 +390,10 @@ class MinimizeLevels:
         return elapsed, ok
 
     def replay(self, tracer) -> tuple[dict[str, float], list[bool]]:
-        settings = OptimizerSettings(multistarts=self.size, seed=self.optimizer_seed(1))
         ok = []
         starts = []
-        for s in MINIMIZE_LEVELS:
+        for s, x in self.calls:
+            settings = OptimizerSettings(multistarts=MINIMIZE_STARTS, seed=x)
             params = tracer.call("functionals.stability_params", stability_params, s)
             with tracer.span("optimize.minimize_penalized_functional") as index:
                 outcome = minimize_penalized_functional(s, params, k_max=3, settings=settings)
@@ -445,24 +454,27 @@ class StationarityProbe:
 
     name = "stationarity-probe"
 
-    def __init__(self, seed: int, out_dir: Path, size: int = 2000) -> None:
+    def __init__(self, seed: int, out_dir: Path) -> None:
         self.seed = seed
-        self.size = size
         self.failures = Failures(self.name)
-        self.sets = [IntervalUnion1D(intervals=iv) for iv in draw_unions(seed, _STREAM_PROBE, size)]
+        self.sets = [IntervalUnion1D(intervals=iv) for iv in draw_unions(seed, _STREAM_PROBE, PROBE_SETS)]
 
     def fingerprint(self) -> str:
         return json.dumps([e.intervals for e in self.sets])
 
-    def _run(self, call) -> list:
+    def _run(self, call) -> tuple[list, list[float]]:
+        """The calls on every set; returns the results and each set's wall time."""
         results = []
+        walls = []
         for e in self.sets:
+            started = time.perf_counter()
             try:
                 results.append(_probe_set(e, call))
             except Exception as exc:  # a raising call fails this set; the run goes on
                 self.failures.report(f"{e.intervals}: {type(exc).__name__}: {exc}")
                 results.append(None)
-        return results
+            walls.append(time.perf_counter() - started)
+        return results, walls
 
     def _check(self, e: IntervalUnion1D, result) -> bool:
         if result is None:
@@ -479,14 +491,13 @@ class StationarityProbe:
             self.failures.report(f"{e.intervals}: witness identities broken")
         return good
 
-    def iteration(self, index: int) -> tuple[float, list[bool]]:
-        started = time.perf_counter()
-        results = self._run(_direct)
-        elapsed = time.perf_counter() - started
-        return elapsed, [self._check(e, r) for e, r in zip(self.sets, results)]
+    def iteration(self, index: int) -> tuple[list[float], list[bool]]:
+        """One timed unit per set: its stationarity calls."""
+        results, walls = self._run(_direct)
+        return walls, [self._check(e, r) for e, r in zip(self.sets, results)]
 
     def replay(self, tracer) -> tuple[dict[str, float], list[bool]]:
-        results = self._run(tracer.call)
+        results, _ = self._run(tracer.call)
         metrics = {
             f"stationarity.{name}.us": _median_us(tracer, f"stationarity.{name}")
             for name in ("euler_residual", "second_variation_form", "psd_on_zero_average",
