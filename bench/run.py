@@ -9,15 +9,19 @@ The workloads are defined in ``workloads.py``.  A run builds its inputs from
 ``--seconds`` seconds.  Every iteration's outputs are checked; the result
 counts the checked operations (``attempted``) and those that failed.
 
-``--trace 0`` prints the end-to-end metrics: the wall time of one iteration,
-the median set-up time of fresh interpreters, the peak RSS of a fresh process
-that runs one iteration, and the share of operations that passed.  An
-iteration is a fixed sequence of timed units (the verify call, the minimize
-calls, or the probe sets), and its wall time is reported as the sum over
-units of each unit's fastest time in the run.  Other tenants of a shared host
-only ever add time, and the shorter the unit, the more often it runs in a
-quiet moment; the median and quartiles of whole iterations are printed in the
-detail line.
+``--trace 0`` prints the end-to-end metrics: the median wall time of one
+iteration, the median set-up time of fresh interpreters, the peak RSS of the
+run's own process after its warm-up iteration (a fresh process that has run
+one iteration), and the share of operations that passed.  Both times are
+scaled to the host's speed: before and after each iteration and each set-up
+interpreter, the run times passes of a fixed reference mix of Python, small
+dense linear algebra and vector arithmetic that never calls the package.
+Each time is multiplied by ``REFERENCE_S / median reference pass`` of the
+passes around it, and the metric is the median of the scaled times: seconds
+on a host where one pass takes ``REFERENCE_S``.  Other tenants of a shared
+host slow the package and the reference alike for seconds to minutes at a
+time, so the scaled time cancels much of that drift.  The raw medians and
+quartiles are printed in the detail line.
 ``--trace 1`` also times untraced iterations, then replays the workload's
 layers one public call at a time inside spans, times the shared 1-D layer
 calls on a sample of the workload's sets, and prints the per-layer metrics.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import platform
 import resource
@@ -96,9 +101,18 @@ PER_LAYER = {
 #: Timed fresh-interpreter set-ups per run, after one untimed one that also
 #: fills the bytecode cache.
 SETUP_RUNS = 5
+
+#: Typical median time of one reference mix on a 2-vCPU Xeon host.  Reported
+#: times are in seconds on a host of that speed.
+REFERENCE_S = 0.015
+
+#: Reference passes run between two iterations, as a share of the iteration's
+#: time, and between two set-up interpreters, as a share of the set-up's
+#: time.  Set-ups are short, so they take a larger share to get enough passes.
+ITERATION_REFERENCE_SHARE = 0.1
+SETUP_REFERENCE_SHARE = 0.4
 SETUP_SNIPPET = "from gaussiso.cli import cli_main; cli_main(['--help'])"
 SETUP_TIMEOUT_S = 60
-RSS_TIMEOUT_S = 120
 
 
 THREAD_POOL_VARS = (
@@ -150,6 +164,64 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
+def reference_mix() -> float:
+    """One pass of a fixed mix of the kinds of work the package does.
+
+    A pure-Python loop over ``math.exp``, as in the quadrature and the
+    objective; eigen-solves of a 6x6 matrix, as in the stationarity layer; and
+    a 200k-sample vector draw, as in the Monte-Carlo check.  It never calls
+    the package, so a change to the package cannot move it.
+    """
+    import numpy as np
+
+    acc = 0.0
+    for i in range(20_000):
+        x = -6.0 + 12.0 * i / 20_000
+        acc += math.exp(-0.5 * x * x)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6))
+    m = a @ a.T
+    for _ in range(300):
+        w, v = np.linalg.eigh(m)
+        acc += float(w[0]) + float(v[:, 0] @ m @ v[:, 0])
+    z = rng.standard_normal(200_000)
+    acc += float(np.count_nonzero(z * z < 1.0))
+    return acc
+
+
+def reference_passes(budget_s: float) -> list[float]:
+    """Time reference passes until ``budget_s`` has passed, at least one."""
+    passes = []
+    started = time.perf_counter()
+    while not passes or time.perf_counter() - started < budget_s:
+        t = time.perf_counter()
+        reference_mix()
+        passes.append(time.perf_counter() - t)
+    return passes
+
+
+class ScaledTimes:
+    """Times of a repeated job, each scaled by the reference passes around it.
+
+    The host's speed drifts over seconds, so each time is compared with the
+    passes just before and just after it rather than with the whole run's.
+    """
+
+    def __init__(self, share: float, first_budget_s: float) -> None:
+        self.share = share
+        self.raw: list[float] = []
+        self.scaled: list[float] = []
+        self.passes = reference_passes(share * first_budget_s)
+        self._before = self.passes
+
+    def add(self, seconds: float) -> None:
+        after = reference_passes(self.share * seconds)
+        self.raw.append(seconds)
+        self.scaled.append(seconds * REFERENCE_S / statistics.median(self._before + after))
+        self.passes += after
+        self._before = after
+
+
 def setup_time() -> float:
     """Wall time of a fresh interpreter that imports the CLI and builds its parser."""
     started = time.perf_counter()
@@ -170,22 +242,12 @@ def setup_time() -> float:
     return elapsed
 
 
-def setup_times() -> list[float]:
-    return [setup_time() for _ in range(SETUP_RUNS + 1)][1:]
-
-
-def rss_probe(workload) -> dict:
-    """Run one iteration in a fresh process and return its peak RSS and outcome counts."""
-    cmd = [
-        sys.executable, str(BENCH / "run.py"), "--workload", workload.name,
-        "--seed", str(workload.seed), "--seconds", "0", "--trace", "0", "--rss-probe",
-    ]
-    proc = subprocess.run(cmd, cwd=ROOT, env=child_env(), capture_output=True, text=True,
-                          timeout=RSS_TIMEOUT_S)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        raise RuntimeError(f"the RSS probe exited with code {proc.returncode}")
-    return json.loads(proc.stdout.splitlines()[-1])
+def setup_times() -> ScaledTimes:
+    """One untimed set-up, then ``SETUP_RUNS`` timed ones between reference passes."""
+    times = ScaledTimes(SETUP_REFERENCE_SHARE, setup_time())
+    for _ in range(SETUP_RUNS):
+        times.add(setup_time())
+    return times
 
 
 def _read(path: str) -> str:
@@ -232,25 +294,25 @@ class Tally:
         self.failed += ok.count(False)
 
 
-def timed_iterations(workload, seconds: float, tally: Tally) -> list[list[float]]:
+def timed_iterations(workload, seconds: float, tally: Tally) -> tuple[ScaledTimes, int]:
     """One untimed warm-up, then iterations until ``seconds`` have passed.
 
-    Returns the wall time of every unit of every timed iteration.
+    Returns the wall time of every timed iteration, the sum of its timed
+    units (the verify call, the minimize calls or the probe sets), and the
+    peak RSS in KiB after the warm-up.
     """
-    _, ok = workload.iteration(0)
+    units, ok = workload.iteration(0)
     tally.add(ok)
-    iterations = []
+    # the process is fresh and has run one iteration; the reference mix and
+    # the set-ups have not run yet
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    walls = ScaledTimes(ITERATION_REFERENCE_SHARE, sum(units))
     started = time.perf_counter()
-    while not iterations or time.perf_counter() - started < seconds:
-        units, ok = workload.iteration(len(iterations) + 1)
+    while not walls.raw or time.perf_counter() - started < seconds:
+        units, ok = workload.iteration(len(walls.raw) + 1)
         tally.add(ok)
-        iterations.append(units)
-    return iterations
-
-
-def fastest_units_s(iterations: list[list[float]]) -> float:
-    """The sum over units of each unit's fastest wall time."""
-    return sum(min(times) for times in zip(*iterations, strict=True))
+        walls.add(sum(units))
+    return walls, peak_rss_kb
 
 
 def traced_metrics(workload, iteration_s: float, tally: Tally) -> dict[str, float]:
@@ -275,28 +337,23 @@ def traced_metrics(workload, iteration_s: float, tally: Tally) -> dict[str, floa
 def measure(workload, seconds: float, trace: bool) -> tuple[dict, dict]:
     """Run the workload; return the result object and the per-metric detail."""
     tally = Tally()
-    iterations = timed_iterations(workload, seconds, tally)
-    wall_s = fastest_units_s(iterations)
-    walls = [sum(units) for units in iterations]
-    detail = {"wall_s": dict(summary(walls), fastest_units=wall_s, units=len(iterations[0]),
-                             samples=walls)}
+    walls, peak_rss_kb = timed_iterations(workload, seconds, tally)
+    detail = {"wall_s": dict(summary(walls.raw), samples=walls.raw,
+                             reference_s=summary(walls.passes))}
     if trace:
-        # the replay is one pass, so it is compared with a typical untraced
-        # iteration, not with the sum of each unit's fastest time
-        values = traced_metrics(workload, statistics.median(walls), tally)
+        # the replay is one pass, compared with this run's typical untraced
+        # iteration; both are raw wall times
+        values = traced_metrics(workload, statistics.median(walls.raw), tally)
         units = PER_LAYER
     else:
         setups = setup_times()
-        probe = rss_probe(workload)
-        tally.attempted += probe["attempted"]
-        tally.failed += probe["failed"]
         values = {
-            "setup_s": statistics.median(setups),
-            "wall_s": wall_s,
-            "peak_rss_mb": probe["peak_rss_kb"] * 1024 / 1e6,
+            "setup_s": statistics.median(setups.scaled),
+            "wall_s": statistics.median(walls.scaled),
+            "peak_rss_mb": peak_rss_kb * 1024 / 1e6,
             "success_rate": (tally.attempted - tally.failed) / tally.attempted,
         }
-        detail["setup_s"] = summary(setups)
+        detail["setup_s"] = dict(summary(setups.raw), reference_s=summary(setups.passes))
         detail["peak_rss_mb"] = summary([values["peak_rss_mb"]])
         detail["success_rate"] = {"median": values["success_rate"], "n": tally.attempted}
         units = END_TO_END
@@ -316,8 +373,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
-    # internal: the fresh process that measures peak RSS
-    parser.add_argument("--rss-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
@@ -341,14 +396,6 @@ def main(argv=None) -> int:
         return 2
     workload = make_workload(args.workload, args.seed)
     try:
-        if args.rss_probe:
-            tally = Tally()
-            _, ok = workload.iteration(0)
-            tally.add(ok)
-            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print(json.dumps({"peak_rss_kb": peak_kb, "attempted": tally.attempted,
-                              "failed": tally.failed}))
-            return 0
         result, detail = measure(workload, args.seconds, bool(args.trace))
     finally:
         workload.close()
