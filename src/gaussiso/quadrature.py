@@ -3,8 +3,22 @@
 This is the package's independent numerical oracle: every closed-form measure,
 moment, and perimeter formula elsewhere is cross-checked against it, so it
 deliberately shares no code with those formulas. The rule is Gauss-Kronrod
-7/15 with recursive interval bisection; infinite endpoints are mapped to a
-finite parameter by the rational substitution x = a + t/(1-t).
+7/15 with bisection; infinite endpoints are mapped to a finite parameter by
+the rational substitution x = a + t/(1-t), and (-inf, inf) is split at 0 and
+summed left then right.
+
+One core, :func:`adaptive_quad_many`, integrates a vectorized integrand over
+arrays of intervals in bisection rounds. Each round evaluates the 15 nodes of
+every pending panel of every interval (in groups of ``_GROUP`` intervals) as
+one array. A panel is accepted when its error estimate is within its
+width-proportional share of the tolerance (or is zero, or the panel hit the
+depth budget); otherwise both halves join the next round. The decisions are
+per panel, so each interval gets the leaves it would get alone. Each
+interval's leaves are then summed in descending order of their left
+endpoint, the order in which a depth-first stack that pops the right child
+first visits them. :func:`adaptive_quad` is a batch of one with the scalar
+integrand lifted elementwise, so it returns bit for bit what that
+one-panel-at-a-time recursion returns.
 """
 
 from __future__ import annotations
@@ -13,12 +27,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["QuadSettings", "QuadResult", "adaptive_quad"]
+import numpy as np
+
+__all__ = ["QuadSettings", "QuadResult", "QuadBatch", "adaptive_quad", "adaptive_quad_many"]
 
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Tolerances and recursion budget for :func:`adaptive_quad`."""
+    """Tolerances and bisection depth budget of the adaptive rule."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
@@ -37,7 +53,8 @@ class QuadSettings:
 class QuadResult:
     """Integral estimate with an error estimate and a convergence flag.
 
-    ``converged`` is False when some panel hit the depth budget while its
+    ``converged`` is False when the accumulated error estimate exceeds the
+    tolerance, which happens when some panel hit the depth budget while its
     error estimate still exceeded its share of the tolerance.
     """
 
@@ -45,6 +62,16 @@ class QuadResult:
     error: float
     converged: bool
     evals: int
+
+
+@dataclass(frozen=True)
+class QuadBatch:
+    """Per-interval arrays of :func:`adaptive_quad_many`; entry i is interval i."""
+
+    value: np.ndarray
+    error: np.ndarray
+    converged: np.ndarray
+    evals: np.ndarray
 
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
@@ -76,86 +103,202 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+#: Intervals integrated together. Small groups keep every temporary array
+#: small, so the allocator reuses freed memory: with the whole 10^4 corpus in
+#: one group, the peak RSS of ``verify`` grew by up to 8%.
+_GROUP = 1024
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (estimate, error_estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(center)
-    kronrod = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        f_lo = f(center - dx)
-        f_hi = f(center + dx)
-        kronrod += _WGK[j] * (f_lo + f_hi)
-        if j % 2 == 1:
-            gauss += _WG[j // 2] * (f_lo + f_hi)
-    kronrod *= half
-    gauss *= half
-    return kronrod, abs(kronrod - gauss)
+# Nodes in the order the rule reads them: the center, then the seven
+# Kronrod abscissae to its left and the same seven to its right.
+_OFFSETS = np.array([0.0] + [-x for x in _XGK[:7]] + list(_XGK[:7]))
+# Weights of the center and of the seven node pairs, in summation order; the
+# Gauss rule uses the center and the pairs at the odd Kronrod indices.
+_KRONROD_WEIGHTS = np.array((_WGK[7],) + _WGK[:7])
+_GAUSS_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 
 
-def _integrate_finite(
-    f: Callable[[float], float], a: float, b: float, settings: QuadSettings
-) -> QuadResult:
-    whole, err0 = _gk15(f, a, b)
-    tol = max(settings.abs_tol, settings.rel_tol * abs(whole))
-    total_width = b - a
-    # Stack of (lo, hi, estimate, error, depth); bisect while a panel's error
-    # exceeds its width-proportional share of the global tolerance. Convergence
-    # is judged globally at the end: localized features (e.g. integrable
-    # endpoint singularities) can leave individual panels over their share
-    # while the accumulated error is well inside tolerance.
-    stack = [(a, b, whole, err0, 0)]
-    value = 0.0
-    error = 0.0
-    evals = 15
-    while stack:
-        lo, hi, est, err, depth = stack.pop()
-        budget = tol * ((hi - lo) / total_width)
-        if err <= budget or err == 0.0 or depth >= settings.max_depth:
-            value += est
-            error += err
-            continue
-        mid = 0.5 * (lo + hi)
-        left_est, left_err = _gk15(f, lo, mid)
-        right_est, right_err = _gk15(f, mid, hi)
-        evals += 30
-        stack.append((lo, mid, left_est, left_err, depth + 1))
-        stack.append((mid, hi, right_est, right_err, depth + 1))
-    converged = error <= max(settings.abs_tol, settings.rel_tol * abs(value))
-    return QuadResult(value=value, error=error, converged=converged, evals=evals)
+def _integrand(f, sign: np.ndarray, anchor: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Integrand in the parameter t of each panel (one row of t per panel).
+
+    ``sign`` is 0 where the panel integrates f itself, and +1 or -1 where
+    x = anchor + sign * t/(1-t) maps [0, 1) onto [anchor, inf) or
+    (-inf, anchor]; there the integrand is f(x)/(1-t)^2, and 0 where x is
+    infinite or f(x) is 0.
+    """
+    if not sign.any():
+        return np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+    direct = sign == 0.0
+    u = 1.0 - t
+    # a node that rounds to t = 1 maps to an infinite x; the rows that
+    # integrate f itself compute a t/(1-t) that the where discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(direct, t, anchor + sign * (t / u))
+    live = direct | ~np.isinf(x)
+    if live.all():
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(t.shape)
+    else:
+        fx = np.zeros_like(t)
+        fx[live] = f(x[live])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(direct, fx, np.where(fx == 0.0, 0.0, fx / (u * u)))
 
 
-def _map_upper(f: Callable[[float], float], a: float) -> Callable[[float], float]:
-    # x = a + t/(1-t) maps [0, 1) onto [a, inf).
-    def g(t: float) -> float:
-        u = 1.0 - t
-        x = a + t / u
-        if math.isinf(x):
-            return 0.0
-        fx = f(x)
-        if fx == 0.0:
-            return 0.0
-        return fx / (u * u)
+def _gk15(f, sign: np.ndarray, anchor: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod 7/15 on every panel at once; returns (estimate, error_estimate)."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # half * (-x) is exactly -(half * x), so the left nodes are center - half*x
+    t = center[:, None] + half[:, None] * _OFFSETS
+    ft = _integrand(f, sign[:, None], anchor[:, None], t)
+    # column 0 is f(center), column j+1 is f(center - dx_j) + f(center + dx_j)
+    pairs = np.empty((lo.size, 8))
+    pairs[:, 0] = ft[:, 0]
+    np.add(ft[:, 1:8], ft[:, 8:], out=pairs[:, 1:])
+    # accumulate is sequential, so the sums run in the one-panel rule's order
+    kronrod = np.add.accumulate(pairs * _KRONROD_WEIGHTS, axis=1)[:, -1] * half
+    gauss = np.add.accumulate(pairs[:, ::2] * _GAUSS_WEIGHTS, axis=1)[:, -1] * half
+    return kronrod, np.abs(kronrod - gauss)
 
-    return g
+
+def _sum_leaves(rows: int, row, lo, est, err):
+    """Per-row (value, error, leaf count), leaves summed in descending left endpoint.
+
+    The k-th leaf of every row is added in the k-th step, so each row's
+    additions run in sequence, as in the one-panel rule. Two leaves share a
+    left endpoint only when one has zero width; with a finite integrand its
+    estimate and error are zero, so their order does not matter.
+    """
+    order = np.lexsort((-lo, row))
+    row = row[order]
+    rank = np.arange(row.size) - np.searchsorted(row, row, side="left")
+    by_rank = np.argsort(rank, kind="stable")
+    order, row, rank = order[by_rank], row[by_rank], rank[by_rank]
+    est, err = est[order], err[order]
+    bounds = np.searchsorted(rank, np.arange(int(rank.max(initial=-1)) + 2))
+    value = np.zeros(rows)
+    error = np.zeros(rows)
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        at = row[start:stop]
+        value[at] += est[start:stop]
+        error[at] += err[start:stop]
+    return value, error, np.bincount(row, minlength=rows)
 
 
-def _map_lower(f: Callable[[float], float], b: float) -> Callable[[float], float]:
-    # x = b - t/(1-t) maps [0, 1) onto (-inf, b].
-    def g(t: float) -> float:
-        u = 1.0 - t
-        x = b - t / u
-        if math.isinf(x):
-            return 0.0
-        fx = f(x)
-        if fx == 0.0:
-            return 0.0
-        return fx / (u * u)
+def adaptive_quad_many(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
+    settings: QuadSettings | None = None,
+) -> QuadBatch:
+    """Integrate a vectorized ``f`` over each interval (lo[i], hi[i]).
 
-    return g
+    ``f`` maps a 1-D float array to an array of the same shape; it is never
+    called at an infinite point. Endpoints may be infinite, and lo[i] == hi[i]
+    gives 0 with no evaluations. Requires lo <= hi elementwise. Lack of
+    convergence is reported per interval through ``converged``, not raised.
+    """
+    if settings is None:
+        settings = QuadSettings()
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError(
+            f"adaptive_quad_many: lo and hi must be 1-D of one shape, got {lo.shape} and {hi.shape}"
+        )
+    if (np.isnan(lo) | np.isnan(hi)).any():
+        raise ValueError("adaptive_quad: endpoints must not be NaN")
+    if (lo > hi).any():
+        i = int(np.argmax(lo > hi))
+        raise ValueError(
+            f"adaptive_quad: requires a <= b, got a={float(lo[i])!r} > b={float(hi[i])!r}"
+        )
+
+    n = lo.size
+    out = QuadBatch(
+        value=np.empty(n),
+        error=np.empty(n),
+        converged=np.empty(n, dtype=bool),
+        evals=np.empty(n, dtype=np.int64),
+    )
+    for start in range(0, n, _GROUP):
+        part = slice(start, start + _GROUP)
+        out.value[part], out.error[part], out.converged[part], out.evals[part] = _integrate(
+            f, lo[part], hi[part], settings
+        )
+    return out
+
+
+def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
+    """Per-interval (value, error, converged, evals) of one group of intervals."""
+    # Rows: one per nonempty interval; (-inf, inf) gets a second row, its
+    # left row being (-inf, 0) and its right row (0, inf).
+    nonempty = np.flatnonzero(lo < hi)
+    a, b = lo[nonempty], hi[nonempty]
+    both = np.isinf(a) & np.isinf(b)
+    owner = np.concatenate([nonempty, nonempty[both]])
+    row_a = np.concatenate([a, np.zeros(int(both.sum()))])
+    row_b = np.concatenate([np.where(both, 0.0, b), b[both]])
+    upper, lower = np.isinf(row_b), np.isinf(row_a)
+    sign = upper * 1.0 - lower * 1.0
+    anchor = np.where(upper, row_a, row_b)
+    mapped = upper | lower
+    p_lo = np.where(mapped, 0.0, row_a)
+    p_hi = np.where(mapped, 1.0, row_b)
+
+    value, error, evals = _bisect(f, sign, anchor, p_lo, p_hi, settings)
+    # Convergence is judged on the accumulated error: localized features (an
+    # integrable endpoint singularity) can leave single panels over their
+    # share at the depth budget while the total is well inside tolerance.
+    row_converged = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+
+    # Fold rows into intervals, adding a split interval's right row second.
+    n = lo.size
+    out_value = np.zeros(n)
+    out_error = np.zeros(n)
+    out_converged = np.ones(n, dtype=bool)
+    out_evals = np.zeros(n, dtype=np.int64)
+    for part in (slice(0, nonempty.size), slice(nonempty.size, owner.size)):
+        idx = owner[part]
+        out_value[idx] += value[part]
+        out_error[idx] += error[part]
+        out_converged[idx] &= row_converged[part]
+        out_evals[idx] += evals[part]
+    return out_value, out_error, out_converged, out_evals
+
+
+def _bisect(f, sign, anchor, p_lo, p_hi, settings: QuadSettings):
+    """Per-row (value, error, evals) of the adaptive rule on [p_lo, p_hi].
+
+    A panel is a leaf when its error is within ``tol * width / total_width``,
+    is zero, or the panel is at ``max_depth``; every other panel is bisected
+    and both halves are evaluated in the next round. ``tol`` is fixed by the
+    whole-row estimate, and every pending panel of a round has the same depth.
+    """
+    rows = sign.size
+    whole, err0 = _gk15(f, sign, anchor, p_lo, p_hi)
+    tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(whole))
+    total_width = p_hi - p_lo
+    row = np.arange(rows)
+    pan_lo, pan_hi, est, err = p_lo, p_hi, whole, err0
+    depth = 0
+    leaves = []
+    while True:
+        budget = tol[row] * ((pan_hi - pan_lo) / total_width[row])
+        done = (err <= budget) | (err == 0.0) | (depth >= settings.max_depth)
+        leaves.append((row[done], pan_lo[done], est[done], err[done]))
+        if done.all():
+            break
+        split = ~done
+        row, pan_lo, pan_hi = row[split], pan_lo[split], pan_hi[split]
+        mid = 0.5 * (pan_lo + pan_hi)
+        row = np.concatenate([row, row])
+        pan_lo, pan_hi = np.concatenate([pan_lo, mid]), np.concatenate([mid, pan_hi])
+        est, err = _gk15(f, sign[row], anchor[row], pan_lo, pan_hi)
+        depth += 1
+    leaves = [np.concatenate(c) for c in zip(*leaves)]
+    value, error, count = _sum_leaves(rows, *leaves)
+    # a row with n leaves had n - 1 bisections: 15 evaluations, then 30 each
+    return value, error, 30 * count - 15
 
 
 def adaptive_quad(
@@ -164,32 +307,20 @@ def adaptive_quad(
     b: float,
     settings: QuadSettings | None = None,
 ) -> QuadResult:
-    """Integrate ``f`` over (a, b); either endpoint may be infinite.
+    """Integrate a scalar ``f`` over (a, b); either endpoint may be infinite.
 
     Requires a <= b. The integrand must decay at infinite endpoints for the
     substitution to converge; lack of convergence is reported through the
     ``converged`` flag rather than raised.
     """
-    if settings is None:
-        settings = QuadSettings()
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("adaptive_quad: endpoints must not be NaN")
-    if a > b:
-        raise ValueError(f"adaptive_quad: requires a <= b, got a={a!r} > b={b!r}")
-    if a == b:
-        return QuadResult(value=0.0, error=0.0, converged=True, evals=0)
 
-    if math.isinf(a) and math.isinf(b):
-        left = adaptive_quad(f, a, 0.0, settings)
-        right = adaptive_quad(f, 0.0, b, settings)
-        return QuadResult(
-            value=left.value + right.value,
-            error=left.error + right.error,
-            converged=left.converged and right.converged,
-            evals=left.evals + right.evals,
-        )
-    if math.isinf(b):
-        return _integrate_finite(_map_upper(f, a), 0.0, 1.0, settings)
-    if math.isinf(a):
-        return _integrate_finite(_map_lower(f, b), 0.0, 1.0, settings)
-    return _integrate_finite(f, a, b, settings)
+    def lifted(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+    r = adaptive_quad_many(lifted, [a], [b], settings)
+    return QuadResult(
+        value=float(r.value[0]),
+        error=float(r.error[0]),
+        converged=bool(r.converged[0]),
+        evals=int(r.evals[0]),
+    )

@@ -24,14 +24,14 @@ from functools import singledispatch
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from scipy.special import gammainc
 
-from .quadrature import QuadSettings, adaptive_quad
+from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
     SQRT_2PI,
     chi2_cdf,
     gauss_cdf,
     gauss_cdf_inv,
-    gauss_density,
     gauss_weight,
     partial_moment,
 )
@@ -429,8 +429,17 @@ def _axis_sign(e: GaussianSet, h: HalfSpace) -> float:
     return 1.0 if om[-1] > 0 else -1.0
 
 
+#: Quadrature settings of the ball / half-space intersection.
+_SLICE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13)
+
+
 def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
-    """gamma(B_R intersect {x . omega < s}); rotation-invariant in omega."""
+    """gamma(B_R intersect {x . omega < s}); rotation-invariant in omega.
+
+    Integrates, along omega, the density times the chi-square mass of the
+    (dim-1)-dimensional slice of the ball. Raises ValueError when the
+    quadrature does not converge.
+    """
     if s >= radius:
         return chi2_cdf(dim, radius * radius)
     if s <= -radius:
@@ -438,14 +447,16 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     if dim == 1:
         return _interval_mass(-radius, min(s, radius))
 
-    def slice_mass(t: float) -> float:
-        u = radius * radius - t * t
-        if u <= 0.0:
-            return 0.0
-        return gauss_density(t) * chi2_cdf(dim - 1, u)
+    def slice_mass(t: np.ndarray) -> np.ndarray:
+        u = np.maximum(radius * radius - t * t, 0.0)
+        return np.exp(-0.5 * t * t) / SQRT_2PI * gammainc(0.5 * (dim - 1), 0.5 * u)
 
-    r = adaptive_quad(slice_mass, -radius, min(s, radius), QuadSettings(abs_tol=1e-13, rel_tol=1e-13))
-    return r.value
+    r = adaptive_quad_many(slice_mass, [-radius], [min(s, radius)], _SLICE_SETTINGS)
+    if not r.converged[0]:
+        raise ValueError(
+            f"ball / half-space mass did not converge for dim={dim}, radius={radius!r}, s={s!r}"
+        )
+    return float(r.value[0])
 
 
 @singledispatch

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaussiso
 from gaussiso.cli import cli_main
 
 HALF_SPACE_M1 = '{"type":"halfspace","omega":[1],"s":-1}'
@@ -205,3 +210,21 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "eval" in out and "verify" in out and "minimize" in out and "sweep" in out
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["gaussiso", "gaussiso.cli"])
+    def test_python_dash_m_runs_verify(self, module, tmp_path):
+        out_path = tmp_path / "report.json"
+        src = str(Path(gaussiso.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--suite", "scalar-functions", "--out", str(out_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(out_path.read_text())["suite"] == "scalar-functions"
+        assert done.stdout.count("pass ") == 8

@@ -7,9 +7,20 @@ check, so the two routes stay independent.
 
 import math
 
+import numpy as np
 import pytest
 
-from gaussiso.quadrature import QuadResult, QuadSettings, adaptive_quad
+from gaussiso import quadrature
+from gaussiso.quadrature import QuadResult, QuadSettings, adaptive_quad, adaptive_quad_many
+
+
+def _lift(f):
+    """A scalar integrand applied elementwise, as the batch core expects."""
+    return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
+
+
+def _singular(x):
+    return abs(x) ** -0.5 if x != 0.0 else 0.0
 
 
 class TestSettings:
@@ -97,3 +108,104 @@ class TestConvergenceFlag:
         r = adaptive_quad(lambda x: x * x, 0.0, 1.0)
         assert isinstance(r, QuadResult)
         assert r.evals >= 15
+
+
+class TestFrozenParity:
+    """(value, error, evals, converged) of the one-panel-at-a-time recursion
+    that preceded the batched core, recorded from it and frozen. The batch of
+    one must reproduce them bit for bit."""
+
+    CASES = {
+        "polynomial": (lambda x: 7 * x**6 - 3 * x**2 + 1, -1.0, 2.0, None,
+                       (122.99999999999997, 0.0, 15, True)),
+        "oscillatory": (math.sin, 0.0, 20.0, None,
+                        (0.591917938186608, 2.7576552152908107e-13, 225, True)),
+        "damped": (lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 10.0, None,
+                   (0.3000023847551365, 4.3851973105264036e-14, 345, True)),
+        "upper_tail": (lambda x: math.exp(-x), 0.0, math.inf, None,
+                       (1.0, 8.315671564813092e-15, 285, True)),
+        "lower_tail": (lambda x: math.exp(x), -math.inf, 0.0, None,
+                       (1.0, 8.315671564813092e-15, 285, True)),
+        "two_sided": (lambda x: math.exp(-abs(x)), -math.inf, math.inf, None,
+                      (2.0, 1.6631343129626184e-14, 570, True)),
+        "shifted": (lambda x: math.exp(-(x - 3.0)), 3.0, math.inf, None,
+                    (1.0, 8.346788220102948e-15, 285, True)),
+        "singular_depth_8": (_singular, 0.0, 1.0, QuadSettings(max_depth=8),
+                             (1.9971450993480309, 0.004403121800122631, 465, False)),
+        "singular_depth_60": (_singular, 0.0, 1.0,
+                              QuadSettings(abs_tol=1e-9, rel_tol=1e-9, max_depth=60),
+                              (1.9999999999574585, 7.416027483764705e-11, 4635, True)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical(self, name):
+        f, a, b, settings, frozen = self.CASES[name]
+        r = adaptive_quad(f, a, b, settings)
+        assert (r.value, r.error, r.evals, r.converged) == frozen
+
+
+class TestBatch:
+    LO = [0.0, -math.inf, -math.inf, 3.0, -2.5, 1.5, -0.3, -math.inf, 0.25, -1e-3]
+    HI = [20.0, 0.5, math.inf, math.inf, 4.0, 1.5, -0.1, -7.0, math.inf, 1e-3]
+
+    @staticmethod
+    def integrand(x):
+        return math.exp(-0.5 * x * x) * (1.0 + math.cos(3.0 * x)) + 1e-3 * abs(x) ** 0.3 * math.exp(-abs(x))
+
+    @pytest.mark.parametrize("settings", [None, QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=5)])
+    def test_independent_of_batch(self, settings):
+        batch = adaptive_quad_many(_lift(self.integrand), self.LO, self.HI, settings)
+        singles = [adaptive_quad(self.integrand, a, b, settings) for a, b in zip(self.LO, self.HI)]
+        assert batch.value.tolist() == [r.value for r in singles]
+        assert batch.error.tolist() == [r.error for r in singles]
+        assert batch.evals.tolist() == [r.evals for r in singles]
+        assert batch.converged.tolist() == [r.converged for r in singles]
+
+    def test_grouping_is_invisible(self, monkeypatch):
+        f = _lift(self.integrand)
+        whole = adaptive_quad_many(f, self.LO, self.HI)
+        monkeypatch.setattr(quadrature, "_GROUP", 3)
+        grouped = adaptive_quad_many(f, self.LO, self.HI)
+        for field in ("value", "error", "converged", "evals"):
+            assert getattr(grouped, field).tolist() == getattr(whole, field).tolist()
+
+    def test_vectorized_integrand_matches_truth(self):
+        r = adaptive_quad_many(lambda x: np.exp(-np.abs(x)), [-math.inf, 0.0, -1.0], [math.inf, math.inf, 2.0])
+        assert r.converged.all()
+        np.testing.assert_allclose(r.value, [2.0, 1.0, 2.0 - math.exp(-1.0) - math.exp(-2.0)], rtol=1e-12)
+
+    def test_never_evaluates_at_infinity(self):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.exp(-np.abs(x))
+
+        adaptive_quad_many(f, [-math.inf, 5.0], [math.inf, math.inf])
+        assert all(np.isfinite(x).all() for x in seen)
+
+    def test_empty_batch(self):
+        r = adaptive_quad_many(lambda x: x, [], [])
+        assert r.value.shape == r.error.shape == r.converged.shape == r.evals.shape == (0,)
+
+    def test_degenerate_intervals_cost_nothing(self):
+        r = adaptive_quad_many(lambda x: np.ones_like(x), [1.0, -math.inf], [1.0, -math.inf])
+        assert r.value.tolist() == [0.0, 0.0]
+        assert r.evals.tolist() == [0, 0]
+        assert r.converged.all()
+
+    def test_rejects_nan_endpoints(self):
+        with pytest.raises(ValueError, match="endpoints must not be NaN"):
+            adaptive_quad_many(lambda x: x, [0.0, math.nan], [1.0, 2.0])
+        with pytest.raises(ValueError, match="endpoints must not be NaN"):
+            adaptive_quad_many(lambda x: x, [0.0, 1.0], [1.0, math.nan])
+
+    def test_rejects_reversed_interval(self):
+        with pytest.raises(ValueError, match=r"requires a <= b, got a=2\.0 > b=1\.0"):
+            adaptive_quad_many(lambda x: x, [0.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"requires a <= b, got a=2\.0 > b=1\.0"):
+            adaptive_quad(lambda x: x, 2.0, 1.0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="1-D of one shape"):
+            adaptive_quad_many(lambda x: x, [0.0, 1.0], [1.0])

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussiso import sets
 from gaussiso.quadrature import QuadSettings, adaptive_quad
 from gaussiso.sets import (
     MERGE_TOL,
@@ -423,6 +424,23 @@ class TestSymmDiff:
             assert symm_diff_measure(b, h) == pytest.approx(
                 symm_diff_measure(e, h), rel=1e-12
             )
+
+    @pytest.mark.parametrize("dim", [2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 3.0, 15.0])
+    def test_ball_halves_add_up_to_the_ball(self, dim, radius):
+        # {x.omega < s} and {x.omega < -s} cut the ball into mirror pieces
+        b = CenteredBall(dim=dim, radius=radius)
+        for s in (0.0, 0.3 * radius, 0.9 * radius):
+            lower = sets._ball_halfspace_mass(dim, radius, s)
+            upper = sets._ball_halfspace_mass(dim, radius, -s)
+            assert lower + upper == pytest.approx(measure(b), rel=1e-12, abs=1e-15)
+
+    def test_ball_unconverged_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(sets, "_SLICE_SETTINGS", QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=1))
+        b = CenteredBall(dim=3, radius=4.0)
+        h = HalfSpace(omega=(0.0, 0.0, 1.0), s=0.4)
+        with pytest.raises(ValueError, match=r"dim=3, radius=4\.0, s=0\.4"):
+            symm_diff_measure(b, h)
 
     def test_ball_mc_cross_check(self):
         b = CenteredBall(dim=3, radius=1.5)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from gaussiso import verify
 from gaussiso.functionals import STABILITY_CONSTANT
+from gaussiso.quadrature import QuadSettings
 from gaussiso.verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -171,6 +173,17 @@ class TestRunSuite:
             run_suite("excess-identity", SuiteConfig(samples=120, seed=9, jobs=2))
         )
         assert _without_wall_time(serial) == _without_wall_time(parallel)
+
+    def test_unconverged_oracle_intervals_are_violations(self, monkeypatch):
+        # at depth 3 every estimate still matches its closed form within the
+        # identity tolerance, so only the unconverged intervals are violations
+        monkeypatch.setattr(
+            verify, "ORACLE_SETTINGS", QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=3)
+        )
+        report = run_suite("measure-oracle", SMALL)
+        check = next(c for c in report.checks if c.name == "interval-measure-vs-quadrature")
+        assert check.violations > 0
+        assert check.worst_margin < 0.0
 
     def test_threshold_check_matches_hand_value(self):
         report = run_suite("stationarity", SMALL)
