@@ -7,12 +7,12 @@ from .functionals import (
     QuantityBundle,
     boundary_excess,
     directed_fraenkel,
-    axis_fraenkel,
     excess_identity,
     isoperimetric_deficit,
     max_barycenter_norm,
     penalized_functional,
     quantities,
+    quantity_columns,
     stability_params,
     strong_asymmetry,
 )

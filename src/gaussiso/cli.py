@@ -24,11 +24,11 @@ from .verify import (
     SUITE_NAMES,
     SuiteConfig,
     emit_report,
+    format_number,
+    json_value,
     render_report,
     run_suite,
 )
-from .verify import _format_number as _number
-from .verify import _json_value as _json
 
 __all__ = ["cli_main", "main"]
 
@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--samples", type=int, default=10_000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out", default=None, help="report file path (default: stdout)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument(
@@ -83,7 +82,7 @@ def _resolve_weight(text: str, default_value: float, flag: str) -> float:
 
 def _run_eval(args) -> int:
     bundle = quantities(set_from_json(args.set))
-    sys.stdout.write(_json(bundle.as_dict()) + "\n")
+    sys.stdout.write(json_value(bundle.as_dict()) + "\n")
     return 0
 
 
@@ -91,7 +90,6 @@ def _run_verify(args) -> int:
     config = SuiteConfig(
         samples=args.samples,
         seed=args.seed,
-        jobs=args.jobs,
         **({"main_constant": args.main_constant} if args.main_constant is not None else {}),
     )
     report = run_suite(args.suite, config)
@@ -103,7 +101,7 @@ def _run_verify(args) -> int:
             status = "FAIL" if c.violations else "pass"
             sys.stdout.write(
                 f"{status} {c.name}: {c.violations} violations in {c.samples} samples, "
-                f"worst margin {_number(c.worst_margin)}\n"
+                f"worst margin {format_number(c.worst_margin)}\n"
             )
     return 1 if report.total_violations else 0
 
@@ -131,7 +129,7 @@ def _run_minimize(args) -> int:
         "starts_total": len(outcome.starts),
         "starts_converged": sum(1 for d in outcome.starts if d.converged),
     }
-    sys.stdout.write(_json(payload) + "\n")
+    sys.stdout.write(json_value(payload) + "\n")
     return 0
 
 
@@ -145,8 +143,8 @@ def _run_sweep(args) -> int:
     sys.stdout.write("s,a_s,deficit,beta,ratio\n")
     for row in rows:
         sys.stdout.write(
-            f"{_number(row.s)},{_number(row.a_s)},{_number(row.deficit)},"
-            f"{_number(row.beta)},{_number(row.ratio)}\n"
+            f"{format_number(row.s)},{format_number(row.a_s)},{format_number(row.deficit)},"
+            f"{format_number(row.beta)},{format_number(row.ratio)}\n"
         )
     return 0
 

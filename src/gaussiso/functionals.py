@@ -5,6 +5,12 @@ asymmetries (barycenter gap and symmetric-difference), the boundary excess,
 the penalized objective used by the optimizer, and the explicit penalization
 constants under which half-spaces are the unique minimizers.
 
+Every quantity of a set comes from one columnar kernel,
+:func:`quantity_columns`, which evaluates many sets at once from their
+profile endpoints (balls from their closed forms). :func:`quantities` and the
+scalar readers such as :func:`isoperimetric_deficit` are its batch of one, so
+each formula exists once.
+
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
 complements except the mass level itself, which flips sign.
@@ -18,17 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import (
-    CenteredBall,
     GaussianSet,
-    HalfSpace,
-    IntervalUnion1D,
-    SlabSet,
+    _interval_mass,
+    _profile,
     barycenter,
-    dimension,
-    mass_level,
     measure,
     perimeter,
-    symm_diff_measure,
 )
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
 
@@ -41,12 +42,12 @@ __all__ = [
     "isoperimetric_deficit",
     "strong_asymmetry",
     "directed_fraenkel",
-    "axis_fraenkel",
     "boundary_excess",
     "excess_identity",
     "penalized_functional",
     "stability_params",
     "quantities",
+    "quantity_columns",
 ]
 
 # 80 pi^2 sqrt(2 pi): the explicit constant in the deficit-controls-asymmetry
@@ -95,18 +96,140 @@ def max_barycenter_norm(s: float) -> float:
     return gauss_weight(s) / SQRT_2PI
 
 
-def _nondegenerate_level(e: GaussianSet) -> float:
-    m = measure(e)
-    if not 0.0 < m < 1.0:
+#: A deficit, strong asymmetry or excess below minus this fails validation.
+_NEGATIVE_TOL = 1e-10
+
+#: Relative tolerance of the excess identity in validation.
+_EXCESS_IDENTITY_TOL = 1e-10
+
+
+def _check_consistent(deficit: np.ndarray, beta: np.ndarray, excess: np.ndarray) -> None:
+    """Raise ValueError unless every member's quantities are mutually consistent."""
+    for name, column in (("deficit", deficit), ("strong asymmetry", beta), ("excess", excess)):
+        bad = column < -_NEGATIVE_TOL
+        if bad.any():
+            raise ValueError(f"negative {name} {float(column[bad][0])!r}")
+    via = 2.0 * deficit + 2.0 * SQRT_2PI * beta
+    bad = np.abs(excess - via) > _EXCESS_IDENTITY_TOL * np.maximum(1.0, np.abs(excess))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
-            f"quantity undefined for degenerate set with measure {m!r}; need measure in (0, 1)"
+            f"excess {float(excess[i])!r} inconsistent with deficit/asymmetry value "
+            f"{float(via[i])!r}"
         )
-    return gauss_cdf_inv(m)
+
+
+def _scalar_map(f, *args: np.ndarray) -> np.ndarray:
+    """The scalar ``f`` applied elementwise to 1-D arrays.
+
+    Vectorized ``ndtr`` and ``np.exp`` round differently from ``math.erfc``
+    and ``math.exp``; the scalar functions keep every column equal to a
+    one-set evaluation bit for bit.
+    """
+    lists = [np.asarray(a, dtype=float).tolist() for a in args]
+    return np.fromiter(map(f, *lists), dtype=float, count=len(lists[0]))
+
+
+def _row_sums(*terms: np.ndarray) -> np.ndarray:
+    """Sum of each row, adding column by column from the left as Python's
+    ``sum`` does (and cycling through ``terms`` within a column).
+
+    ``np.add.reduceat`` and pairwise summation round differently.
+    """
+    total = np.zeros(terms[0].shape[0])
+    for k in range(terms[0].shape[1]):
+        for term in terms:
+            total += term[:, k]
+    return total
+
+
+def quantity_columns(sets) -> dict[str, np.ndarray]:
+    """Every derived quantity of many nondegenerate sets, one array per quantity.
+
+    The profile intervals of all profile sets fill one zero-padded
+    (sets x intervals) endpoint table, and the boundary weight is evaluated
+    once per endpoint; centered balls use their chi-square closed forms. The
+    columns are ``measure``, ``s`` (mass level), ``perimeter``, ``b``
+    (barycenter along the profile axis, zero for balls), ``b_norm``,
+    ``b_max``, ``deficit``, ``beta`` (strong asymmetry), ``alpha_hat``
+    (directed Fraenkel asymmetry) and ``excess`` (direct boundary excess).
+    Every number equals that of a batch of one, bit for bit. Raises
+    ValueError when a set has measure 0 or 1 or its quantities are
+    inconsistent.
+    """
+    sets = tuple(sets)
+    profiles = [_profile(e) for e in sets]
+    balls = [i for i, p in enumerate(profiles) if p is None]
+    counts = np.array([0 if p is None else len(p[1]) for p in profiles], dtype=int)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    lo_flat, hi_flat = np.array(
+        [iv for p in profiles if p is not None for iv in p[1]], dtype=float
+    ).reshape(-1, 2).T
+
+    def table(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(valid.shape)
+        out[valid] = values
+        return out
+
+    lo, hi = table(lo_flat), table(hi_flat)
+    w_lo = table(_scalar_map(gauss_weight, lo_flat))
+    w_hi = table(_scalar_map(gauss_weight, hi_flat))
+    mass = _row_sums(table(_scalar_map(_interval_mass, lo_flat, hi_flat)))
+    perim = _row_sums(w_lo, w_hi)
+    b = _row_sums((w_lo - w_hi) / SQRT_2PI)
+    excess = 4.0 * np.minimum(_row_sums(w_lo), _row_sums(w_hi))
+    mass[balls] = [measure(sets[i]) for i in balls]
+    perim[balls] = [perimeter(sets[i]) for i in balls]
+    excess[balls] = 2.0 * perim[balls]
+
+    degenerate = np.flatnonzero(~((mass > 0.0) & (mass < 1.0)))
+    if degenerate.size:
+        raise ValueError(
+            f"quantity undefined for degenerate set with measure {float(mass[degenerate[0]])!r}; "
+            "need measure in (0, 1)"
+        )
+    s = _scalar_map(gauss_cdf_inv, mass)
+    w_s = _scalar_map(gauss_weight, s)
+    b_norm = np.abs(b)
+    b_max = w_s / SQRT_2PI
+    deficit = perim - w_s
+    beta = b_max - b_norm
+
+    # directed Fraenkel asymmetry: gamma(E sym-diff H) for the half-space H at
+    # level s opposite to the barycenter, (-inf, s) or (-s, inf) on the axis
+    right = (b > 0.0)[:, None]
+    cut_lo = np.where(right, np.maximum(lo, -s[:, None]), lo)
+    cut_hi = np.where(right, hi, np.minimum(hi, s[:, None]))
+    kept = valid & (cut_lo < cut_hi)
+    overlap = np.zeros(valid.shape)
+    overlap[kept] = _scalar_map(_interval_mass, cut_lo[kept], cut_hi[kept])
+    alpha_hat = mass + _scalar_map(gauss_cdf, s) - 2.0 * _row_sums(overlap)
+    # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
+    ceiling = b_norm < BARYCENTER_ZERO_TOL
+    alpha_hat[ceiling] = 2.0 * _scalar_map(gauss_cdf, -np.abs(s[ceiling]))
+
+    _check_consistent(deficit, beta, excess)
+    return {
+        "measure": mass,
+        "s": s,
+        "perimeter": perim,
+        "b": b,
+        "b_norm": b_norm,
+        "b_max": b_max,
+        "deficit": deficit,
+        "beta": beta,
+        "alpha_hat": alpha_hat,
+        "excess": excess,
+    }
+
+
+def _column(e: GaussianSet, name: str) -> float:
+    return float(quantity_columns((e,))[name][0])
 
 
 def isoperimetric_deficit(e: GaussianSet) -> float:
     """perimeter(E) minus the half-space perimeter at the same mass level."""
-    return perimeter(e) - gauss_weight(mass_level(e))
+    return _column(e, "deficit")
 
 
 def strong_asymmetry(e: GaussianSet) -> float:
@@ -115,15 +238,7 @@ def strong_asymmetry(e: GaussianSet) -> float:
     Equals the minimal distance from b(E) to a half-space barycenter of the
     same mass, attained in the direction -b/|b| when b is nonzero.
     """
-    s = mass_level(e)
-    return max_barycenter_norm(s) - float(np.linalg.norm(barycenter(e)))
-
-
-def _axis_halfspace(e: GaussianSet, sign: float, s: float) -> HalfSpace:
-    n = dimension(e)
-    omega = [0.0] * n
-    omega[-1] = sign
-    return HalfSpace(omega=tuple(omega), s=s)
+    return _column(e, "beta")
 
 
 def directed_fraenkel(e: GaussianSet) -> float:
@@ -133,78 +248,19 @@ def directed_fraenkel(e: GaussianSet) -> float:
     For zero barycenter the direction degenerates and the value is the
     ceiling 2 * gauss_cdf(-|s|), which bounds the directed value for every set.
     """
-    s = _nondegenerate_level(e)
-    b = barycenter(e)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b < BARYCENTER_ZERO_TOL:
-        return 2.0 * gauss_cdf(-abs(s))
-    if isinstance(e, HalfSpace):
-        # -b/|b| recovers the set's own direction exactly
-        return symm_diff_measure(e, HalfSpace(omega=e.omega, s=s))
-    if isinstance(e, (IntervalUnion1D, SlabSet)):
-        sign = -1.0 if float(b[-1]) > 0.0 else 1.0
-        return symm_diff_measure(e, _axis_halfspace(e, sign, s))
-    omega = tuple(float(c) for c in (-b / norm_b))
-    return symm_diff_measure(e, HalfSpace(omega=omega, s=s))
-
-
-def axis_fraenkel(e: GaussianSet) -> float:
-    """Minimal symmetric-difference asymmetry over the directions pinned by
-    the representation's symmetry.
-
-    For 1D sets and slabs the minimum runs over the two profile-axis
-    directions; for a half-space over its own axis; for a centered ball every
-    direction gives the same value.
-    """
-    s = _nondegenerate_level(e)
-    if isinstance(e, (IntervalUnion1D, SlabSet)):
-        return min(
-            symm_diff_measure(e, _axis_halfspace(e, 1.0, s)),
-            symm_diff_measure(e, _axis_halfspace(e, -1.0, s)),
-        )
-    if isinstance(e, HalfSpace):
-        flipped = HalfSpace(omega=tuple(-c for c in e.omega), s=s)
-        return min(
-            symm_diff_measure(e, HalfSpace(omega=e.omega, s=s)),
-            symm_diff_measure(e, flipped),
-        )
-    if isinstance(e, CenteredBall):
-        return symm_diff_measure(e, _axis_halfspace(e, 1.0, s))
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
-
-
-def _normal_weight_split(e: IntervalUnion1D) -> tuple[float, float]:
-    """Total boundary weight with exterior normal -1 (interval left ends)
-    and +1 (interval right ends)."""
-    w_minus = 0.0
-    w_plus = 0.0
-    for lo, hi in e.intervals:
-        if math.isfinite(lo):
-            w_minus += gauss_weight(lo)
-        if math.isfinite(hi):
-            w_plus += gauss_weight(hi)
-    return w_minus, w_plus
+    return _column(e, "alpha_hat")
 
 
 def boundary_excess(e: GaussianSet) -> float:
     """Minimal weighted boundary integral of |normal - omega|^2 over unit omega.
 
-    Computed directly from the boundary: in 1D (and for slab profiles) the
-    normal is +-1 at each endpoint and |normal - omega|^2 is 0 or 4, so the
-    minimum over omega in {-1, +1} is four times the smaller of the two
+    Computed directly from the boundary: for a profile set the normal is
+    +-axis at each endpoint and |normal - omega|^2 is 0 or 4, so the minimum
+    over omega in {-axis, +axis} is four times the smaller of the two
     normal-weight totals. For a ball the odd part integrates to zero and the
     value is 2 * perimeter regardless of omega.
     """
-    if isinstance(e, IntervalUnion1D):
-        w_minus, w_plus = _normal_weight_split(e)
-        return 4.0 * min(w_minus, w_plus)
-    if isinstance(e, SlabSet):
-        return boundary_excess(e.profile)
-    if isinstance(e, HalfSpace):
-        return 0.0
-    if isinstance(e, CenteredBall):
-        return 2.0 * perimeter(e)
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    return _column(e, "excess")
 
 
 def excess_identity(e: GaussianSet) -> tuple[float, float]:
@@ -213,9 +269,9 @@ def excess_identity(e: GaussianSet) -> tuple[float, float]:
     The two agree identically; comparing them end to end exercises every
     quantity in the chain.
     """
-    direct = boundary_excess(e)
-    via = 2.0 * isoperimetric_deficit(e) + 2.0 * SQRT_2PI * strong_asymmetry(e)
-    return direct, via
+    cols = quantity_columns((e,))
+    via = 2.0 * cols["deficit"][0] + 2.0 * SQRT_2PI * cols["beta"][0]
+    return float(cols["excess"][0]), float(via)
 
 
 def penalized_functional(e: GaussianSet, params: FunctionalParams) -> float:
@@ -259,17 +315,9 @@ class QuantityBundle:
     excess: float
 
     def validate(self) -> None:
-        if self.deficit < -1e-10:
-            raise ValueError(f"negative deficit {self.deficit!r}")
-        if self.strong_asymmetry < -1e-10:
-            raise ValueError(f"negative strong asymmetry {self.strong_asymmetry!r}")
-        if self.excess < -1e-10:
-            raise ValueError(f"negative excess {self.excess!r}")
-        via = 2.0 * self.deficit + 2.0 * SQRT_2PI * self.strong_asymmetry
-        if abs(self.excess - via) > 1e-10 * max(1.0, abs(self.excess)):
-            raise ValueError(
-                f"excess {self.excess!r} inconsistent with deficit/asymmetry value {via!r}"
-            )
+        _check_consistent(
+            np.array([self.deficit]), np.array([self.strong_asymmetry]), np.array([self.excess])
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -286,18 +334,16 @@ class QuantityBundle:
 
 
 def quantities(e: GaussianSet) -> QuantityBundle:
-    """Compute the full consistent bundle for a nondegenerate set."""
-    s = _nondegenerate_level(e)
-    bundle = QuantityBundle(
-        mass_level=s,
-        measure=measure(e),
-        perimeter=perimeter(e),
+    """The full consistent bundle of one nondegenerate set: a batch of one."""
+    cols = quantity_columns((e,))
+    return QuantityBundle(
+        mass_level=float(cols["s"][0]),
+        measure=float(cols["measure"][0]),
+        perimeter=float(cols["perimeter"][0]),
         barycenter=tuple(float(c) for c in barycenter(e)),
-        max_barycenter_norm=max_barycenter_norm(s),
-        deficit=isoperimetric_deficit(e),
-        strong_asymmetry=strong_asymmetry(e),
-        directed_fraenkel=directed_fraenkel(e),
-        excess=boundary_excess(e),
+        max_barycenter_norm=float(cols["b_max"][0]),
+        deficit=float(cols["deficit"][0]),
+        strong_asymmetry=float(cols["beta"][0]),
+        directed_fraenkel=float(cols["alpha_hat"][0]),
+        excess=float(cols["excess"][0]),
     )
-    bundle.validate()
-    return bundle

@@ -11,6 +11,14 @@ Four families are supported, each closed under the operations it admits:
 * :class:`CenteredBall` — ``{|x| < R}``; measure via the chi-square law of
   ``|x|^2``.
 
+The families collapse to two cases. Every set but the ball is a 1-D profile:
+the preimage of an interval union under ``x -> x . axis`` for a unit axis
+(an interval union along ``(1,)``, a slab along ``e_n``, a half-space as the
+one-ray profile ``(-inf, s)`` along ``omega``). One private reduction makes
+that decision, and ``dimension``, ``measure``, ``perimeter``, ``barycenter``,
+``symm_diff_measure`` and ``contains_points`` each read "ball, else profile".
+Only :func:`complement` and the JSON descriptors build each family's own type.
+
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
 and degenerate features below ``merge_tol`` are collapsed by :func:`normalize`.
 """
@@ -20,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -204,29 +211,28 @@ def normalize(
     return IntervalUnion1D(intervals=kept)
 
 
-@singledispatch
-def dimension(e: GaussianSet) -> int:
+def _profile(e: GaussianSet) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]] | None:
+    """The family decision: ``(axis, profile intervals)``, or None for a centered ball.
+
+    Every set but the ball is the preimage of a 1-D interval union under
+    ``x -> x . axis`` for a unit axis: an interval union is its own profile
+    along ``(1,)``, a slab its profile along ``e_n``, and a half-space the
+    one-ray profile ``(-inf, s)`` along ``omega``.
+    """
+    if isinstance(e, CenteredBall):
+        return None
+    if isinstance(e, IntervalUnion1D):
+        return (1.0,), e.intervals
+    if isinstance(e, SlabSet):
+        return (0.0,) * (e.dim - 1) + (1.0,), e.profile.intervals
+    if isinstance(e, HalfSpace):
+        return e.omega, ((-math.inf, e.s),)
     raise TypeError(f"unsupported set representation: {type(e).__name__}")
 
 
-@dimension.register
-def _(e: IntervalUnion1D) -> int:
-    return 1
-
-
-@dimension.register
-def _(e: HalfSpace) -> int:
-    return len(e.omega)
-
-
-@dimension.register
-def _(e: SlabSet) -> int:
-    return e.dim
-
-
-@dimension.register
-def _(e: CenteredBall) -> int:
-    return e.dim
+def dimension(e: GaussianSet) -> int:
+    profile = _profile(e)
+    return e.dim if profile is None else len(profile[0])
 
 
 def _interval_mass(lo: float, hi: float) -> float:
@@ -243,90 +249,39 @@ def _interval_mass(lo: float, hi: float) -> float:
     return gauss_cdf(hi) - gauss_cdf(lo)
 
 
-@singledispatch
 def measure(e: GaussianSet) -> float:
     """Gaussian measure gamma(E)."""
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    profile = _profile(e)
+    if profile is None:
+        return chi2_cdf(e.dim, e.radius * e.radius)
+    return float(sum(_interval_mass(lo, hi) for lo, hi in profile[1]))
 
 
-@measure.register
-def _(e: IntervalUnion1D) -> float:
-    return float(sum(_interval_mass(lo, hi) for lo, hi in e.intervals))
-
-
-@measure.register
-def _(e: HalfSpace) -> float:
-    return gauss_cdf(e.s)
-
-
-@measure.register
-def _(e: SlabSet) -> float:
-    return measure(e.profile)
-
-
-@measure.register
-def _(e: CenteredBall) -> float:
-    return chi2_cdf(e.dim, e.radius * e.radius)
-
-
-@singledispatch
 def perimeter(e: GaussianSet) -> float:
-    """Gaussian perimeter: integral of exp(-|x|^2/2)/(2 pi)^{(n-1)/2} over the boundary."""
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    """Gaussian perimeter: integral of exp(-|x|^2/2)/(2 pi)^{(n-1)/2} over the boundary.
+
+    A profile set's boundary is the profile's endpoints times the transverse
+    space, whose Gaussian integral is one.
+    """
+    profile = _profile(e)
+    if profile is None:
+        n = e.dim
+        r = e.radius
+        # sphere area n*omega_n*R^{n-1} = 2 pi^{n/2} R^{n-1} / Gamma(n/2)
+        area = 2.0 * math.pi ** (0.5 * n) * r ** (n - 1) / math.gamma(0.5 * n)
+        return area * math.exp(-0.5 * r * r) / (2.0 * math.pi) ** (0.5 * (n - 1))
+    return float(sum(gauss_weight(x) for iv in profile[1] for x in iv))
 
 
-@perimeter.register
-def _(e: IntervalUnion1D) -> float:
-    return float(sum(gauss_weight(x) for x in e.finite_endpoints))
-
-
-@perimeter.register
-def _(e: HalfSpace) -> float:
-    return gauss_weight(e.s)
-
-
-@perimeter.register
-def _(e: SlabSet) -> float:
-    # boundary is R^{n-1} x (profile boundary); transverse integrals are 1
-    return perimeter(e.profile)
-
-
-@perimeter.register
-def _(e: CenteredBall) -> float:
-    n = e.dim
-    r = e.radius
-    # sphere area n*omega_n*R^{n-1} = 2 pi^{n/2} R^{n-1} / Gamma(n/2)
-    area = 2.0 * math.pi ** (0.5 * n) * r ** (n - 1) / math.gamma(0.5 * n)
-    return area * math.exp(-0.5 * r * r) / (2.0 * math.pi) ** (0.5 * (n - 1))
-
-
-@singledispatch
 def barycenter(e: GaussianSet) -> np.ndarray:
     """b(E) = integral over E of x dgamma, as a vector of length dimension(e)."""
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
-
-
-@barycenter.register
-def _(e: IntervalUnion1D) -> np.ndarray:
-    return np.array([sum(partial_moment(lo, hi) for lo, hi in e.intervals)])
-
-
-@barycenter.register
-def _(e: HalfSpace) -> np.ndarray:
-    scale = -gauss_weight(e.s) / SQRT_2PI
-    return scale * np.asarray(e.omega, dtype=float)
-
-
-@barycenter.register
-def _(e: SlabSet) -> np.ndarray:
-    out = np.zeros(e.dim)
-    out[-1] = barycenter(e.profile)[0]
-    return out
-
-
-@barycenter.register
-def _(e: CenteredBall) -> np.ndarray:
-    return np.zeros(e.dim)
+    profile = _profile(e)
+    if profile is None:
+        return np.zeros(e.dim)
+    axis, intervals = profile
+    b = sum(partial_moment(lo, hi) for lo, hi in intervals)
+    # components off the axis are exactly zero, never -0.0
+    return np.array([b * c if c else 0.0 for c in axis])
 
 
 def barycenter_norm(e: GaussianSet) -> float:
@@ -351,44 +306,16 @@ def _complement_intervals(e: IntervalUnion1D) -> IntervalUnion1D:
     return IntervalUnion1D(intervals=tuple(pairs))
 
 
-@singledispatch
 def complement(e: GaussianSet) -> GaussianSet:
+    if isinstance(e, IntervalUnion1D):
+        return _complement_intervals(e)
+    if isinstance(e, SlabSet):
+        return SlabSet(dim=e.dim, profile=_complement_intervals(e.profile))
+    if isinstance(e, HalfSpace):
+        return HalfSpace(omega=tuple(-c for c in e.omega), s=-e.s)
+    if isinstance(e, CenteredBall):
+        raise ValueError("complement of a centered ball is not representable here")
     raise TypeError(f"unsupported set representation: {type(e).__name__}")
-
-
-@complement.register
-def _(e: IntervalUnion1D) -> IntervalUnion1D:
-    return _complement_intervals(e)
-
-
-@complement.register
-def _(e: HalfSpace) -> HalfSpace:
-    return HalfSpace(omega=tuple(-c for c in e.omega), s=-e.s)
-
-
-@complement.register
-def _(e: SlabSet) -> SlabSet:
-    return SlabSet(dim=e.dim, profile=_complement_intervals(e.profile))
-
-
-@complement.register
-def _(e: CenteredBall) -> GaussianSet:
-    raise ValueError("complement of a centered ball is not representable here")
-
-
-def _intersect_mass(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]) -> float:
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            total += _interval_mass(lo, hi)
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
 
 
 def intersect(a: IntervalUnion1D, b: IntervalUnion1D) -> IntervalUnion1D:
@@ -408,25 +335,14 @@ def intersect(a: IntervalUnion1D, b: IntervalUnion1D) -> IntervalUnion1D:
     return normalize(pairs)
 
 
-def _halfspace_profile(sign: float, s: float) -> tuple[tuple[float, float], ...]:
-    # 1D trace of {x*sign < s}
-    return ((-math.inf, s),) if sign > 0 else ((-s, math.inf),)
-
-
-def _axis_sign(e: GaussianSet, h: HalfSpace) -> float:
-    """Validate h against e's representation axis; return the axis sign."""
-    if len(h.omega) != dimension(e):
-        raise AlignmentError(
-            f"half-space dimension {len(h.omega)} does not match set dimension {dimension(e)}"
-        )
-    axis = np.zeros(len(h.omega))
-    axis[-1] = 1.0
-    om = np.asarray(h.omega)
-    if abs(abs(float(om[-1])) - 1.0) > 1e-9 or float(np.max(np.abs(om[:-1]), initial=0.0)) > 1e-9:
-        raise AlignmentError(
-            "half-space must be aligned with the profile axis for this representation"
-        )
-    return 1.0 if om[-1] > 0 else -1.0
+def _clipped_mass(intervals: Sequence[tuple[float, float]], lo_cut: float, hi_cut: float) -> float:
+    """Gaussian mass of the intervals intersected with (lo_cut, hi_cut)."""
+    total = 0.0
+    for lo, hi in intervals:
+        lo, hi = max(lo, lo_cut), min(hi, hi_cut)
+        if lo < hi:
+            total += _interval_mass(lo, hi)
+    return total
 
 
 #: Quadrature settings of the ball / half-space intersection.
@@ -437,8 +353,10 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     """gamma(B_R intersect {x . omega < s}); rotation-invariant in omega.
 
     Integrates, along omega, the density times the chi-square mass of the
-    (dim-1)-dimensional slice of the ball. Raises ValueError when the
-    quadrature does not converge.
+    (dim-1)-dimensional slice of the ball. The coordinate ``t = R sin(theta)``
+    removes the square-root edge of the slice radius at ``t = -R``, so the
+    integrand is smooth. Raises ValueError when the quadrature does not
+    converge.
     """
     if s >= radius:
         return chi2_cdf(dim, radius * radius)
@@ -447,11 +365,13 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     if dim == 1:
         return _interval_mass(-radius, min(s, radius))
 
-    def slice_mass(t: np.ndarray) -> np.ndarray:
-        u = np.maximum(radius * radius - t * t, 0.0)
-        return np.exp(-0.5 * t * t) / SQRT_2PI * gammainc(0.5 * (dim - 1), 0.5 * u)
+    def slice_mass(theta: np.ndarray) -> np.ndarray:
+        t = radius * np.sin(theta)
+        half_chord = radius * np.cos(theta)
+        chi = gammainc(0.5 * (dim - 1), 0.5 * half_chord * half_chord)
+        return np.exp(-0.5 * t * t) / SQRT_2PI * chi * half_chord
 
-    r = adaptive_quad_many(slice_mass, [-radius], [min(s, radius)], _SLICE_SETTINGS)
+    r = adaptive_quad_many(slice_mass, [-0.5 * math.pi], [math.asin(s / radius)], _SLICE_SETTINGS)
     if not r.converged[0]:
         raise ValueError(
             f"ball / half-space mass did not converge for dim={dim}, radius={radius!r}, s={s!r}"
@@ -459,74 +379,47 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     return float(r.value[0])
 
 
-@singledispatch
 def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
-    """gamma(E symmetric-difference H) for a half-space H compatible with E."""
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    """gamma(E symmetric-difference H) for a half-space H compatible with E.
 
-
-@symm_diff_measure.register
-def _(e: IntervalUnion1D, h: HalfSpace) -> float:
-    sign = _axis_sign(e, h)
-    hp = _halfspace_profile(sign, h.s)
-    inter = _intersect_mass(e.intervals, hp)
-    return measure(e) + gauss_cdf(h.s) - 2.0 * inter
-
-
-@symm_diff_measure.register
-def _(e: HalfSpace, h: HalfSpace) -> float:
-    if len(e.omega) != len(h.omega):
+    A profile set needs H collinear with its axis; a centered ball accepts
+    every direction.
+    """
+    n = dimension(e)
+    if len(h.omega) != n:
         raise AlignmentError(
-            f"half-space dimension {len(h.omega)} does not match set dimension {len(e.omega)}"
+            f"half-space dimension {len(h.omega)} does not match set dimension {n}"
         )
-    dot = float(np.dot(e.omega, h.omega))
-    if abs(dot - 1.0) <= 1e-9:
-        return abs(gauss_cdf(e.s) - gauss_cdf(h.s))
-    if abs(dot + 1.0) <= 1e-9:
-        # E = {u < s_e}, H = {u > -s_h} in the shared axis coordinate u
-        inter = max(0.0, gauss_cdf(e.s) - gauss_cdf(-h.s))
-        return gauss_cdf(e.s) + gauss_cdf(h.s) - 2.0 * inter
-    raise AlignmentError("half-space comparison requires collinear directions")
-
-
-@symm_diff_measure.register
-def _(e: SlabSet, h: HalfSpace) -> float:
-    sign = _axis_sign(e, h)
-    hp = _halfspace_profile(sign, h.s)
-    inter = _intersect_mass(e.profile.intervals, hp)
-    return measure(e) + gauss_cdf(h.s) - 2.0 * inter
-
-
-@symm_diff_measure.register
-def _(e: CenteredBall, h: HalfSpace) -> float:
-    if len(h.omega) != e.dim:
-        raise AlignmentError(
-            f"half-space dimension {len(h.omega)} does not match set dimension {e.dim}"
-        )
-    inter = _ball_halfspace_mass(e.dim, e.radius, h.s)
+    profile = _profile(e)
+    if profile is None:
+        inter = _ball_halfspace_mass(e.dim, e.radius, h.s)
+    else:
+        axis, intervals = profile
+        dot = float(np.dot(axis, h.omega))
+        if abs(dot - 1.0) <= 1e-9:
+            inter = _clipped_mass(intervals, -math.inf, h.s)
+        elif abs(dot + 1.0) <= 1e-9:
+            inter = _clipped_mass(intervals, -h.s, math.inf)
+        else:
+            raise AlignmentError("half-space must be collinear with the set's profile axis")
     return measure(e) + gauss_cdf(h.s) - 2.0 * inter
 
 
 def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:
     """Boolean membership for an (m, dimension(e)) array of points."""
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != dimension(e):
-        raise ValueError(
-            f"contains_points: expected shape (m, {dimension(e)}), got {pts.shape}"
-        )
-    if isinstance(e, IntervalUnion1D):
-        x = pts[:, 0]
-        out = np.zeros(len(x), dtype=bool)
-        for lo, hi in e.intervals:
-            out |= (x > lo) & (x < hi)
-        return out
-    if isinstance(e, HalfSpace):
-        return pts @ np.asarray(e.omega) < e.s
-    if isinstance(e, SlabSet):
-        return contains_points(e.profile, pts[:, -1:])
-    if isinstance(e, CenteredBall):
+    n = dimension(e)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"contains_points: expected shape (m, {n}), got {pts.shape}")
+    profile = _profile(e)
+    if profile is None:
         return np.einsum("ij,ij->i", pts, pts) < e.radius * e.radius
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    axis, intervals = profile
+    x = pts @ np.asarray(axis, dtype=float)
+    out = np.zeros(len(x), dtype=bool)
+    for lo, hi in intervals:
+        out |= (x > lo) & (x < hi)
+    return out
 
 
 def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:

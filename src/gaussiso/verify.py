@@ -4,7 +4,8 @@ Each suite evaluates a family of claims — isoperimetric lower bounds, the
 deficit-controls-asymmetry estimate with its explicit constant, asymmetry
 comparisons, the boundary-excess identity, auxiliary scalar-function sign
 conditions, and stationarity structure of the two-ray family — and returns
-one record per check with the violation count and the worst margin.  An
+one record per check with the violation count and the worst margin.  The
+corpus suites share one ``quantity_columns`` evaluation of the corpus.  An
 inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,18 +26,17 @@ from .corpus import RandomSetSpec, _child_seed, mixed_corpus, random_interval_un
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
-    QuantityBundle,
     penalized_functional,
-    quantities,
+    quantity_columns,
     stability_params,
 )
 from .optimize import half_line_set, two_ray_set
 from .quadrature import QuadSettings, adaptive_quad_many
 from .sets import (
-    CenteredBall,
     IntervalUnion1D,
     SlabSet,
     contains_points,
+    dimension,
     mc_measure,
     measure,
 )
@@ -57,6 +56,8 @@ __all__ = [
     "run_suite",
     "render_report",
     "emit_report",
+    "format_number",
+    "json_value",
 ]
 
 #: Relative scale of the violation tolerance for inequality checks.
@@ -83,7 +84,7 @@ SUITE_NAMES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Corpus size, seeding, parallelism, and the falsification hook.
+    """Corpus size, seeding, and the falsification hook.
 
     ``main_constant`` overrides the explicit constant of the
     deficit-controls-asymmetry estimate; lowering it demonstrates the
@@ -92,7 +93,6 @@ class SuiteConfig:
 
     samples: int = 10_000
     seed: int = 42
-    jobs: int = 1
     main_constant: float = STABILITY_CONSTANT
 
     def __post_init__(self) -> None:
@@ -100,8 +100,6 @@ class SuiteConfig:
             raise ValueError(f"samples must be positive, got {self.samples!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs!r}")
         if not (self.main_constant > 0.0 and math.isfinite(self.main_constant)):
             raise ValueError(f"main_constant must be positive, got {self.main_constant!r}")
 
@@ -189,12 +187,11 @@ def _record(
 
 
 class _CorpusCache:
-    """Lazily generated corpus and per-set quantity bundles, shared across suites."""
+    """Lazily generated corpus and its quantity columns, shared across suites."""
 
     def __init__(self, config: SuiteConfig) -> None:
         self._config = config
         self._sets = None
-        self._bundles = None
         self._columns = None
 
     @property
@@ -203,32 +200,10 @@ class _CorpusCache:
             self._sets = mixed_corpus(self._config.samples, self._config.seed)
         return self._sets
 
-    @property
-    def bundles(self) -> tuple[QuantityBundle, ...]:
-        if self._bundles is None:
-            members = self.sets
-            if self._config.jobs > 1:
-                with ProcessPoolExecutor(max_workers=self._config.jobs) as pool:
-                    chunk = max(1, len(members) // (4 * self._config.jobs))
-                    self._bundles = tuple(pool.map(quantities, members, chunksize=chunk))
-            else:
-                self._bundles = tuple(quantities(e) for e in members)
-        return self._bundles
-
     def columns(self) -> dict[str, np.ndarray]:
-        """The bundles as named read-only columns, built once."""
+        """The corpus's quantity columns, built once and read-only."""
         if self._columns is None:
-            bundles = self.bundles
-            self._columns = {
-                "s": np.array([b.mass_level for b in bundles]),
-                "perimeter": np.array([b.perimeter for b in bundles]),
-                "deficit": np.array([b.deficit for b in bundles]),
-                "beta": np.array([b.strong_asymmetry for b in bundles]),
-                "alpha_hat": np.array([b.directed_fraenkel for b in bundles]),
-                "excess": np.array([b.excess for b in bundles]),
-                "b_norm": np.array([math.hypot(*b.barycenter) for b in bundles]),
-                "b_max": np.array([b.max_barycenter_norm for b in bundles]),
-            }
+            self._columns = quantity_columns(self.sets)
             for column in self._columns.values():
                 column.flags.writeable = False
         return self._columns
@@ -266,7 +241,7 @@ def _suite_measure_oracle(config: SuiteConfig, cache: _CorpusCache) -> list[Chec
     )
 
     started = time.perf_counter()
-    high_dim = [e for e in cache.sets if isinstance(e, (CenteredBall, SlabSet))][:20]
+    high_dim = [e for e in cache.sets if dimension(e) > 1][:20]
     if high_dim:
         diffs = []
         bounds = []
@@ -476,23 +451,22 @@ def _suite_scalar_functions(config: SuiteConfig) -> list[CheckRecord]:
 
     started = time.perf_counter()
     lowers = []
-    betas = []
+    competitors = []
     for s in (0.0, -0.5, -1.0, -2.0, -3.0):
         mass = gauss_cdf(s)
         for fraction in (0.002, 0.01, 0.05, 0.2, 0.5):
             m = fraction * min(mass, 1.0 - mass)
             below = gauss_cdf_inv(mass - m)
             above = gauss_cdf_inv(mass + m)
-            competitor = IntervalUnion1D(intervals=((-math.inf, below), (s, above)))
-            bundle = quantities(competitor)
-            # the construction keeps the barycenter on the negative side, so
-            # the strong asymmetry equals the moment gap the bound controls
-            if sum(bundle.barycenter) > 0.0:
-                raise RuntimeError(
-                    f"slab competitor at level {s}, fraction {fraction} has positive barycenter"
-                )
+            competitors.append(IntervalUnion1D(intervals=((-math.inf, below), (s, above))))
             lowers.append(math.sqrt(math.pi / 2.0) * math.exp(0.5 * s * s) * m * m)
-            betas.append(bundle.strong_asymmetry)
+    cols = quantity_columns(competitors)
+    # the construction keeps the barycenter on the negative side, so the
+    # strong asymmetry equals the moment gap the bound controls
+    if np.any(cols["b"] > 0.0):
+        worst = competitors[int(np.argmax(cols["b"]))]
+        raise RuntimeError(f"slab competitor {worst.intervals} has positive barycenter")
+    betas = cols["beta"]
     checks.append(
         _record(
             "slab-competitor-asymmetry-bound",
@@ -729,7 +703,8 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
     return VerificationReport(suite=name, checks=tuple(checks))
 
 
-def _format_number(x) -> str:
+def format_number(x) -> str:
+    """A bool, int or float as report text: floats with 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -737,18 +712,19 @@ def _format_number(x) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(value) -> str:
+def json_value(value) -> str:
+    """Deterministic JSON text with keys sorted and numbers as in format_number."""
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (bool, int, float)):
-        return _format_number(value)
+        return format_number(value)
     if isinstance(value, dict):
         inner = ", ".join(
-            f"{json.dumps(str(k))}: {_json_value(value[k])}" for k in sorted(value)
+            f"{json.dumps(str(k))}: {json_value(value[k])}" for k in sorted(value)
         )
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+        return "[" + ", ".join(json_value(v) for v in value) + "]"
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
@@ -760,10 +736,10 @@ def _check_json(check: CheckRecord) -> str:
         f'"anchor": {json.dumps(check.anchor)}',
         f'"samples": {check.samples}',
         f'"violations": {check.violations}',
-        f'"worst_margin": {_format_number(check.worst_margin)}',
-        f'"params": {_json_value(check.params)}',
+        f'"worst_margin": {format_number(check.worst_margin)}',
+        f'"params": {json_value(check.params)}',
         f'"seed": {check.seed}',
-        f'"wall_time": {_format_number(check.wall_time)}',
+        f'"wall_time": {format_number(check.wall_time)}',
     ]
     return "{" + ", ".join(parts) + "}"
 
@@ -786,7 +762,7 @@ def render_report(report: VerificationReport, format: str = "json") -> str:
             raise ValueError(f"comma in check name or anchor breaks the CSV layout: {c.name!r}")
         lines.append(
             f"{c.name},{c.anchor},{c.samples},{c.violations},"
-            f"{_format_number(c.worst_margin)},{c.seed},{_format_number(c.wall_time)}"
+            f"{format_number(c.worst_margin)},{c.seed},{format_number(c.wall_time)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -9,12 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from gaussiso import functionals
+from gaussiso.corpus import mixed_corpus
 from gaussiso.functionals import (
     BARYCENTER_ZERO_TOL,
     STABILITY_CONSTANT,
     FunctionalParams,
     QuantityBundle,
-    axis_fraenkel,
     boundary_excess,
     directed_fraenkel,
     excess_identity,
@@ -22,6 +23,7 @@ from gaussiso.functionals import (
     max_barycenter_norm,
     penalized_functional,
     quantities,
+    quantity_columns,
     stability_params,
     strong_asymmetry,
 )
@@ -217,31 +219,6 @@ class TestDirectedFraenkel:
             directed_fraenkel(IntervalUnion1D(intervals=()))
 
 
-class TestAxisFraenkel:
-    def test_two_ray_value(self):
-        # both directions tie: 2(gauss_cdf(0) - 0.25) = 0.5
-        assert axis_fraenkel(E0) == pytest.approx(0.5, rel=1e-13)
-
-    def test_never_exceeds_directed(self):
-        for e in random_corpus(616010, 200):
-            assert axis_fraenkel(e) <= directed_fraenkel(e) + 1e-12
-
-    def test_halfspace_zero(self):
-        assert axis_fraenkel(HalfSpace(omega=(0.0, -1.0), s=1.1)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_ball_below_ceiling(self):
-        b = CenteredBall(dim=2, radius=1.0)
-        assert axis_fraenkel(b) < directed_fraenkel(b)
-
-    def test_slab_matches_profile(self):
-        prof = normalize([(-1.5, 0.2)])
-        assert axis_fraenkel(SlabSet(dim=3, profile=prof)) == pytest.approx(
-            axis_fraenkel(prof), rel=1e-14
-        )
-
-
 class TestExcess:
     def test_halfspace_zero(self):
         assert boundary_excess(HalfSpace(omega=(1.0,), s=0.3)) == 0.0
@@ -426,3 +403,61 @@ class TestDeficitChain:
 
     def test_barycenter_zero_tol_exported(self):
         assert 0.0 < BARYCENTER_ZERO_TOL < 1e-9
+
+
+class TestQuantityColumns:
+    CORPUS = mixed_corpus(1000, 11)
+
+    def test_batch_equals_batches_of_one(self):
+        cols = quantity_columns(self.CORPUS)
+        for i, e in enumerate(self.CORPUS):
+            one = quantity_columns((e,))
+            for name, column in cols.items():
+                assert float.hex(float(column[i])) == float.hex(float(one[name][0])), (i, name)
+
+    def test_scalar_readers_are_batches_of_one(self):
+        cols = quantity_columns(self.CORPUS[::50])
+        for i, e in enumerate(self.CORPUS[::50]):
+            assert isoperimetric_deficit(e) == cols["deficit"][i]
+            assert strong_asymmetry(e) == cols["beta"][i]
+            assert directed_fraenkel(e) == cols["alpha_hat"][i]
+            assert boundary_excess(e) == cols["excess"][i]
+
+    def test_empty_batch(self):
+        cols = quantity_columns(())
+        assert all(column.shape == (0,) for column in cols.values())
+
+    def test_failing_member_fails_the_batch(self, monkeypatch):
+        deficits = quantity_columns(self.CORPUS)["deficit"]
+        lowest, runner_up = np.unique(deficits)[:2]
+        failing = [e for e, d in zip(self.CORPUS, deficits) if d == lowest]
+        passing = [e for e, d in zip(self.CORPUS, deficits) if d != lowest]
+        bundle = quantities(passing[0])
+        # fail exactly the members tied at the smallest deficit
+        monkeypatch.setattr(functionals, "_NEGATIVE_TOL", -0.5 * (lowest + runner_up))
+        with pytest.raises(ValueError, match="negative deficit"):
+            quantity_columns(self.CORPUS)
+        for e in failing:
+            with pytest.raises(ValueError, match="negative deficit"):
+                quantities(e)
+        quantity_columns(passing)
+        # the bundle's own validation reads the same threshold
+        with pytest.raises(ValueError, match="negative deficit"):
+            QuantityBundle(**{**bundle.as_dict(), "deficit": lowest}).validate()
+
+    def test_degenerate_member_fails_the_batch(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            quantity_columns((E0, normalize([(-math.inf, math.inf)])))
+
+    @pytest.mark.parametrize("omega", [(1.0,), (0.0, -1.0), (0.48, -0.6, 0.64)])
+    def test_halfspace_is_its_one_ray_profile(self, omega):
+        for t in (-2.0, -0.4, 0.0, 1.3):
+            h = quantity_columns((HalfSpace(omega=omega, s=t),))
+            ray = quantity_columns((normalize([(-math.inf, t)]),))
+            assert {k: v.tolist() for k, v in h.items()} == {k: v.tolist() for k, v in ray.items()}
+
+    def test_slab_is_its_profile(self):
+        prof = normalize([(-math.inf, -0.5), (0.3, 0.9)])
+        slab = quantity_columns((SlabSet(dim=3, profile=prof),))
+        alone = quantity_columns((prof,))
+        assert {k: v.tolist() for k, v in slab.items()} == {k: v.tolist() for k, v in alone.items()}

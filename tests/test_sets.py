@@ -442,6 +442,15 @@ class TestSymmDiff:
         with pytest.raises(ValueError, match=r"dim=3, radius=4\.0, s=0\.4"):
             symm_diff_measure(b, h)
 
+    @pytest.mark.parametrize("dim,radius,s", [(2, 2.46, 0.0), (6, 1.95, 0.2)])
+    def test_ball_slice_converges_shallow(self, monkeypatch, dim, radius, s):
+        # the slice radius has a square-root edge at t = -R in t, which took
+        # bisection 39,975 evaluations at (2, 2.46, 0); in theta it is smooth
+        monkeypatch.setattr(sets, "_SLICE_SETTINGS", QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=8))
+        lower = sets._ball_halfspace_mass(dim, radius, s)
+        upper = sets._ball_halfspace_mass(dim, radius, -s)
+        assert lower + upper == pytest.approx(measure(CenteredBall(dim=dim, radius=radius)), rel=1e-12)
+
     def test_ball_mc_cross_check(self):
         b = CenteredBall(dim=3, radius=1.5)
         h = HalfSpace(omega=(0.0, 0.0, 1.0), s=0.4)

@@ -50,7 +50,6 @@ class TestSuiteConfig:
         config = SuiteConfig()
         assert config.samples == 10_000
         assert config.seed == 42
-        assert config.jobs == 1
         assert config.main_constant == STABILITY_CONSTANT
 
     @pytest.mark.parametrize(
@@ -58,7 +57,6 @@ class TestSuiteConfig:
         [
             {"samples": 0},
             {"seed": -1},
-            {"jobs": 0},
             {"main_constant": 0.0},
             {"main_constant": math.inf},
         ],
@@ -166,13 +164,6 @@ class TestRunSuite:
         a = run_suite("main", SuiteConfig(samples=200, seed=1))
         b = run_suite("main", SuiteConfig(samples=200, seed=2))
         assert a.checks[0].worst_margin != b.checks[0].worst_margin
-
-    def test_parallel_jobs_match_serial(self):
-        serial = render_report(run_suite("excess-identity", SuiteConfig(samples=120, seed=9)))
-        parallel = render_report(
-            run_suite("excess-identity", SuiteConfig(samples=120, seed=9, jobs=2))
-        )
-        assert _without_wall_time(serial) == _without_wall_time(parallel)
 
     def test_unconverged_oracle_intervals_are_violations(self, monkeypatch):
         # at depth 3 every estimate still matches its closed form within the
