@@ -2,7 +2,8 @@
 
 Subcommands: ``eval`` prints every derived quantity of one set descriptor;
 ``verify`` runs a named check suite over the mixed corpus and grids;
-``minimize`` searches for the minimizer of the penalized functional;
+``minimize`` searches for the minimizer of the penalized functional (with
+``--diagnostics``, also reporting every local search start);
 ``sweep`` tabulates the two-ray deficit-to-asymmetry ratio along a list of
 mass levels.  Exit codes: 0 success with zero violations, 1 at least one
 violation, 2 usage or input error.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .functionals import FunctionalParams, quantities, stability_params
 from .optimize import (
@@ -64,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--kmax", type=int, default=3)
     p_min.add_argument("--starts", type=int, default=64)
     p_min.add_argument("--seed", type=int, default=0)
+    p_min.add_argument("--diagnostics", action="store_true",
+                       help="add every start's outcome to the output as a 'starts' list")
 
     p_sweep = sub.add_parser("sweep", help="two-ray ratio sweep over mass levels")
     p_sweep.add_argument("--s-list", required=True,
@@ -129,6 +133,8 @@ def _run_minimize(args) -> int:
         "starts_total": len(outcome.starts),
         "starts_converged": sum(1 for d in outcome.starts if d.converged),
     }
+    if args.diagnostics:
+        payload["starts"] = [asdict(d) for d in outcome.starts]
     sys.stdout.write(json_value(payload) + "\n")
     return 0
 

@@ -9,7 +9,9 @@ Every quantity of a set comes from one columnar kernel,
 :func:`quantity_columns`, which evaluates many sets at once from their
 profile endpoints (balls from their closed forms). :func:`quantities` and the
 scalar readers such as :func:`isoperimetric_deficit` are its batch of one, so
-each formula exists once.
+each formula exists once. The penalized functional of a profile set is one
+pure-Python loop over its ``(lo, hi)`` pairs, which the optimizer calls on
+endpoint lists without building sets.
 
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
@@ -274,11 +276,36 @@ def excess_identity(e: GaussianSet) -> tuple[float, float]:
     return float(cols["excess"][0]), float(via)
 
 
+def _penalized_profile(intervals, params: FunctionalParams, target: float) -> float:
+    """F of the profile set with these ``(lo, hi)`` pairs; ``target`` is
+    ``gauss_cdf(params.s)``.
+
+    Pure Python over the pairs, with the float operations of ``measure``,
+    ``perimeter`` and ``barycenter`` in their order: the masses and the
+    endpoint weights ``exp(-x^2/2)`` (0 at +-inf) added left to right, ``b``
+    the sum of the partial moments, and ``|b| = sqrt(b*b)`` since the axis is
+    a unit vector.
+    """
+    mass = perim = b = 0.0
+    for lo, hi in intervals:
+        mass += _interval_mass(lo, hi)
+        w_lo = math.exp(-0.5 * lo * lo)
+        w_hi = math.exp(-0.5 * hi * hi)
+        perim += w_lo
+        perim += w_hi
+        b += (w_lo - w_hi) / SQRT_2PI
+    norm_b = math.sqrt(b * b)
+    return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - target)
+
+
 def penalized_functional(e: GaussianSet, params: FunctionalParams) -> float:
     """perimeter + (eps/2)|b|^2 + lambda_pen * |measure - gauss_cdf(s)|."""
-    norm_b = float(np.linalg.norm(barycenter(e)))
-    mass_gap = abs(measure(e) - gauss_cdf(params.s))
-    return perimeter(e) + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * mass_gap
+    profile = _profile(e)
+    target = gauss_cdf(params.s)
+    if profile is None:
+        # a centered ball has zero barycenter
+        return perimeter(e) + params.lambda_pen * abs(measure(e) - target)
+    return _penalized_profile(profile[1], params, target)
 
 
 def stability_params(s: float) -> FunctionalParams:

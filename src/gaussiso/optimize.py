@@ -6,9 +6,18 @@ right ray, and a number of bounded intervals) by the vector of finite
 endpoints in increasing order.  A derivative-free simplex search runs from
 deterministic and random multistart initializations per template; ordering is
 enforced by penalization inside the objective so the search stays
-unconstrained.  The module also provides the half-line energy profile, the
-matched two-ray endpoint solver, and the mass-dependence sweep of the
-deficit-to-asymmetry ratio along the two-ray family.
+unconstrained.
+
+The search is an in-house non-adaptive Nelder-Mead on Python lists that
+reproduces SciPy's ``minimize(method="Nelder-Mead")`` operation for operation,
+and its objective computes F straight from the endpoint list, so no set is
+built per evaluation.  Vertices with tied values are ordered by
+``np.argsort`` as in SciPy; its tie order is not stable and depends on the
+CPU's sorting kernels, and the per-start diagnostics depend on it.
+
+The module also provides the half-line energy profile, the matched two-ray
+endpoint solver, and the mass-dependence sweep of the deficit-to-asymmetry
+ratio along the two-ray family.
 """
 
 from __future__ import annotations
@@ -17,11 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _simplex_minimize
 from scipy.special import ndtr as _vector_cdf
 
 from .functionals import (
     FunctionalParams,
+    _penalized_profile,
     max_barycenter_norm,
     penalized_functional,
 )
@@ -199,34 +208,163 @@ def symmetric_interval_halfwidth(s: float) -> float:
     return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 
-def _objective(theta: np.ndarray, template: IntervalTemplate, params: FunctionalParams) -> float:
-    if not np.all(np.isfinite(theta)):
-        return 2.0 * _ORDER_PENALTY
-    if theta.size > 1:
-        gaps = _MIN_SEPARATION - np.diff(theta)
-        bad = gaps[gaps > 0.0]
-        if bad.size:
-            return _ORDER_PENALTY * (1.0 + float(bad.sum()))
-    return penalized_functional(template.decode(theta), params)
+def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, target: float):
+    """The search objective of one template, on a list of endpoints;
+    ``target`` is ``gauss_cdf(params.s)``.
+
+    Non-finite endpoints cost ``2 * _ORDER_PENALTY``; adjacent endpoints
+    closer than ``_MIN_SEPARATION`` cost ``_ORDER_PENALTY`` times one plus
+    the shortfalls added left to right. Any other list is a valid layout, so
+    F comes straight from its ``(lo, hi)`` pairs without building a set.
+    """
+    head = [-math.inf] if template.left_ray else []
+    tail = [math.inf] if template.right_ray else []
+
+    def objective(theta: list[float]) -> float:
+        if not all(map(math.isfinite, theta)):
+            return 2.0 * _ORDER_PENALTY
+        shortfall = 0.0
+        for lo, hi in zip(theta, theta[1:]):
+            gap = _MIN_SEPARATION - (hi - lo)
+            if gap > 0.0:
+                shortfall += gap
+        if shortfall > 0.0:
+            return _ORDER_PENALTY * (1.0 + shortfall)
+        points = head + theta + tail
+        return _penalized_profile(zip(points[::2], points[1::2]), params, target)
+
+    return objective
+
+
+class _BudgetExhausted(Exception):
+    """The evaluation budget of a simplex search ran out."""
+
+
+def _nelder_mead(
+    objective, x0: list[float], xatol: float, fatol: float, budget: int
+) -> tuple[list[float], float, int, bool]:
+    """Non-adaptive Nelder-Mead on lists: ``(x, fun, evaluations, success)``.
+
+    Step for step the simplex search of SciPy 1.17.1's
+    ``minimize(method="Nelder-Mead")`` with ``maxiter = maxfev = budget``,
+    and the same floating-point operations: the initial simplex ``1.05 x_k``
+    (``0.00025`` where ``x_k`` is 0), reflection, expansion, contraction and
+    shrink coefficients 1, 2, 0.5 and 0.5, the centroid as a left-to-right
+    row sum divided by N, and the ``xatol`` / ``fatol`` stopping test. An
+    evaluation past the budget stops the search mid-iteration, keeping the
+    vertices already moved. SciPy's iteration cap never binds: after the N+1
+    evaluations of the initial simplex every iteration costs at least one
+    more, so the evaluation budget runs out first.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    evaluations = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal evaluations
+        if evaluations >= budget:
+            raise _BudgetExhausted
+        evaluations += 1
+        return objective(x)
+
+    def by_value() -> None:
+        order = _argsort(fsim)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetExhausted:
+        pass
+    # SciPy sorts twice here, and np.argsort may reorder ties the second time
+    by_value()
+    by_value()
+
+    while evaluations < budget:
+        try:
+            best = sim[0]
+            small_steps = all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best))
+            if small_steps and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]):
+                break
+            xbar = sim[0]
+            for row in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, row)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = [2 * a - b for a, b in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                        fsim[j] = f(sim[j])
+        except _BudgetExhausted:
+            pass
+        by_value()
+
+    return sim[0], float(np.min(fsim)), evaluations, evaluations < budget
+
+
+def _argsort(values: list[float]) -> list[int]:
+    """The vertex order of ``np.argsort``, whose order among tied values the
+    search inherits from SciPy.
+
+    Without ties (and NaN) the sorting permutation is unique, so Python's
+    ``sorted`` finds it faster; ties go through ``np.argsort``, which is not
+    stable (with AVX-512 its tie order differs from a stable sort's).
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    if all(values[i] < values[j] for i, j in zip(order, order[1:])):
+        return order
+    return np.argsort(values).tolist()
 
 
 def _deterministic_starts(
     s: float, templates: tuple[IntervalTemplate, ...]
-) -> list[tuple[IntervalTemplate, str, np.ndarray]]:
+) -> list[tuple[IntervalTemplate, str, list[float]]]:
     """The named competitor starts: half-line, two-ray, symmetric interval."""
-    starts: list[tuple[IntervalTemplate, str, np.ndarray]] = []
+    starts: list[tuple[IntervalTemplate, str, list[float]]] = []
     by_shape = {(t.left_ray, t.right_ray, t.bounded): t for t in templates}
     half = by_shape.get((True, False, 0))
     if half is not None:
-        starts.append((half, "half-line", np.array([s])))
+        starts.append((half, "half-line", [float(s)]))
     two_ray = by_shape.get((True, True, 0))
     if two_ray is not None and s <= 0.0:
         a = two_ray_endpoint(s)
-        starts.append((two_ray, "two-ray", np.array([a, -a])))
+        starts.append((two_ray, "two-ray", [a, -a]))
     interval = by_shape.get((False, False, 1))
     if interval is not None and s <= 0.0:
         q = symmetric_interval_halfwidth(s)
-        starts.append((interval, "symmetric-interval", np.array([-q, q])))
+        starts.append((interval, "symmetric-interval", [-q, q]))
     return starts
 
 
@@ -238,13 +376,17 @@ def minimize_penalized_functional(
 ) -> MinimizeOutcome:
     """Multistart derivative-free minimization over all templates up to ``k_max``.
 
-    Runs a simplex-type local search from ``settings.multistarts`` random
+    Runs a Nelder-Mead simplex search from ``settings.multistarts`` random
     initializations (Gaussian endpoint proposal, scale 2, distributed across
     templates) plus the deterministic competitor starts (half-line at s,
-    matched two-ray set, origin-symmetric interval of the same mass).  Fully
-    deterministic for a fixed seed.  Per-start outcomes are reported; a start
-    that fails to converge is recorded, and the call fails only if every
-    start fails.  The half-line is always among the starts, so
+    matched two-ray set, origin-symmetric interval of the same mass).  Each
+    search stops when the simplex is within ``step_tol`` and its values
+    within ``f_tol``, or after ``max_iters`` evaluations of the objective.
+    Fully deterministic for a fixed seed on a given machine: vertices with
+    tied values keep the order ``np.argsort`` gives them, which depends on
+    the CPU's sorting kernels.  Per-start outcomes are reported; a start that
+    fails to converge is recorded, and the call fails only if every start
+    fails.  The half-line is always among the starts, so
     ``best_value <= half_line_value + f_tol`` holds on return, and
     ``half_line_optimal`` records whether the half-line remained the global
     optimum among explored configurations.
@@ -258,76 +400,49 @@ def minimize_penalized_functional(
     if not math.isfinite(s):
         raise ValueError(f"mass level must be finite, got {s!r}")
 
-    planned: list[tuple[IntervalTemplate, str, np.ndarray]] = []
-    counts = np.zeros(len(templates), dtype=int)
-    counts[: settings.multistarts % len(templates)] += 1
-    counts += settings.multistarts // len(templates)
+    planned: list[tuple[IntervalTemplate, str, list[float]]] = []
+    per_template, extra = divmod(settings.multistarts, len(templates))
     start_index = 0
-    for template, n_starts in zip(templates, counts):
-        for _ in range(int(n_starts)):
+    for i, template in enumerate(templates):
+        for _ in range(per_template + (i < extra)):
             rng = np.random.default_rng(np.random.SeedSequence([settings.seed, start_index]))
             theta0 = np.sort(rng.normal(loc=0.0, scale=2.0, size=template.dimension))
-            planned.append((template, "random", theta0))
+            planned.append((template, "random", theta0.tolist()))
             start_index += 1
     planned.extend(_deterministic_starts(s, templates))
 
+    target = gauss_cdf(params.s)
     diagnostics: list[StartDiagnostic] = []
-    candidates: list[tuple[tuple, IntervalUnion1D, float]] = []
+    candidates: list[tuple[tuple, IntervalTemplate, float]] = []
     for template, kind, theta0 in planned:
-        start_value = _objective(np.asarray(theta0, dtype=float), template, params)
-        try:
-            result = _simplex_minimize(
-                _objective,
-                np.asarray(theta0, dtype=float),
-                args=(template, params),
-                method="Nelder-Mead",
-                options={
-                    "xatol": settings.step_tol,
-                    "fatol": settings.f_tol,
-                    "maxiter": settings.max_iters,
-                    "maxfev": settings.max_iters,
-                },
-            )
-        except Exception:
-            diagnostics.append(
-                StartDiagnostic(
-                    template=template.describe(),
-                    kind=kind,
-                    start_value=float(start_value),
-                    final_value=math.inf,
-                    converged=False,
-                    evaluations=0,
-                    endpoints=tuple(float(t) for t in np.asarray(theta0, dtype=float)),
-                )
-            )
-            continue
-        final_value = float(result.fun) if math.isfinite(result.fun) else math.inf
+        objective = _endpoint_objective(template, params, target)
+        x, fun, evaluations, success = _nelder_mead(
+            objective, theta0, settings.step_tol, settings.f_tol, settings.max_iters
+        )
+        final_value = fun if math.isfinite(fun) else math.inf
+        endpoints = tuple(x)
         diagnostics.append(
             StartDiagnostic(
                 template=template.describe(),
                 kind=kind,
-                start_value=float(start_value),
+                start_value=objective(theta0),
                 final_value=final_value,
-                converged=bool(result.success) and math.isfinite(final_value),
-                evaluations=int(result.nfev),
-                endpoints=tuple(float(t) for t in result.x),
+                converged=success and math.isfinite(final_value),
+                evaluations=evaluations,
+                endpoints=endpoints,
             )
         )
         if final_value < _ORDER_PENALTY / 2.0:
-            ranking = (
-                template.dimension,
-                template.components,
-                final_value,
-                tuple(float(t) for t in result.x),
-            )
-            candidates.append((ranking, template.decode(result.x), final_value))
+            ranking = (template.dimension, template.components, final_value, endpoints)
+            candidates.append((ranking, template, final_value))
 
     if not candidates:
         raise RuntimeError("every local search start failed to produce a valid configuration")
 
     best_value = min(value for _, _, value in candidates)
     near_best = [c for c in candidates if c[2] <= best_value + settings.f_tol]
-    ranking, best_set, _ = min(near_best, key=lambda c: c[0])
+    ranking, template, _ = min(near_best, key=lambda c: c[0])
+    best_set = template.decode(ranking[3])
     chosen_value = ranking[2]
 
     half_line_value = penalized_functional(half_line_set(s), params)

@@ -11,6 +11,9 @@ import pytest
 
 import gaussiso
 from gaussiso.cli import cli_main
+from gaussiso.functionals import stability_params
+from gaussiso.optimize import OptimizerSettings, minimize_penalized_functional
+from gaussiso.verify import json_value
 
 HALF_SPACE_M1 = '{"type":"halfspace","omega":[1],"s":-1}'
 PERIM_M1 = 0.60653065971263342  # e^{-1/2}
@@ -165,6 +168,35 @@ class TestMinimize:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_diagnostics_flag_adds_every_start(self, capsys):
+        argv = ["minimize", "--s=-1", "--kmax", "2", "--starts", "6", "--seed", "3"]
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, detailed, _ = run_cli(capsys, *argv, "--diagnostics")
+        assert code == 0
+        payload = json.loads(detailed)
+        starts = payload.pop("starts")
+        # the flag only adds the list: the rest of the output is unchanged
+        assert "starts" not in json.loads(plain)
+        assert json_value(payload) + "\n" == plain
+        outcome = minimize_penalized_functional(
+            -1.0, stability_params(-1.0), k_max=2,
+            settings=OptimizerSettings(multistarts=6, seed=3),
+        )
+        assert len(starts) == payload["starts_total"] == len(outcome.starts)
+        for entry, diag in zip(starts, outcome.starts):
+            assert set(entry) == {
+                "template", "kind", "start_value", "final_value", "converged",
+                "evaluations", "endpoints",
+            }
+            assert entry["template"] == diag.template
+            assert entry["kind"] == diag.kind
+            assert entry["start_value"] == diag.start_value
+            assert entry["final_value"] == diag.final_value
+            assert entry["converged"] is diag.converged
+            assert entry["evaluations"] == diag.evaluations
+            assert tuple(entry["endpoints"]) == diag.endpoints
 
 
 class TestSweep:

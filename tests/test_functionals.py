@@ -36,6 +36,7 @@ from gaussiso.sets import (
     complement,
     contains_points,
     mass_level,
+    measure,
     normalize,
     perimeter,
 )
@@ -293,6 +294,29 @@ class TestPenalizedFunctional:
         params = stability_params(-0.5)
         for e in random_corpus(616012, 100):
             assert penalized_functional(e, params) >= perimeter(e)
+
+    @pytest.mark.parametrize(
+        "omega", [(1.0,), (-1.0,), (0.6, 0.8), (0.48, -0.6, 0.64), (0.0, 0.0, 1.0), (0.5, -0.5, 0.5, -0.5)]
+    )
+    def test_halfspace_equals_one_ray_union(self, omega):
+        # a half-space is the one-ray profile (-inf, s) along its unit normal
+        for s in (-2.3, -0.4, 0.0, 1.1):
+            ray = IntervalUnion1D(intervals=((-math.inf, s),))
+            h = HalfSpace(omega=omega, s=s)
+            for params in (stability_params(-1.5), FunctionalParams(s=0.3, eps=10.0, lambda_pen=2.0)):
+                assert penalized_functional(h, params) == penalized_functional(ray, params)
+
+    def test_equals_set_primitives_bit_for_bit(self):
+        params = FunctionalParams(s=-0.7, eps=3.0, lambda_pen=1.5)
+        sets = list(random_corpus(616013, 50)) + [
+            SlabSet(dim=3, profile=normalize([(-math.inf, -0.5), (0.3, 0.9)])),
+            CenteredBall(dim=4, radius=1.7),
+        ]
+        for e in sets:
+            norm_b = float(np.linalg.norm(barycenter(e)))
+            mass_gap = abs(measure(e) - gauss_cdf(params.s))
+            expected = perimeter(e) + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * mass_gap
+            assert penalized_functional(e, params) == expected
 
 
 class TestStabilityParams:

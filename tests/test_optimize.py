@@ -10,10 +10,17 @@ Oracles:
   plateau behavior was confirmed.
 """
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gaussiso
 
 from gaussiso.functionals import (
     FunctionalParams,
@@ -300,6 +307,45 @@ class TestMinimize:
     def test_non_finite_level_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             minimize_penalized_functional(math.nan, stability_params(0.0), k_max=2, settings=FAST)
+
+
+class TestEvaluationBudget:
+    @pytest.mark.parametrize("budget", [1, 3, 20])
+    def test_budget_caps_evaluations_and_convergence(self, budget):
+        settings = OptimizerSettings(multistarts=12, seed=7, max_iters=budget)
+        out = minimize_penalized_functional(-0.5, stability_params(-0.5), k_max=2, settings=settings)
+        assert len(out.starts) == 15
+        for diag in out.starts:
+            assert diag.evaluations <= budget
+            # a search stops early only on the step and value tolerances
+            assert diag.converged == (diag.evaluations < budget)
+            # the starting vertex stays in the simplex until a better one replaces it
+            assert diag.final_value <= diag.start_value
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        src = Path(gaussiso.__file__).resolve().parent.parent
+        code = "import sys, gaussiso.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_no_module_imports_scipy_optimize(self):
+        for path in Path(gaussiso.__file__).resolve().parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("scipy.optimize") for n in names), path.name
 
 
 class TestMassSweep:
