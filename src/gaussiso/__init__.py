@@ -5,7 +5,6 @@ from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
     QuantityBundle,
-    boundary_excess,
     directed_fraenkel,
     excess_identity,
     isoperimetric_deficit,
@@ -20,7 +19,6 @@ from .optimize import (
     MassSweepRow,
     MinimizeOutcome,
     OptimizerSettings,
-    half_line_energy_profile,
     half_line_set,
     mass_sweep,
     minimize_penalized_functional,
@@ -37,11 +35,9 @@ from .sets import (
     IntervalUnion1D,
     SlabSet,
     barycenter,
-    barycenter_norm,
     complement,
     contains_points,
     dimension,
-    intersect,
     mass_level,
     mc_measure,
     measure,

@@ -38,6 +38,9 @@ MASS_WINDOW = (0.01, 0.99)
 
 _MAX_RETRIES = 100
 
+#: Standard deviation of the Gaussian endpoint draws.
+_ENDPOINT_SCALE = 2.0
+
 #: Stream tags namespacing the per-purpose child seeds of a corpus seed.
 _STREAM_RANDOM = 0
 _STREAM_BALL = 1
@@ -49,8 +52,6 @@ class RandomSetSpec:
     """Configuration of one random interval-union draw."""
 
     k_range: tuple[int, int]
-    endpoint_scale: float = 2.0
-    include_rays: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +60,6 @@ class RandomSetSpec:
             raise ValueError(f"component range must be a pair of integers, got {self.k_range!r}")
         if not 1 <= lo <= hi <= 6:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
-        if not (self.endpoint_scale > 0.0 and math.isfinite(self.endpoint_scale)):
-            raise ValueError(f"endpoint scale must be positive and finite, got {self.endpoint_scale!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
@@ -68,28 +67,27 @@ class RandomSetSpec:
 def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
     """One random interval union: deterministic per seed, measure inside the window.
 
-    Endpoints are sorted Gaussian draws at the configured scale, clipped to
-    [-ENDPOINT_CLIP, ENDPOINT_CLIP]; when rays are enabled each side extends
-    to infinity with probability 1/2.  Draws with endpoints closer than
-    MIN_SEPARATION or with measure outside MASS_WINDOW are regenerated, up to
-    a bounded number of retries.
+    Endpoints are sorted Gaussian draws of standard deviation 2, clipped to
+    [-ENDPOINT_CLIP, ENDPOINT_CLIP]; each side extends to infinity with
+    probability 1/2.  Draws with endpoints closer than MIN_SEPARATION or with
+    measure outside MASS_WINDOW are regenerated, up to a bounded number of
+    retries.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
     lo_mass, hi_mass = MASS_WINDOW
     for _ in range(_MAX_RETRIES):
         k = int(rng.integers(spec.k_range[0], spec.k_range[1] + 1))
-        pts = np.sort(rng.normal(loc=0.0, scale=spec.endpoint_scale, size=2 * k))
+        pts = np.sort(rng.normal(loc=0.0, scale=_ENDPOINT_SCALE, size=2 * k))
         left_ray = bool(rng.random() < 0.5)
         right_ray = bool(rng.random() < 0.5)
         pts = np.clip(pts, -ENDPOINT_CLIP, ENDPOINT_CLIP)
         if np.any(np.diff(pts) < MIN_SEPARATION):
             continue
         intervals = [(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
-        if spec.include_rays:
-            if left_ray:
-                intervals[0] = (-math.inf, intervals[0][1])
-            if right_ray:
-                intervals[-1] = (intervals[-1][0], math.inf)
+        if left_ray:
+            intervals[0] = (-math.inf, intervals[0][1])
+        if right_ray:
+            intervals[-1] = (intervals[-1][0], math.inf)
         candidate = IntervalUnion1D(intervals=tuple(intervals))
         if lo_mass < measure(candidate) < hi_mass:
             return candidate
@@ -105,7 +103,7 @@ def _child_seed(seed: int, stream: int, index: int) -> int:
 def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
     """Deterministic mixed corpus of ``n`` sets.
 
-    Composition: 70% random interval unions (components 1-6, rays enabled),
+    Composition: 70% random interval unions (components 1-6),
     15% symmetric two-ray sets across a mass-level grid reaching down to
     level -4, 10% centered balls in dimensions 2-10 with radii targeting
     measures in (0.02, 0.98), and 5% slabs in dimensions 2-5 carrying random
@@ -122,12 +120,7 @@ def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
 
     sets: list[GaussianSet] = []
     for i in range(n_random):
-        spec = RandomSetSpec(
-            k_range=(1, 6),
-            endpoint_scale=2.0,
-            include_rays=True,
-            seed=_child_seed(seed, _STREAM_RANDOM, i),
-        )
+        spec = RandomSetSpec(k_range=(1, 6), seed=_child_seed(seed, _STREAM_RANDOM, i))
         sets.append(random_interval_union(spec))
 
     if n_two_ray:
@@ -144,12 +137,7 @@ def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
 
     for j in range(n_slab):
         profile = random_interval_union(
-            RandomSetSpec(
-                k_range=(1, 3),
-                endpoint_scale=2.0,
-                include_rays=True,
-                seed=_child_seed(seed, _STREAM_SLAB, j),
-            )
+            RandomSetSpec(k_range=(1, 3), seed=_child_seed(seed, _STREAM_SLAB, j))
         )
         sets.append(SlabSet(dim=2 + (j % 4), profile=profile))
 

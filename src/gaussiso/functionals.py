@@ -44,7 +44,6 @@ __all__ = [
     "isoperimetric_deficit",
     "strong_asymmetry",
     "directed_fraenkel",
-    "boundary_excess",
     "excess_identity",
     "penalized_functional",
     "stability_params",
@@ -179,6 +178,9 @@ def quantity_columns(sets) -> dict[str, np.ndarray]:
     mass = _row_sums(table(_scalar_map(_interval_mass, lo_flat, hi_flat)))
     perim = _row_sums(w_lo, w_hi)
     b = _row_sums((w_lo - w_hi) / SQRT_2PI)
+    # boundary excess, min over unit omega of the weighted |normal - omega|^2:
+    # 0 or 4 per endpoint for omega = +-axis; a ball's odd part integrates to
+    # zero, leaving 2 * perimeter
     excess = 4.0 * np.minimum(_row_sums(w_lo), _row_sums(w_hi))
     mass[balls] = [measure(sets[i]) for i in balls]
     perim[balls] = [perimeter(sets[i]) for i in balls]
@@ -251,18 +253,6 @@ def directed_fraenkel(e: GaussianSet) -> float:
     ceiling 2 * gauss_cdf(-|s|), which bounds the directed value for every set.
     """
     return _column(e, "alpha_hat")
-
-
-def boundary_excess(e: GaussianSet) -> float:
-    """Minimal weighted boundary integral of |normal - omega|^2 over unit omega.
-
-    Computed directly from the boundary: for a profile set the normal is
-    +-axis at each endpoint and |normal - omega|^2 is 0 or 4, so the minimum
-    over omega in {-axis, +axis} is four times the smaller of the two
-    normal-weight totals. For a ball the odd part integrates to zero and the
-    value is 2 * perimeter regardless of omega.
-    """
-    return _column(e, "excess")
 
 
 def excess_identity(e: GaussianSet) -> tuple[float, float]:
@@ -340,11 +330,6 @@ class QuantityBundle:
     strong_asymmetry: float
     directed_fraenkel: float
     excess: float
-
-    def validate(self) -> None:
-        _check_consistent(
-            np.array([self.deficit]), np.array([self.strong_asymmetry]), np.array([self.excess])
-        )
 
     def as_dict(self) -> dict:
         return {

@@ -15,9 +15,9 @@ built per evaluation.  Vertices with tied values are ordered by
 ``np.argsort`` as in SciPy; its tie order is not stable and depends on the
 CPU's sorting kernels, and the per-start diagnostics depend on it.
 
-The module also provides the half-line energy profile, the matched two-ray
-endpoint solver, and the mass-dependence sweep of the deficit-to-asymmetry
-ratio along the two-ray family.
+The module also provides the matched two-ray endpoint solver and the
+mass-dependence sweep of the deficit-to-asymmetry ratio along the two-ray
+family.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr as _vector_cdf
 
 from .functionals import (
     FunctionalParams,
@@ -49,7 +48,6 @@ __all__ = [
     "two_ray_set",
     "symmetric_interval_halfwidth",
     "minimize_penalized_functional",
-    "half_line_energy_profile",
     "mass_sweep",
 ]
 
@@ -60,6 +58,14 @@ _MIN_SEPARATION = 1e-8
 
 #: Objective value assigned to configurations violating the ordering.
 _ORDER_PENALTY = 1e6
+
+#: A search stops once every simplex vertex lies within this of the best
+#: one, coordinate by coordinate, and every vertex value within _F_TOL.
+_STEP_TOL = 1e-10
+
+#: Value tolerance of the stopping test; also the margin within which a
+#: value counts as tied with the best (or with the half-line's).
+_F_TOL = 1e-12
 
 _LN2 = math.log(2.0)
 
@@ -136,8 +142,6 @@ class OptimizerSettings:
 
     multistarts: int = 64
     seed: int = 0
-    step_tol: float = 1e-10
-    f_tol: float = 1e-12
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
@@ -145,10 +149,6 @@ class OptimizerSettings:
             raise ValueError(f"multistarts must be positive, got {self.multistarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not self.step_tol > 0.0:
-            raise ValueError(f"step_tol must be positive, got {self.step_tol}")
-        if not self.f_tol > 0.0:
-            raise ValueError(f"f_tol must be positive, got {self.f_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
@@ -380,18 +380,18 @@ def minimize_penalized_functional(
     initializations (Gaussian endpoint proposal, scale 2, distributed across
     templates) plus the deterministic competitor starts (half-line at s,
     matched two-ray set, origin-symmetric interval of the same mass).  Each
-    search stops when the simplex is within ``step_tol`` and its values
-    within ``f_tol``, or after ``max_iters`` evaluations of the objective.
+    search stops when the simplex is within 1e-10 of its best vertex and its
+    values within 1e-12, or after ``max_iters`` evaluations of the objective.
     Fully deterministic for a fixed seed on a given machine: vertices with
     tied values keep the order ``np.argsort`` gives them, which depends on
     the CPU's sorting kernels.  Per-start outcomes are reported; a start that
     fails to converge is recorded, and the call fails only if every start
     fails.  The half-line is always among the starts, so
-    ``best_value <= half_line_value + f_tol`` holds on return, and
+    ``best_value <= half_line_value + 1e-12`` holds on return, and
     ``half_line_optimal`` records whether the half-line remained the global
     optimum among explored configurations.
 
-    Ties within ``f_tol`` of the best value resolve to fewer finite
+    Ties within 1e-12 of the best value resolve to fewer finite
     endpoints, then fewer components: energy alone cannot distinguish a
     half-line from a bounded interval whose far endpoint has escaped beyond
     floating-point support.
@@ -417,7 +417,7 @@ def minimize_penalized_functional(
     for template, kind, theta0 in planned:
         objective = _endpoint_objective(template, params, target)
         x, fun, evaluations, success = _nelder_mead(
-            objective, theta0, settings.step_tol, settings.f_tol, settings.max_iters
+            objective, theta0, _STEP_TOL, _F_TOL, settings.max_iters
         )
         final_value = fun if math.isfinite(fun) else math.inf
         endpoints = tuple(x)
@@ -440,7 +440,7 @@ def minimize_penalized_functional(
         raise RuntimeError("every local search start failed to produce a valid configuration")
 
     best_value = min(value for _, _, value in candidates)
-    near_best = [c for c in candidates if c[2] <= best_value + settings.f_tol]
+    near_best = [c for c in candidates if c[2] <= best_value + _F_TOL]
     ranking, template, _ = min(near_best, key=lambda c: c[0])
     best_set = template.decode(ranking[3])
     chosen_value = ranking[2]
@@ -452,31 +452,9 @@ def minimize_penalized_functional(
         target_mass=gauss_cdf(s),
         achieved_mass=measure(best_set),
         half_line_value=half_line_value,
-        half_line_optimal=chosen_value >= half_line_value - settings.f_tol,
+        half_line_optimal=chosen_value >= half_line_value - _F_TOL,
         starts=tuple(diagnostics),
     )
-
-
-def half_line_energy_profile(
-    s: float, params: FunctionalParams, t_grid: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Penalized-functional values over the half-line family, and the grid argmin.
-
-    For the half-line at level t the closed form is
-    e^{-t^2/2} + (eps/(4 pi)) e^{-t^2} + lambda_pen * |Phi(t) - Phi(s)|.
-    """
-    if not s <= 0.0:
-        raise ValueError(f"mass level must be nonpositive, got {s!r}")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("the evaluation grid must be a nonempty 1-D vector")
-    weight = np.exp(-0.5 * t * t)
-    values = (
-        weight
-        + params.eps / (4.0 * math.pi) * weight * weight
-        + params.lambda_pen * np.abs(_vector_cdf(t) - gauss_cdf(s))
-    )
-    return values, float(t[int(np.argmin(values))])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ that decision, and ``dimension``, ``measure``, ``perimeter``, ``barycenter``,
 Only :func:`complement` and the JSON descriptors build each family's own type.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
-and degenerate features below ``merge_tol`` are collapsed by :func:`normalize`.
+and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ __all__ = [
     "measure",
     "perimeter",
     "barycenter",
-    "barycenter_norm",
     "mass_level",
     "complement",
-    "intersect",
     "symm_diff_measure",
     "mc_measure",
     "contains_points",
@@ -180,16 +178,12 @@ class CenteredBall:
 GaussianSet = Union[IntervalUnion1D, HalfSpace, SlabSet, CenteredBall]
 
 
-def normalize(
-    raw: Iterable[Sequence[float]], merge_tol: float = MERGE_TOL
-) -> IntervalUnion1D:
+def normalize(raw: Iterable[Sequence[float]]) -> IntervalUnion1D:
     """Sort raw (lo, hi) pairs, merge sub-tolerance gaps, drop degenerate slivers.
 
     Individual pairs must satisfy lo <= hi; lo == hi marks an empty interval
     and is dropped. The result satisfies the IntervalUnion1D invariants.
     """
-    if not (merge_tol > 0.0 and math.isfinite(merge_tol)):
-        raise ValueError(f"normalize: merge_tol must be positive and finite, got {merge_tol!r}")
     pairs = []
     for item in raw:
         lo, hi = (float(item[0]), float(item[1]))
@@ -203,11 +197,11 @@ def normalize(
     pairs.sort()
     merged: list[list[float]] = []
     for lo, hi in pairs:
-        if merged and lo - merged[-1][1] <= merge_tol:
+        if merged and lo - merged[-1][1] <= MERGE_TOL:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    kept = tuple((lo, hi) for lo, hi in merged if hi - lo > merge_tol)
+    kept = tuple((lo, hi) for lo, hi in merged if hi - lo > MERGE_TOL)
     return IntervalUnion1D(intervals=kept)
 
 
@@ -284,10 +278,6 @@ def barycenter(e: GaussianSet) -> np.ndarray:
     return np.array([b * c if c else 0.0 for c in axis])
 
 
-def barycenter_norm(e: GaussianSet) -> float:
-    return float(np.linalg.norm(barycenter(e)))
-
-
 def mass_level(e: GaussianSet) -> float:
     """The level s with gamma(E) = gauss_cdf(s)."""
     return gauss_cdf_inv(measure(e))
@@ -316,23 +306,6 @@ def complement(e: GaussianSet) -> GaussianSet:
     if isinstance(e, CenteredBall):
         raise ValueError("complement of a centered ball is not representable here")
     raise TypeError(f"unsupported set representation: {type(e).__name__}")
-
-
-def intersect(a: IntervalUnion1D, b: IntervalUnion1D) -> IntervalUnion1D:
-    """Intersection of two interval unions (normalized; slivers may be dropped)."""
-    pairs = []
-    i = j = 0
-    ai, bi = a.intervals, b.intervals
-    while i < len(ai) and j < len(bi):
-        lo = max(ai[i][0], bi[j][0])
-        hi = min(ai[i][1], bi[j][1])
-        if lo < hi:
-            pairs.append((lo, hi))
-        if ai[i][1] < bi[j][1]:
-            i += 1
-        else:
-            j += 1
-    return normalize(pairs)
 
 
 def _clipped_mass(intervals: Sequence[tuple[float, float]], lo_cut: float, hi_cut: float) -> float:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from .functionals import FunctionalParams, barycenter, penalized_functional
 from .sets import IntervalUnion1D
@@ -237,6 +236,10 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
 
     Projects the form onto an orthonormal basis of the hyperplane
     sum_i phi_i w_i = 0 and solves the dense symmetric eigenproblem there.
+    The basis is the last k - 1 columns of the Householder reflection
+    I - 2 v v^T / v^T v with v = w + sign(w_0) |w| e_0, which maps w onto the
+    e_0 axis; when every weight has underflowed to zero the whole space is
+    admissible and the basis is the identity.
     Returns the minimum eigenvalue together with a unit-norm witness vector in
     the original boundary coordinates; the witness satisfies
     witness @ matrix @ witness == min_eigenvalue to solver precision.
@@ -247,10 +250,19 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
     k = form.size
     if k < 2:
         return math.inf, np.zeros(k)
-    basis = null_space(form.constraint.reshape(1, -1))
+    top = float(np.max(np.abs(form.constraint)))
+    if top == 0.0:
+        # every weight underflowed: no direction moves the mass
+        basis = np.eye(k)
+    else:
+        # a power-of-two scale changes no rounding in the normal range, and
+        # keeps the squares of deep-tail weights from underflowing
+        v = np.ldexp(form.constraint, -math.frexp(top)[1])
+        v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+        basis = (np.eye(k) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
     reduced = basis.T @ form.matrix @ basis
     reduced = 0.5 * (reduced + reduced.T)
-    eigenvalues, eigenvectors = eigh(reduced)
+    eigenvalues, eigenvectors = np.linalg.eigh(reduced)
     witness = basis @ eigenvectors[:, 0]
     return float(eigenvalues[0]), witness
 

@@ -32,7 +32,7 @@ from gaussiso import (
     minimize_penalized_functional,
     mixed_corpus,
     psd_on_zero_average,
-    quantities,
+    quantity_columns,
     random_interval_union,
     run_suite,
     second_derivative_along_flow,
@@ -159,11 +159,13 @@ def test_isoperimetric_and_barycenter_equality_cases(corpus_10k):
     assert iso.checks[0].params["equality_members"] == EQUALITY_MEMBERS_10K
     assert bary.checks[0].params["equality_members"] == EQUALITY_MEMBERS_10K
 
+    cols = quantity_columns(corpus_10k)
     half_line_like = 0
-    for e in corpus_10k:
-        q = quantities(e)
-        perimeter_slack = q.perimeter - math.exp(-q.mass_level**2 / 2.0)
-        barycenter_slack = q.strong_asymmetry
+    for e, perimeter, s, beta in zip(
+        corpus_10k, cols["perimeter"].tolist(), cols["s"].tolist(), cols["beta"].tolist()
+    ):
+        perimeter_slack = perimeter - math.exp(-s**2 / 2.0)
+        barycenter_slack = beta
         expected = _is_half_line_like(e)
         half_line_like += expected
         assert (abs(perimeter_slack) < 1e-10) == expected

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussiso import corpus
 from gaussiso.corpus import (
     ENDPOINT_CLIP,
     MASS_WINDOW,
@@ -25,8 +26,6 @@ from gaussiso.sets import (
 class TestRandomSetSpec:
     def test_defaults(self):
         spec = RandomSetSpec(k_range=(1, 3))
-        assert spec.endpoint_scale == 2.0
-        assert spec.include_rays
         assert spec.seed == 0
 
     @pytest.mark.parametrize(
@@ -36,9 +35,7 @@ class TestRandomSetSpec:
         with pytest.raises(ValueError, match="1 <= min <= max <= 6"):
             RandomSetSpec(k_range=k_range)
 
-    def test_scale_and_seed_validation(self):
-        with pytest.raises(ValueError, match="positive and finite"):
-            RandomSetSpec(k_range=(1, 2), endpoint_scale=0.0)
+    def test_seed_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             RandomSetSpec(k_range=(1, 2), seed=-1)
 
@@ -82,19 +79,11 @@ class TestRandomIntervalUnion:
         assert 60 <= lefts <= 140
         assert 60 <= rights <= 140
 
-    def test_rays_disabled(self):
-        for seed in range(50):
-            e = random_interval_union(
-                RandomSetSpec(k_range=(1, 3), include_rays=False, seed=seed)
-            )
-            flat = [x for pair in e.intervals for x in pair]
-            assert all(math.isfinite(x) for x in flat)
-
-    def test_retry_exhaustion_raises(self):
-        # a tiny endpoint scale makes every draw violate the separation floor
-        spec = RandomSetSpec(k_range=(3, 6), endpoint_scale=1e-7, include_rays=False, seed=0)
+    def test_retry_exhaustion_raises(self, monkeypatch):
+        # an empty mass window rejects every draw
+        monkeypatch.setattr(corpus, "MASS_WINDOW", (0.5, 0.5))
         with pytest.raises(RuntimeError, match="100 retries"):
-            random_interval_union(spec)
+            random_interval_union(RandomSetSpec(k_range=(3, 6), seed=0))
 
 
 class TestMixedCorpus:

@@ -6,6 +6,14 @@ seed=1))`` and from ``gaussiso eval`` on one descriptor per family.  Floats are
 pinned as ``float.hex``.  Summing a set's terms in another order than Python's
 ``sum`` (for example with ``np.add.reduceat``), or evaluating the normal CDF
 with a vectorized ``ndtr``, changes these bits.
+
+One record was re-pinned on purpose since: the margin of
+``negative-mode-witness-consistency`` moved in its last bits, from
+``0x1.b7cdc66a8954dp-34`` to ``0x1.b7cde66a8954dp-34``, when
+``psd_on_zero_average`` took its zero-average basis from a Householder
+reflection instead of ``scipy.linalg.null_space`` (a different orthonormal
+basis) and its eigen-solve from ``numpy.linalg.eigh`` instead of
+``scipy.linalg.eigh`` (a different LAPACK driver).
 """
 
 import contextlib
@@ -36,7 +44,7 @@ FROZEN_CHECKS = [
     ('half-line-objective-bound', 0, '0x1.bda656bc73217p-22', {'grid': '[-5, 0] with 501 points'}),
     ('two-ray-criticality', 0, '0x1.2e5d965c45271p-30', {'levels': '0 -0.5 -1 -2 -3 -5 -10'}),
     ('two-ray-negative-mode', 0, '0x1.fde07ef4cbc08p-20', {'levels': '0 -0.5 -1 -2 -3 -5'}),
-    ('negative-mode-witness-consistency', 0, '0x1.b7cdc66a8954dp-34', {}),
+    ('negative-mode-witness-consistency', 0, '0x1.b7cde66a8954dp-34', {}),
     ('instability-threshold-level-zero', 0, '0x1.29e0896955ff8p-27', {'hand_threshold': '0x1.156b72de1f12fp+3', 'solver_threshold': '0x1.156b72de1f12ep+3'}),
     ('half-line-multiplier-bound', 0, '0x1.6a09e66e06ae8p+1', {'levels': '0 -0.5 -1 -2 -3 -5 -10 -20'}),
     ('boundary-second-moment-bound', 0, '0x1.37b60eccafd0dp-6', {'levels': '0 -0.5 -1 -2 -3 -5', 'families': 'two-ray and half-line'}),

@@ -15,8 +15,6 @@ from gaussiso.functionals import (
     BARYCENTER_ZERO_TOL,
     STABILITY_CONSTANT,
     FunctionalParams,
-    QuantityBundle,
-    boundary_excess,
     directed_fraenkel,
     excess_identity,
     isoperimetric_deficit,
@@ -222,21 +220,21 @@ class TestDirectedFraenkel:
 
 class TestExcess:
     def test_halfspace_zero(self):
-        assert boundary_excess(HalfSpace(omega=(1.0,), s=0.3)) == 0.0
+        assert quantities(HalfSpace(omega=(1.0,), s=0.3)).excess == 0.0
 
     def test_two_ray_frozen(self):
-        assert boundary_excess(E0) == pytest.approx(EXCESS_E0, rel=1e-13)
+        assert quantities(E0).excess == pytest.approx(EXCESS_E0, rel=1e-13)
 
     def test_hand_count_asymmetric(self):
         # (-inf, 0) u (1, 2): normals -1 at 1; +1 at 0 and 2
         e = normalize([(-math.inf, 0.0), (1.0, 2.0)])
         w_minus = gauss_weight(1.0)
         w_plus = gauss_weight(0.0) + gauss_weight(2.0)
-        assert boundary_excess(e) == pytest.approx(4.0 * min(w_minus, w_plus), rel=1e-15)
+        assert quantities(e).excess == pytest.approx(4.0 * min(w_minus, w_plus), rel=1e-15)
 
     def test_ball_twice_perimeter(self):
         b = CenteredBall(dim=4, radius=1.3)
-        assert boundary_excess(b) == pytest.approx(2.0 * perimeter(b), rel=1e-15)
+        assert quantities(b).excess == pytest.approx(2.0 * perimeter(b), rel=1e-15)
 
     def test_identity_on_corpus(self):
         for e in random_corpus(616011, 400):
@@ -375,7 +373,8 @@ class TestQuantityBundle:
 
     def test_validates_on_corpus(self):
         for e in random_corpus(616013, 100):
-            quantities(e).validate()
+            # quantities raises ValueError on an inconsistent bundle
+            quantities(e)
 
     def test_as_dict_round_trip_fields(self):
         d = quantities(CenteredBall(dim=2, radius=1.0)).as_dict()
@@ -391,21 +390,6 @@ class TestQuantityBundle:
             "excess",
         }
         assert d["barycenter"] == [0.0, 0.0]
-
-    def test_validate_rejects_inconsistent(self):
-        b = QuantityBundle(
-            mass_level=0.0,
-            measure=0.5,
-            perimeter=1.0,
-            barycenter=(0.0,),
-            max_barycenter_norm=B_MAX_0,
-            deficit=0.0,
-            strong_asymmetry=0.0,
-            excess=1.0,
-            directed_fraenkel=0.0,
-        )
-        with pytest.raises(ValueError):
-            b.validate()
 
     def test_rejects_degenerate_set(self):
         with pytest.raises(ValueError):
@@ -445,7 +429,7 @@ class TestQuantityColumns:
             assert isoperimetric_deficit(e) == cols["deficit"][i]
             assert strong_asymmetry(e) == cols["beta"][i]
             assert directed_fraenkel(e) == cols["alpha_hat"][i]
-            assert boundary_excess(e) == cols["excess"][i]
+            assert quantities(e).excess == cols["excess"][i]
 
     def test_empty_batch(self):
         cols = quantity_columns(())
@@ -456,7 +440,6 @@ class TestQuantityColumns:
         lowest, runner_up = np.unique(deficits)[:2]
         failing = [e for e, d in zip(self.CORPUS, deficits) if d == lowest]
         passing = [e for e, d in zip(self.CORPUS, deficits) if d != lowest]
-        bundle = quantities(passing[0])
         # fail exactly the members tied at the smallest deficit
         monkeypatch.setattr(functionals, "_NEGATIVE_TOL", -0.5 * (lowest + runner_up))
         with pytest.raises(ValueError, match="negative deficit"):
@@ -465,9 +448,6 @@ class TestQuantityColumns:
             with pytest.raises(ValueError, match="negative deficit"):
                 quantities(e)
         quantity_columns(passing)
-        # the bundle's own validation reads the same threshold
-        with pytest.raises(ValueError, match="negative deficit"):
-            QuantityBundle(**{**bundle.as_dict(), "deficit": lowest}).validate()
 
     def test_degenerate_member_fails_the_batch(self):
         with pytest.raises(ValueError, match="degenerate"):

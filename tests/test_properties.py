@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +18,8 @@ from gaussiso import (
     HalfSpace,
     IntervalUnion1D,
     SlabSet,
-    barycenter_norm,
+    barycenter,
     complement,
-    intersect,
     measure,
     normalize,
     perimeter,
@@ -31,6 +31,11 @@ from gaussiso import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _intersection(a: IntervalUnion1D, b: IntervalUnion1D) -> IntervalUnion1D:
+    """A n B as the complement of the union of the complements (De Morgan)."""
+    return complement(normalize(complement(a).intervals + complement(b).intervals))
 
 # Raw endpoint pairs with lo <= hi, moderate magnitudes so measures stay
 # far from float underflow.
@@ -98,7 +103,7 @@ class TestIntervalAlgebra:
     @settings(max_examples=150, deadline=None)
     def test_intersection_bounded_by_factors(self, raw_a, raw_b):
         a, b = normalize(raw_a), normalize(raw_b)
-        both = measure(intersect(a, b))
+        both = measure(_intersection(a, b))
         assert both <= measure(a) + 1e-12
         assert both <= measure(b) + 1e-12
 
@@ -106,7 +111,7 @@ class TestIntervalAlgebra:
     @settings(max_examples=100, deadline=None)
     def test_intersection_with_self_is_identity(self, raw):
         union = normalize(raw)
-        assert measure(intersect(union, union)) == pytest.approx(
+        assert measure(_intersection(union, union)) == pytest.approx(
             measure(union), abs=1e-13
         )
 
@@ -114,7 +119,7 @@ class TestIntervalAlgebra:
     @settings(max_examples=100, deadline=None)
     def test_intersection_with_complement_is_null(self, raw):
         union = normalize(raw)
-        assert measure(intersect(union, complement(union))) == pytest.approx(
+        assert measure(_intersection(union, complement(union))) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -200,6 +205,6 @@ class TestQuantityIdentities:
         plane = HalfSpace(omega=(1.0,), s=s)
         assert measure(ray) == pytest.approx(measure(plane), rel=1e-14)
         assert perimeter(ray) == pytest.approx(perimeter(plane), rel=1e-14)
-        assert barycenter_norm(ray) == pytest.approx(
-            barycenter_norm(plane), rel=1e-13, abs=1e-300
+        assert np.linalg.norm(barycenter(ray)) == pytest.approx(
+            np.linalg.norm(barycenter(plane)), rel=1e-13, abs=1e-300
         )

@@ -21,11 +21,9 @@ from gaussiso.sets import (
     IntervalUnion1D,
     SlabSet,
     barycenter,
-    barycenter_norm,
     complement,
     contains_points,
     dimension,
-    intersect,
     mass_level,
     mc_measure,
     measure,
@@ -94,10 +92,6 @@ class TestNormalize:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             normalize([(0.0, math.nan)])
-
-    def test_rejects_bad_merge_tol(self):
-        with pytest.raises(ValueError):
-            normalize([(0.0, 1.0)], merge_tol=0.0)
 
     def test_constructor_enforces_invariants(self):
         with pytest.raises(ValueError):
@@ -238,7 +232,7 @@ class TestBarycenter:
         assert b.shape == (2,)
         assert b[0] == 0.0
         assert b[1] == pytest.approx(-INV_SQRT_2PI, rel=1e-15)
-        assert barycenter_norm(h) == pytest.approx(INV_SQRT_2PI, rel=1e-15)
+        assert np.linalg.norm(barycenter(h)) == pytest.approx(INV_SQRT_2PI, rel=1e-15)
 
     def test_half_line(self):
         e = normalize([(-math.inf, 0.0)])
@@ -315,33 +309,6 @@ class TestComplement:
     def test_ball_not_representable(self):
         with pytest.raises(ValueError):
             complement(CenteredBall(dim=2, radius=1.0))
-
-
-class TestIntersect:
-    def test_disjoint_empty(self):
-        a = normalize([(0.0, 1.0)])
-        b = normalize([(2.0, 3.0)])
-        assert intersect(a, b).intervals == ()
-
-    def test_nested(self):
-        a = normalize([(-2.0, 2.0)])
-        b = normalize([(-1.0, 0.5)])
-        assert intersect(a, b).intervals == ((-1.0, 0.5),)
-
-    def test_partial_overlap(self):
-        a = normalize([(-math.inf, 0.0), (1.0, math.inf)])
-        b = normalize([(-1.0, 2.0)])
-        assert intersect(a, b).intervals == ((-1.0, 0.0), (1.0, 2.0))
-
-    def test_inclusion_exclusion_mass(self):
-        rng = np.random.default_rng(515004)
-        for _ in range(100):
-            a = random_union(rng, int(rng.integers(1, 5)))
-            b = random_union(rng, int(rng.integers(1, 5)))
-            union = normalize(list(a.intervals) + list(b.intervals))
-            lhs = measure(a) + measure(b)
-            rhs = measure(union) + measure(intersect(a, b))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestSymmDiff:

@@ -330,6 +330,34 @@ class TestPsdOnZeroAverage:
         assert witness.shape == (1,)
         assert np.array_equal(witness, np.zeros(1))
 
+    def test_underflowed_weights_admit_every_direction(self):
+        # both weights e^{-x^2/2} are exactly 0 at x = 39 and 40
+        form = second_variation_form(IntervalUnion1D(intervals=((39.0, 40.0),)), PARAMS_0)
+        assert not form.constraint.any()
+        min_eig, witness = psd_on_zero_average(form)
+        assert math.isfinite(min_eig)
+        assert min_eig == 0.0
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "intervals, expected",
+        [
+            # the first weight is exactly 0, the others are not
+            (((-40.0, -39.0), (0.5, 1.0)), -0.6950269951067424),
+            # squares of every weight underflow
+            (((-math.inf, -30.0), (30.0, math.inf)), -3.693883068487256e-196),
+            (((-38.5, -30.0), (28.0, 29.0)), -2.394254760949759e-183),
+        ],
+        ids=["zero-first-weight", "two-ray-at-30", "deep-tail-mix"],
+    )
+    def test_tail_weights_keep_the_constraint(self, intervals, expected):
+        form = second_variation_form(IntervalUnion1D(intervals=intervals), PARAMS_0)
+        min_eig, witness = psd_on_zero_average(form)
+        assert min_eig == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-15)
+        c = form.constraint
+        assert abs(float(np.dot(c, witness))) <= 1e-15 * float(np.max(c))
+
 
 class TestMassPreservingFlow:
     def test_measure_constant_for_zero_average_velocity(self):
