@@ -4,11 +4,25 @@ The mixed corpus combines generic random interval unions with the named
 near-extremal families: the symmetric two-ray sets across a grid of mass
 levels, centered balls in dimensions 2-10 with mass-targeted radii, and
 slabs carrying random one-dimensional profiles.
+
+Seeding.  Random member ``i`` of stream ``t`` (0 for the interval unions, 2
+for the slab profiles) under corpus seed ``seed`` takes the child seed
+``SeedSequence([seed, t, i]).generate_state(1)[0]`` and is drawn from
+``default_rng(SeedSequence([child]))``.  Neither object is built per member:
+``_child_seeds`` runs SeedSequence's mixing hash on ``uint32`` columns for
+every index at once, the same hash with eight output words gives each
+child's ``generate_state(4, uint64)``, PCG64's seeding routine turns those
+words into a 128-bit state and increment in Python integers, and each state
+is swapped into one reused Generator before that member's draws.  The corpus
+is therefore bit for bit the one the per-member NumPy objects give.  It is
+stable across NumPy versions because NumPy's compatibility policy (NEP 19)
+fixes both the SeedSequence hash and the PCG64 stream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +74,197 @@ class RandomSetSpec:
             raise ValueError(f"component range must be a pair of integers, got {self.k_range!r}")
         if not 1 <= lo <= hi <= 6:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    # the hash below reads any int, so a bool or a float must be refused here
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+
+
+# ---------------------------------------------------------------------------
+# NumPy's SeedSequence and PCG64 seeding, computed for many seeds at once
+# (numpy/random/bit_generator.pyx and the PCG64 C seeding routine)
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: Rows whose PCG64 states are computed together.  The states are Python
+#: ints; holding every row's at once adds about 1 MB to the peak RSS of a
+#: 10^4 corpus build.
+_STATE_CHUNK = 1024
+
+#: Indices must fit one uint32 column: SeedSequence reads an index of 2**32
+#: or more as two entropy words.
+_INDEX_LIMIT = 1 << 32
+
+
+def _seed_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence reads from a nonnegative int."""
+    value = int(value)
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _entropy(prefix: tuple[int, ...], n: int | None = None) -> list[np.ndarray]:
+    """Entropy words of ``SeedSequence([*prefix, i])`` for i < n, as uint32 columns.
+
+    Without ``n``, a single row: the words of ``SeedSequence(list(prefix))``.
+    """
+    if n is not None and n > _INDEX_LIMIT:
+        raise ValueError(f"at most 2**32 seeded members per stream, got {n!r}")
+    size = 1 if n is None else n
+    columns = [np.full(size, w, dtype=np.uint32) for v in prefix for w in _seed_words(v)]
+    if n is not None:
+        columns.append(np.arange(n, dtype=np.uint32))
+    return columns
+
+
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of SeedSequence's word hash: the hashed words and the next constant."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * mult) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's ``mix_entropy`` into a pool of four words, row-wise."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value, hash_const = _hash(value, hash_const, _MULT_A)
+        return value
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``generate_state(n_words)`` of every row's entropy pool, word by word."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        out.append(value)
+    return out
+
+
+def _child_seeds(seed: int, stream: int, n: int) -> np.ndarray:
+    """``SeedSequence([seed, stream, i]).generate_state(1)[0]`` for i < n, as uint32."""
+    return _generate_state(_pool(_entropy((seed, stream), n)), 1)[0]
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(words))`` for every entropy row.
+
+    The seed sequence yields four uint64 words; PCG64 takes the first two as
+    its 128-bit initial state and the last two as its stream, then runs
+    ``pcg_setseq_128_srandom_r`` in Python integers.
+    """
+    words = [w.astype(np.uint64) for w in _generate_state(_pool(entropy), 8)]
+    high_state, low_state, high_seq, low_seq = (
+        (words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
+    )
+    states = []
+    for hs, ls, hq, lq in zip(high_state, low_state, high_seq, low_seq):
+        inc = (((hq << 64) | lq) << 1 | 1) & _MASK128
+        state = (inc + ((hs << 64) | ls)) & _MASK128
+        states.append(((state * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _generators(entropy: list[np.ndarray]):
+    """``default_rng(SeedSequence(words))`` for every entropy row, in order.
+
+    One Generator is reused: each step swaps the next row's PCG64 state into
+    it, so a yielded generator is valid until the iteration advances.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for start in range(0, len(entropy[0]), _STATE_CHUNK):
+        for state, inc in _pcg64_states([words[start : start + _STATE_CHUNK] for words in entropy]):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+# ---------------------------------------------------------------------------
+# draws
+
+
+def _draw_union(rng: np.random.Generator, k_range: tuple[int, int]) -> IntervalUnion1D | None:
+    """One admissible draw from ``rng``, or None once the retries run out."""
+    lo_mass, hi_mass = MASS_WINDOW
+    lo_k, hi_k = k_range
+    for _ in range(_MAX_RETRIES):
+        k = int(rng.integers(lo_k, hi_k + 1))
+        pts = sorted(rng.normal(0.0, _ENDPOINT_SCALE, 2 * k).tolist())
+        left_ray = rng.random() < 0.5
+        right_ray = rng.random() < 0.5
+        if pts[0] < -ENDPOINT_CLIP or pts[-1] > ENDPOINT_CLIP:
+            pts = [min(max(x, -ENDPOINT_CLIP), ENDPOINT_CLIP) for x in pts]
+        if min(map(operator.sub, pts[1:], pts)) < MIN_SEPARATION:
+            continue
+        if left_ray:
+            pts[0] = -math.inf
+        if right_ray:
+            pts[-1] = math.inf
+        candidate = IntervalUnion1D(intervals=tuple(zip(pts[0::2], pts[1::2])))
+        if lo_mass < measure(candidate) < hi_mass:
+            return candidate
+    return None
+
+
+def _random_unions(entropy: list[np.ndarray], k_range: tuple[int, int]) -> list[IntervalUnion1D]:
+    """One random interval union per entropy row, as ``random_interval_union`` draws it."""
+    unions = []
+    for row, rng in enumerate(_generators(entropy)):
+        union = _draw_union(rng, k_range)
+        if union is None:
+            seed = sum(int(words[row]) << (32 * j) for j, words in enumerate(entropy))
+            raise RuntimeError(f"no admissible interval union after {_MAX_RETRIES} retries for seed {seed}")
+        unions.append(union)
+    return unions
+
+
+def _child_unions(seed: int, stream: int, n: int, k_range: tuple[int, int]) -> list[IntervalUnion1D]:
+    """Random interval unions seeded by ``_child_seeds(seed, stream, n)``."""
+    return _random_unions([_child_seeds(seed, stream, n)], k_range)
 
 
 def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
@@ -71,33 +274,9 @@ def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
     [-ENDPOINT_CLIP, ENDPOINT_CLIP]; each side extends to infinity with
     probability 1/2.  Draws with endpoints closer than MIN_SEPARATION or with
     measure outside MASS_WINDOW are regenerated, up to a bounded number of
-    retries.
+    retries.  The draws are those of ``default_rng(SeedSequence([spec.seed]))``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
-    lo_mass, hi_mass = MASS_WINDOW
-    for _ in range(_MAX_RETRIES):
-        k = int(rng.integers(spec.k_range[0], spec.k_range[1] + 1))
-        pts = np.sort(rng.normal(loc=0.0, scale=_ENDPOINT_SCALE, size=2 * k))
-        left_ray = bool(rng.random() < 0.5)
-        right_ray = bool(rng.random() < 0.5)
-        pts = np.clip(pts, -ENDPOINT_CLIP, ENDPOINT_CLIP)
-        if np.any(np.diff(pts) < MIN_SEPARATION):
-            continue
-        intervals = [(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
-        if left_ray:
-            intervals[0] = (-math.inf, intervals[0][1])
-        if right_ray:
-            intervals[-1] = (intervals[-1][0], math.inf)
-        candidate = IntervalUnion1D(intervals=tuple(intervals))
-        if lo_mass < measure(candidate) < hi_mass:
-            return candidate
-    raise RuntimeError(
-        f"no admissible interval union after {_MAX_RETRIES} retries for seed {spec.seed}"
-    )
-
-
-def _child_seed(seed: int, stream: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, stream, index]).generate_state(1)[0])
+    return _random_unions(_entropy((spec.seed,)), spec.k_range)[0]
 
 
 def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
@@ -111,34 +290,27 @@ def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
     """
     if n < 1:
         raise ValueError(f"corpus size must be positive, got {n!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    _check_seed(seed)
     n_two_ray = (15 * n) // 100
     n_ball = (10 * n) // 100
     n_slab = (5 * n) // 100
     n_random = n - n_two_ray - n_ball - n_slab
 
-    sets: list[GaussianSet] = []
-    for i in range(n_random):
-        spec = RandomSetSpec(k_range=(1, 6), seed=_child_seed(seed, _STREAM_RANDOM, i))
-        sets.append(random_interval_union(spec))
+    sets: list[GaussianSet] = _child_unions(seed, _STREAM_RANDOM, n_random, (1, 6))
 
     if n_two_ray:
         for s in np.linspace(0.0, -4.0, n_two_ray):
             sets.append(two_ray_set(float(s)))
 
     if n_ball:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_BALL]))
+        rng = next(_generators(_entropy((seed, _STREAM_BALL))))
         dims = rng.integers(2, 11, size=n_ball)
         targets = rng.uniform(0.02, 0.98, size=n_ball)
         for dim, target in zip(dims, targets):
             radius = math.sqrt(chi2_quantile(int(dim), float(target)))
             sets.append(CenteredBall(dim=int(dim), radius=radius))
 
-    for j in range(n_slab):
-        profile = random_interval_union(
-            RandomSetSpec(k_range=(1, 3), seed=_child_seed(seed, _STREAM_SLAB, j))
-        )
-        sets.append(SlabSet(dim=2 + (j % 4), profile=profile))
+    profiles = _child_unions(seed, _STREAM_SLAB, n_slab, (1, 3))
+    sets.extend(SlabSet(dim=2 + (j % 4), profile=p) for j, p in enumerate(profiles))
 
     return tuple(sets)

@@ -22,7 +22,6 @@ from gaussiso import (
     OptimizerSettings,
     RandomSetSpec,
     SlabSet,
-    STABILITY_CONSTANT,
     SuiteConfig,
     euler_residual,
     excess_identity,

@@ -1,7 +1,6 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
-import math
 import os
 import subprocess
 import sys

@@ -39,6 +39,15 @@ class TestRandomSetSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             RandomSetSpec(k_range=(1, 2), seed=-1)
 
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True), 1.0, 2.5, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomSetSpec(k_range=(1, 2), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = RandomSetSpec(k_range=(1, 2), seed=np.uint32(7))
+        assert random_interval_union(spec) == random_interval_union(RandomSetSpec(k_range=(1, 2), seed=7))
+
 
 class TestRandomIntervalUnion:
     def test_deterministic_per_seed(self):
@@ -156,3 +165,101 @@ class TestMixedCorpus:
             mixed_corpus(0)
         with pytest.raises(ValueError, match="nonnegative"):
             mixed_corpus(10, seed=-2)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, 42.5, "42"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mixed_corpus(10, seed=seed)
+
+
+def _numpy_route(spec: RandomSetSpec) -> IntervalUnion1D:
+    """The reference draw: a fresh ``default_rng(SeedSequence([seed]))`` on arrays."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
+    for _ in range(100):
+        k = int(rng.integers(spec.k_range[0], spec.k_range[1] + 1))
+        pts = np.sort(rng.normal(loc=0.0, scale=2.0, size=2 * k))
+        left_ray = bool(rng.random() < 0.5)
+        right_ray = bool(rng.random() < 0.5)
+        pts = np.clip(pts, -ENDPOINT_CLIP, ENDPOINT_CLIP)
+        if np.any(np.diff(pts) < MIN_SEPARATION):
+            continue
+        intervals = [(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
+        if left_ray:
+            intervals[0] = (-math.inf, intervals[0][1])
+        if right_ray:
+            intervals[-1] = (intervals[-1][0], math.inf)
+        candidate = IntervalUnion1D(intervals=tuple(intervals))
+        if MASS_WINDOW[0] < measure(candidate) < MASS_WINDOW[1]:
+            return candidate
+    raise AssertionError(f"reference draw exhausted its retries for seed {spec.seed}")
+
+
+#: Corpus seeds of one, two and three entropy words.
+SEEDING_SEEDS = [0, 1, 42, 2**32 + 5, 2**64 + 3]
+
+
+class TestSeeding:
+    """The batched seeding equals numpy.random.SeedSequence and PCG64 bit for bit."""
+
+    # 5 seeds x 20,000 indices = 10^5 indices
+    N_INDICES = 20_000
+
+    @pytest.mark.parametrize("seed", SEEDING_SEEDS)
+    def test_child_seeds_and_states_match_numpy(self, seed):
+        n = self.N_INDICES
+        stream = seed % 7
+        children = corpus._child_seeds(seed, stream, n)
+        assert children.dtype == np.uint32 and children.shape == (n,)
+        expected = [int(np.random.SeedSequence([seed, stream, i]).generate_state(1)[0]) for i in range(n)]
+        assert children.tolist() == expected
+        states = corpus._pcg64_states([children])
+        for child, (state, inc) in zip(expected, states):
+            reference = np.random.PCG64(np.random.SeedSequence([child])).state["state"]
+            assert (state, inc) == (reference["state"], reference["inc"])
+
+    @pytest.mark.parametrize("seed", SEEDING_SEEDS)
+    def test_indexed_states_match_numpy(self, seed):
+        # entropy of three to five words, the last running past the pool
+        states = corpus._pcg64_states(corpus._entropy((seed, 17), 300))
+        for i, (state, inc) in enumerate(states):
+            reference = np.random.PCG64(np.random.SeedSequence([seed, 17, i])).state["state"]
+            assert (state, inc) == (reference["state"], reference["inc"])
+
+    @pytest.mark.parametrize("seed", SEEDING_SEEDS)
+    def test_generators_draw_as_default_rng(self, seed):
+        generators = corpus._generators(corpus._entropy((seed, 3), 5))
+        for i, rng in enumerate(generators):
+            reference = np.random.default_rng(np.random.SeedSequence([seed, 3, i]))
+            # a float32 draw leaves half a 64-bit word buffered in the bit
+            # generator, which the next row's state swap must drop
+            assert rng.random(dtype=np.float32) == reference.random(dtype=np.float32)
+            assert rng.integers(0, 9) == reference.integers(0, 9)
+            assert rng.normal(size=7).tolist() == reference.normal(size=7).tolist()
+
+    def test_seed_words_are_little_endian(self):
+        assert corpus._seed_words(0) == [0]
+        assert corpus._seed_words(2**32 - 1) == [2**32 - 1]
+        assert corpus._seed_words(2**32) == [0, 1]
+        assert corpus._seed_words(2**32 + 5) == [5, 1]
+        assert corpus._seed_words(2**64 + 3) == [3, 0, 1]
+
+    def test_indices_beyond_one_word_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            corpus._child_seeds(0, 0, 2**32 + 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 3, 3**50])
+    def test_random_interval_union_matches_numpy_route(self, seed):
+        for k_range in [(1, 6), (1, 3), (4, 4)]:
+            spec = RandomSetSpec(k_range=k_range, seed=seed)
+            assert random_interval_union(spec) == _numpy_route(spec)
+
+    def test_corpus_members_match_numpy_route(self):
+        sets = mixed_corpus(400, seed=2**32 + 5)
+        randoms = sets[:280]
+        children = [int(np.random.SeedSequence([2**32 + 5, 0, i]).generate_state(1)[0]) for i in range(280)]
+        assert list(randoms) == [_numpy_route(RandomSetSpec(k_range=(1, 6), seed=c)) for c in children]
+        slabs = sets[380:]
+        children = [int(np.random.SeedSequence([2**32 + 5, 2, j]).generate_state(1)[0]) for j in range(20)]
+        assert [e.profile for e in slabs] == [
+            _numpy_route(RandomSetSpec(k_range=(1, 3), seed=c)) for c in children
+        ]

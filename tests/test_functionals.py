@@ -38,7 +38,7 @@ from gaussiso.sets import (
     normalize,
     perimeter,
 )
-from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_weight
+from gaussiso.special import gauss_cdf, gauss_weight
 
 # gauss_cdf_inv(0.25): the two-ray endpoint at half mass (inverse-CDF oracle)
 A0 = -0.6744897501960817

@@ -44,7 +44,7 @@ from gaussiso.optimize import (
 )
 from gaussiso.quadrature import QuadSettings, adaptive_quad
 from gaussiso.sets import IntervalUnion1D, measure
-from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_density
+from gaussiso.special import gauss_cdf, gauss_density
 from gaussiso.stationarity import euler_residual, lagrange_bound_check
 
 # Frozen oracle values.

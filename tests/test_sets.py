@@ -5,7 +5,6 @@ them (adaptive quadrature of the Gaussian density, Monte Carlo indicator
 averages, central-difference derivatives) and then pinned.
 """
 
-import json
 import math
 
 import numpy as np

@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 
-import numpy as np
 import pytest
 
 from gaussiso import verify
+from gaussiso.corpus import mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT
 from gaussiso.quadrature import QuadSettings
 from gaussiso.verify import (
@@ -164,6 +165,22 @@ class TestRunSuite:
         a = run_suite("main", SuiteConfig(samples=200, seed=1))
         b = run_suite("main", SuiteConfig(samples=200, seed=2))
         assert a.checks[0].worst_margin != b.checks[0].worst_margin
+
+    def test_corpus_build_is_outside_check_timers(self, monkeypatch):
+        built = []
+
+        def slow_corpus(n, seed):
+            time.sleep(1.0)
+            built.append((n, seed))
+            return mixed_corpus(n, seed)
+
+        monkeypatch.setattr(verify, "mixed_corpus", slow_corpus)
+        report = run_suite("iso", SMALL)
+        assert built == [(SMALL.samples, SMALL.seed)]
+        assert report.checks[0].wall_time < 1.0
+        # a grid suite builds no corpus
+        run_suite("stationarity", SMALL)
+        assert len(built) == 1
 
     def test_unconverged_oracle_intervals_are_violations(self, monkeypatch):
         # at depth 3 every estimate still matches its closed form within the
