@@ -5,13 +5,14 @@ asymmetries (barycenter gap and symmetric-difference), the boundary excess,
 the penalized objective used by the optimizer, and the explicit penalization
 constants under which half-spaces are the unique minimizers.
 
-Every quantity of a set comes from one columnar kernel,
-:func:`quantity_columns`, which evaluates many sets at once from their
-profile endpoints (balls from their closed forms). :func:`quantities` and the
-scalar readers such as :func:`isoperimetric_deficit` are its batch of one, so
-each formula exists once. The penalized functional of a profile set is one
-pure-Python loop over its ``(lo, hi)`` pairs, which the optimizer calls on
-endpoint lists without building sets.
+Every quantity of a set comes from :func:`quantity_columns`, which returns
+one array per quantity for many sets. A profile set's quantities start from
+the one pass over its ``(lo, hi)`` pairs that ``measure``, ``perimeter`` and
+``barycenter`` also read (balls from their closed forms). :func:`quantities`
+and the scalar readers such as :func:`isoperimetric_deficit` are its batch of
+one, so each formula exists once. The penalized functional of a profile set
+reads the same pass, and the optimizer calls it on endpoint lists without
+building sets.
 
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
@@ -25,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import (
-    GaussianSet,
-    _interval_mass,
-    _profile,
-    barycenter,
-    measure,
-    perimeter,
-)
+from .sets import GaussianSet, _clipped_mass, _profile, _profile_sums, barycenter, measure, perimeter
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
 
 __all__ = [
@@ -120,98 +114,54 @@ def _check_consistent(deficit: np.ndarray, beta: np.ndarray, excess: np.ndarray)
         )
 
 
-def _scalar_map(f, *args: np.ndarray) -> np.ndarray:
-    """The scalar ``f`` applied elementwise to 1-D arrays.
-
-    Vectorized ``ndtr`` and ``np.exp`` round differently from ``math.erfc``
-    and ``math.exp``; the scalar functions keep every column equal to a
-    one-set evaluation bit for bit.
-    """
-    lists = [np.asarray(a, dtype=float).tolist() for a in args]
-    return np.fromiter(map(f, *lists), dtype=float, count=len(lists[0]))
-
-
-def _row_sums(*terms: np.ndarray) -> np.ndarray:
-    """Sum of each row, adding column by column from the left as Python's
-    ``sum`` does (and cycling through ``terms`` within a column).
-
-    ``np.add.reduceat`` and pairwise summation round differently.
-    """
-    total = np.zeros(terms[0].shape[0])
-    for k in range(terms[0].shape[1]):
-        for term in terms:
-            total += term[:, k]
-    return total
+def _quantity_row(e: GaussianSet) -> tuple[float, ...]:
+    """``(measure, s, perimeter, b, w_s, excess, alpha_hat)`` of one set."""
+    profile = _profile(e)
+    if profile is None:
+        mass, perim, b = measure(e), perimeter(e), 0.0
+        # a ball's odd part integrates to zero, leaving 2 * perimeter
+        excess = 2.0 * perim
+    else:
+        mass, perim, b, left, right = _profile_sums(profile[1])
+        # boundary excess, min over unit omega of the weighted |normal - omega|^2:
+        # 0 or 4 per endpoint for omega = +-axis
+        excess = 4.0 * min(left, right)
+    if not 0.0 < mass < 1.0:
+        raise ValueError(
+            f"quantity undefined for degenerate set with measure {mass!r}; need measure in (0, 1)"
+        )
+    s = gauss_cdf_inv(mass)
+    if abs(b) < BARYCENTER_ZERO_TOL:
+        # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
+        alpha_hat = 2.0 * gauss_cdf(-abs(s))
+    else:
+        # gamma(E sym-diff H) for the half-space H at level s opposite to the
+        # barycenter, (-inf, s) or (-s, inf) on the axis
+        cut = (-s, math.inf) if b > 0.0 else (-math.inf, s)
+        alpha_hat = mass + gauss_cdf(s) - 2.0 * _clipped_mass(profile[1], *cut)
+    return mass, s, perim, b, gauss_weight(s), excess, alpha_hat
 
 
 def quantity_columns(sets) -> dict[str, np.ndarray]:
     """Every derived quantity of many nondegenerate sets, one array per quantity.
 
-    The profile intervals of all profile sets fill one zero-padded
-    (sets x intervals) endpoint table, and the boundary weight is evaluated
-    once per endpoint; centered balls use their chi-square closed forms. The
+    Each profile set is one pass of ``sets._profile_sums`` over its
+    ``(lo, hi)`` pairs; centered balls use their chi-square closed forms. The
     columns are ``measure``, ``s`` (mass level), ``perimeter``, ``b``
     (barycenter along the profile axis, zero for balls), ``b_norm``,
     ``b_max``, ``deficit``, ``beta`` (strong asymmetry), ``alpha_hat``
     (directed Fraenkel asymmetry) and ``excess`` (direct boundary excess).
-    Every number equals that of a batch of one, bit for bit. Raises
+    Every number equals that of a batch of one, and ``measure``,
+    ``perimeter`` and ``b`` equal the scalar readers', bit for bit. Raises
     ValueError when a set has measure 0 or 1 or its quantities are
     inconsistent.
     """
-    sets = tuple(sets)
-    profiles = [_profile(e) for e in sets]
-    balls = [i for i, p in enumerate(profiles) if p is None]
-    counts = np.array([0 if p is None else len(p[1]) for p in profiles], dtype=int)
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    lo_flat, hi_flat = np.array(
-        [iv for p in profiles if p is not None for iv in p[1]], dtype=float
-    ).reshape(-1, 2).T
-
-    def table(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(valid.shape)
-        out[valid] = values
-        return out
-
-    lo, hi = table(lo_flat), table(hi_flat)
-    w_lo = table(_scalar_map(gauss_weight, lo_flat))
-    w_hi = table(_scalar_map(gauss_weight, hi_flat))
-    mass = _row_sums(table(_scalar_map(_interval_mass, lo_flat, hi_flat)))
-    perim = _row_sums(w_lo, w_hi)
-    b = _row_sums((w_lo - w_hi) / SQRT_2PI)
-    # boundary excess, min over unit omega of the weighted |normal - omega|^2:
-    # 0 or 4 per endpoint for omega = +-axis; a ball's odd part integrates to
-    # zero, leaving 2 * perimeter
-    excess = 4.0 * np.minimum(_row_sums(w_lo), _row_sums(w_hi))
-    mass[balls] = [measure(sets[i]) for i in balls]
-    perim[balls] = [perimeter(sets[i]) for i in balls]
-    excess[balls] = 2.0 * perim[balls]
-
-    degenerate = np.flatnonzero(~((mass > 0.0) & (mass < 1.0)))
-    if degenerate.size:
-        raise ValueError(
-            f"quantity undefined for degenerate set with measure {float(mass[degenerate[0]])!r}; "
-            "need measure in (0, 1)"
-        )
-    s = _scalar_map(gauss_cdf_inv, mass)
-    w_s = _scalar_map(gauss_weight, s)
+    rows = np.fromiter(map(_quantity_row, sets), dtype=np.dtype((float, 7)))
+    mass, s, perim, b, w_s, excess, alpha_hat = np.ascontiguousarray(rows.T)
     b_norm = np.abs(b)
     b_max = w_s / SQRT_2PI
     deficit = perim - w_s
     beta = b_max - b_norm
-
-    # directed Fraenkel asymmetry: gamma(E sym-diff H) for the half-space H at
-    # level s opposite to the barycenter, (-inf, s) or (-s, inf) on the axis
-    right = (b > 0.0)[:, None]
-    cut_lo = np.where(right, np.maximum(lo, -s[:, None]), lo)
-    cut_hi = np.where(right, hi, np.minimum(hi, s[:, None]))
-    kept = valid & (cut_lo < cut_hi)
-    overlap = np.zeros(valid.shape)
-    overlap[kept] = _scalar_map(_interval_mass, cut_lo[kept], cut_hi[kept])
-    alpha_hat = mass + _scalar_map(gauss_cdf, s) - 2.0 * _row_sums(overlap)
-    # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
-    ceiling = b_norm < BARYCENTER_ZERO_TOL
-    alpha_hat[ceiling] = 2.0 * _scalar_map(gauss_cdf, -np.abs(s[ceiling]))
-
     _check_consistent(deficit, beta, excess)
     return {
         "measure": mass,
@@ -270,20 +220,10 @@ def _penalized_profile(intervals, params: FunctionalParams, target: float) -> fl
     """F of the profile set with these ``(lo, hi)`` pairs; ``target`` is
     ``gauss_cdf(params.s)``.
 
-    Pure Python over the pairs, with the float operations of ``measure``,
-    ``perimeter`` and ``barycenter`` in their order: the masses and the
-    endpoint weights ``exp(-x^2/2)`` (0 at +-inf) added left to right, ``b``
-    the sum of the partial moments, and ``|b| = sqrt(b*b)`` since the axis is
-    a unit vector.
+    The sums are those of ``measure``, ``perimeter`` and ``barycenter``, and
+    ``|b| = sqrt(b*b)`` since the axis is a unit vector.
     """
-    mass = perim = b = 0.0
-    for lo, hi in intervals:
-        mass += _interval_mass(lo, hi)
-        w_lo = math.exp(-0.5 * lo * lo)
-        w_hi = math.exp(-0.5 * hi * hi)
-        perim += w_lo
-        perim += w_hi
-        b += (w_lo - w_hi) / SQRT_2PI
+    mass, perim, b, _, _ = _profile_sums(intervals)
     norm_b = math.sqrt(b * b)
     return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - target)
 

@@ -8,12 +8,11 @@ deterministic and random multistart initializations per template; ordering is
 enforced by penalization inside the objective so the search stays
 unconstrained.
 
-The search is an in-house non-adaptive Nelder-Mead on Python lists that
-reproduces SciPy's ``minimize(method="Nelder-Mead")`` operation for operation,
-and its objective computes F straight from the endpoint list, so no set is
-built per evaluation.  Vertices with tied values are ordered by
-``np.argsort`` as in SciPy; its tie order is not stable and depends on the
-CPU's sorting kernels, and the per-start diagnostics depend on it.
+The search is an in-house non-adaptive Nelder-Mead on Python lists with the
+floating-point operations of SciPy's ``minimize(method="Nelder-Mead")``, and
+its objective computes F straight from the endpoint list, so no set is built
+per evaluation.  Vertices are ordered by a stable sort, so vertices with tied
+values keep their order and every result is the same on every machine.
 
 The module also provides the matched two-ray endpoint solver and the
 mass-dependence sweep of the deficit-to-asymmetry ratio along the two-ray
@@ -250,7 +249,9 @@ def _nelder_mead(
     and the same floating-point operations: the initial simplex ``1.05 x_k``
     (``0.00025`` where ``x_k`` is 0), reflection, expansion, contraction and
     shrink coefficients 1, 2, 0.5 and 0.5, the centroid as a left-to-right
-    row sum divided by N, and the ``xatol`` / ``fatol`` stopping test. An
+    row sum divided by N, and the ``xatol`` / ``fatol`` stopping test. Only
+    the vertex order can differ: a stable sort keeps tied vertices in place,
+    where SciPy's unstable sort may swap them. An
     evaluation past the budget stops the search mid-iteration, keeping the
     vertices already moved. SciPy's iteration cap never binds: after the N+1
     evaluations of the initial simplex every iteration costs at least one
@@ -273,7 +274,7 @@ def _nelder_mead(
         return objective(x)
 
     def by_value() -> None:
-        order = _argsort(fsim)
+        order = sorted(range(n + 1), key=fsim.__getitem__)
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
@@ -282,8 +283,6 @@ def _nelder_mead(
             fsim[k] = f(sim[k])
     except _BudgetExhausted:
         pass
-    # SciPy sorts twice here, and np.argsort may reorder ties the second time
-    by_value()
     by_value()
 
     while evaluations < budget:
@@ -331,21 +330,7 @@ def _nelder_mead(
             pass
         by_value()
 
-    return sim[0], float(np.min(fsim)), evaluations, evaluations < budget
-
-
-def _argsort(values: list[float]) -> list[int]:
-    """The vertex order of ``np.argsort``, whose order among tied values the
-    search inherits from SciPy.
-
-    Without ties (and NaN) the sorting permutation is unique, so Python's
-    ``sorted`` finds it faster; ties go through ``np.argsort``, which is not
-    stable (with AVX-512 its tie order differs from a stable sort's).
-    """
-    order = sorted(range(len(values)), key=values.__getitem__)
-    if all(values[i] < values[j] for i, j in zip(order, order[1:])):
-        return order
-    return np.argsort(values).tolist()
+    return sim[0], fsim[0], evaluations, evaluations < budget
 
 
 def _deterministic_starts(
@@ -382,9 +367,8 @@ def minimize_penalized_functional(
     matched two-ray set, origin-symmetric interval of the same mass).  Each
     search stops when the simplex is within 1e-10 of its best vertex and its
     values within 1e-12, or after ``max_iters`` evaluations of the objective.
-    Fully deterministic for a fixed seed on a given machine: vertices with
-    tied values keep the order ``np.argsort`` gives them, which depends on
-    the CPU's sorting kernels.  Per-start outcomes are reported; a start that
+    Fully deterministic for a fixed seed, on every machine: vertices are
+    ordered by a stable sort.  Per-start outcomes are reported; a start that
     fails to converge is recorded, and the call fails only if every start
     fails.  The half-line is always among the starts, so
     ``best_value <= half_line_value + 1e-12`` holds on return, and

@@ -17,6 +17,9 @@ the preimage of an interval union under ``x -> x . axis`` for a unit axis
 one-ray profile ``(-inf, s)`` along ``omega``). One private reduction makes
 that decision, and ``dimension``, ``measure``, ``perimeter``, ``barycenter``,
 ``symm_diff_measure`` and ``contains_points`` each read "ball, else profile".
+A profile's mass, endpoint weights and first moments are summed in one
+private pass over its ``(lo, hi)`` pairs, which ``measure``, ``perimeter``,
+``barycenter`` and :mod:`gaussiso.functionals` all read.
 Only :func:`complement` and the JSON descriptors build each family's own type.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
@@ -34,14 +37,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
-from .special import (
-    SQRT_2PI,
-    chi2_cdf,
-    gauss_cdf,
-    gauss_cdf_inv,
-    gauss_weight,
-    partial_moment,
-)
+from .special import SQRT_2PI, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
 
 __all__ = [
     "MERGE_TOL",
@@ -231,16 +227,40 @@ def dimension(e: GaussianSet) -> int:
 
 def _interval_mass(lo: float, hi: float) -> float:
     # For intervals entirely in the right tail, the mirrored form keeps
-    # relative (not just absolute) accuracy.
+    # relative (not just absolute) accuracy. Every argument passed on is
+    # finite: the rays' infinite ends are taken by the branches.
     if lo == -math.inf and hi == math.inf:
         return 1.0
     if lo == -math.inf:
-        return gauss_cdf(hi)
+        return _gauss_cdf_finite(hi)
     if hi == math.inf:
-        return gauss_cdf(-lo)
+        return _gauss_cdf_finite(-lo)
     if lo + hi > 0.0:
-        return gauss_cdf(-lo) - gauss_cdf(-hi)
-    return gauss_cdf(hi) - gauss_cdf(lo)
+        return _gauss_cdf_finite(-lo) - _gauss_cdf_finite(-hi)
+    return _gauss_cdf_finite(hi) - _gauss_cdf_finite(lo)
+
+
+def _profile_sums(intervals: Iterable[tuple[float, float]]) -> tuple[float, ...]:
+    """``(mass, perimeter, b, left, right)`` of a profile's ``(lo, hi)`` pairs.
+
+    The one pass that every profile quantity reads: the Gaussian masses, the
+    endpoint weights ``exp(-x^2/2)`` (0 at +-inf) and the first moments
+    ``(w_lo - w_hi) / sqrt(2 pi)`` are added left to right, the perimeter as
+    ``w_lo, w_hi`` per pair. ``left`` and ``right`` are the weights of the
+    lower and of the upper endpoints alone, whose smaller one sets the
+    boundary excess.
+    """
+    mass = perim = b = left = right = 0.0
+    for lo, hi in intervals:
+        mass += _interval_mass(lo, hi)
+        w_lo = math.exp(-0.5 * lo * lo)
+        w_hi = math.exp(-0.5 * hi * hi)
+        perim += w_lo
+        perim += w_hi
+        left += w_lo
+        right += w_hi
+        b += (w_lo - w_hi) / SQRT_2PI
+    return mass, perim, b, left, right
 
 
 def measure(e: GaussianSet) -> float:
@@ -248,7 +268,7 @@ def measure(e: GaussianSet) -> float:
     profile = _profile(e)
     if profile is None:
         return chi2_cdf(e.dim, e.radius * e.radius)
-    return float(sum(_interval_mass(lo, hi) for lo, hi in profile[1]))
+    return _profile_sums(profile[1])[0]
 
 
 def perimeter(e: GaussianSet) -> float:
@@ -264,7 +284,7 @@ def perimeter(e: GaussianSet) -> float:
         # sphere area n*omega_n*R^{n-1} = 2 pi^{n/2} R^{n-1} / Gamma(n/2)
         area = 2.0 * math.pi ** (0.5 * n) * r ** (n - 1) / math.gamma(0.5 * n)
         return area * math.exp(-0.5 * r * r) / (2.0 * math.pi) ** (0.5 * (n - 1))
-    return float(sum(gauss_weight(x) for iv in profile[1] for x in iv))
+    return _profile_sums(profile[1])[1]
 
 
 def barycenter(e: GaussianSet) -> np.ndarray:
@@ -273,7 +293,7 @@ def barycenter(e: GaussianSet) -> np.ndarray:
     if profile is None:
         return np.zeros(e.dim)
     axis, intervals = profile
-    b = sum(partial_moment(lo, hi) for lo, hi in intervals)
+    b = _profile_sums(intervals)[2]
     # components off the axis are exactly zero, never -0.0
     return np.array([b * c if c else 0.0 for c in axis])
 

@@ -7,8 +7,6 @@ Conventions used throughout the package:
 * ``gauss_weight(x) = exp(-x^2/2)`` is the (unnormalized) boundary weight: the
   Gaussian perimeter contribution of a single boundary point in one dimension,
   and the perimeter of the half-space at level ``x`` in any dimension.
-* ``partial_moment(a, b)`` is the first moment of the Gaussian measure over the
-  interval ``(a, b)``, used to assemble barycenters.
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -27,7 +25,6 @@ __all__ = [
     "log_gauss_cdf",
     "gauss_density",
     "gauss_weight",
-    "partial_moment",
     "chi2_cdf",
     "chi2_quantile",
 ]
@@ -37,15 +34,20 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
 
+def _gauss_cdf_finite(s: float) -> float:
+    """:func:`gauss_cdf` without its guards, for arguments known to be finite."""
+    # 0.5*erfc(-s/sqrt(2)) keeps full relative accuracy in the left tail,
+    # where the plain form 1 - gauss_cdf(-s) would cancel.
+    return 0.5 * math.erfc(-s / _SQRT_2)
+
+
 def gauss_cdf(s: float) -> float:
     """Standard normal CDF. Exact limits at +-inf; NaN is rejected."""
     if math.isnan(s):
         raise ValueError("gauss_cdf: argument must not be NaN")
     if math.isinf(s):
         return 0.0 if s < 0.0 else 1.0
-    # 0.5*erfc(-s/sqrt(2)) keeps full relative accuracy in the left tail,
-    # where the plain form 1 - gauss_cdf(-s) would cancel.
-    return 0.5 * math.erfc(-s / _SQRT_2)
+    return _gauss_cdf_finite(s)
 
 
 def gauss_cdf_inv(p: float) -> float:
@@ -84,19 +86,6 @@ def gauss_weight(x: float) -> float:
     if math.isinf(x):
         return 0.0
     return math.exp(-0.5 * x * x)
-
-
-def partial_moment(a: float, b: float) -> float:
-    """First Gaussian moment over (a, b).
-
-    Closed form (exp(-a^2/2) - exp(-b^2/2)) / sqrt(2*pi), with the convention
-    exp(-inf) = 0 at infinite endpoints. Requires a <= b.
-    """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("partial_moment: endpoints must not be NaN")
-    if a > b:
-        raise ValueError(f"partial_moment: requires a <= b, got a={a!r} > b={b!r}")
-    return (gauss_weight(a) - gauss_weight(b)) / SQRT_2PI
 
 
 def chi2_cdf(dim: int, t: float) -> float:

@@ -422,6 +422,11 @@ class TestQuantityColumns:
             one = quantity_columns((e,))
             for name, column in cols.items():
                 assert float.hex(float(column[i])) == float.hex(float(one[name][0])), (i, name)
+            # the scalar readers share the profile pass: same bits; the
+            # profile axis is the last coordinate (balls have b = 0)
+            scalar = {"measure": measure(e), "perimeter": perimeter(e), "b": barycenter(e)[-1]}
+            for name, value in scalar.items():
+                assert float.hex(float(cols[name][i])) == float.hex(float(value)), (i, name)
 
     def test_scalar_readers_are_batches_of_one(self):
         cols = quantity_columns(self.CORPUS[::50])

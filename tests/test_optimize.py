@@ -34,6 +34,8 @@ from gaussiso.optimize import (
     IntervalTemplate,
     MassSweepRow,
     OptimizerSettings,
+    _MIN_SEPARATION,
+    _endpoint_objective,
     enumerate_templates,
     half_line_set,
     mass_sweep,
@@ -119,6 +121,28 @@ class TestTemplates:
     def test_describe_is_informative(self):
         t = IntervalTemplate(left_ray=True, right_ray=True, bounded=2)
         assert t.describe() == "left-ray+bounded+bounded+right-ray"
+
+    @pytest.mark.parametrize("template", enumerate_templates(4), ids=IntervalTemplate.describe)
+    def test_endpoint_objective_is_penalized_functional(self, template):
+        # the search objective builds no set; on a valid layout it must equal
+        # F of the decoded set bit for bit
+        rng = np.random.default_rng(8801)
+        cases = [
+            stability_params(-1.5),
+            stability_params(-0.3),
+            stability_params(0.8),
+            FunctionalParams(s=0.0, eps=10.0, lambda_pen=2.0),
+        ]
+        checked = 0
+        while checked < 40:
+            theta = np.sort(rng.normal(0.0, 2.0, template.dimension)).tolist()
+            if any(hi - lo <= _MIN_SEPARATION for lo, hi in zip(theta, theta[1:])):
+                continue
+            params = cases[checked % len(cases)]
+            objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+            direct = penalized_functional(template.decode(np.array(theta)), params)
+            assert objective(theta).hex() == direct.hex(), theta
+            checked += 1
 
 
 class TestSettings:
@@ -345,6 +369,27 @@ class TestImports:
                     continue
                 banned = "scipy" if path.name == "optimize.py" else ("scipy.optimize", "scipy.linalg")
                 assert not any(n.startswith(banned) for n in names), path.name
+
+    def test_every_import_is_used(self):
+        # an imported name must be read somewhere in its module or be listed
+        # in __all__; the package __init__ only re-exports
+        package = Path(gaussiso.__file__).resolve().parent
+        paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+        for path in paths + sorted(Path(__file__).resolve().parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update(a.asname or a.name for a in node.names)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    used.update(ast.literal_eval(node.value))
+            assert sorted(imported - used) == [], path.name
 
     def test_every_all_entry_exists(self):
         # a stale entry would break `from gaussiso.<module> import *`

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gaussiso.quadrature import adaptive_quad
+from gaussiso.sets import IntervalUnion1D, barycenter
 from gaussiso.special import (
     SQRT_2PI,
     chi2_cdf,
@@ -20,7 +21,6 @@ from gaussiso.special import (
     gauss_density,
     gauss_weight,
     log_gauss_cdf,
-    partial_moment,
 )
 
 # Oracle-derived (adaptive quadrature / bisection), frozen.
@@ -108,6 +108,11 @@ class TestWeightAndDensity:
     def test_density_is_weight_over_sqrt_2pi(self):
         for x in (-3.0, -0.5, 0.0, 1.7):
             assert gauss_density(x) == pytest.approx(gauss_weight(x) / SQRT_2PI, rel=1e-16)
+
+
+def partial_moment(a: float, b: float) -> float:
+    """First Gaussian moment over (a, b): the barycenter of that one interval."""
+    return barycenter(IntervalUnion1D(intervals=((a, b),)))[0]
 
 
 class TestPartialMoment:
