@@ -19,12 +19,8 @@ from .optimize import (
     MassSweepRow,
     MinimizeOutcome,
     OptimizerSettings,
-    half_line_set,
     mass_sweep,
     minimize_penalized_functional,
-    symmetric_interval_halfwidth,
-    two_ray_endpoint,
-    two_ray_set,
 )
 from .sets import (
     MERGE_TOL,
@@ -38,6 +34,7 @@ from .sets import (
     complement,
     contains_points,
     dimension,
+    half_line_set,
     mass_level,
     mc_measure,
     measure,
@@ -48,6 +45,9 @@ from .sets import (
     set_to_dict,
     set_to_json,
     symm_diff_measure,
+    symmetric_interval_halfwidth,
+    two_ray_endpoint,
+    two_ray_set,
 )
 from .stationarity import (
     STATION_TOL,

@@ -86,7 +86,7 @@ def _resolve_weight(text: str, default_value: float, flag: str) -> float:
 
 def _run_eval(args) -> int:
     bundle = quantities(set_from_json(args.set))
-    sys.stdout.write(json_value(bundle.as_dict()) + "\n")
+    sys.stdout.write(json_value(asdict(bundle)) + "\n")
     return 0
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import two_ray_set
-from .sets import CenteredBall, GaussianSet, IntervalUnion1D, SlabSet, measure
+from .sets import CenteredBall, GaussianSet, IntervalUnion1D, SlabSet, measure, two_ray_set
 from .special import chi2_quantile
 
 __all__ = [

@@ -271,19 +271,6 @@ class QuantityBundle:
     directed_fraenkel: float
     excess: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mass_level": self.mass_level,
-            "measure": self.measure,
-            "perimeter": self.perimeter,
-            "barycenter": list(self.barycenter),
-            "max_barycenter_norm": self.max_barycenter_norm,
-            "deficit": self.deficit,
-            "strong_asymmetry": self.strong_asymmetry,
-            "directed_fraenkel": self.directed_fraenkel,
-            "excess": self.excess,
-        }
-
 
 def quantities(e: GaussianSet) -> QuantityBundle:
     """The full consistent bundle of one nondegenerate set: a batch of one."""

@@ -14,9 +14,10 @@ its objective computes F straight from the endpoint list, so no set is built
 per evaluation.  Vertices are ordered by a stable sort, so vertices with tied
 values keep their order and every result is the same on every machine.
 
-The module also provides the matched two-ray endpoint solver and the
-mass-dependence sweep of the deficit-to-asymmetry ratio along the two-ray
-family.
+The random starts are seeded by the corpus's bulk seeding code, and the
+named competitor starts (half-line, two-ray set, symmetric interval) come
+from :mod:`gaussiso.sets`.  The module also provides the mass-dependence
+sweep of the deficit-to-asymmetry ratio along the two-ray family.
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ from .functionals import (
     max_barycenter_norm,
     penalized_functional,
 )
-from .sets import IntervalUnion1D, measure
-from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .corpus import _check_seed, _entropy, _generators
+from .sets import (
+    IntervalUnion1D,
+    half_line_set,
+    measure,
+    symmetric_interval_halfwidth,
+    two_ray_endpoint,
+)
+from .special import SQRT_2PI, gauss_cdf, gauss_weight
 
 __all__ = [
     "IntervalTemplate",
@@ -42,10 +50,6 @@ __all__ = [
     "MinimizeOutcome",
     "MassSweepRow",
     "enumerate_templates",
-    "half_line_set",
-    "two_ray_endpoint",
-    "two_ray_set",
-    "symmetric_interval_halfwidth",
     "minimize_penalized_functional",
     "mass_sweep",
 ]
@@ -146,8 +150,7 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         if self.multistarts < 1:
             raise ValueError(f"multistarts must be positive, got {self.multistarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
@@ -176,35 +179,6 @@ class MinimizeOutcome:
     half_line_value: float
     half_line_optimal: bool
     starts: tuple[StartDiagnostic, ...]
-
-
-def half_line_set(s: float) -> IntervalUnion1D:
-    """The left half-line with mass level ``s``."""
-    return IntervalUnion1D(intervals=((-math.inf, float(s)),))
-
-
-def two_ray_endpoint(s: float) -> float:
-    """The endpoint a < s splitting the mass of level s into two equal tails.
-
-    Solves 2 * Phi(a) = Phi(s); the symmetric two-ray set
-    (-inf, a) u (-a, inf) then has measure Phi(s) and zero barycenter.
-    """
-    if not s <= 0.0:
-        raise ValueError(f"mass level must be nonpositive, got {s!r}")
-    return gauss_cdf_inv(gauss_cdf(s) / 2.0)
-
-
-def two_ray_set(s: float) -> IntervalUnion1D:
-    """The symmetric two-ray set with measure Phi(s) and zero barycenter."""
-    a = two_ray_endpoint(s)
-    return IntervalUnion1D(intervals=((-math.inf, a), (-a, math.inf)))
-
-
-def symmetric_interval_halfwidth(s: float) -> float:
-    """Half-width q of the origin-symmetric interval with measure Phi(s)."""
-    if not s <= 0.0:
-        raise ValueError(f"mass level must be nonpositive, got {s!r}")
-    return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 
 def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, target: float):
@@ -386,13 +360,12 @@ def minimize_penalized_functional(
 
     planned: list[tuple[IntervalTemplate, str, list[float]]] = []
     per_template, extra = divmod(settings.multistarts, len(templates))
-    start_index = 0
+    # start i draws from default_rng(SeedSequence([seed, i]))
+    rngs = _generators(_entropy((settings.seed,), settings.multistarts))
     for i, template in enumerate(templates):
         for _ in range(per_template + (i < extra)):
-            rng = np.random.default_rng(np.random.SeedSequence([settings.seed, start_index]))
-            theta0 = np.sort(rng.normal(loc=0.0, scale=2.0, size=template.dimension))
+            theta0 = np.sort(next(rngs).normal(loc=0.0, scale=2.0, size=template.dimension))
             planned.append((template, "random", theta0.tolist()))
-            start_index += 1
     planned.extend(_deterministic_starts(s, templates))
 
     target = gauss_cdf(params.s)

@@ -21,6 +21,9 @@ A profile's mass, endpoint weights and first moments are summed in one
 private pass over its ``(lo, hi)`` pairs, which ``measure``, ``perimeter``,
 ``barycenter`` and :mod:`gaussiso.functionals` all read.
 Only :func:`complement` and the JSON descriptors build each family's own type.
+The named interval unions of a mass level that the corpus, the optimizer
+and the suites share (the half-line, the symmetric two-ray set, the
+origin-symmetric interval) are built here too.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
 and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
@@ -53,6 +56,10 @@ __all__ = [
     "perimeter",
     "barycenter",
     "mass_level",
+    "half_line_set",
+    "two_ray_endpoint",
+    "two_ray_set",
+    "symmetric_interval_halfwidth",
     "complement",
     "symm_diff_measure",
     "mc_measure",
@@ -301,6 +308,35 @@ def barycenter(e: GaussianSet) -> np.ndarray:
 def mass_level(e: GaussianSet) -> float:
     """The level s with gamma(E) = gauss_cdf(s)."""
     return gauss_cdf_inv(measure(e))
+
+
+def half_line_set(s: float) -> IntervalUnion1D:
+    """The left half-line with mass level ``s``."""
+    return IntervalUnion1D(intervals=((-math.inf, float(s)),))
+
+
+def two_ray_endpoint(s: float) -> float:
+    """The endpoint a < s splitting the mass of level s into two equal tails.
+
+    Solves 2 * Phi(a) = Phi(s); the symmetric two-ray set
+    (-inf, a) u (-a, inf) then has measure Phi(s) and zero barycenter.
+    """
+    if not s <= 0.0:
+        raise ValueError(f"mass level must be nonpositive, got {s!r}")
+    return gauss_cdf_inv(gauss_cdf(s) / 2.0)
+
+
+def two_ray_set(s: float) -> IntervalUnion1D:
+    """The symmetric two-ray set with measure Phi(s) and zero barycenter."""
+    a = two_ray_endpoint(s)
+    return IntervalUnion1D(intervals=((-math.inf, a), (-a, math.inf)))
+
+
+def symmetric_interval_halfwidth(s: float) -> float:
+    """Half-width q of the origin-symmetric interval with measure Phi(s)."""
+    if not s <= 0.0:
+        raise ValueError(f"mass level must be nonpositive, got {s!r}")
+    return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 
 def _complement_intervals(e: IntervalUnion1D) -> IntervalUnion1D:

@@ -3,9 +3,13 @@
 Each suite evaluates a family of claims — isoperimetric lower bounds, the
 deficit-controls-asymmetry estimate with its explicit constant, asymmetry
 comparisons, the boundary-excess identity, auxiliary scalar-function sign
-conditions, and stationarity structure of the two-ray family — and returns
-one record per check with the violation count and the worst margin.  The
-corpus suites share one ``quantity_columns`` evaluation of the corpus.  An
+conditions, and stationarity structure of the two-ray family.  A suite only
+computes: it is a generator yielding one ``(name, anchor, margins, params)``
+row per check.  :func:`run_suite` does the rest.  It looks suites up in one
+ordered registry, builds the corpus once (before any timer starts, and only
+when a selected suite reads it), times each row from resuming its suite to
+the yield, and records the violation count and the worst margin.  The corpus
+suites share one ``quantity_columns`` evaluation of the corpus.  An
 inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.
@@ -22,7 +26,7 @@ import numpy as np
 from scipy.special import log_ndtr as _vector_log_cdf
 from scipy.special import ndtr as _vector_cdf
 
-from .corpus import _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
+from .corpus import _check_seed, _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
@@ -30,15 +34,17 @@ from .functionals import (
     quantity_columns,
     stability_params,
 )
-from .optimize import half_line_set, two_ray_set
 from .quadrature import QuadSettings, adaptive_quad_many
 from .sets import (
     IntervalUnion1D,
     SlabSet,
+    _interval_mass,
     contains_points,
     dimension,
+    half_line_set,
     mc_measure,
     measure,
+    two_ray_set,
 )
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 from .stationarity import (
@@ -69,18 +75,6 @@ IDENTITY_REL = 1e-10
 #: Quadrature settings of the interval-measure oracle.
 ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
 
-SUITE_NAMES = (
-    "measure-oracle",
-    "iso",
-    "barycenter-max",
-    "main",
-    "strong-vs-standard",
-    "alpha-hat-corollary",
-    "excess-identity",
-    "scalar-functions",
-    "stationarity",
-)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -98,8 +92,7 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        _check_seed(self.seed)
         if not (self.main_constant > 0.0 and math.isfinite(self.main_constant)):
             raise ValueError(f"main_constant must be positive, got {self.main_constant!r}")
 
@@ -163,29 +156,6 @@ def _margins_identity(a, b, rel=IDENTITY_REL) -> np.ndarray:
     return rel * np.maximum(1.0, np.abs(b)) - np.abs(a - b)
 
 
-def _record(
-    name: str,
-    anchor: str,
-    margins,
-    started: float,
-    config: SuiteConfig,
-    params: dict | None = None,
-) -> CheckRecord:
-    margins = np.asarray(margins, dtype=float).ravel()
-    if margins.size == 0:
-        raise ValueError(f"check {name} evaluated no samples")
-    return CheckRecord(
-        name=name,
-        anchor=anchor,
-        samples=int(margins.size),
-        violations=int(np.count_nonzero(margins < 0.0)),
-        worst_margin=float(margins.min()),
-        params=dict(params or {}),
-        seed=config.seed,
-        wall_time=time.perf_counter() - started,
-    )
-
-
 @dataclass(frozen=True)
 class _Corpus:
     """The seeded corpus and its read-only quantity columns, shared across suites."""
@@ -203,7 +173,10 @@ def _build_corpus(config: SuiteConfig) -> _Corpus:
 
 
 # ---------------------------------------------------------------------------
-# corpus suites
+# corpus suites: each yields one (name, anchor, margins, params) row per check
+
+_MEASURE_ANCHOR = "gamma(E) = int_E (2 pi)^{-n/2} e^{-|x|^2/2} dx"
+_MAIN_ANCHOR = "beta(E) <= c (1+s^2) D(E) with c = 80 pi^2 sqrt(2 pi)"
 
 
 def _oracle_density(x: np.ndarray) -> np.ndarray:
@@ -211,29 +184,23 @@ def _oracle_density(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    checks = []
-    started = time.perf_counter()
+def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus):
     intervals = [iv for e in corpus.sets if isinstance(e, IntervalUnion1D) for iv in e.intervals]
     lo = np.array([a for a, _ in intervals])
     hi = np.array([b for _, b in intervals])
-    closed = np.array([gauss_cdf(b) - gauss_cdf(a) for a, b in intervals])
+    # the per-interval mass that measure() sums, right-tail mirror included
+    closed = np.array([_interval_mass(a, b) for a, b in intervals])
     via_quad = adaptive_quad_many(_oracle_density, lo, hi, ORACLE_SETTINGS)
     margins = _margins_identity(via_quad.value, closed)
     # an interval the oracle did not resolve counts as a violation
     margins = np.where(via_quad.converged, margins, np.minimum(margins, -via_quad.error))
-    checks.append(
-        _record(
-            "interval-measure-vs-quadrature",
-            "gamma(E) = int_E (2 pi)^{-n/2} e^{-|x|^2/2} dx",
-            margins,
-            started,
-            config,
-            params={"oracle": "adaptive quadrature of the density per interval"},
-        )
+    yield (
+        "interval-measure-vs-quadrature",
+        _MEASURE_ANCHOR,
+        margins,
+        {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    started = time.perf_counter()
     high_dim = [e for e in corpus.sets if dimension(e) > 1][:20]
     if high_dim:
         diffs = []
@@ -243,133 +210,91 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus) -> list[CheckRec
             est, err = mc_measure(e, n_samples=200_000, seed=seed)
             diffs.append(abs(measure(e) - est))
             bounds.append(6.0 * err)
-        checks.append(
-            _record(
-                "highdim-measure-vs-monte-carlo",
-                "gamma(E) = int_E (2 pi)^{-n/2} e^{-|x|^2/2} dx",
-                _margins_le(diffs, bounds),
-                started,
-                config,
-                params={"oracle": "Monte Carlo indicator average within 6 standard errors"},
-            )
+        yield (
+            "highdim-measure-vs-monte-carlo",
+            _MEASURE_ANCHOR,
+            _margins_le(diffs, bounds),
+            {"oracle": "Monte Carlo indicator average within 6 standard errors"},
         )
-    return checks
 
 
-def _suite_iso(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    started = time.perf_counter()
+def _suite_iso(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     floor = np.exp(-0.5 * cols["s"] ** 2)
-    margins = _margins_le(floor, cols["perimeter"])
     equality = int(np.count_nonzero(np.abs(cols["perimeter"] - floor) < 1e-10))
-    return [
-        _record(
-            "isoperimetric-lower-bound",
-            "P_gamma(E) >= e^{-s^2/2}",
-            margins,
-            started,
-            config,
-            params={"equality_members": equality},
-        )
-    ]
+    yield (
+        "isoperimetric-lower-bound",
+        "P_gamma(E) >= e^{-s^2/2}",
+        _margins_le(floor, cols["perimeter"]),
+        {"equality_members": equality},
+    )
 
 
-def _suite_barycenter_max(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    started = time.perf_counter()
+def _suite_barycenter_max(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
-    margins = _margins_le(cols["b_norm"], cols["b_max"])
     equality = int(np.count_nonzero(cols["b_max"] - cols["b_norm"] < 1e-10))
-    return [
-        _record(
-            "barycenter-norm-maximality",
-            "|b(E)| <= b_s = e^{-s^2/2}/sqrt(2 pi)",
-            margins,
-            started,
-            config,
-            params={"equality_members": equality},
-        )
-    ]
+    yield (
+        "barycenter-norm-maximality",
+        "|b(E)| <= b_s = e^{-s^2/2}/sqrt(2 pi)",
+        _margins_le(cols["b_norm"], cols["b_max"]),
+        {"equality_members": equality},
+    )
 
 
-def _suite_main(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    checks = []
-    started = time.perf_counter()
+def _suite_main(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     c = config.main_constant
     bound = c * (1.0 + cols["s"] ** 2) * cols["deficit"]
-    checks.append(
-        _record(
-            "deficit-controls-strong-asymmetry",
-            "beta(E) <= c (1+s^2) D(E) with c = 80 pi^2 sqrt(2 pi)",
-            _margins_le(cols["beta"], bound),
-            started,
-            config,
-            params={"main_constant": c},
-        )
+    yield (
+        "deficit-controls-strong-asymmetry",
+        _MAIN_ANCHOR,
+        _margins_le(cols["beta"], bound),
+        {"main_constant": c},
     )
 
-    started = time.perf_counter()
     eligible = cols["beta"] > 1e-12
     if np.any(eligible):
         ratios = bound[eligible] / cols["beta"][eligible]
-        checks.append(
-            _record(
-                "minimum-constant-ratio",
-                "beta(E) <= c (1+s^2) D(E) with c = 80 pi^2 sqrt(2 pi)",
-                _margins_le(np.ones_like(ratios), ratios),
-                started,
-                config,
-                params={"main_constant": c, "min_ratio": float(ratios.min())},
-            )
+        yield (
+            "minimum-constant-ratio",
+            _MAIN_ANCHOR,
+            _margins_le(np.ones_like(ratios), ratios),
+            {"main_constant": c, "min_ratio": float(ratios.min())},
         )
-    return checks
 
 
-def _suite_strong_vs_standard(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    started = time.perf_counter()
+def _suite_strong_vs_standard(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     lower = 0.25 * np.exp(0.5 * cols["s"] ** 2) * cols["alpha_hat"] ** 2
-    return [
-        _record(
-            "strong-asymmetry-dominates-directed",
-            "beta(E) >= (e^{s^2/2}/4) alpha_hat(E)^2",
-            _margins_le(lower, cols["beta"]),
-            started,
-            config,
-        )
-    ]
+    yield (
+        "strong-asymmetry-dominates-directed",
+        "beta(E) >= (e^{s^2/2}/4) alpha_hat(E)^2",
+        _margins_le(lower, cols["beta"]),
+        {},
+    )
 
 
-def _suite_alpha_hat_corollary(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    started = time.perf_counter()
+def _suite_alpha_hat_corollary(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     c = config.main_constant
     bound = c * (1.0 + cols["s"] ** 2) * np.exp(-0.5 * cols["s"] ** 2) * cols["deficit"]
-    return [
-        _record(
-            "deficit-controls-directed-asymmetry",
-            "alpha_hat(E)^2 <= c (1+s^2) e^{-s^2/2} D(E)",
-            _margins_le(cols["alpha_hat"] ** 2, bound),
-            started,
-            config,
-            params={"main_constant": c},
-        )
-    ]
+    yield (
+        "deficit-controls-directed-asymmetry",
+        "alpha_hat(E)^2 <= c (1+s^2) e^{-s^2/2} D(E)",
+        _margins_le(cols["alpha_hat"] ** 2, bound),
+        {"main_constant": c},
+    )
 
 
-def _suite_excess_identity(config: SuiteConfig, corpus: _Corpus) -> list[CheckRecord]:
-    started = time.perf_counter()
+def _suite_excess_identity(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     via = 2.0 * cols["deficit"] + 2.0 * SQRT_2PI * cols["beta"]
-    return [
-        _record(
-            "boundary-excess-identity",
-            "excess(E) = 2 D(E) + 2 sqrt(2 pi) beta(E)",
-            _margins_identity(cols["excess"], via),
-            started,
-            config,
-        )
-    ]
+    yield (
+        "boundary-excess-identity",
+        "excess(E) = 2 D(E) + 2 sqrt(2 pi) beta(E)",
+        _margins_identity(cols["excess"], via),
+        {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,67 +308,44 @@ def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     return linear - 0.5 * math.exp(0.5 * s * s) * (SQRT_2PI * delta) ** 2
 
 
-def _suite_scalar_functions(config: SuiteConfig) -> list[CheckRecord]:
-    checks = []
+def _suite_scalar_functions(config: SuiteConfig):
     s_deep = np.linspace(-40.0, 0.0, 4001)
-
-    started = time.perf_counter()
     g = np.exp(-0.5 * s_deep**2) + (SQRT_2PI * s_deep - math.pi) * _vector_cdf(s_deep)
-    checks.append(
-        _record(
-            "mass-gap-function-nonpositive",
-            "e^{-s^2/2} + (sqrt(2 pi) s - pi) Phi(s) <= 0 for s <= 0",
-            _margins_le(g, np.zeros_like(g)),
-            started,
-            config,
-            params={"grid": "[-40, 0] with 4001 points"},
-        )
+    yield (
+        "mass-gap-function-nonpositive",
+        "e^{-s^2/2} + (sqrt(2 pi) s - pi) Phi(s) <= 0 for s <= 0",
+        _margins_le(g, np.zeros_like(g)),
+        {"grid": "[-40, 0] with 4001 points"},
     )
 
-    started = time.perf_counter()
     log_lam = 0.5 * math.log(2.0) - 0.5 * s_deep**2 - _vector_log_cdf(s_deep)
     lam = np.exp(log_lam)
-    checks.append(
-        _record(
-            "penalty-weight-square-bound",
-            "Lambda^2 + 1 <= (9/2) pi^2 (1+s^2)",
-            _margins_le(lam**2 + 1.0, 4.5 * math.pi**2 * (1.0 + s_deep**2)),
-            started,
-            config,
-            params={"grid": "[-40, 0] with 4001 points"},
-        )
+    yield (
+        "penalty-weight-square-bound",
+        "Lambda^2 + 1 <= (9/2) pi^2 (1+s^2)",
+        _margins_le(lam**2 + 1.0, 4.5 * math.pi**2 * (1.0 + s_deep**2)),
+        {"grid": "[-40, 0] with 4001 points"},
     )
 
-    started = time.perf_counter()
-    checks.append(
-        _record(
-            "weight-dominates-twice-mass",
-            "e^{-s^2/2} >= 2 Phi(s) for s <= 0",
-            _margins_le(2.0 * _vector_cdf(s_deep), np.exp(-0.5 * s_deep**2)),
-            started,
-            config,
-            params={"grid": "[-40, 0] with 4001 points"},
-        )
+    yield (
+        "weight-dominates-twice-mass",
+        "e^{-s^2/2} >= 2 Phi(s) for s <= 0",
+        _margins_le(2.0 * _vector_cdf(s_deep), np.exp(-0.5 * s_deep**2)),
+        {"grid": "[-40, 0] with 4001 points"},
     )
 
-    started = time.perf_counter()
     t_grid = np.linspace(0.0, 40.0, 801)
     gain_margins = [
         _margins_le(np.zeros_like(t_grid), _slab_gain(s, t_grid))
         for s in (0.0, -0.5, -1.0, -2.0, -3.0, -5.0)
     ]
-    checks.append(
-        _record(
-            "slab-widening-gain-nonnegative",
-            "int_{s-t}^{s} (s-x) e^{-x^2/2} dx >= (e^{s^2/2}/2) (int_{s-t}^{s} e^{-x^2/2} dx)^2",
-            np.concatenate(gain_margins),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3 -5", "t_grid": "[0, 40] with 801 points"},
-        )
+    yield (
+        "slab-widening-gain-nonnegative",
+        "int_{s-t}^{s} (s-x) e^{-x^2/2} dx >= (e^{s^2/2}/2) (int_{s-t}^{s} e^{-x^2/2} dx)^2",
+        np.concatenate(gain_margins),
+        {"levels": "0 -0.5 -1 -2 -3 -5", "t_grid": "[0, 40] with 801 points"},
     )
 
-    started = time.perf_counter()
     lowers = []
     competitors = []
     for s in (0.0, -0.5, -1.0, -2.0, -3.0):
@@ -460,19 +362,13 @@ def _suite_scalar_functions(config: SuiteConfig) -> list[CheckRecord]:
     if np.any(cols["b"] > 0.0):
         worst = competitors[int(np.argmax(cols["b"]))]
         raise RuntimeError(f"slab competitor {worst.intervals} has positive barycenter")
-    betas = cols["beta"]
-    checks.append(
-        _record(
-            "slab-competitor-asymmetry-bound",
-            "beta(F) >= sqrt(pi/2) e^{s^2/2} gamma(E minus H)^2",
-            _margins_le(lowers, betas),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3", "mass_fractions": "0.002 0.01 0.05 0.2 0.5"},
-        )
+    yield (
+        "slab-competitor-asymmetry-bound",
+        "beta(F) >= sqrt(pi/2) e^{s^2/2} gamma(E minus H)^2",
+        _margins_le(lowers, cols["beta"]),
+        {"levels": "0 -0.5 -1 -2 -3", "mass_fractions": "0.002 0.01 0.05 0.2 0.5"},
     )
 
-    started = time.perf_counter()
     diffs = []
     bounds = []
     n_mc = 200_000
@@ -486,46 +382,31 @@ def _suite_scalar_functions(config: SuiteConfig) -> list[CheckRecord]:
             vals = points[:, axis] * inside
             diffs.append(abs(float(vals.mean())))
             bounds.append(6.0 * float(vals.std()) / math.sqrt(n_mc))
-    checks.append(
-        _record(
-            "slab-transverse-barycenter-vanishes",
-            "b(E).e_j = 0 for every axis transverse to a slab",
-            _margins_le(diffs, bounds),
-            started,
-            config,
-            params={"oracle": "Monte Carlo moment within 6 standard errors", "dims": "2 3 4 5"},
-        )
+    yield (
+        "slab-transverse-barycenter-vanishes",
+        "b(E).e_j = 0 for every axis transverse to a slab",
+        _margins_le(diffs, bounds),
+        {"oracle": "Monte Carlo moment within 6 standard errors", "dims": "2 3 4 5"},
     )
 
-    started = time.perf_counter()
     product = np.exp(-np.log(40.0 * math.pi**2 * (1.0 + s_deep**2)) - math.log(SQRT_2PI))
-    checks.append(
-        _record(
-            "penalty-times-barycenter-small",
-            "eps |b| <= eps b_s <= 1/4",
-            _margins_le(product, np.full_like(product, 0.25)),
-            started,
-            config,
-            params={"grid": "[-40, 0] with 4001 points"},
-        )
+    yield (
+        "penalty-times-barycenter-small",
+        "eps |b| <= eps b_s <= 1/4",
+        _margins_le(product, np.full_like(product, 0.25)),
+        {"grid": "[-40, 0] with 4001 points"},
     )
 
-    started = time.perf_counter()
     s_mid = np.linspace(-5.0, 0.0, 501)
     values = np.array(
         [penalized_functional(half_line_set(s), stability_params(s)) for s in s_mid]
     )
-    checks.append(
-        _record(
-            "half-line-objective-bound",
-            "F(H_s) <= (10/9) e^{-s^2/2}",
-            _margins_le(values, (10.0 / 9.0) * np.exp(-0.5 * s_mid**2)),
-            started,
-            config,
-            params={"grid": "[-5, 0] with 501 points"},
-        )
+    yield (
+        "half-line-objective-bound",
+        "F(H_s) <= (10/9) e^{-s^2/2}",
+        _margins_le(values, (10.0 / 9.0) * np.exp(-0.5 * s_mid**2)),
+        {"grid": "[-5, 0] with 501 points"},
     )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -538,26 +419,18 @@ _J_ANCHOR = (
 )
 
 
-def _suite_stationarity(config: SuiteConfig) -> list[CheckRecord]:
-    checks = []
-
-    started = time.perf_counter()
+def _suite_stationarity(config: SuiteConfig):
     devs = []
     for s in _STATION_LEVELS + (-10.0,):
         report = euler_residual(two_ray_set(s), stability_params(s))
         devs.append(report.max_dev)
-    checks.append(
-        _record(
-            "two-ray-criticality",
-            "-(x.nu) + (eps/sqrt(2 pi)) (b.x) = lambda on the boundary",
-            _margins_le(devs, np.full(len(devs), 1e-10)),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3 -5 -10"},
-        )
+    yield (
+        "two-ray-criticality",
+        "-(x.nu) + (eps/sqrt(2 pi)) (b.x) = lambda on the boundary",
+        _margins_le(devs, np.full(len(devs), 1e-10)),
+        {"levels": "0 -0.5 -1 -2 -3 -5 -10"},
     )
 
-    started = time.perf_counter()
     min_eigs = []
     witness_margins = []
     for s in _STATION_LEVELS:
@@ -573,29 +446,15 @@ def _suite_stationarity(config: SuiteConfig) -> list[CheckRecord]:
         witness_margins.append(
             _margins_identity(float(np.dot(witness, form.constraint)), 0.0)
         )
-    checks.append(
-        _record(
-            "two-ray-negative-mode",
-            _J_ANCHOR + " attains negative values at the stability eps",
-            _margins_le(min_eigs, np.full(len(min_eigs), -1e-8)),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3 -5"},
-        )
+    yield (
+        "two-ray-negative-mode",
+        _J_ANCHOR + " attains negative values at the stability eps",
+        _margins_le(min_eigs, np.full(len(min_eigs), -1e-8)),
+        {"levels": "0 -0.5 -1 -2 -3 -5"},
     )
 
-    started = time.perf_counter()
-    checks.append(
-        _record(
-            "negative-mode-witness-consistency",
-            _J_ANCHOR,
-            np.array(witness_margins),
-            started,
-            config,
-        )
-    )
+    yield "negative-mode-witness-consistency", _J_ANCHOR, np.array(witness_margins), {}
 
-    started = time.perf_counter()
     a0 = gauss_cdf_inv(0.25)
     hand_threshold = math.pi / (a0 * a0 * gauss_weight(a0))
     lo_eps, hi_eps = 6.0, 12.0
@@ -610,18 +469,13 @@ def _suite_stationarity(config: SuiteConfig) -> list[CheckRecord]:
         else:
             hi_eps = mid
     solver_threshold = 0.5 * (lo_eps + hi_eps)
-    checks.append(
-        _record(
-            "instability-threshold-level-zero",
-            _J_ANCHOR + " changes sign in eps at pi/(a^2 w)",
-            _margins_identity(solver_threshold, hand_threshold, rel=1e-9),
-            started,
-            config,
-            params={"hand_threshold": hand_threshold, "solver_threshold": solver_threshold},
-        )
+    yield (
+        "instability-threshold-level-zero",
+        _J_ANCHOR + " changes sign in eps at pi/(a^2 w)",
+        _margins_identity(solver_threshold, hand_threshold, rel=1e-9),
+        {"hand_threshold": hand_threshold, "solver_threshold": solver_threshold},
     )
 
-    started = time.perf_counter()
     lam_abs = []
     lam_bounds = []
     for s in _STATION_LEVELS + (-10.0, -20.0):
@@ -629,18 +483,13 @@ def _suite_stationarity(config: SuiteConfig) -> list[CheckRecord]:
         report = euler_residual(half_line_set(s), params)
         lam_abs.append(abs(report.lambda_fit))
         lam_bounds.append(params.lambda_pen)
-    checks.append(
-        _record(
-            "half-line-multiplier-bound",
-            "|lambda| <= Lambda",
-            _margins_le(lam_abs, lam_bounds),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3 -5 -10 -20"},
-        )
+    yield (
+        "half-line-multiplier-bound",
+        "|lambda| <= Lambda",
+        _margins_le(lam_abs, lam_bounds),
+        {"levels": "0 -0.5 -1 -2 -3 -5 -10 -20"},
     )
 
-    started = time.perf_counter()
     moments = []
     bounds = []
     for s in _STATION_LEVELS:
@@ -648,52 +497,69 @@ def _suite_stationarity(config: SuiteConfig) -> list[CheckRecord]:
             pts = boundary_points(e)
             moments.append(sum(p.x * p.x * p.weight for p in pts))
             bounds.append(20.0 * math.pi**2 * (1.0 + s * s) * math.exp(-0.5 * s * s))
-    checks.append(
-        _record(
-            "boundary-second-moment-bound",
-            "int over the boundary of (x.omega)^2 dH_gamma <= 20 pi^2 (1+s^2) e^{-s^2/2}",
-            _margins_le(moments, bounds),
-            started,
-            config,
-            params={"levels": "0 -0.5 -1 -2 -3 -5", "families": "two-ray and half-line"},
-        )
+    yield (
+        "boundary-second-moment-bound",
+        "int over the boundary of (x.omega)^2 dH_gamma <= 20 pi^2 (1+s^2) e^{-s^2/2}",
+        _margins_le(moments, bounds),
+        {"levels": "0 -0.5 -1 -2 -3 -5", "families": "two-ray and half-line"},
     )
-    return checks
 
 
 # ---------------------------------------------------------------------------
-# dispatch and emission
+# registry, dispatch and emission
+
+#: Every suite in report order: its row generator and whether it reads the corpus.
+_SUITES = {
+    "measure-oracle": (_suite_measure_oracle, True),
+    "iso": (_suite_iso, True),
+    "barycenter-max": (_suite_barycenter_max, True),
+    "main": (_suite_main, True),
+    "strong-vs-standard": (_suite_strong_vs_standard, True),
+    "alpha-hat-corollary": (_suite_alpha_hat_corollary, True),
+    "excess-identity": (_suite_excess_identity, True),
+    "scalar-functions": (_suite_scalar_functions, False),
+    "stationarity": (_suite_stationarity, False),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationReport:
-    """Run one named suite (or ``all``) and return its report."""
-    if name != "all" and name not in SUITE_NAMES:
+    """Run one named suite (or ``all``) and return its report.
+
+    Each check's ``wall_time`` runs from resuming its suite's generator to
+    the end of its record, so it covers that check's own work only.
+    """
+    if name != "all" and name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
-    corpus_suites = {
-        "measure-oracle": _suite_measure_oracle,
-        "iso": _suite_iso,
-        "barycenter-max": _suite_barycenter_max,
-        "main": _suite_main,
-        "strong-vs-standard": _suite_strong_vs_standard,
-        "alpha-hat-corollary": _suite_alpha_hat_corollary,
-        "excess-identity": _suite_excess_identity,
-    }
-    grid_suites = {
-        "scalar-functions": _suite_scalar_functions,
-        "stationarity": _suite_stationarity,
-    }
     names = SUITE_NAMES if name == "all" else (name,)
-    # the corpus is built before any check's timer starts, so each wall_time
-    # covers only that check's own work
-    corpus = _build_corpus(config) if any(suite in corpus_suites for suite in names) else None
+    # the corpus is built before any check's timer starts
+    corpus = _build_corpus(config) if any(_SUITES[n][1] for n in names) else None
     checks: list[CheckRecord] = []
-    for suite in names:
-        if suite in corpus_suites:
-            checks.extend(corpus_suites[suite](config, corpus))
-        else:
-            checks.extend(grid_suites[suite](config))
+    for suite_name in names:
+        suite, reads_corpus = _SUITES[suite_name]
+        rows = suite(config, corpus) if reads_corpus else suite(config)
+        started = time.perf_counter()
+        for check, anchor, margins, params in rows:
+            margins = np.asarray(margins, dtype=float).ravel()
+            if margins.size == 0:
+                raise ValueError(f"check {check} evaluated no samples")
+            checks.append(
+                CheckRecord(
+                    name=check,
+                    anchor=anchor,
+                    samples=int(margins.size),
+                    violations=int(np.count_nonzero(margins < 0.0)),
+                    worst_margin=float(margins.min()),
+                    params=params,
+                    seed=config.seed,
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+            # the next check's time starts as the for loop resumes the suite
+            started = time.perf_counter()
     return VerificationReport(suite=name, checks=tuple(checks))
 
 

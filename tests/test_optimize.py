@@ -37,15 +37,18 @@ from gaussiso.optimize import (
     _MIN_SEPARATION,
     _endpoint_objective,
     enumerate_templates,
-    half_line_set,
     mass_sweep,
     minimize_penalized_functional,
+)
+from gaussiso.quadrature import QuadSettings, adaptive_quad
+from gaussiso.sets import (
+    IntervalUnion1D,
+    half_line_set,
+    measure,
     symmetric_interval_halfwidth,
     two_ray_endpoint,
     two_ray_set,
 )
-from gaussiso.quadrature import QuadSettings, adaptive_quad
-from gaussiso.sets import IntervalUnion1D, measure
 from gaussiso.special import gauss_cdf, gauss_density
 from gaussiso.stationarity import euler_residual, lagrange_bound_check
 

@@ -10,6 +10,7 @@ from gaussiso import verify
 from gaussiso.corpus import mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT
 from gaussiso.quadrature import QuadSettings
+from gaussiso.sets import mc_measure
 from gaussiso.verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -60,6 +61,7 @@ class TestSuiteConfig:
             {"seed": -1},
             {"main_constant": 0.0},
             {"main_constant": math.inf},
+            {"seed": 1.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -181,6 +183,19 @@ class TestRunSuite:
         # a grid suite builds no corpus
         run_suite("stationarity", SMALL)
         assert len(built) == 1
+
+    def test_each_check_time_lands_on_that_check(self, monkeypatch):
+        def slow_mc_measure(*args, **kwargs):
+            time.sleep(0.05)
+            return mc_measure(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        report = run_suite("measure-oracle", SMALL)
+        checks = {c.name: c for c in report.checks}
+        # SMALL has 20 high-dimensional members, one sleep each
+        assert checks["highdim-measure-vs-monte-carlo"].samples == 20
+        assert checks["highdim-measure-vs-monte-carlo"].wall_time >= 1.0
+        assert checks["interval-measure-vs-quadrature"].wall_time < 1.0
 
     def test_unconverged_oracle_intervals_are_violations(self, monkeypatch):
         # at depth 3 every estimate still matches its closed form within the
