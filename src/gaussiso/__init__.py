@@ -51,7 +51,6 @@ from .sets import (
 )
 from .stationarity import (
     STATION_TOL,
-    BoundaryPoint1D,
     EulerReport,
     QuadraticFormJ,
     boundary_points,

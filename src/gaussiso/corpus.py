@@ -73,15 +73,17 @@ class RandomSetSpec:
             raise ValueError(f"component range must be a pair of integers, got {self.k_range!r}")
         if not 1 <= lo <= hi <= 6:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
-        _check_seed(self.seed)
+        _check_integer(self.seed, "seed", 0)
 
 
-def _check_seed(seed) -> None:
-    # the hash below reads any int, so a bool or a float must be refused here
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+def _check_integer(value, what: str, least: int) -> None:
+    """Refuse a non-integer ``value`` (NumPy integers pass) or one below ``least``, 0 or 1."""
+    # a bool or a float would slip through further down: the seed hash reads
+    # any int, and NumPy takes True as a size
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +289,8 @@ def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
     measures in (0.02, 0.98), and 5% slabs in dimensions 2-5 carrying random
     profiles.
     """
-    if n < 1:
-        raise ValueError(f"corpus size must be positive, got {n!r}")
-    _check_seed(seed)
+    _check_integer(n, "corpus size", 1)
+    _check_integer(seed, "seed", 0)
     n_two_ray = (15 * n) // 100
     n_ball = (10 * n) // 100
     n_slab = (5 * n) // 100

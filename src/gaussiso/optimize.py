@@ -33,7 +33,7 @@ from .functionals import (
     max_barycenter_norm,
     penalized_functional,
 )
-from .corpus import _check_seed, _entropy, _generators
+from .corpus import _check_integer, _entropy, _generators
 from .sets import (
     IntervalUnion1D,
     half_line_set,
@@ -148,11 +148,9 @@ class OptimizerSettings:
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
-        if self.multistarts < 1:
-            raise ValueError(f"multistarts must be positive, got {self.multistarts}")
-        _check_seed(self.seed)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        _check_integer(self.multistarts, "multistarts", 1)
+        _check_integer(self.seed, "seed", 0)
+        _check_integer(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)

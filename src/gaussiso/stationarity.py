@@ -27,6 +27,10 @@ every weighted zero-average phi,
     dF = sum_i (-x_i nu_i + (eps / sqrt(2 pi)) b x_i) phi_i w_i,
     d^2F = sum_i (-1 + (eps / sqrt(2 pi)) b nu_i) phi_i^2 w_i
            + (eps / (2 pi)) (sum_i x_i phi_i w_i)^2.
+
+``_variation`` is the one place these formulas live: the residual, the
+quadratic form (and so the instability threshold the suites bisect for) all
+read its coefficients.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalParams, barycenter, penalized_functional
-from .sets import IntervalUnion1D
+from .functionals import FunctionalParams, penalized_functional
+from .sets import IntervalUnion1D, _profile_sums
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
     "STATION_TOL",
-    "BoundaryPoint1D",
     "EulerReport",
     "QuadraticFormJ",
     "boundary_points",
@@ -59,34 +62,6 @@ STATION_TOL = 1e-8
 
 #: Slack added to the multiplier bound so roundoff at the boundary passes.
 _LAGRANGE_SLACK = 1e-10
-
-#: Agreement required between a stored weight and e^{-x^2/2}.
-_WEIGHT_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class BoundaryPoint1D:
-    """One boundary point of an interval union.
-
-    ``x`` is the location, ``nu`` the exterior normal sign (-1 at an interval's
-    lower endpoint, +1 at an upper endpoint), and ``weight`` the Gaussian
-    boundary weight e^{-x^2/2}.
-    """
-
-    x: float
-    nu: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.x):
-            raise ValueError(f"boundary point location must be finite, got {self.x!r}")
-        if self.nu not in (-1.0, 1.0):
-            raise ValueError(f"normal sign must be -1.0 or +1.0, got {self.nu!r}")
-        expected = gauss_weight(self.x)
-        if not abs(self.weight - expected) <= _WEIGHT_TOL:
-            raise ValueError(
-                f"weight {self.weight!r} does not match e^(-x^2/2) = {expected!r} at x = {self.x!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -153,32 +128,43 @@ class QuadraticFormJ:
         return float(v @ self.matrix @ v)
 
 
-def boundary_points(e: IntervalUnion1D) -> tuple[BoundaryPoint1D, ...]:
-    """Finite boundary points of ``e`` in increasing order.
+def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Locations ``x``, exterior normal signs ``nu`` and weights ``w`` of the
+    finite boundary of ``e``, in increasing order.
 
-    Lower endpoints carry exterior normal -1, upper endpoints +1; infinite
-    endpoints contribute no boundary point.
+    Lower endpoints carry exterior normal -1, upper endpoints +1, and the
+    weight is e^{-x^2/2}; infinite endpoints contribute no boundary point, so
+    the full line gives three empty arrays.
     """
-    pts: list[BoundaryPoint1D] = []
+    x: list[float] = []
+    nu: list[float] = []
     for lo, hi in e.intervals:
-        if math.isfinite(lo):
-            pts.append(BoundaryPoint1D(x=lo, nu=-1.0, weight=gauss_weight(lo)))
-        if math.isfinite(hi):
-            pts.append(BoundaryPoint1D(x=hi, nu=1.0, weight=gauss_weight(hi)))
-    return tuple(pts)
+        for end, sign in ((lo, -1.0), (hi, 1.0)):
+            if math.isfinite(end):
+                x.append(end)
+                nu.append(sign)
+    # math.exp per point: np.exp can differ from it in the last bit
+    w = [gauss_weight(v) for v in x]
+    return np.array(x, dtype=float), np.array(nu, dtype=float), np.array(w, dtype=float)
 
 
-def _boundary_arrays(
-    e: IntervalUnion1D, what: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Locations, normal signs and weights of the finite boundary, and b(E)."""
-    pts = boundary_points(e)
-    if not pts:
+def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple[np.ndarray, ...]:
+    """Coefficients of the first and second variation of F at ``e``.
+
+    Returns ``(w, g, h, db)`` such that, along ``mass_preserving_flow`` with
+    normal velocity phi, dF = sum_i g_i phi_i w_i and
+    d^2F = sum_i h_i phi_i^2 + eps (sum_i db_i phi_i)^2 (see the module
+    docstring).  Raises ValueError, naming ``what``, for a set with no finite
+    boundary point.
+    """
+    x, nu, w = boundary_points(e)
+    if not x.size:
         raise ValueError(f"set has no finite boundary point; {what} is empty")
-    x = np.array([p.x for p in pts])
-    nu = np.array([p.nu for p in pts])
-    w = np.array([p.weight for p in pts])
-    return x, nu, w, float(barycenter(e)[0])
+    # (eps/sqrt(2 pi)) b(E), with b(E) the same sum barycenter returns
+    coupling = (params.eps / SQRT_2PI) * _profile_sums(e.intervals)[2]
+    g = -x * nu + coupling * x
+    h = (-1.0 + coupling * nu) * w
+    return w, g, h, x * w / SQRT_2PI
 
 
 def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
@@ -186,20 +172,17 @@ def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
 
     The first variation of the penalized functional along a normal velocity
     phi is sum_i r_i phi_i w_i with these residuals r_i (see the module
-    docstring).  The mean curvature term vanishes on a point boundary, so
-    stationarity asks the residual to be a single constant (the Lagrange
-    multiplier of the mass constraint) across all boundary points.
-    ``lambda_fit`` recovers that constant as the weighted mean of the
-    residuals under the boundary weights, and ``max_dev`` measures how far the
-    set is from satisfying the condition.
+    docstring).  With no mean curvature on a point boundary, stationarity
+    asks the residuals to be one constant, the Lagrange multiplier of the
+    mass constraint.  ``lambda_fit`` recovers it as the weighted mean of the
+    residuals, and ``max_dev`` measures how far the set is from the condition.
 
     Raises ValueError for sets with no finite boundary point.
     """
-    x, nu, w, b = _boundary_arrays(e, "the residual equation")
-    residuals = -x * nu + (params.eps / SQRT_2PI) * b * x
-    lambda_fit = float(np.dot(residuals, w) / np.sum(w))
-    max_dev = float(np.max(np.abs(residuals - lambda_fit)))
-    return EulerReport(residuals=tuple(float(r) for r in residuals), lambda_fit=lambda_fit, max_dev=max_dev)
+    w, g, _, _ = _variation(e, params, "the residual equation")
+    lambda_fit = float(np.dot(g, w) / np.sum(w))
+    max_dev = float(np.max(np.abs(g - lambda_fit)))
+    return EulerReport(residuals=tuple(g.tolist()), lambda_fit=lambda_fit, max_dev=max_dev)
 
 
 def lagrange_bound_check(report: EulerReport, params: FunctionalParams) -> bool:
@@ -214,21 +197,15 @@ def lagrange_bound_check(report: EulerReport, params: FunctionalParams) -> bool:
 def second_variation_form(e: IntervalUnion1D, params: FunctionalParams) -> QuadraticFormJ:
     """Second-variation form J over boundary values of a one-dimensional set.
 
-    With k boundary points,
-    J[phi] = sum_i (-1 + (eps/sqrt(2 pi))*b*nu_i) phi_i^2 w_i
-    + (eps/(2 pi)) * (sum_i phi_i x_i w_i)^2, realized as the symmetric matrix
-    diag((-1 + (eps/sqrt(2 pi))*b*nu_i) w_i) plus the rank-one term
-    (eps/(2 pi)) * (x_i w_i)(x_j w_j).  This is the exact second derivative
+    J is the symmetric matrix diag(h) + eps * db db^T built from the
+    coefficients of ``_variation``, so J[phi] is the exact second derivative
     of ``penalized_functional`` along ``mass_preserving_flow`` for every
     weighted zero-average phi (see the module docstring).  The admissible
-    perturbations are those with weighted zero average, recorded in
+    perturbations, those with weighted zero average, are recorded in
     ``constraint``.
     """
-    x, nu, w, b = _boundary_arrays(e, "the form")
-    diag = (-1.0 + (params.eps / SQRT_2PI) * b * nu) * w
-    db = x * w / SQRT_2PI
-    matrix = np.diag(diag) + params.eps * np.outer(db, db)
-    return QuadraticFormJ(matrix=matrix, constraint=w)
+    w, _, h, db = _variation(e, params, "the form")
+    return QuadraticFormJ(matrix=np.diag(h) + params.eps * np.outer(db, db), constraint=w)
 
 
 def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
@@ -280,31 +257,25 @@ def mass_preserving_flow(e: IntervalUnion1D, phi: np.ndarray, t: float) -> Inter
     Raises ValueError when phi has the wrong length or the requested time
     pushes an endpoint outside the valid mass range or across a neighbor.
     """
-    pts = boundary_points(e)
+    x, nu, w = boundary_points(e)
     v = np.asarray(phi, dtype=float)
-    if v.shape != (len(pts),):
+    if v.shape != x.shape:
         raise ValueError(
-            f"expected one velocity per finite boundary point ({len(pts)}), got shape {v.shape}"
+            f"expected one velocity per finite boundary point ({x.size}), got shape {v.shape}"
         )
-    shifts = iter(
-        (p, float(vel)) for p, vel in zip(pts, v)
-    )
-
-    def moved(x: float) -> float:
-        p, vel = next(shifts)
-        target = gauss_cdf(p.x) + t * p.nu * vel * p.weight / SQRT_2PI
+    targets = [gauss_cdf(p) + d for p, d in zip(x.tolist(), (t * nu * v * w / SQRT_2PI).tolist())]
+    for p, target in zip(x.tolist(), targets):
         if not 0.0 < target < 1.0:
             raise ValueError(
-                f"flow time {t!r} pushes the boundary point at {p.x!r} outside the mass range"
+                f"flow time {t!r} pushes the boundary point at {p!r} outside the mass range"
             )
-        return gauss_cdf_inv(target)
-
-    intervals = []
-    for lo, hi in e.intervals:
-        new_lo = moved(lo) if math.isfinite(lo) else lo
-        new_hi = moved(hi) if math.isfinite(hi) else hi
-        intervals.append((new_lo, new_hi))
-    return IntervalUnion1D(intervals=tuple(intervals))
+    moved = iter([gauss_cdf_inv(target) for target in targets])
+    return IntervalUnion1D(
+        intervals=tuple(
+            (next(moved) if math.isfinite(lo) else lo, next(moved) if math.isfinite(hi) else hi)
+            for lo, hi in e.intervals
+        )
+    )
 
 
 def second_derivative_along_flow(

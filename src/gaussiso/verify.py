@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.special import log_ndtr as _vector_log_cdf
 from scipy.special import ndtr as _vector_cdf
 
-from .corpus import _check_seed, _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
+from .corpus import _check_integer, _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
@@ -90,9 +90,8 @@ class SuiteConfig:
     main_constant: float = STABILITY_CONSTANT
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples!r}")
-        _check_seed(self.seed)
+        _check_integer(self.samples, "samples", 1)
+        _check_integer(self.seed, "seed", 0)
         if not (self.main_constant > 0.0 and math.isfinite(self.main_constant)):
             raise ValueError(f"main_constant must be positive, got {self.main_constant!r}")
 
@@ -494,8 +493,8 @@ def _suite_stationarity(config: SuiteConfig):
     bounds = []
     for s in _STATION_LEVELS:
         for e in (two_ray_set(s), half_line_set(s)):
-            pts = boundary_points(e)
-            moments.append(sum(p.x * p.x * p.weight for p in pts))
+            x, _, w = boundary_points(e)
+            moments.append(float(np.sum(x * x * w)))
             bounds.append(20.0 * math.pi**2 * (1.0 + s * s) * math.exp(-0.5 * s * s))
     yield (
         "boundary-second-moment-bound",
@@ -567,17 +566,26 @@ def format_number(x) -> str:
     """A bool, int or float as report text: floats with 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
+    if isinstance(x, (int, np.integer)):
         return str(x)
     return format(float(x), ".17g")
 
 
 def json_value(value) -> str:
-    """Deterministic JSON text with keys sorted and numbers as in format_number."""
+    """Deterministic JSON text with numbers as in format_number.
+
+    Dict keys are sorted; a dataclass instance keeps its fields in
+    declaration order.
+    """
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, (bool, int, float)):
+    if isinstance(value, (bool, int, np.integer, float)):
         return format_number(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        inner = ", ".join(
+            f"{json.dumps(f.name)}: {json_value(getattr(value, f.name))}" for f in fields(value)
+        )
+        return "{" + inner + "}"
     if isinstance(value, dict):
         inner = ", ".join(
             f"{json.dumps(str(k))}: {json_value(value[k])}" for k in sorted(value)
@@ -590,32 +598,12 @@ def json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def _check_json(check: CheckRecord) -> str:
-    parts = [
-        f'"name": {json.dumps(check.name)}',
-        f'"anchor": {json.dumps(check.anchor)}',
-        f'"samples": {check.samples}',
-        f'"violations": {check.violations}',
-        f'"worst_margin": {format_number(check.worst_margin)}',
-        f'"params": {json_value(check.params)}',
-        f'"seed": {check.seed}',
-        f'"wall_time": {format_number(check.wall_time)}',
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
 def render_report(report: VerificationReport, format: str = "json") -> str:
     """Serialize the report as JSON or CSV text with 17-significant-digit numbers."""
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     if format == "json":
-        return (
-            '{"suite": '
-            + json.dumps(report.suite)
-            + ', "checks": ['
-            + ", ".join(_check_json(c) for c in report.checks)
-            + "]}\n"
-        )
+        return json_value(report) + "\n"
     lines = ["name,anchor,samples,violations,worst_margin,seed,wall_time"]
     for c in report.checks:
         if "," in c.name or "," in c.anchor:

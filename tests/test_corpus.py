@@ -171,6 +171,14 @@ class TestMixedCorpus:
         with pytest.raises(ValueError, match="seed must be an integer"):
             mixed_corpus(10, seed=seed)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, "10"])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="corpus size must be an integer"):
+            mixed_corpus(n)
+
+    def test_numpy_integer_size_accepted(self):
+        assert mixed_corpus(np.int64(5), seed=9) == mixed_corpus(5, seed=9)
+
 
 def _numpy_route(spec: RandomSetSpec) -> IntervalUnion1D:
     """The reference draw: a fresh ``default_rng(SeedSequence([seed]))`` on arrays."""

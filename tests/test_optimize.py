@@ -159,6 +159,10 @@ class TestSettings:
             {"multistarts": 0},
             {"seed": -1},
             {"max_iters": 0},
+            {"multistarts": 2.5},
+            {"multistarts": True},
+            {"max_iters": 1.5},
+            {"max_iters": 100.0},
         ],
     )
     def test_validation(self, kwargs):

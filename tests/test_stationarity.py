@@ -33,7 +33,6 @@ from gaussiso.sets import IntervalUnion1D
 from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
     STATION_TOL,
-    BoundaryPoint1D,
     EulerReport,
     QuadraticFormJ,
     boundary_points,
@@ -74,11 +73,7 @@ def symmetric_interval(s: float) -> IntervalUnion1D:
 
 def boundary_data(e: IntervalUnion1D):
     """Boundary locations, normal signs and weights as arrays, and b(E)."""
-    pts = boundary_points(e)
-    x = np.array([p.x for p in pts])
-    nu = np.array([p.nu for p in pts])
-    w = np.array([p.weight for p in pts])
-    return x, nu, w, barycenter(e)[0]
+    return (*boundary_points(e), barycenter(e)[0])
 
 
 PARAMS_0 = stability_params(0.0)
@@ -87,42 +82,32 @@ PARAMS_M1 = stability_params(-1.0)
 
 class TestBoundaryPoints:
     def test_two_ray_points_sorted_with_normals(self):
-        pts = boundary_points(two_ray_e0())
-        assert [p.x for p in pts] == [A0, -A0]
-        assert [p.nu for p in pts] == [1.0, -1.0]
-        assert pts[0].weight == pts[1].weight == W0
+        x, nu, w = boundary_points(two_ray_e0())
+        assert x.tolist() == [A0, -A0]
+        assert nu.tolist() == [1.0, -1.0]
+        assert w.tolist() == [W0, W0]
 
     def test_bounded_interval_normals(self):
-        pts = boundary_points(IntervalUnion1D(intervals=((0.0, 1.0),)))
-        assert [(p.x, p.nu) for p in pts] == [(0.0, -1.0), (1.0, 1.0)]
-        assert pts[0].weight == 1.0
-        assert pts[1].weight == pytest.approx(math.exp(-0.5), rel=1e-15)
+        x, nu, w = boundary_points(IntervalUnion1D(intervals=((0.0, 1.0),)))
+        assert list(zip(x.tolist(), nu.tolist())) == [(0.0, -1.0), (1.0, 1.0)]
+        assert w[0] == 1.0
+        assert w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_half_line_single_point(self):
-        pts = boundary_points(IntervalUnion1D(intervals=((-math.inf, -1.0),)))
-        assert len(pts) == 1
-        assert (pts[0].x, pts[0].nu) == (-1.0, 1.0)
+        x, nu, w = boundary_points(IntervalUnion1D(intervals=((-math.inf, -1.0),)))
+        assert x.shape == nu.shape == w.shape == (1,)
+        assert (x[0], nu[0]) == (-1.0, 1.0)
 
     def test_full_line_has_no_points(self):
-        assert boundary_points(IntervalUnion1D(intervals=((-math.inf, math.inf),))) == ()
+        x, nu, w = boundary_points(IntervalUnion1D(intervals=((-math.inf, math.inf),)))
+        assert x.shape == nu.shape == w.shape == (0,)
 
     def test_normals_alternate_on_multi_interval_set(self):
         e = IntervalUnion1D(intervals=((-2.0, -1.0), (0.0, 1.5), (2.0, math.inf)))
-        pts = boundary_points(e)
-        assert [p.nu for p in pts] == [-1.0, 1.0, -1.0, 1.0, -1.0]
-        assert [p.x for p in pts] == sorted(p.x for p in pts)
-
-    def test_point_validation_rejects_bad_normal(self):
-        with pytest.raises(ValueError, match="normal sign"):
-            BoundaryPoint1D(x=0.0, nu=0.5, weight=1.0)
-
-    def test_point_validation_rejects_wrong_weight(self):
-        with pytest.raises(ValueError, match="does not match"):
-            BoundaryPoint1D(x=1.0, nu=1.0, weight=0.5)
-
-    def test_point_validation_rejects_infinite_location(self):
-        with pytest.raises(ValueError, match="finite"):
-            BoundaryPoint1D(x=math.inf, nu=1.0, weight=0.0)
+        x, nu, w = boundary_points(e)
+        assert nu.tolist() == [-1.0, 1.0, -1.0, 1.0, -1.0]
+        assert x.tolist() == sorted(x.tolist())
+        assert w.tolist() == [gauss_weight(v) for v in x.tolist()]
 
 
 class TestEulerResidual:
@@ -160,8 +145,7 @@ class TestEulerResidual:
     def test_report_fields_are_consistent(self):
         e = IntervalUnion1D(intervals=((-1.3, 0.2), (0.9, 2.4)))
         report = euler_residual(e, PARAMS_0)
-        pts = boundary_points(e)
-        w = np.array([p.weight for p in pts])
+        _, _, w = boundary_points(e)
         r = np.array(report.residuals)
         assert report.lambda_fit == pytest.approx(float(np.dot(r, w) / w.sum()), abs=1e-15)
         assert report.max_dev == pytest.approx(float(np.max(np.abs(r - report.lambda_fit))), abs=1e-15)
@@ -429,9 +413,9 @@ class TestSecondDerivativeAlongFlow:
 
     def test_fd_matches_exact_expression_on_asymmetric_interval(self):
         e = IntervalUnion1D(intervals=((-0.3, 1.7),))
-        pts = boundary_points(e)
+        _, _, w = boundary_points(e)
         # Zero-average direction for unequal weights.
-        phi = np.array([1.0 / pts[0].weight, -1.0 / pts[1].weight])
+        phi = np.array([1.0 / w[0], -1.0 / w[1]])
         params = FunctionalParams(s=0.0, eps=2.5, lambda_pen=3.0)
         fd = second_derivative_along_flow(e, params, phi)
         assert fd == pytest.approx(self.exact_second_derivative(e, params, phi), rel=1e-5)
@@ -509,7 +493,7 @@ def _set_and_direction(draw):
     if draw(st.booleans()):
         intervals[-1][1] = math.inf
     e = IntervalUnion1D(intervals=tuple(tuple(iv) for iv in intervals))
-    w = np.array([p.weight for p in boundary_points(e)])
+    _, _, w = boundary_points(e)
     assume(len(w) >= 2)
     raw = np.array(
         draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=len(w), max_size=len(w)))

@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from gaussiso import verify
@@ -62,6 +63,9 @@ class TestSuiteConfig:
             {"main_constant": 0.0},
             {"main_constant": math.inf},
             {"seed": 1.5},
+            {"samples": 2.5},
+            {"samples": True},
+            {"samples": 300.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -265,6 +269,67 @@ class TestRenderAndEmit:
             == "name,anchor,samples,violations,worst_margin,seed,wall_time\n"
         )
         assert json.loads(render_report(empty, "json")) == {"suite": "none", "checks": []}
+
+    def test_hand_built_report_text_is_frozen(self):
+        # pinned text: field order, key sorting and number formatting, which a
+        # parsed-record comparison cannot see
+        hand_built = VerificationReport(
+            suite="demo",
+            checks=(
+                CheckRecord(
+                    name="first-check",
+                    anchor='a <= b "quoted"',
+                    samples=3,
+                    violations=0,
+                    worst_margin=0.1,
+                    params={
+                        "levels": "0 -1",
+                        "count": 7,
+                        "ratio": 1 / 3,
+                        "flag": True,
+                        "nested": {"z": -2.5e-300, "a": [1, 2.0, False], "m": None},
+                    },
+                    seed=5,
+                    wall_time=0.25,
+                ),
+                CheckRecord(
+                    name="second-check",
+                    anchor="x = y",
+                    samples=1,
+                    violations=1,
+                    worst_margin=-1e-12,
+                    seed=5,
+                    wall_time=1.0,
+                ),
+            ),
+        )
+        assert render_report(hand_built, "json") == (
+            '{"suite": "demo", "checks": [{"name": "first-check", '
+            '"anchor": "a <= b \\"quoted\\"", "samples": 3, "violations": 0, '
+            '"worst_margin": 0.10000000000000001, "params": {"count": 7, "flag": true, '
+            '"levels": "0 -1", "nested": {"a": [1, 2, false], "m": null, "z": -2.5e-300}, '
+            '"ratio": 0.33333333333333331}, "seed": 5, "wall_time": 0.25}, '
+            '{"name": "second-check", "anchor": "x = y", "samples": 1, "violations": 1, '
+            '"worst_margin": -9.9999999999999998e-13, "params": {}, "seed": 5, '
+            '"wall_time": 1}]}\n'
+        )
+        assert render_report(hand_built, "csv") == (
+            "name,anchor,samples,violations,worst_margin,seed,wall_time\n"
+            'first-check,a <= b "quoted",3,0,0.10000000000000001,5,0.25\n'
+            "second-check,x = y,1,1,-9.9999999999999998e-13,5,1\n"
+        )
+
+    def test_numpy_integer_seed_renders_as_int(self):
+        def one_check(seed):
+            record = CheckRecord(
+                name="x", anchor="y", samples=1, violations=0, worst_margin=0.5, seed=seed
+            )
+            return VerificationReport(suite="x", checks=(record,))
+
+        for format in ("json", "csv"):
+            assert render_report(one_check(np.int64(2**60 + 1)), format) == render_report(
+                one_check(2**60 + 1), format
+            )
 
     def test_bad_format_rejected(self, report):
         with pytest.raises(ValueError, match="format"):
