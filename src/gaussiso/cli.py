@@ -3,7 +3,7 @@
 Subcommands: ``eval`` prints every derived quantity of one set descriptor;
 ``verify`` runs a named check suite over the mixed corpus and grids;
 ``minimize`` searches for the minimizer of the penalized functional (with
-``--diagnostics``, also reporting every local search start);
+``--diagnostics``, also reporting every simplex start or face piece);
 ``sweep`` tabulates the two-ray deficit-to-asymmetry ratio along a list of
 mass levels.  Exit codes: 0 success with zero violations, 1 at least one
 violation, 2 usage or input error.
@@ -64,10 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--lambda", dest="lambda_pen", default="paper",
                        help="mass-penalty weight: a number or 'paper'")
     p_min.add_argument("--kmax", type=int, default=3)
-    p_min.add_argument("--starts", type=int, default=64)
-    p_min.add_argument("--seed", type=int, default=0)
+    p_min.add_argument("--starts", type=int, default=64,
+                       help="random simplex starts; used only when eps >= 2 pi")
+    p_min.add_argument("--seed", type=int, default=0,
+                       help="seed of the random simplex starts; used only when eps >= 2 pi")
     p_min.add_argument("--diagnostics", action="store_true",
-                       help="add every start's outcome to the output as a 'starts' list")
+                       help="add every start's or face piece's outcome as a 'starts' list")
 
     p_sweep = sub.add_parser("sweep", help="two-ray ratio sweep over mass levels")
     p_sweep.add_argument("--s-list", required=True,

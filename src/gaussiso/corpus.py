@@ -69,10 +69,11 @@ class RandomSetSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.k_range
-        if not (isinstance(lo, int) and isinstance(hi, int)) or isinstance(lo, bool) or isinstance(hi, bool):
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (lo, hi)):
             raise ValueError(f"component range must be a pair of integers, got {self.k_range!r}")
         if not 1 <= lo <= hi <= 6:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
+        object.__setattr__(self, "k_range", (int(lo), int(hi)))
         _check_integer(self.seed, "seed", 0)
 
 

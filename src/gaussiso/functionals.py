@@ -99,8 +99,12 @@ _EXCESS_IDENTITY_TOL = 1e-10
 
 
 def _check_consistent(deficit: np.ndarray, beta: np.ndarray, excess: np.ndarray) -> None:
-    """Raise ValueError unless every member's quantities are mutually consistent."""
+    """Raise ValueError unless every member's quantities are finite and
+    mutually consistent; a non-finite perimeter shows as a non-finite deficit."""
     for name, column in (("deficit", deficit), ("strong asymmetry", beta), ("excess", excess)):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise ValueError(f"non-finite {name} {float(column[bad][0])!r}")
         bad = column < -_NEGATIVE_TOL
         if bad.any():
             raise ValueError(f"negative {name} {float(column[bad][0])!r}")

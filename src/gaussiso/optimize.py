@@ -3,21 +3,48 @@
 The search space is the family of interval unions with at most ``k_max``
 components, parameterized per template (an optional left ray, an optional
 right ray, and a number of bounded intervals) by the vector of finite
-endpoints in increasing order.  A derivative-free simplex search runs from
-deterministic and random multistart initializations per template; ordering is
-enforced by penalization inside the objective so the search stays
-unconstrained.
+endpoints in increasing order. Which search runs depends on the barycenter
+weight alone: below ``eps = 2 pi`` an exact face search, otherwise a
+multistart simplex search. Both evaluate F through the same closed-form
+endpoint objective, so no set is built per evaluation.
 
-The search is an in-house non-adaptive Nelder-Mead on Python lists with the
-floating-point operations of SciPy's ``minimize(method="Nelder-Mead")``, and
-its objective computes F straight from the endpoint list, so no set is built
-per evaluation.  Vertices are ordered by a stable sort, so vertices with tied
-values keep their order and every result is the same on every machine.
+Why the face search is complete for eps < 2 pi. Write ``u_i = Phi(x_i)`` for
+the finite endpoints, ``nu_i = +-1`` for their outer normals and ``w_i`` for
+their weights ``exp(-x_i^2/2)``. The mass is linear in ``u``, and off the
+mass kink ``gamma(E) = Phi(params.s)`` the Hessian of F in ``u`` is
 
-The random starts are seeded by the corpus's bulk seeding code, and the
-named competitor starts (half-line, two-ray set, symmetric interval) come
-from :mod:`gaussiso.sets`.  The module also provides the mass-dependence
-sweep of the deficit-to-asymmetry ratio along the two-ray family.
+    diag((-2 pi + sqrt(2 pi) eps b nu_i) / w_i) + eps (nu x)(nu x)^T.
+
+Since ``|b| <= 1/sqrt(2 pi)`` for every set, the diagonal is negative
+definite when eps < 2 pi, and a rank-one update leaves at most one eigenvalue
+``>= 0``. So no local minimum has two or more endpoints off the kink. On the
+kink F is smooth along the kink hyperplane, and restricting to a hyperplane
+removes at most one negative eigenvalue, so no local minimum has three or
+more endpoints on it. Endpoints that collide or escape to +-inf give a
+template with fewer endpoints. Every minimizer over the templates up to
+``k_max`` therefore lies on one of four one-dimensional faces: the left ray
+``(-inf, x)``, the right ray ``(x, inf)``, the bounded interval on the kink,
+and (for ``k_max >= 2``) the two-ray set on the kink.
+
+F is invariant under the reflection ``x -> -x``. It maps each kink face onto
+itself, so each kink face is searched in its left endpoint, from its
+symmetric set outward. It also swaps the two rays; both are searched, so
+that a tie between them resolves by the same rule as on the simplex path.
+Every piece is a grid followed by a golden-section refinement inside each
+strict interior grid minimum; each ray's two pieces start at its kink point.
+
+The simplex search is an in-house non-adaptive Nelder-Mead on Python lists
+with the floating-point operations of SciPy's ``minimize(method=
+"Nelder-Mead")``, run from deterministic and random multistart
+initializations per template; ordering is enforced by penalization inside
+the objective so the search stays unconstrained. Vertices are ordered by a
+stable sort, so vertices with tied values keep their order and every result
+is the same on every machine. Its random starts are seeded by the corpus's
+bulk seeding code, and the named competitor starts (half-line, two-ray set,
+symmetric interval) come from :mod:`gaussiso.sets`.
+
+The module also provides the mass-dependence sweep of the
+deficit-to-asymmetry ratio along the two-ray family.
 """
 
 from __future__ import annotations
@@ -41,7 +68,7 @@ from .sets import (
     symmetric_interval_halfwidth,
     two_ray_endpoint,
 )
-from .special import SQRT_2PI, gauss_cdf, gauss_weight
+from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
     "IntervalTemplate",
@@ -69,6 +96,21 @@ _STEP_TOL = 1e-10
 #: Value tolerance of the stopping test; also the margin within which a
 #: value counts as tied with the best (or with the half-line's).
 _F_TOL = 1e-12
+
+#: Below this barycenter weight the face search is complete (module docstring).
+_FACE_SEARCH_EPS = 2.0 * math.pi
+
+#: Points of the grid each face piece is evaluated on, its ends included.
+_GRID_POINTS = 120
+
+#: The faces reach this far past ``|params.s|``: beyond it exp(-x^2/2) and
+#: the Gaussian tail are below 3e-18, so F is within that of its limit.
+_REACH = 9.0
+
+#: Golden-section shrink factor, and an iteration cap that a grid bracket
+#: never reaches before its width falls below _STEP_TOL.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 100
 
 _LN2 = math.log(2.0)
 
@@ -141,7 +183,7 @@ def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Multistart simplex-search configuration."""
+    """Multistart simplex-search configuration, read only when eps >= 2 pi."""
 
     multistarts: int = 64
     seed: int = 0
@@ -155,7 +197,7 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class StartDiagnostic:
-    """Outcome of one local search start."""
+    """Outcome of one simplex start or of one searched face piece."""
 
     template: str
     kind: str
@@ -168,7 +210,7 @@ class StartDiagnostic:
 
 @dataclass(frozen=True, eq=False)
 class MinimizeOutcome:
-    """Global result of the multistart search with per-start diagnostics."""
+    """Global result of the search, with one diagnostic per start or face piece."""
 
     best_set: IntervalUnion1D
     best_value: float
@@ -325,37 +367,13 @@ def _deterministic_starts(
     return starts
 
 
-def minimize_penalized_functional(
+def _multistart_search(
     s: float,
     params: FunctionalParams,
-    k_max: int = 3,
-    settings: OptimizerSettings = OptimizerSettings(),
-) -> MinimizeOutcome:
-    """Multistart derivative-free minimization over all templates up to ``k_max``.
-
-    Runs a Nelder-Mead simplex search from ``settings.multistarts`` random
-    initializations (Gaussian endpoint proposal, scale 2, distributed across
-    templates) plus the deterministic competitor starts (half-line at s,
-    matched two-ray set, origin-symmetric interval of the same mass).  Each
-    search stops when the simplex is within 1e-10 of its best vertex and its
-    values within 1e-12, or after ``max_iters`` evaluations of the objective.
-    Fully deterministic for a fixed seed, on every machine: vertices are
-    ordered by a stable sort.  Per-start outcomes are reported; a start that
-    fails to converge is recorded, and the call fails only if every start
-    fails.  The half-line is always among the starts, so
-    ``best_value <= half_line_value + 1e-12`` holds on return, and
-    ``half_line_optimal`` records whether the half-line remained the global
-    optimum among explored configurations.
-
-    Ties within 1e-12 of the best value resolve to fewer finite
-    endpoints, then fewer components: energy alone cannot distinguish a
-    half-line from a bounded interval whose far endpoint has escaped beyond
-    floating-point support.
-    """
-    templates = enumerate_templates(k_max)
-    if not math.isfinite(s):
-        raise ValueError(f"mass level must be finite, got {s!r}")
-
+    templates: tuple[IntervalTemplate, ...],
+    settings: OptimizerSettings,
+) -> list[tuple[IntervalTemplate, StartDiagnostic]]:
+    """The simplex search from every random and named start, one diagnostic each."""
     planned: list[tuple[IntervalTemplate, str, list[float]]] = []
     per_template, extra = divmod(settings.multistarts, len(templates))
     # start i draws from default_rng(SeedSequence([seed, i]))
@@ -367,38 +385,196 @@ def minimize_penalized_functional(
     planned.extend(_deterministic_starts(s, templates))
 
     target = gauss_cdf(params.s)
-    diagnostics: list[StartDiagnostic] = []
-    candidates: list[tuple[tuple, IntervalTemplate, float]] = []
+    searched = []
     for template, kind, theta0 in planned:
         objective = _endpoint_objective(template, params, target)
         x, fun, evaluations, success = _nelder_mead(
             objective, theta0, _STEP_TOL, _F_TOL, settings.max_iters
         )
         final_value = fun if math.isfinite(fun) else math.inf
-        endpoints = tuple(x)
-        diagnostics.append(
-            StartDiagnostic(
-                template=template.describe(),
-                kind=kind,
-                start_value=objective(theta0),
-                final_value=final_value,
-                converged=success and math.isfinite(final_value),
-                evaluations=evaluations,
-                endpoints=endpoints,
-            )
+        diagnostic = StartDiagnostic(
+            template=template.describe(),
+            kind=kind,
+            start_value=objective(theta0),
+            final_value=final_value,
+            converged=success and math.isfinite(final_value),
+            evaluations=evaluations,
+            endpoints=tuple(x),
         )
-        if final_value < _ORDER_PENALTY / 2.0:
-            ranking = (template.dimension, template.components, final_value, endpoints)
-            candidates.append((ranking, template, final_value))
+        searched.append((template, diagnostic))
+    return searched
 
+
+def _golden_section(g, a: float, c: float) -> tuple[float, float, bool]:
+    """Shrink the bracket ``[a, c]`` (in either order) around a minimum of
+    ``g`` by golden section until it is narrower than _STEP_TOL:
+    ``(value, t, converged)`` of the lowest point evaluated."""
+    x1 = c - _GOLDEN * (c - a)
+    x2 = a + _GOLDEN * (c - a)
+    f1, f2 = g(x1), g(x2)
+    best = min((f1, x1), (f2, x2))
+    for _ in range(_GOLDEN_ITERS):
+        if abs(c - a) <= _STEP_TOL:
+            break
+        if f1 <= f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - _GOLDEN * (c - a)
+            f1 = g(x1)
+            best = min(best, (f1, x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (c - a)
+            f2 = g(x2)
+            best = min(best, (f2, x2))
+    return best[0], best[1], abs(c - a) <= _STEP_TOL
+
+
+def _search_piece(template, kind, objective, endpoints_of, grid: list[float]) -> StartDiagnostic:
+    """Evaluate the face piece ``t -> endpoints_of(t)`` on ``grid``, then
+    refine every strict interior grid minimum by golden section."""
+    evaluations = 0
+
+    def g(t: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return objective(endpoints_of(t))
+
+    values = [g(t) for t in grid]
+    best = min(zip(values, grid))
+    converged = True
+    for i in range(1, len(grid) - 1):
+        if values[i] < values[i - 1] and values[i] < values[i + 1]:
+            value, t, refined = _golden_section(g, grid[i - 1], grid[i + 1])
+            best = min(best, (value, t))
+            converged = converged and refined
+    return StartDiagnostic(
+        template=template.describe(),
+        kind=kind,
+        start_value=values[0],
+        final_value=best[0],
+        converged=converged,
+        evaluations=evaluations,
+        endpoints=tuple(endpoints_of(best[1])),
+    )
+
+
+def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTemplate, StartDiagnostic]]:
+    """Search the faces that hold every minimizer when eps < 2 pi (module
+    docstring), one diagnostic per searched piece.
+
+    Each ray is searched from its kink point, where its mass is
+    ``Phi(params.s)``, out to ``|params.s| + 9`` on the side of smaller mass
+    (kind ``below-kink``) and on the side of larger mass (``above-kink``).
+    The bounded and the two-ray face (``kink``) are searched in their left
+    endpoint ``a``, from the symmetric set on the kink down to
+    ``-(|params.s| + 9)``; the mass equation gives the right endpoint. A
+    piece's ``evaluations`` counts its objective evaluations, its
+    ``start_value`` is the first of them, and it has ``converged`` when every
+    golden-section bracket narrowed below 1e-10.
+    """
+    target = gauss_cdf(params.s)
+    reach = abs(params.s) + _REACH
+
+    def ray(x: float) -> list[float]:
+        return [x]
+
+    def bounded(a: float) -> list[float]:
+        # Phi(b) - Phi(a) = target
+        return [a, gauss_cdf_inv(gauss_cdf(a) + target)]
+
+    def two_ray(a: float) -> list[float]:
+        # Phi(a) + Phi(-b) = target
+        return [a, -gauss_cdf_inv(target - gauss_cdf(a))]
+
+    left = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
+    right = IntervalTemplate(left_ray=False, right_ray=True, bounded=0)
+    pieces = [
+        (left, "below-kink", ray, params.s, -reach),
+        (left, "above-kink", ray, params.s, reach),
+        (right, "below-kink", ray, -params.s, reach),
+        (right, "above-kink", ray, -params.s, -reach),
+    ]
+    # the kink faces start from their symmetric sets (-q, q) and
+    # (-inf, a) u (-a, inf); a target within an ulp of 0 or 1 leaves none
+    kink_faces = [(IntervalTemplate(left_ray=False, right_ray=False, bounded=1), bounded,
+                   -gauss_cdf_inv((1.0 + target) / 2.0))]
+    if k_max >= 2:
+        kink_faces.append((IntervalTemplate(left_ray=True, right_ray=True, bounded=0), two_ray,
+                           gauss_cdf_inv(target / 2.0)))
+    pieces += [
+        (template, "kink", endpoints_of, start, -reach)
+        for template, endpoints_of, start in kink_faces
+        if 0.0 < target < 1.0 and math.isfinite(start)
+    ]
+    return [
+        (
+            template,
+            _search_piece(
+                template,
+                kind,
+                _endpoint_objective(template, params, target),
+                endpoints_of,
+                np.linspace(start, stop, _GRID_POINTS).tolist(),
+            ),
+        )
+        for template, kind, endpoints_of, start, stop in pieces
+    ]
+
+
+def minimize_penalized_functional(
+    s: float,
+    params: FunctionalParams,
+    k_max: int = 3,
+    settings: OptimizerSettings = OptimizerSettings(),
+) -> MinimizeOutcome:
+    """Minimize F over all templates up to ``k_max``.
+
+    For ``params.eps < 2 pi`` every minimizer lies on a face that
+    :func:`_face_search` searches completely (module docstring), with one
+    diagnostic per searched piece. ``settings`` is not read, and the
+    half-line at ``params.s`` is the left ray's kink point.
+
+    Otherwise a Nelder-Mead simplex search runs from ``settings.multistarts``
+    random initializations (Gaussian endpoint proposal, scale 2, distributed
+    across templates) plus the deterministic competitor starts (half-line at
+    s, matched two-ray set, origin-symmetric interval of the same mass).
+    Each search stops when the simplex is within 1e-10 of its best vertex and
+    its values within 1e-12, or after ``max_iters`` evaluations of the
+    objective. Fully deterministic for a fixed seed, on every machine:
+    vertices are ordered by a stable sort.  Per-start outcomes are reported;
+    a start that fails to converge is recorded, and the call fails only if
+    every start fails.
+
+    Either way the half-line at s is evaluated when ``s == params.s``, as the
+    CLI calls it, so ``best_value <= half_line_value + 1e-12`` holds on
+    return; ``half_line_optimal`` records whether the half-line remained the
+    global optimum among explored configurations.
+
+    On either path, ties within 1e-12 of the best value resolve to fewer
+    finite endpoints, then fewer components: energy alone cannot distinguish
+    a half-line from a bounded interval whose far endpoint has escaped beyond
+    floating-point support.
+    """
+    templates = enumerate_templates(k_max)
+    if not math.isfinite(s):
+        raise ValueError(f"mass level must be finite, got {s!r}")
+    if params.eps < _FACE_SEARCH_EPS:
+        searched = _face_search(params, k_max)
+    else:
+        searched = _multistart_search(s, params, templates, settings)
+
+    candidates = [
+        (template.dimension, template.components, d.final_value, d.endpoints, template)
+        for template, d in searched
+        if d.final_value < _ORDER_PENALTY / 2.0
+    ]
     if not candidates:
         raise RuntimeError("every local search start failed to produce a valid configuration")
 
-    best_value = min(value for _, _, value in candidates)
+    best_value = min(c[2] for c in candidates)
     near_best = [c for c in candidates if c[2] <= best_value + _F_TOL]
-    ranking, template, _ = min(near_best, key=lambda c: c[0])
-    best_set = template.decode(ranking[3])
-    chosen_value = ranking[2]
+    _, _, chosen_value, endpoints, template = min(near_best, key=lambda c: c[:4])
+    best_set = template.decode(endpoints)
 
     half_line_value = penalized_functional(half_line_set(s), params)
     return MinimizeOutcome(
@@ -408,7 +584,7 @@ def minimize_penalized_functional(
         achieved_mass=measure(best_set),
         half_line_value=half_line_value,
         half_line_optimal=chosen_value >= half_line_value - _F_TOL,
-        starts=tuple(diagnostics),
+        starts=tuple(d for _, d in searched),
     )
 
 

@@ -114,10 +114,8 @@ class CheckRecord:
             raise ValueError("check name must be nonempty")
         if not self.anchor:
             raise ValueError("check anchor must be nonempty")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples!r}")
-        if self.violations < 0:
-            raise ValueError(f"violations must be nonnegative, got {self.violations!r}")
+        _check_integer(self.samples, "samples", 1)
+        _check_integer(self.violations, "violations", 0)
         if not math.isfinite(self.worst_margin):
             raise ValueError(f"worst_margin must be finite, got {self.worst_margin!r}")
         if (self.violations > 0) != (self.worst_margin < 0.0):

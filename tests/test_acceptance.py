@@ -173,7 +173,7 @@ def test_isoperimetric_and_barycenter_equality_cases(corpus_10k):
 
 
 def test_minimizer_returns_half_line_at_each_level():
-    """At the shipped weights the multistart search lands on the half-line.
+    """At the shipped weights the search lands on the half-line.
 
     Levels 0, -0.5, -1, -2 with k_max=3 and 64 starts: a single-ray set at the
     level within 1e-6, objective equal to e^{-s^2/2} + (eps/(4 pi)) e^{-s^2}

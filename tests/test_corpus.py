@@ -35,6 +35,19 @@ class TestRandomSetSpec:
         with pytest.raises(ValueError, match="1 <= min <= max <= 6"):
             RandomSetSpec(k_range=k_range)
 
+    @pytest.mark.parametrize(
+        "k_range", [(1.0, 3), (1, 2.5), (True, 3), (1, np.bool_(True)), ("1", 3), (None, 3)]
+    )
+    def test_component_range_must_be_integers(self, k_range):
+        with pytest.raises(ValueError, match="pair of integers"):
+            RandomSetSpec(k_range=k_range)
+
+    def test_numpy_integer_component_range_accepted(self):
+        spec = RandomSetSpec(k_range=(np.int64(1), np.uint8(3)), seed=5)
+        assert spec.k_range == (1, 3)
+        assert all(type(k) is int for k in spec.k_range)
+        assert random_interval_union(spec) == random_interval_union(RandomSetSpec(k_range=(1, 3), seed=5))
+
     def test_seed_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             RandomSetSpec(k_range=(1, 2), seed=-1)

@@ -39,7 +39,7 @@ from gaussiso.sets import (
     normalize,
     perimeter,
 )
-from gaussiso.special import gauss_cdf, gauss_weight
+from gaussiso.special import chi2_quantile, gauss_cdf, gauss_weight
 
 # gauss_cdf_inv(0.25): the two-ray endpoint at half mass (inverse-CDF oracle)
 A0 = -0.6744897501960817
@@ -458,6 +458,14 @@ class TestQuantityColumns:
     def test_degenerate_member_fails_the_batch(self):
         with pytest.raises(ValueError, match="degenerate"):
             quantity_columns((E0, normalize([(-math.inf, math.inf)])))
+
+    def test_non_finite_member_fails_the_batch(self):
+        # the dim-250 ball at level 0.5 overflows its perimeter to inf; the
+        # row used to pass, as inf - inf in the excess identity is NaN
+        ball = CenteredBall(dim=250, radius=math.sqrt(chi2_quantile(250, gauss_cdf(0.5))))
+        assert perimeter(ball) == math.inf
+        with pytest.raises(ValueError, match="non-finite deficit inf"):
+            quantity_columns((E0, ball))
 
     @pytest.mark.parametrize("omega", [(1.0,), (0.0, -1.0), (0.48, -0.6, 0.64)])
     def test_halfspace_is_its_one_ray_profile(self, omega):

@@ -1,4 +1,5 @@
-"""Tests for the multistart minimizer, the half-line family, and mass sweep.
+"""Tests for the minimizer (face search and multistart simplex), the
+half-line family, and mass sweep.
 
 Oracles:
 - Half-line closed form e^{-s^2/2} + (eps/(4 pi)) e^{-s^2} for the minimum
@@ -23,6 +24,7 @@ import pytest
 
 import gaussiso
 
+from gaussiso import optimize
 from gaussiso.functionals import (
     FunctionalParams,
     barycenter,
@@ -36,6 +38,8 @@ from gaussiso.optimize import (
     OptimizerSettings,
     _MIN_SEPARATION,
     _endpoint_objective,
+    _face_search,
+    _multistart_search,
     enumerate_templates,
     mass_sweep,
     minimize_penalized_functional,
@@ -49,7 +53,7 @@ from gaussiso.sets import (
     two_ray_endpoint,
     two_ray_set,
 )
-from gaussiso.special import gauss_cdf, gauss_density
+from gaussiso.special import gauss_cdf, gauss_cdf_inv, gauss_density
 from gaussiso.stationarity import euler_residual, lagrange_bound_check
 
 # Frozen oracle values.
@@ -72,6 +76,11 @@ SWEEP_RATIOS = {
 ASYMPTOTE = 1.7374623212723181   # sqrt(2 pi) * ln 2
 
 FAST = OptimizerSettings(multistarts=12, seed=7)
+
+
+def supercritical(s):
+    """The stability weights at level s with eps = 10, where the simplex search runs."""
+    return FunctionalParams(s=s, eps=10.0, lambda_pen=stability_params(s).lambda_pen)
 
 
 class TestTemplates:
@@ -321,7 +330,7 @@ class TestMinimize:
         assert two_ray_finals == [pytest.approx(PERIM_E0, rel=1e-9)]
 
     def test_diagnostics_cover_deterministic_kinds(self):
-        out = minimize_penalized_functional(-1.0, stability_params(-1.0), k_max=2, settings=FAST)
+        out = minimize_penalized_functional(-1.0, supercritical(-1.0), k_max=2, settings=FAST)
         kinds = {d.kind for d in out.starts}
         assert {"half-line", "two-ray", "symmetric-interval", "random"} <= kinds
         assert sum(1 for d in out.starts if d.kind == "random") == FAST.multistarts
@@ -339,7 +348,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("budget", [1, 3, 20])
     def test_budget_caps_evaluations_and_convergence(self, budget):
         settings = OptimizerSettings(multistarts=12, seed=7, max_iters=budget)
-        out = minimize_penalized_functional(-0.5, stability_params(-0.5), k_max=2, settings=settings)
+        out = minimize_penalized_functional(-0.5, supercritical(-0.5), k_max=2, settings=settings)
         assert len(out.starts) == 15
         for diag in out.starts:
             assert diag.evaluations <= budget
@@ -347,6 +356,130 @@ class TestEvaluationBudget:
             assert diag.converged == (diag.evaluations < budget)
             # the starting vertex stays in the simplex until a better one replaces it
             assert diag.final_value <= diag.start_value
+
+
+def simplex_best(s, params, k_max, settings):
+    """The lowest value any start of the simplex search reaches."""
+    searched = _multistart_search(s, params, enumerate_templates(k_max), settings)
+    return min(d.final_value for _, d in searched)
+
+
+class TestFaceSearch:
+    LEVELS = (0.7, 0.0, -1.0, -3.0)
+
+    @pytest.mark.parametrize("s", LEVELS)
+    def test_never_above_the_simplex(self, s):
+        # weights from the paper's eps up to just below 2 pi, with the mass
+        # penalty at the paper's value, weak and absent; at eps = 6 with the
+        # paper's penalty the symmetric interval (s = 0.7) or the two-ray set
+        # (s = -1) beats the half-line
+        paper = stability_params(s)
+        for i, (eps, lam) in enumerate(
+            (eps, lam) for eps in (paper.eps, 4.0, 6.0) for lam in (paper.lambda_pen, 0.3, 0.0)
+        ):
+            params = FunctionalParams(s=s, eps=eps, lambda_pen=lam)
+            k_max = 1 + (i + i // 3) % 3
+            face = minimize_penalized_functional(s, params, k_max=k_max)
+            simplex = simplex_best(s, params, k_max, OptimizerSettings(multistarts=11, seed=1))
+            assert face.best_value <= simplex + 1e-12, (eps, lam, k_max)
+
+    def test_refines_an_asymmetric_two_ray_minimum(self):
+        # a minimum inside the two-ray face, off its symmetric set, which only
+        # the golden-section refinement reaches
+        params = FunctionalParams(s=-0.25, eps=5.75, lambda_pen=3.78)
+        out = minimize_penalized_functional(-0.25, params, k_max=2)
+        (_, a), (b, _) = out.best_set.intervals
+        assert a + b < -1.0
+        assert [d.evaluations > 120 for d in out.starts if d.kind == "kink"] == [False, True]
+        simplex = simplex_best(-0.25, params, 2, OptimizerSettings(multistarts=11, seed=1))
+        assert out.best_value <= simplex + 1e-12
+
+    def test_finds_the_interval_that_the_simplex_misses(self):
+        # at k_max = 1 an 11-start simplex stays at the half-line's value
+        params = FunctionalParams(s=0.7, eps=6.0, lambda_pen=stability_params(0.7).lambda_pen)
+        out = minimize_penalized_functional(0.7, params, k_max=1)
+        q = gauss_cdf_inv((1.0 + gauss_cdf(0.7)) / 2.0)
+        assert out.best_set == IntervalUnion1D(intervals=((-q, q),))
+        assert out.best_value < out.half_line_value - 0.05
+        simplex = simplex_best(0.7, params, 1, OptimizerSettings(multistarts=11, seed=1))
+        assert simplex == out.half_line_value
+
+    def test_runs_without_the_simplex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the simplex search ran below eps = 2 pi")
+
+        monkeypatch.setattr(optimize, "_nelder_mead", refuse)
+        params = FunctionalParams(s=-0.5, eps=2.0 * math.pi - 1e-9, lambda_pen=1.0)
+        out = minimize_penalized_functional(-0.5, params, k_max=3, settings=FAST)
+        assert out.best_value <= out.half_line_value + 1e-12
+
+    def test_not_called_from_two_pi_on(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the face search ran at eps >= 2 pi")
+
+        monkeypatch.setattr(optimize, "_face_search", refuse)
+        for eps in (2.0 * math.pi, 10.0):
+            params = FunctionalParams(s=0.0, eps=eps, lambda_pen=LAM_0)
+            out = minimize_penalized_functional(0.0, params, k_max=2, settings=FAST)
+            assert {d.kind for d in out.starts} == {"random", "half-line", "two-ray", "symmetric-interval"}
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0])
+    def test_benchmark_levels_return_the_exact_half_line(self, s):
+        params = stability_params(s)
+        out = minimize_penalized_functional(s, params, k_max=3, settings=FAST)
+        assert out.best_set == half_line_set(s)
+        assert out.best_value == penalized_functional(half_line_set(s), params)
+        assert out.best_value == out.half_line_value
+        assert sum(d.evaluations for d in out.starts) <= 2500
+
+    @pytest.mark.parametrize("k_max, pieces", [(1, 5), (2, 6), (4, 6)])
+    def test_one_diagnostic_per_piece(self, k_max, pieces):
+        params = stability_params(-1.0)
+        searched = _face_search(params, k_max)
+        assert [(t.describe(), d.kind) for t, d in searched] == [
+            ("left-ray", "below-kink"),
+            ("left-ray", "above-kink"),
+            ("right-ray", "below-kink"),
+            ("right-ray", "above-kink"),
+            ("bounded", "kink"),
+            ("left-ray+right-ray", "kink"),
+        ][:pieces]
+        kink_value = penalized_functional(half_line_set(-1.0), params)
+        for template, d in searched:
+            assert d.template == template.describe()
+            assert d.converged
+            assert d.evaluations >= 120
+            assert d.final_value <= d.start_value
+            # every piece's best endpoints give its final value
+            objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+            assert objective(list(d.endpoints)) == d.final_value
+        # each ray piece starts at its kink point, whose mass is the target
+        assert [d.start_value for _, d in searched[:4]] == [kink_value] * 4
+        assert [d.endpoints for _, d in searched[:4]] == [(-1.0,), (-1.0,), (1.0,), (1.0,)]
+        # the kink faces keep the mass on the target
+        for template, d in searched[4:]:
+            assert measure(template.decode(np.array(d.endpoints))) == pytest.approx(
+                gauss_cdf(-1.0), abs=1e-15
+            )
+
+    def test_settings_are_not_read(self):
+        params = stability_params(-0.5)
+        outs = [
+            minimize_penalized_functional(-0.5, params, k_max=3, settings=settings)
+            for settings in (FAST, OptimizerSettings(multistarts=1, seed=3, max_iters=1))
+        ]
+        assert outs[0].starts == outs[1].starts
+        assert outs[0].best_value == outs[1].best_value
+
+    @pytest.mark.parametrize("s, kink_pieces", [(8.3, 0), (8.2, 1), (-38.4, 2), (-38.5, 0)])
+    def test_kink_faces_need_their_symmetric_sets(self, s, kink_pieces):
+        # the mass target Phi(s) is 1, 1 - 2^-53, subnormal and 0: at 1 - 2^-53
+        # the interval (-q, q) on the kink has q = inf, and at 0 or 1 the
+        # kink holds only the empty set or the line
+        params = FunctionalParams(s=s, eps=1.0, lambda_pen=1.0)
+        out = minimize_penalized_functional(s, params, k_max=2)
+        assert sum(d.kind == "kink" for d in out.starts) == kink_pieces
+        assert math.isfinite(out.best_value)
 
 
 class TestImports:

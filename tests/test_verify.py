@@ -90,6 +90,29 @@ class TestCheckRecord:
         with pytest.raises(ValueError, match="positive"):
             CheckRecord(name="x", anchor="y", samples=0, violations=0, worst_margin=0.1)
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ({"samples": 2.5}, "samples must be an integer"),
+            ({"samples": True}, "samples must be an integer"),
+            ({"samples": 3.0}, "samples must be an integer"),
+            ({"samples": "3"}, "samples must be an integer"),
+            ({"violations": True, "worst_margin": -1.0}, "violations must be an integer"),
+            ({"violations": 1.0, "worst_margin": -1.0}, "violations must be an integer"),
+            ({"violations": -1}, "violations must be nonnegative"),
+        ],
+    )
+    def test_counts_must_be_integers(self, counts, match):
+        fields = {"name": "x", "anchor": "y", "samples": 3, "violations": 0, "worst_margin": 0.5}
+        with pytest.raises(ValueError, match=match):
+            CheckRecord(**{**fields, **counts})
+
+    def test_numpy_integer_counts_accepted(self):
+        record = CheckRecord(
+            name="x", anchor="y", samples=np.int64(3), violations=np.int64(1), worst_margin=-0.5
+        )
+        assert record.violations == 1
+
 
 class TestMargins:
     def test_one_sided_formula(self):
