@@ -5,15 +5,12 @@ from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
     QuantityBundle,
-    directed_fraenkel,
     excess_identity,
-    isoperimetric_deficit,
     max_barycenter_norm,
     penalized_functional,
     quantities,
     quantity_columns,
     stability_params,
-    strong_asymmetry,
 )
 from .optimize import (
     MassSweepRow,
@@ -24,7 +21,6 @@ from .optimize import (
 )
 from .sets import (
     MERGE_TOL,
-    AlignmentError,
     CenteredBall,
     GaussianSet,
     HalfSpace,

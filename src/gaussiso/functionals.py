@@ -8,11 +8,11 @@ constants under which half-spaces are the unique minimizers.
 Every quantity of a set comes from :func:`quantity_columns`, which returns
 one array per quantity for many sets. A profile set's quantities start from
 the one pass over its ``(lo, hi)`` pairs that ``measure``, ``perimeter`` and
-``barycenter`` also read (balls from their closed forms). :func:`quantities`
-and the scalar readers such as :func:`isoperimetric_deficit` are its batch of
-one, so each formula exists once. The penalized functional of a profile set
-reads the same pass, and the optimizer calls it on endpoint lists without
-building sets.
+``barycenter`` also read (balls from their closed forms). :func:`quantities`,
+the bundle of one set, and :func:`excess_identity` are its batch of one, so
+each formula exists once. The penalized functional of a profile set reads
+the same pass, and the optimizer calls it on endpoint lists without building
+sets.
 
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
@@ -35,9 +35,6 @@ __all__ = [
     "FunctionalParams",
     "QuantityBundle",
     "max_barycenter_norm",
-    "isoperimetric_deficit",
-    "strong_asymmetry",
-    "directed_fraenkel",
     "excess_identity",
     "penalized_functional",
     "stability_params",
@@ -179,34 +176,6 @@ def quantity_columns(sets) -> dict[str, np.ndarray]:
         "alpha_hat": alpha_hat,
         "excess": excess,
     }
-
-
-def _column(e: GaussianSet, name: str) -> float:
-    return float(quantity_columns((e,))[name][0])
-
-
-def isoperimetric_deficit(e: GaussianSet) -> float:
-    """perimeter(E) minus the half-space perimeter at the same mass level."""
-    return _column(e, "deficit")
-
-
-def strong_asymmetry(e: GaussianSet) -> float:
-    """Gap between the maximal and the actual barycenter norm at the set's level.
-
-    Equals the minimal distance from b(E) to a half-space barycenter of the
-    same mass, attained in the direction -b/|b| when b is nonzero.
-    """
-    return _column(e, "beta")
-
-
-def directed_fraenkel(e: GaussianSet) -> float:
-    """Symmetric-difference asymmetry with the comparison half-space taken
-    opposite to the barycenter.
-
-    For zero barycenter the direction degenerates and the value is the
-    ceiling 2 * gauss_cdf(-|s|), which bounds the directed value for every set.
-    """
-    return _column(e, "alpha_hat")
 
 
 def excess_identity(e: GaussianSet) -> tuple[float, float]:

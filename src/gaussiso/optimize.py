@@ -26,12 +26,13 @@ template with fewer endpoints. Every minimizer over the templates up to
 ``(-inf, x)``, the right ray ``(x, inf)``, the bounded interval on the kink,
 and (for ``k_max >= 2``) the two-ray set on the kink.
 
-F is invariant under the reflection ``x -> -x``. It maps each kink face onto
-itself, so each kink face is searched in its left endpoint, from its
-symmetric set outward. It also swaps the two rays; both are searched, so
-that a tie between them resolves by the same rule as on the simplex path.
-Every piece is a grid followed by a golden-section refinement inside each
-strict interior grid minimum; each ray's two pieces start at its kink point.
+F is invariant under the reflection ``x -> -x``. It maps the right ray
+``(-x, inf)`` onto the left ray ``(-inf, x)``, value for value, so only the
+left ray is searched and a ray minimizer is reported as ``(-inf, x)``. It
+maps each kink face onto itself, so each kink face is searched in its left
+endpoint, from its symmetric set outward. Every piece is a grid followed by
+a golden-section refinement inside each strict interior grid minimum deeper
+than the tie margin; the left ray's two pieces start at its kink point.
 
 The simplex search is an in-house non-adaptive Nelder-Mead on Python lists
 with the floating-point operations of SciPy's ``minimize(method=
@@ -171,6 +172,8 @@ def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
     """Every template with between 1 and ``k_max`` components, in stable order."""
     if not 1 <= k_max <= 4:
         raise ValueError(f"component cap must lie in [1, 4], got {k_max}")
+    # True and 2.0 lie in the range too
+    _check_integer(k_max, "component cap", 1)
     templates = []
     for k in range(1, k_max + 1):
         for left in (True, False):
@@ -348,14 +351,16 @@ def _nelder_mead(
 
 
 def _deterministic_starts(
-    s: float, templates: tuple[IntervalTemplate, ...]
+    params: FunctionalParams, templates: tuple[IntervalTemplate, ...]
 ) -> list[tuple[IntervalTemplate, str, list[float]]]:
-    """The named competitor starts: half-line, two-ray, symmetric interval."""
+    """The named competitor starts at ``params.s``: half-line, two-ray,
+    symmetric interval."""
+    s = params.s
     starts: list[tuple[IntervalTemplate, str, list[float]]] = []
     by_shape = {(t.left_ray, t.right_ray, t.bounded): t for t in templates}
     half = by_shape.get((True, False, 0))
     if half is not None:
-        starts.append((half, "half-line", [float(s)]))
+        starts.append((half, "half-line", [s]))
     two_ray = by_shape.get((True, True, 0))
     if two_ray is not None and s <= 0.0:
         a = two_ray_endpoint(s)
@@ -368,7 +373,6 @@ def _deterministic_starts(
 
 
 def _multistart_search(
-    s: float,
     params: FunctionalParams,
     templates: tuple[IntervalTemplate, ...],
     settings: OptimizerSettings,
@@ -382,7 +386,7 @@ def _multistart_search(
         for _ in range(per_template + (i < extra)):
             theta0 = np.sort(next(rngs).normal(loc=0.0, scale=2.0, size=template.dimension))
             planned.append((template, "random", theta0.tolist()))
-    planned.extend(_deterministic_starts(s, templates))
+    planned.extend(_deterministic_starts(params, templates))
 
     target = gauss_cdf(params.s)
     searched = []
@@ -431,7 +435,8 @@ def _golden_section(g, a: float, c: float) -> tuple[float, float, bool]:
 
 def _search_piece(template, kind, objective, endpoints_of, grid: list[float]) -> StartDiagnostic:
     """Evaluate the face piece ``t -> endpoints_of(t)`` on ``grid``, then
-    refine every strict interior grid minimum by golden section."""
+    refine every strict interior grid minimum deeper than _F_TOL by golden
+    section."""
     evaluations = 0
 
     def g(t: float) -> float:
@@ -443,7 +448,11 @@ def _search_piece(template, kind, objective, endpoints_of, grid: list[float]) ->
     best = min(zip(values, grid))
     converged = True
     for i in range(1, len(grid) - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
+        # near a minimum F is quadratic, so refining gains at most a quarter
+        # of the dip: a dip within _F_TOL is rounding noise
+        if values[i] < values[i - 1] and values[i] < values[i + 1] and (
+            max(values[i - 1], values[i + 1]) - values[i] > _F_TOL
+        ):
             value, t, refined = _golden_section(g, grid[i - 1], grid[i + 1])
             best = min(best, (value, t))
             converged = converged and refined
@@ -462,7 +471,8 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
     """Search the faces that hold every minimizer when eps < 2 pi (module
     docstring), one diagnostic per searched piece.
 
-    Each ray is searched from its kink point, where its mass is
+    The left ray, which stands for its mirror image the right ray, is
+    searched from its kink point ``params.s``, where its mass is
     ``Phi(params.s)``, out to ``|params.s| + 9`` on the side of smaller mass
     (kind ``below-kink``) and on the side of larger mass (``above-kink``).
     The bounded and the two-ray face (``kink``) are searched in their left
@@ -487,12 +497,9 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
         return [a, -gauss_cdf_inv(target - gauss_cdf(a))]
 
     left = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
-    right = IntervalTemplate(left_ray=False, right_ray=True, bounded=0)
     pieces = [
         (left, "below-kink", ray, params.s, -reach),
         (left, "above-kink", ray, params.s, reach),
-        (right, "below-kink", ray, -params.s, reach),
-        (right, "above-kink", ray, -params.s, -reach),
     ]
     # the kink faces start from their symmetric sets (-q, q) and
     # (-inf, a) u (-a, inf); a target within an ulp of 0 or 1 leaves none
@@ -531,8 +538,9 @@ def minimize_penalized_functional(
 
     For ``params.eps < 2 pi`` every minimizer lies on a face that
     :func:`_face_search` searches completely (module docstring), with one
-    diagnostic per searched piece. ``settings`` is not read, and the
-    half-line at ``params.s`` is the left ray's kink point.
+    diagnostic per searched piece. ``settings`` is not read, a ray
+    minimizer is reported as the left ray ``(-inf, x)``, and the half-line
+    at ``params.s`` is that ray's kink point.
 
     Otherwise a Nelder-Mead simplex search runs from ``settings.multistarts``
     random initializations (Gaussian endpoint proposal, scale 2, distributed
@@ -545,10 +553,10 @@ def minimize_penalized_functional(
     a start that fails to converge is recorded, and the call fails only if
     every start fails.
 
-    Either way the half-line at s is evaluated when ``s == params.s``, as the
-    CLI calls it, so ``best_value <= half_line_value + 1e-12`` holds on
-    return; ``half_line_optimal`` records whether the half-line remained the
-    global optimum among explored configurations.
+    ``s`` must equal ``params.s``. Either way the half-line at s is
+    evaluated, so ``best_value <= half_line_value + 1e-12`` holds on return;
+    ``half_line_optimal`` records whether the half-line remained the global
+    optimum among explored configurations.
 
     On either path, ties within 1e-12 of the best value resolve to fewer
     finite endpoints, then fewer components: energy alone cannot distinguish
@@ -556,12 +564,13 @@ def minimize_penalized_functional(
     floating-point support.
     """
     templates = enumerate_templates(k_max)
-    if not math.isfinite(s):
-        raise ValueError(f"mass level must be finite, got {s!r}")
+    # params.s is finite, so this refuses every non-finite s
+    if s != params.s:
+        raise ValueError(f"mass level must be finite and equal params.s = {params.s!r}, got {s!r}")
     if params.eps < _FACE_SEARCH_EPS:
         searched = _face_search(params, k_max)
     else:
-        searched = _multistart_search(s, params, templates, settings)
+        searched = _multistart_search(params, templates, settings)
 
     candidates = [
         (template.dimension, template.components, d.final_value, d.endpoints, template)
@@ -576,11 +585,11 @@ def minimize_penalized_functional(
     _, _, chosen_value, endpoints, template = min(near_best, key=lambda c: c[:4])
     best_set = template.decode(endpoints)
 
-    half_line_value = penalized_functional(half_line_set(s), params)
+    half_line_value = penalized_functional(half_line_set(params.s), params)
     return MinimizeOutcome(
         best_set=best_set,
         best_value=chosen_value,
-        target_mass=gauss_cdf(s),
+        target_mass=gauss_cdf(params.s),
         achieved_mass=measure(best_set),
         half_line_value=half_line_value,
         half_line_optimal=chosen_value >= half_line_value - _F_TOL,

@@ -45,7 +45,8 @@ class QuadSettings:
             raise ValueError(f"QuadSettings: abs_tol must be positive, got {self.abs_tol!r}")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError(f"QuadSettings: rel_tol must be positive, got {self.rel_tol!r}")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
+        depth = self.max_depth
+        if isinstance(depth, bool) or not (isinstance(depth, (int, np.integer)) and depth >= 1):
             raise ValueError(f"QuadSettings: max_depth must be a positive integer, got {self.max_depth!r}")
 
 

@@ -44,7 +44,6 @@ from .special import SQRT_2PI, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf
 
 __all__ = [
     "MERGE_TOL",
-    "AlignmentError",
     "IntervalUnion1D",
     "HalfSpace",
     "SlabSet",
@@ -73,10 +72,6 @@ __all__ = [
 MERGE_TOL = 1e-9
 
 _UNIT_NORM_TOL = 1e-12
-
-
-class AlignmentError(ValueError):
-    """Half-space direction is incompatible with the set's representation axis."""
 
 
 def _require_real(name: str, value: float, allow_inf: bool = False) -> float:
@@ -416,7 +411,7 @@ def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
     """
     n = dimension(e)
     if len(h.omega) != n:
-        raise AlignmentError(
+        raise ValueError(
             f"half-space dimension {len(h.omega)} does not match set dimension {n}"
         )
     profile = _profile(e)
@@ -430,7 +425,7 @@ def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
         elif abs(dot + 1.0) <= 1e-9:
             inter = _clipped_mass(intervals, -h.s, math.inf)
         else:
-            raise AlignmentError("half-space must be collinear with the set's profile axis")
+            raise ValueError("half-space must be collinear with the set's profile axis")
     return measure(e) + gauss_cdf(h.s) - 2.0 * inter
 
 

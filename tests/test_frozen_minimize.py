@@ -17,7 +17,12 @@ The other three calls and the CLI call have eps below 2 pi, so they run the
 face search, one diagnostic per searched piece; they were re-pinned when the
 face search replaced the simplex search there. The CLI's ``best_value`` and
 ``half_line_value`` kept their bits, and ``max_iters`` no longer bounds the
-``budget-20`` call.
+``budget-20`` call. They were re-pinned again when the right-ray pieces,
+the left ray's mirror image, were dropped and a grid dip within the tie
+margin stopped being refined: the right-ray rows went, ``budget-20``'s
+``below-kink`` piece fell from 166 to 120 evaluations, the CLI's
+``starts_total`` and ``starts_converged`` fell from 6 to 4, and every other
+field kept its bits.
 """
 
 import contextlib
@@ -49,16 +54,12 @@ FROZEN_STARTS = {
     'level-zero-kmax-2': [
         ('left-ray', 'below-kink', '0x1.000d35d18904bp+0', '0x1.000d35d18904bp+0', True, 120, ('0x0.0p+0',)),
         ('left-ray', 'above-kink', '0x1.000d35d18904bp+0', '0x1.000d35d18904bp+0', True, 120, ('0x0.0p+0',)),
-        ('right-ray', 'below-kink', '0x1.000d35d18904bp+0', '0x1.000d35d18904bp+0', True, 120, ('0x0.0p+0',)),
-        ('right-ray', 'above-kink', '0x1.000d35d18904bp+0', '0x1.000d35d18904bp+0', True, 120, ('-0x0.0p+0',)),
         ('bounded', 'kink', '0x1.97d51b0c1706bp+0', '0x1.000d35d18904bp+0', True, 120, ('-0x1.2000000000000p+3', '0x0.0p+0',)),
         ('left-ray+right-ray', 'kink', '0x1.97d51b0c1706bp+0', '0x1.000d35d18904bp+0', True, 120, ('-0x1.2000000000000p+3', '-0x0.0p+0',)),
     ],
     'level-minus-one-kmax-4': [
         ('left-ray', 'below-kink', '0x1.369332f42f4c2p-1', '0x1.369332f42f4c2p-1', True, 120, ('-0x1.0000000000000p+0',)),
         ('left-ray', 'above-kink', '0x1.369332f42f4c2p-1', '0x1.369332f42f4c2p-1', True, 120, ('-0x1.0000000000000p+0',)),
-        ('right-ray', 'below-kink', '0x1.369332f42f4c2p-1', '0x1.369332f42f4c2p-1', True, 120, ('0x1.0000000000000p+0',)),
-        ('right-ray', 'above-kink', '0x1.369332f42f4c2p-1', '0x1.369332f42f4c2p-1', True, 120, ('0x1.0000000000000p+0',)),
         ('bounded', 'kink', '0x1.f5d822beebb60p+0', '0x1.369332f42f4c2p-1', True, 120, ('-0x1.4000000000000p+3', '-0x1.0000000000000p+0',)),
         ('left-ray+right-ray', 'kink', '0x1.7b2a6eb359947p-1', '0x1.369332f42f4c2p-1', True, 120, ('-0x1.4000000000000p+3', '0x1.0000000000000p+0',)),
     ],
@@ -80,15 +81,13 @@ FROZEN_STARTS = {
         ('bounded', 'symmetric-interval', '0x1.97d51b0c1706bp+0', '0x1.97d51b0c1706bp+0', True, 181, ('-0x1.5956b87528a49p-1', '0x1.5956b87528a49p-1',)),
     ],
     'budget-20': [
-        ('left-ray', 'below-kink', '0x1.c3e9496b3fdeep-1', '0x1.c3e9496b3fdeep-1', True, 166, ('-0x1.0000000000000p-1',)),
+        ('left-ray', 'below-kink', '0x1.c3e9496b3fdeep-1', '0x1.c3e9496b3fdeep-1', True, 120, ('-0x1.0000000000000p-1',)),
         ('left-ray', 'above-kink', '0x1.c3e9496b3fdeep-1', '0x1.c3e9496b3fdeep-1', True, 120, ('-0x1.0000000000000p-1',)),
-        ('right-ray', 'below-kink', '0x1.c3e9496b3fdeep-1', '0x1.c3e9496b3fdeep-1', True, 166, ('0x1.0000000000000p-1',)),
-        ('right-ray', 'above-kink', '0x1.c3e9496b3fdeep-1', '0x1.c3e9496b3fdeep-1', True, 120, ('0x1.0000000000000p-1',)),
         ('bounded', 'kink', '0x1.d939a2d5777e8p+0', '0x1.c3e9496b3fdedp-1', True, 120, ('-0x1.3000000000000p+3', '-0x1.0000000000001p-1',)),
         ('left-ray+right-ray', 'kink', '0x1.30dcde993a83dp+0', '0x1.c3e9496b3fdedp-1', True, 120, ('-0x1.3000000000000p+3', '0x1.0000000000001p-1',)),
     ],
 }
-FROZEN_MINIMIZE_STDOUT = '{"achieved_mass": 0.15865525393145707, "best_set": {"items": [["-inf", -1]], "type": "intervals"}, "best_value": 0.60659178953906001, "eps": 0.0020881298830454521, "half_line_optimal": true, "half_line_value": 0.60659178953906001, "k_max": 3, "lambda": 5.4064637867667571, "s": -1, "starts_converged": 6, "starts_total": 6, "target_mass": 0.15865525393145707}\n'
+FROZEN_MINIMIZE_STDOUT = '{"achieved_mass": 0.15865525393145707, "best_set": {"items": [["-inf", -1]], "type": "intervals"}, "best_value": 0.60659178953906001, "eps": 0.0020881298830454521, "half_line_optimal": true, "half_line_value": 0.60659178953906001, "k_max": 3, "lambda": 5.4064637867667571, "s": -1, "starts_converged": 4, "starts_total": 4, "target_mass": 0.15865525393145707}\n'
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

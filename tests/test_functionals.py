@@ -16,15 +16,12 @@ from gaussiso.functionals import (
     BARYCENTER_ZERO_TOL,
     STABILITY_CONSTANT,
     FunctionalParams,
-    directed_fraenkel,
     excess_identity,
-    isoperimetric_deficit,
     max_barycenter_norm,
     penalized_functional,
     quantities,
     quantity_columns,
     stability_params,
-    strong_asymmetry,
 )
 from gaussiso.sets import (
     CenteredBall,
@@ -111,37 +108,37 @@ class TestMaxBarycenterNorm:
 class TestDeficit:
     def test_halfspace_zero(self):
         for s in (-2.0, 0.0, 1.5):
-            assert abs(isoperimetric_deficit(HalfSpace(omega=(1.0,), s=s))) <= 1e-13
+            assert abs(quantities(HalfSpace(omega=(1.0,), s=s)).deficit) <= 1e-13
 
     def test_half_line_zero(self):
-        assert abs(isoperimetric_deficit(normalize([(-math.inf, 0.7)]))) <= 1e-13
+        assert abs(quantities(normalize([(-math.inf, 0.7)])).deficit) <= 1e-13
 
     def test_two_ray_frozen(self):
-        assert isoperimetric_deficit(E0) == pytest.approx(DEFICIT_E0, rel=1e-13)
+        assert quantities(E0).deficit == pytest.approx(DEFICIT_E0, rel=1e-13)
 
     def test_ball_frozen(self):
         b = CenteredBall(dim=2, radius=1.0)
         assert mass_level(b) == pytest.approx(S_BALL21, abs=1e-12)
-        assert isoperimetric_deficit(b) == pytest.approx(DEFICIT_BALL21, rel=1e-12)
+        assert quantities(b).deficit == pytest.approx(DEFICIT_BALL21, rel=1e-12)
 
     def test_nonnegative_on_corpus(self):
         for e in random_corpus(616002, 300):
-            assert isoperimetric_deficit(e) >= -1e-10
+            assert quantities(e).deficit >= -1e-10
 
     def test_complement_invariant(self):
         for e in random_corpus(616003, 100):
-            assert isoperimetric_deficit(complement(e)) == pytest.approx(
-                isoperimetric_deficit(e), rel=1e-11, abs=1e-13
+            assert quantities(complement(e)).deficit == pytest.approx(
+                quantities(e).deficit, rel=1e-11, abs=1e-13
             )
 
 
 class TestStrongAsymmetry:
     def test_halfspace_zero(self):
-        assert abs(strong_asymmetry(HalfSpace(omega=(0.0, 1.0), s=-1.2))) <= 1e-13
+        assert abs(quantities(HalfSpace(omega=(0.0, 1.0), s=-1.2)).strong_asymmetry) <= 1e-13
 
     def test_two_ray_attains_maximum(self):
         # zero barycenter: the asymmetry equals the full ceiling
-        assert strong_asymmetry(E0) == pytest.approx(B_MAX_0, rel=1e-13)
+        assert quantities(E0).strong_asymmetry == pytest.approx(B_MAX_0, rel=1e-13)
 
     def test_matches_min_over_directions_1d(self):
         for e in random_corpus(616004, 100):
@@ -149,7 +146,7 @@ class TestStrongAsymmetry:
             b = barycenter(e)[0]
             bs = max_barycenter_norm(s)
             direct = min(abs(b + bs), abs(b - bs))
-            assert strong_asymmetry(e) == pytest.approx(direct, abs=1e-12)
+            assert quantities(e).strong_asymmetry == pytest.approx(direct, abs=1e-12)
 
     def test_matches_min_over_direction_grid_2d(self):
         prof = normalize([(-math.inf, -0.5), (1.0, 2.0)])
@@ -157,7 +154,7 @@ class TestStrongAsymmetry:
         s = mass_level(e)
         b = np.concatenate([np.zeros(1), barycenter(prof)])
         bs = max_barycenter_norm(s)
-        beta = strong_asymmetry(e)
+        beta = quantities(e).strong_asymmetry
         thetas = np.linspace(0.0, 2.0 * math.pi, 2001)
         omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         grid_min = float(np.min(np.linalg.norm(b[None, :] + bs * omegas, axis=1)))
@@ -166,29 +163,28 @@ class TestStrongAsymmetry:
 
     def test_complement_invariant(self):
         for e in random_corpus(616005, 100):
-            assert strong_asymmetry(complement(e)) == pytest.approx(
-                strong_asymmetry(e), abs=1e-12
+            assert quantities(complement(e)).strong_asymmetry == pytest.approx(
+                quantities(e).strong_asymmetry, abs=1e-12
             )
 
     def test_nonnegative_on_corpus(self):
         for e in random_corpus(616006, 200):
-            assert strong_asymmetry(e) >= -1e-10
+            assert quantities(e).strong_asymmetry >= -1e-10
 
 
 class TestDirectedFraenkel:
     def test_halfspace_zero(self):
-        assert directed_fraenkel(HalfSpace(omega=(0.0, 1.0), s=0.4)) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        h = HalfSpace(omega=(0.0, 1.0), s=0.4)
+        assert quantities(h).directed_fraenkel == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_barycenter_ceiling(self):
         # b = 0 at level 0: ceiling 2*gauss_cdf(0) = 1
-        assert directed_fraenkel(E0) == pytest.approx(1.0, rel=1e-14)
+        assert quantities(E0).directed_fraenkel == pytest.approx(1.0, rel=1e-14)
 
     def test_ball_uses_ceiling(self):
         b = CenteredBall(dim=3, radius=1.5)
         s = mass_level(b)
-        assert directed_fraenkel(b) == pytest.approx(2.0 * gauss_cdf(-abs(s)), rel=1e-13)
+        assert quantities(b).directed_fraenkel == pytest.approx(2.0 * gauss_cdf(-abs(s)), rel=1e-13)
 
     def test_mc_cross_check(self):
         e = normalize([(-math.inf, -1.0), (2.0, math.inf)])
@@ -201,22 +197,22 @@ class TestDirectedFraenkel:
         in_h = pts[:, 0] < s
         est = float(np.mean(in_e ^ in_h))
         se = math.sqrt(est * (1.0 - est) / len(pts))
-        assert abs(directed_fraenkel(e) - est) <= 4.0 * se
+        assert abs(quantities(e).directed_fraenkel - est) <= 4.0 * se
 
     def test_bounded_by_ceiling_on_corpus(self):
         for e in random_corpus(616008, 200):
             s = mass_level(e)
-            assert directed_fraenkel(e) <= 2.0 * gauss_cdf(-abs(s)) + 1e-12
+            assert quantities(e).directed_fraenkel <= 2.0 * gauss_cdf(-abs(s)) + 1e-12
 
     def test_complement_invariant(self):
         for e in random_corpus(616009, 100):
-            assert directed_fraenkel(complement(e)) == pytest.approx(
-                directed_fraenkel(e), abs=1e-12
+            assert quantities(complement(e)).directed_fraenkel == pytest.approx(
+                quantities(e).directed_fraenkel, abs=1e-12
             )
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            directed_fraenkel(IntervalUnion1D(intervals=()))
+            quantities(IntervalUnion1D(intervals=()))
 
 
 class TestExcess:
@@ -405,7 +401,7 @@ class TestDeficitChain:
             params = stability_params(min(s, -s))
             bs = max_barycenter_norm(s)
             nb = abs(barycenter(e)[0])
-            beta = strong_asymmetry(e)
+            beta = quantities(e).strong_asymmetry
             lhs = 0.5 * params.eps * (bs * bs - nb * nb)
             rhs = 0.5 * params.eps * (bs + nb) * beta
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -430,12 +426,14 @@ class TestQuantityColumns:
                 assert float.hex(float(cols[name][i])) == float.hex(float(value)), (i, name)
 
     def test_scalar_readers_are_batches_of_one(self):
+        # the bundle of one set reads a batch of one
         cols = quantity_columns(self.CORPUS[::50])
         for i, e in enumerate(self.CORPUS[::50]):
-            assert isoperimetric_deficit(e) == cols["deficit"][i]
-            assert strong_asymmetry(e) == cols["beta"][i]
-            assert directed_fraenkel(e) == cols["alpha_hat"][i]
-            assert quantities(e).excess == cols["excess"][i]
+            q = quantities(e)
+            assert q.deficit == cols["deficit"][i]
+            assert q.strong_asymmetry == cols["beta"][i]
+            assert q.directed_fraenkel == cols["alpha_hat"][i]
+            assert q.excess == cols["excess"][i]
 
     def test_empty_batch(self):
         cols = quantity_columns(())

@@ -30,6 +30,10 @@ class TestSettings:
         assert s.rel_tol == 1e-12
         assert s.max_depth == 60
 
+    def test_numpy_integer_depth_accepted(self):
+        r = adaptive_quad(math.sin, 0.0, 20.0, settings=QuadSettings(max_depth=np.int64(8)))
+        assert r == adaptive_quad(math.sin, 0.0, 20.0, settings=QuadSettings(max_depth=8))
+
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError):
             QuadSettings(abs_tol=0.0)
@@ -37,6 +41,8 @@ class TestSettings:
             QuadSettings(rel_tol=-1e-3)
         with pytest.raises(ValueError):
             QuadSettings(max_depth=0)
+        with pytest.raises(ValueError):
+            QuadSettings(max_depth=True)
 
 
 class TestFiniteIntervals:

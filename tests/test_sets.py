@@ -14,7 +14,6 @@ from gaussiso import sets
 from gaussiso.quadrature import QuadSettings, adaptive_quad
 from gaussiso.sets import (
     MERGE_TOL,
-    AlignmentError,
     CenteredBall,
     HalfSpace,
     IntervalUnion1D,
@@ -343,12 +342,12 @@ class TestSymmDiff:
     def test_non_collinear_raises(self):
         a = HalfSpace(omega=(0.0, 1.0), s=0.0)
         h = HalfSpace(omega=(1.0, 0.0), s=0.0)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ValueError, match="collinear"):
             symm_diff_measure(a, h)
 
     def test_dim_mismatch_raises(self):
         e = normalize([(-math.inf, 0.0)])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ValueError, match="dimension 2 does not match"):
             symm_diff_measure(e, HalfSpace(omega=(0.0, 1.0), s=0.0))
 
     def test_slab_aligned(self):
@@ -361,7 +360,7 @@ class TestSymmDiff:
     def test_slab_misaligned_raises(self):
         e = SlabSet(dim=2, profile=normalize([(-1.0, 1.0)]))
         h = HalfSpace(omega=(1.0, 0.0), s=0.0)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ValueError, match="collinear"):
             symm_diff_measure(e, h)
 
     def test_ball_vs_center_halfspace(self):
