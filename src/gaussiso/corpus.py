@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import CenteredBall, GaussianSet, IntervalUnion1D, SlabSet, measure, two_ray_set
-from .special import chi2_quantile
+from .sets import CenteredBall, GaussianSet, IntervalUnion1D, SlabSet, _pairs, measure, two_ray_set
+from .special import _check_integer, chi2_quantile
 
 __all__ = [
     "ENDPOINT_CLIP",
@@ -75,16 +75,6 @@ class RandomSetSpec:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
         object.__setattr__(self, "k_range", (int(lo), int(hi)))
         _check_integer(self.seed, "seed", 0)
-
-
-def _check_integer(value, what: str, least: int) -> None:
-    """Refuse a non-integer ``value`` (NumPy integers pass) or one below ``least``, 0 or 1."""
-    # a bool or a float would slip through further down: the seed hash reads
-    # any int, and NumPy takes True as a size
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def _draw_union(rng: np.random.Generator, k_range: tuple[int, int]) -> IntervalU
             pts[0] = -math.inf
         if right_ray:
             pts[-1] = math.inf
-        candidate = IntervalUnion1D(intervals=tuple(zip(pts[0::2], pts[1::2])))
+        candidate = IntervalUnion1D(intervals=_pairs(pts))
         if lo_mass < measure(candidate) < hi_mass:
             return candidate
     return None

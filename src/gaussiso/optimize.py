@@ -61,15 +61,16 @@ from .functionals import (
     max_barycenter_norm,
     penalized_functional,
 )
-from .corpus import _check_integer, _entropy, _generators
+from .corpus import _entropy, _generators
 from .sets import (
     IntervalUnion1D,
+    _pairs,
     half_line_set,
     measure,
     symmetric_interval_halfwidth,
     two_ray_endpoint,
 )
-from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_integer, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
     "IntervalTemplate",
@@ -148,6 +149,10 @@ class IntervalTemplate:
             parts.append("right-ray")
         return "+".join(parts)
 
+    def _rays(self) -> tuple[list[float], list[float]]:
+        """The infinite endpoints around the finite ones: the head, then the tail."""
+        return ([-math.inf] if self.left_ray else []), ([math.inf] if self.right_ray else [])
+
     def decode(self, endpoints: np.ndarray) -> IntervalUnion1D:
         """Materialize the configuration; raises ValueError on invalid layouts."""
         theta = np.asarray(endpoints, dtype=float)
@@ -155,25 +160,15 @@ class IntervalTemplate:
             raise ValueError(
                 f"template {self.describe()} needs {self.dimension} endpoints, got shape {theta.shape}"
             )
-        intervals = []
-        idx = 0
-        if self.left_ray:
-            intervals.append((-math.inf, float(theta[0])))
-            idx = 1
-        for _ in range(self.bounded):
-            intervals.append((float(theta[idx]), float(theta[idx + 1])))
-            idx += 2
-        if self.right_ray:
-            intervals.append((float(theta[idx]), math.inf))
-        return IntervalUnion1D(intervals=tuple(intervals))
+        head, tail = self._rays()
+        return IntervalUnion1D(intervals=_pairs(head + theta.tolist() + tail))
 
 
 def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
     """Every template with between 1 and ``k_max`` components, in stable order."""
+    _check_integer(k_max, "component cap")
     if not 1 <= k_max <= 4:
         raise ValueError(f"component cap must lie in [1, 4], got {k_max}")
-    # True and 2.0 lie in the range too
-    _check_integer(k_max, "component cap", 1)
     templates = []
     for k in range(1, k_max + 1):
         for left in (True, False):
@@ -233,8 +228,7 @@ def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, ta
     the shortfalls added left to right. Any other list is a valid layout, so
     F comes straight from its ``(lo, hi)`` pairs without building a set.
     """
-    head = [-math.inf] if template.left_ray else []
-    tail = [math.inf] if template.right_ray else []
+    head, tail = template._rays()
 
     def objective(theta: list[float]) -> float:
         if not all(map(math.isfinite, theta)):
@@ -246,8 +240,7 @@ def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, ta
                 shortfall += gap
         if shortfall > 0.0:
             return _ORDER_PENALTY * (1.0 + shortfall)
-        points = head + theta + tail
-        return _penalized_profile(zip(points[::2], points[1::2]), params, target)
+        return _penalized_profile(_pairs(head + theta + tail), params, target)
 
     return objective
 

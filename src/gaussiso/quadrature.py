@@ -13,12 +13,15 @@ every pending panel of every interval (in groups of ``_GROUP`` intervals) as
 one array. A panel is accepted when its error estimate is within its
 width-proportional share of the tolerance (or is zero, or the panel hit the
 depth budget); otherwise both halves join the next round. The decisions are
-per panel, so each interval gets the leaves it would get alone. Each
-interval's leaves are then summed in descending order of their left
-endpoint, the order in which a depth-first stack that pops the right child
-first visits them. :func:`adaptive_quad` is a batch of one with the scalar
-integrand lifted elementwise, so it returns bit for bit what that
-one-panel-at-a-time recursion returns.
+per panel, so each interval gets the leaves it would get alone, whatever
+else is in its batch. :func:`adaptive_quad` is a batch of one with the
+scalar integrand lifted elementwise.
+
+The summation order is fixed: each interval's leaves are added one after
+another from 0.0 in descending order of their left endpoint, and a split
+``(-inf, inf)`` adds its left half's sum, then its right half's. The margins
+that the suites and the tests pin on the oracle's values depend on this
+order, so a change to it is a change to those numbers.
 """
 
 from __future__ import annotations
@@ -164,24 +167,15 @@ def _gk15(f, sign: np.ndarray, anchor: np.ndarray, lo: np.ndarray, hi: np.ndarra
 def _sum_leaves(rows: int, row, lo, est, err):
     """Per-row (value, error, leaf count), leaves summed in descending left endpoint.
 
-    The k-th leaf of every row is added in the k-th step, so each row's
-    additions run in sequence, as in the one-panel rule. Two leaves share a
-    left endpoint only when one has zero width; with a finite integrand its
-    estimate and error are zero, so their order does not matter.
+    ``bincount`` adds each row's weights one after another in the order
+    given, from 0.0. Two leaves share a left endpoint only when one has zero
+    width; with a finite integrand its estimate and error are zero, so their
+    order does not matter.
     """
     order = np.lexsort((-lo, row))
     row = row[order]
-    rank = np.arange(row.size) - np.searchsorted(row, row, side="left")
-    by_rank = np.argsort(rank, kind="stable")
-    order, row, rank = order[by_rank], row[by_rank], rank[by_rank]
-    est, err = est[order], err[order]
-    bounds = np.searchsorted(rank, np.arange(int(rank.max(initial=-1)) + 2))
-    value = np.zeros(rows)
-    error = np.zeros(rows)
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        at = row[start:stop]
-        value[at] += est[start:stop]
-        error[at] += err[start:stop]
+    value = np.bincount(row, est[order], minlength=rows)
+    error = np.bincount(row, err[order], minlength=rows)
     return value, error, np.bincount(row, minlength=rows)
 
 
@@ -252,19 +246,15 @@ def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     # share at the depth budget while the total is well inside tolerance.
     row_converged = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
 
-    # Fold rows into intervals, adding a split interval's right row second.
+    # Fold rows into intervals; a split interval's right row comes second in
+    # ``owner``, so it is added second.
     n = lo.size
-    out_value = np.zeros(n)
-    out_error = np.zeros(n)
-    out_converged = np.ones(n, dtype=bool)
-    out_evals = np.zeros(n, dtype=np.int64)
-    for part in (slice(0, nonempty.size), slice(nonempty.size, owner.size)):
-        idx = owner[part]
-        out_value[idx] += value[part]
-        out_error[idx] += error[part]
-        out_converged[idx] &= row_converged[part]
-        out_evals[idx] += evals[part]
-    return out_value, out_error, out_converged, out_evals
+    return (
+        np.bincount(owner, value, minlength=n),
+        np.bincount(owner, error, minlength=n),
+        np.bincount(owner, ~row_converged, minlength=n) == 0,
+        np.bincount(owner, evals, minlength=n).astype(np.int64),
+    )
 
 
 def _bisect(f, sign, anchor, p_lo, p_hi, settings: QuadSettings):

@@ -20,6 +20,9 @@ that decision, and ``dimension``, ``measure``, ``perimeter``, ``barycenter``,
 A profile's mass, endpoint weights and first moments are summed in one
 private pass over its ``(lo, hi)`` pairs, which ``measure``, ``perimeter``,
 ``barycenter`` and :mod:`gaussiso.functionals` all read.
+Two private helpers own the endpoint layout, for every module: ``_endpoints``
+flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
+positions are lower endpoints, and ``_pairs`` pairs such a list back up.
 Only :func:`complement` and the JSON descriptors build each family's own type.
 The named interval unions of a mass level that the corpus, the optimizer
 and the suites share (the half-line, the symmetric two-ray set, the
@@ -31,16 +34,17 @@ and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
-from .special import SQRT_2PI, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
+from .special import SQRT_2PI, _check_integer, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
 
 __all__ = [
     "MERGE_TOL",
@@ -83,6 +87,16 @@ def _require_real(name: str, value: float, allow_inf: bool = False) -> float:
     return v
 
 
+def _endpoints(intervals: Iterable[tuple[float, float]]) -> list[float]:
+    """The flat endpoint list ``[lo_0, hi_0, lo_1, hi_1, ...]`` of ``(lo, hi)`` pairs."""
+    return list(itertools.chain.from_iterable(intervals))
+
+
+def _pairs(points: Sequence[float]) -> Iterator[tuple[float, float]]:
+    """The consecutive ``(lo, hi)`` pairs of a flat endpoint list, once; inverts ``_endpoints``."""
+    return zip(points[0::2], points[1::2])
+
+
 @dataclass(frozen=True)
 class IntervalUnion1D:
     """Sorted union of disjoint open intervals; build raw data via normalize()."""
@@ -112,13 +126,7 @@ class IntervalUnion1D:
 
     @property
     def finite_endpoints(self) -> tuple[float, ...]:
-        out = []
-        for lo, hi in self.intervals:
-            if math.isfinite(lo):
-                out.append(lo)
-            if math.isfinite(hi):
-                out.append(hi)
-        return tuple(out)
+        return tuple(filter(math.isfinite, _endpoints(self.intervals)))
 
     @property
     def component_count(self) -> int:
@@ -151,8 +159,7 @@ class SlabSet:
     profile: IntervalUnion1D
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ValueError(f"SlabSet: dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _check_integer(self.dim, "SlabSet: dim", 1))
         if not isinstance(self.profile, IntervalUnion1D):
             raise ValueError("SlabSet: profile must be an IntervalUnion1D")
 
@@ -165,8 +172,7 @@ class CenteredBall:
     radius: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ValueError(f"CenteredBall: dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _check_integer(self.dim, "CenteredBall: dim", 1))
         r = _require_real("CenteredBall.radius", self.radius)
         if r <= 0.0:
             raise ValueError(f"CenteredBall: radius must be positive, got {r!r}")
@@ -335,16 +341,8 @@ def symmetric_interval_halfwidth(s: float) -> float:
 
 
 def _complement_intervals(e: IntervalUnion1D) -> IntervalUnion1D:
-    points: list[float] = [-math.inf]
-    for lo, hi in e.intervals:
-        points.extend((lo, hi))
-    points.append(math.inf)
-    pairs = []
-    for i in range(0, len(points), 2):
-        lo, hi = points[i], points[i + 1]
-        if lo < hi:
-            pairs.append((lo, hi))
-    return IntervalUnion1D(intervals=tuple(pairs))
+    points = [-math.inf, *_endpoints(e.intervals), math.inf]
+    return IntervalUnion1D(intervals=tuple((lo, hi) for lo, hi in _pairs(points) if lo < hi))
 
 
 def complement(e: GaussianSet) -> GaussianSet:
@@ -452,9 +450,8 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     Plain indicator average over standard normal draws: unbiased, and
     deterministic for a fixed seed.
     """
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise ValueError(f"mc_measure: n_samples must be a positive integer, got {n_samples!r}")
-    rng = np.random.default_rng(seed)
+    n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
+    rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
     dim = dimension(e)
     chunk = 200_000
     hits = 0
@@ -524,18 +521,12 @@ def set_from_dict(d: dict) -> GaussianSet:
             raise ValueError("set descriptor: halfspace requires a numeric 's'")
         return HalfSpace(omega=tuple(float(c) for c in omega), s=float(s))
     if kind == "slab":
-        dim = d.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError("set descriptor: slab requires an integer 'dim'")
-        return SlabSet(dim=dim, profile=_items_from_json(d.get("profile"), "profile"))
+        return SlabSet(dim=d.get("dim"), profile=_items_from_json(d.get("profile"), "profile"))
     if kind == "ball":
-        dim = d.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError("set descriptor: ball requires an integer 'dim'")
         radius = d.get("radius")
         if isinstance(radius, bool) or not isinstance(radius, (int, float)):
             raise ValueError("set descriptor: ball requires a numeric 'radius'")
-        return CenteredBall(dim=dim, radius=float(radius))
+        return CenteredBall(dim=d.get("dim"), radius=float(radius))
     raise ValueError(f"set descriptor: unknown type {kind!r}")
 
 

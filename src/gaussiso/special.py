@@ -10,12 +10,17 @@ Conventions used throughout the package:
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
+
+``_check_integer`` is the package's one integer check, for dimensions,
+counts, seeds and caps alike: a Python or NumPy integer passes, and a bool,
+a float or anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammainc, gammaincinv, log_ndtr, ndtri
 
 __all__ = [
@@ -32,6 +37,17 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _SQRT_2 = math.sqrt(2.0)
+
+
+def _check_integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; refuses a non-integer (NumPy integers pass) or one below ``least``, 0 or 1."""
+    # a bool or a float would slip through further down: the seed hash reads
+    # any int, and NumPy takes True as a size
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}, got {value!r}")
+    return int(value)
 
 
 def _gauss_cdf_finite(s: float) -> float:
@@ -94,10 +110,7 @@ def chi2_cdf(dim: int, t: float) -> float:
     This is the Gaussian measure of the centered ball of squared radius ``t``
     in dimension ``dim``.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"chi2_cdf: dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ValueError(f"chi2_cdf: dim must be >= 1, got {dim}")
+    dim = _check_integer(dim, "chi2_cdf: dim", 1)
     if math.isnan(t) or t < 0.0:
         raise ValueError(f"chi2_cdf: t must be >= 0, got {t!r}")
     if math.isinf(t):
@@ -107,10 +120,7 @@ def chi2_cdf(dim: int, t: float) -> float:
 
 def chi2_quantile(dim: int, p: float) -> float:
     """Inverse of :func:`chi2_cdf` in its second argument, p in [0, 1)."""
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"chi2_quantile: dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ValueError(f"chi2_quantile: dim must be >= 1, got {dim}")
+    dim = _check_integer(dim, "chi2_quantile: dim", 1)
     if math.isnan(p) or p < 0.0 or p >= 1.0:
         raise ValueError(f"chi2_quantile: probability must lie in [0, 1), got {p!r}")
     return float(2.0 * gammaincinv(0.5 * dim, p))

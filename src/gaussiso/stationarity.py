@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import FunctionalParams, penalized_functional
-from .sets import IntervalUnion1D, _profile_sums
+from .sets import IntervalUnion1D, _endpoints, _pairs, _profile_sums
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
@@ -136,13 +136,11 @@ def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndar
     weight is e^{-x^2/2}; infinite endpoints contribute no boundary point, so
     the full line gives three empty arrays.
     """
-    x: list[float] = []
-    nu: list[float] = []
-    for lo, hi in e.intervals:
-        for end, sign in ((lo, -1.0), (hi, 1.0)):
-            if math.isfinite(end):
-                x.append(end)
-                nu.append(sign)
+    points = _endpoints(e.intervals)
+    keep = [i for i, p in enumerate(points) if math.isfinite(p)]
+    x = [points[i] for i in keep]
+    # lower endpoints sit at the even positions
+    nu = [1.0 if i % 2 else -1.0 for i in keep]
     # math.exp per point: np.exp can differ from it in the last bit
     w = [gauss_weight(v) for v in x]
     return np.array(x, dtype=float), np.array(nu, dtype=float), np.array(w, dtype=float)
@@ -270,12 +268,8 @@ def mass_preserving_flow(e: IntervalUnion1D, phi: np.ndarray, t: float) -> Inter
                 f"flow time {t!r} pushes the boundary point at {p!r} outside the mass range"
             )
     moved = iter([gauss_cdf_inv(target) for target in targets])
-    return IntervalUnion1D(
-        intervals=tuple(
-            (next(moved) if math.isfinite(lo) else lo, next(moved) if math.isfinite(hi) else hi)
-            for lo, hi in e.intervals
-        )
-    )
+    points = [next(moved) if math.isfinite(p) else p for p in _endpoints(e.intervals)]
+    return IntervalUnion1D(intervals=_pairs(points))
 
 
 def second_derivative_along_flow(

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import log_ndtr as _vector_log_cdf
 from scipy.special import ndtr as _vector_cdf
 
-from .corpus import _check_integer, _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
+from .corpus import _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
@@ -46,7 +46,7 @@ from .sets import (
     measure,
     two_ray_set,
 )
-from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_integer, gauss_cdf, gauss_cdf_inv, gauss_weight
 from .stationarity import (
     boundary_points,
     euler_residual,

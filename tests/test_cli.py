@@ -66,6 +66,9 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--set", '{"type":"mystery"}')
         assert code == 2
         assert "error:" in err
+        code, _, err = run_cli(capsys, "eval", "--set", '{"type":"slab","dim":true,"profile":[[0,1]]}')
+        assert code == 2
+        assert "SlabSet: dim must be an integer, got True" in err
 
 
 class TestVerify:

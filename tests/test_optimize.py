@@ -98,7 +98,7 @@ class TestTemplates:
         with pytest.raises(ValueError, match=r"\[1, 4\]"):
             enumerate_templates(k_max)
 
-    @pytest.mark.parametrize("k_max", [True, 2.5, 2.0])
+    @pytest.mark.parametrize("k_max", [True, 2.5, 2.0, "2", None])
     def test_non_integer_cap_rejected(self, k_max):
         with pytest.raises(ValueError, match="component cap must be an integer"):
             enumerate_templates(k_max)

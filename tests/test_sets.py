@@ -6,6 +6,7 @@ averages, central-difference derivatives) and then pinned.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +475,13 @@ class TestMcMeasure:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             mc_measure(normalize([(0.0, 1.0)]), n_samples=0)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            mc_measure(normalize([(0.0, 1.0)]), n_samples=True)
+
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mc_measure(normalize([(0.0, 1.0)]), n_samples=10, seed=seed)
 
 
 class TestJsonDescriptors:
@@ -494,14 +502,18 @@ class TestJsonDescriptors:
         assert back == h
 
     def test_slab_round_trip(self):
-        e = SlabSet(dim=3, profile=normalize([(-1.0, math.inf)]))
-        back = set_from_json(set_to_json(e))
-        assert back == e
+        for dim in (3, np.int64(3)):
+            e = SlabSet(dim=dim, profile=normalize([(-1.0, math.inf)]))
+            assert type(e.dim) is int
+            back = set_from_json(set_to_json(e))
+            assert back == e
 
     def test_ball_round_trip(self):
-        b = CenteredBall(dim=4, radius=1.25)
-        back = set_from_json(set_to_json(b))
-        assert back == b
+        for dim in (4, np.int64(4)):
+            b = CenteredBall(dim=dim, radius=1.25)
+            assert type(b.dim) is int
+            back = set_from_json(set_to_json(b))
+            assert back == b
 
     def test_parse_literal_grammar(self):
         e = set_from_json('{"type": "intervals", "items": [["-inf", 0], [1, 2.5]]}')
@@ -531,12 +543,29 @@ class TestJsonDescriptors:
             set_from_dict({"type": "halfspace", "s": 0.0})
         with pytest.raises(ValueError):
             set_from_dict({"type": "halfspace", "omega": [1.0], "s": "zero"})
+        with pytest.raises(ValueError, match="numeric 's'"):
+            set_from_dict({"type": "halfspace", "omega": [1.0], "s": True})
 
     def test_rejects_bad_slab_and_ball(self):
         with pytest.raises(ValueError):
             set_from_dict({"type": "slab", "dim": "two", "profile": []})
         with pytest.raises(ValueError):
             set_from_dict({"type": "ball", "dim": 2, "radius": "big"})
+        with pytest.raises(ValueError, match="numeric 'radius'"):
+            set_from_dict({"type": "ball", "dim": 2, "radius": True})
+        shapes = {"slab": {"profile": [[0.0, 1.0]]}, "ball": {"radius": 1.0}}
+        for kind, name in (("slab", "SlabSet"), ("ball", "CenteredBall")):
+            for dim in ({"dim": True}, {"dim": 3.0}, {"dim": "3"}, {}):
+                with pytest.raises(ValueError, match=f"{name}: dim must be an integer"):
+                    set_from_dict({"type": kind, **dim, **shapes[kind]})
+
+    def test_readme_descriptors_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Set descriptors:\n\n```json\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            set_from_json(line)
 
     def test_invalid_json_text(self):
         with pytest.raises(ValueError, match="invalid JSON"):

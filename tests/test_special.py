@@ -151,6 +151,7 @@ class TestChi2:
         assert chi2_cdf(1, 4.0) == pytest.approx(2.0 * gauss_cdf(2.0) - 1.0, rel=1e-14)
         assert chi2_cdf(5, 0.0) == 0.0
         assert chi2_cdf(3, math.inf) == 1.0
+        assert chi2_cdf(np.int64(3), 1.0) == chi2_cdf(3, 1.0)
 
     def test_monotone_in_t(self):
         for dim in (1, 2, 7):
