@@ -77,9 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_weight(text: str, default_value: float, flag: str) -> float:
+def _resolve_weight(text: str, flag: str, s: float, field: str) -> float:
+    """A weight flag's number, or the ``field`` of the paper's weights at level ``s``."""
     if text == "paper":
-        return default_value
+        return getattr(stability_params(s), field)
     try:
         return float(text)
     except ValueError:
@@ -113,11 +114,10 @@ def _run_verify(args) -> int:
 
 
 def _run_minimize(args) -> int:
-    defaults = stability_params(args.s)
     params = FunctionalParams(
         s=args.s,
-        eps=_resolve_weight(args.eps, defaults.eps, "--eps"),
-        lambda_pen=_resolve_weight(args.lambda_pen, defaults.lambda_pen, "--lambda"),
+        eps=_resolve_weight(args.eps, "--eps", args.s, "eps"),
+        lambda_pen=_resolve_weight(args.lambda_pen, "--lambda", args.s, "lambda_pen"),
     )
     settings = OptimizerSettings(multistarts=args.starts, seed=args.seed)
     outcome = minimize_penalized_functional(args.s, params, k_max=args.kmax, settings=settings)

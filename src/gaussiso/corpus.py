@@ -68,12 +68,10 @@ class RandomSetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.k_range
-        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (lo, hi)):
-            raise ValueError(f"component range must be a pair of integers, got {self.k_range!r}")
+        lo, hi = (_check_integer(k, "component range: each end") for k in self.k_range)
         if not 1 <= lo <= hi <= 6:
             raise ValueError(f"component range must satisfy 1 <= min <= max <= 6, got {self.k_range!r}")
-        object.__setattr__(self, "k_range", (int(lo), int(hi)))
+        object.__setattr__(self, "k_range", (lo, hi))
         _check_integer(self.seed, "seed", 0)
 
 

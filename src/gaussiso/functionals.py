@@ -6,13 +6,13 @@ the penalized objective used by the optimizer, and the explicit penalization
 constants under which half-spaces are the unique minimizers.
 
 Every quantity of a set comes from :func:`quantity_columns`, which returns
-one array per quantity for many sets. A profile set's quantities start from
-the one pass over its ``(lo, hi)`` pairs that ``measure``, ``perimeter`` and
-``barycenter`` also read (balls from their closed forms). :func:`quantities`,
-the bundle of one set, and :func:`excess_identity` are its batch of one, so
-each formula exists once. The penalized functional of a profile set reads
-the same pass, and the optimizer calls it on endpoint lists without building
-sets.
+one array per quantity for many sets. They start from the row ``(mass,
+perimeter, b, excess)`` of ``sets._row``, the one family decision, so no
+code here tells a ball from a profile. :func:`quantities`, the bundle of
+one set, and :func:`excess_identity` are its batch of one, so each formula
+exists once. F is written once on ``(mass, perimeter, b)``: fed the row by
+:func:`penalized_functional`, and a profile's sums on endpoint lists,
+without building sets, by the optimizer.
 
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import GaussianSet, _clipped_mass, _profile, _profile_sums, barycenter, measure, perimeter
+from .sets import GaussianSet, _clipped_mass, _profile, _row, barycenter
 from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
 
 __all__ = [
@@ -48,6 +48,9 @@ STABILITY_CONSTANT = 80.0 * math.pi**2 * math.sqrt(2.0 * math.pi)
 
 # |b(E)| below this is treated as a zero barycenter (degenerate direction).
 BARYCENTER_ZERO_TOL = 1e-12
+
+# sqrt(2 log(largest float)) ~ 37.677: the largest |s| whose exp(s^2/2) is finite.
+_MAX_PAPER_LEVEL = math.sqrt(2.0 * math.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,7 @@ def _check_consistent(deficit: np.ndarray, beta: np.ndarray, excess: np.ndarray)
 
 def _quantity_row(e: GaussianSet) -> tuple[float, ...]:
     """``(measure, s, perimeter, b, w_s, excess, alpha_hat)`` of one set."""
-    profile = _profile(e)
-    if profile is None:
-        mass, perim, b = measure(e), perimeter(e), 0.0
-        # a ball's odd part integrates to zero, leaving 2 * perimeter
-        excess = 2.0 * perim
-    else:
-        mass, perim, b, left, right = _profile_sums(profile[1])
-        # boundary excess, min over unit omega of the weighted |normal - omega|^2:
-        # 0 or 4 per endpoint for omega = +-axis
-        excess = 4.0 * min(left, right)
+    mass, perim, b, excess = _row(e)
     if not 0.0 < mass < 1.0:
         raise ValueError(
             f"quantity undefined for degenerate set with measure {mass!r}; need measure in (0, 1)"
@@ -137,17 +131,17 @@ def _quantity_row(e: GaussianSet) -> tuple[float, ...]:
         alpha_hat = 2.0 * gauss_cdf(-abs(s))
     else:
         # gamma(E sym-diff H) for the half-space H at level s opposite to the
-        # barycenter, (-inf, s) or (-s, inf) on the axis
+        # barycenter, (-inf, s) or (-s, inf) on the axis; only a profile has b != 0
         cut = (-s, math.inf) if b > 0.0 else (-math.inf, s)
-        alpha_hat = mass + gauss_cdf(s) - 2.0 * _clipped_mass(profile[1], *cut)
+        alpha_hat = mass + gauss_cdf(s) - 2.0 * _clipped_mass(_profile(e)[1], *cut)
     return mass, s, perim, b, gauss_weight(s), excess, alpha_hat
 
 
 def quantity_columns(sets) -> dict[str, np.ndarray]:
     """Every derived quantity of many nondegenerate sets, one array per quantity.
 
-    Each profile set is one pass of ``sets._profile_sums`` over its
-    ``(lo, hi)`` pairs; centered balls use their chi-square closed forms. The
+    Each set is one row of ``sets._row``: a profile's one pass over its
+    ``(lo, hi)`` pairs, or a centered ball's closed forms. The
     columns are ``measure``, ``s`` (mass level), ``perimeter``, ``b``
     (barycenter along the profile axis, zero for balls), ``b_norm``,
     ``b_max``, ``deficit``, ``beta`` (strong asymmetry), ``alpha_hat``
@@ -189,26 +183,17 @@ def excess_identity(e: GaussianSet) -> tuple[float, float]:
     return float(cols["excess"][0]), float(via)
 
 
-def _penalized_profile(intervals, params: FunctionalParams, target: float) -> float:
-    """F of the profile set with these ``(lo, hi)`` pairs; ``target`` is
-    ``gauss_cdf(params.s)``.
-
-    The sums are those of ``measure``, ``perimeter`` and ``barycenter``, and
-    ``|b| = sqrt(b*b)`` since the axis is a unit vector.
-    """
-    mass, perim, b, _, _ = _profile_sums(intervals)
+def _penalized(mass: float, perim: float, b: float, params: FunctionalParams, target: float) -> float:
+    """F from a set's mass, perimeter and barycenter ``b`` along its unit
+    axis (so ``|b| = sqrt(b*b)``); ``target`` is ``gauss_cdf(params.s)``."""
     norm_b = math.sqrt(b * b)
     return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - target)
 
 
 def penalized_functional(e: GaussianSet, params: FunctionalParams) -> float:
     """perimeter + (eps/2)|b|^2 + lambda_pen * |measure - gauss_cdf(s)|."""
-    profile = _profile(e)
-    target = gauss_cdf(params.s)
-    if profile is None:
-        # a centered ball has zero barycenter
-        return perimeter(e) + params.lambda_pen * abs(measure(e) - target)
-    return _penalized_profile(profile[1], params, target)
+    mass, perim, b, _ = _row(e)
+    return _penalized(mass, perim, b, params, gauss_cdf(params.s))
 
 
 def stability_params(s: float) -> FunctionalParams:
@@ -218,11 +203,13 @@ def stability_params(s: float) -> FunctionalParams:
     gauss_cdf(s). Defined for s <= 0; a positive level maps to its negation,
     matching the reduction by complement (a set at level s > 0 and its
     complement at level -s have identical perimeter, barycenter norm, and
-    asymmetries).
+    asymmetries). Past ``_MAX_PAPER_LEVEL``, ``exp(s^2/2)`` overflows.
     """
     s = float(s)
     if not math.isfinite(s):
         raise ValueError(f"stability_params: s must be finite, got {s!r}")
+    if abs(s) > _MAX_PAPER_LEVEL:
+        raise ValueError(f"stability_params: |s| must be at most {_MAX_PAPER_LEVEL!r}, got {s!r}")
     s_eff = -abs(s)
     eps = math.exp(0.5 * s_eff * s_eff) / (40.0 * math.pi**2 * (1.0 + s_eff * s_eff))
     # log-form guards gauss_cdf underflow at very negative levels

@@ -57,7 +57,7 @@ import numpy as np
 
 from .functionals import (
     FunctionalParams,
-    _penalized_profile,
+    _penalized,
     max_barycenter_norm,
     penalized_functional,
 )
@@ -65,6 +65,7 @@ from .corpus import _entropy, _generators
 from .sets import (
     IntervalUnion1D,
     _pairs,
+    _profile_sums,
     half_line_set,
     measure,
     symmetric_interval_halfwidth,
@@ -240,7 +241,8 @@ def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, ta
                 shortfall += gap
         if shortfall > 0.0:
             return _ORDER_PENALTY * (1.0 + shortfall)
-        return _penalized_profile(_pairs(head + theta + tail), params, target)
+        mass, perim, b, _, _ = _profile_sums(_pairs(head + theta + tail))
+        return _penalized(mass, perim, b, params, target)
 
     return objective
 

@@ -9,17 +9,17 @@ Four families are supported, each closed under the operations it admits:
   coordinate axis. Its Gaussian measure and perimeter equal the profile's,
   because the transverse directions integrate to one.
 * :class:`CenteredBall` — ``{|x| < R}``; measure via the chi-square law of
-  ``|x|^2``.
+  ``|x|^2``, perimeter via the chi density of ``|x|``.
 
 The families collapse to two cases. Every set but the ball is a 1-D profile:
 the preimage of an interval union under ``x -> x . axis`` for a unit axis
 (an interval union along ``(1,)``, a slab along ``e_n``, a half-space as the
-one-ray profile ``(-inf, s)`` along ``omega``). One private reduction makes
-that decision, and ``dimension``, ``measure``, ``perimeter``, ``barycenter``,
-``symm_diff_measure`` and ``contains_points`` each read "ball, else profile".
-A profile's mass, endpoint weights and first moments are summed in one
-private pass over its ``(lo, hi)`` pairs, which ``measure``, ``perimeter``,
-``barycenter`` and :mod:`gaussiso.functionals` all read.
+one-ray profile ``(-inf, s)`` along ``omega``). ``_profile`` makes that
+decision for ``dimension``, ``barycenter``, ``symm_diff_measure`` and
+``contains_points``. For scalar quantities ``_row`` is the one family
+decision: ``(mass, perimeter, b, excess)`` of a profile from the one private
+pass over its ``(lo, hi)`` pairs, or of a ball from its closed forms.
+``measure``, ``perimeter`` and :mod:`gaussiso.functionals` read it.
 Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
 positions are lower endpoints, and ``_pairs`` pairs such a list back up.
@@ -76,6 +76,8 @@ __all__ = [
 MERGE_TOL = 1e-9
 
 _UNIT_NORM_TOL = 1e-12
+
+_LOG_2 = math.log(2.0)
 
 
 def _require_real(name: str, value: float, allow_inf: bool = False) -> float:
@@ -271,28 +273,34 @@ def _profile_sums(intervals: Iterable[tuple[float, float]]) -> tuple[float, ...]
     return mass, perim, b, left, right
 
 
-def measure(e: GaussianSet) -> float:
-    """Gaussian measure gamma(E)."""
-    profile = _profile(e)
-    if profile is None:
-        return chi2_cdf(e.dim, e.radius * e.radius)
-    return _profile_sums(profile[1])[0]
+def _row(e: GaussianSet) -> tuple[float, float, float, float]:
+    """``(mass, perimeter, b, excess)`` of one set, ``b`` along its axis: the
+    one family decision for scalar quantities.
 
-
-def perimeter(e: GaussianSet) -> float:
-    """Gaussian perimeter: integral of exp(-|x|^2/2)/(2 pi)^{(n-1)/2} over the boundary.
-
-    A profile set's boundary is the profile's endpoints times the transverse
-    space, whose Gaussian integral is one.
+    The excess is the minimum over unit ``omega`` of the weighted
+    ``|normal - omega|^2``: 0 or 4 per profile endpoint for ``omega =
+    +-axis``, and ``2P`` for a ball, whose odd part integrates to zero. A
+    ball's perimeter is ``sqrt(2 pi)`` times the chi density at ``r``, in log
+    space so that it is finite in every dimension.
     """
     profile = _profile(e)
     if profile is None:
-        n = e.dim
-        r = e.radius
-        # sphere area n*omega_n*R^{n-1} = 2 pi^{n/2} R^{n-1} / Gamma(n/2)
-        area = 2.0 * math.pi ** (0.5 * n) * r ** (n - 1) / math.gamma(0.5 * n)
-        return area * math.exp(-0.5 * r * r) / (2.0 * math.pi) ** (0.5 * (n - 1))
-    return _profile_sums(profile[1])[1]
+        n, r = e.dim, e.radius
+        log_chi = (n - 1) * math.log(r) - 0.5 * r * r - (0.5 * n - 1.0) * _LOG_2 - math.lgamma(0.5 * n)
+        perim = SQRT_2PI * math.exp(log_chi)
+        return chi2_cdf(n, r * r), perim, 0.0, 2.0 * perim
+    mass, perim, b, left, right = _profile_sums(profile[1])
+    return mass, perim, b, 4.0 * min(left, right)
+
+
+def measure(e: GaussianSet) -> float:
+    """Gaussian measure gamma(E)."""
+    return _row(e)[0]
+
+
+def perimeter(e: GaussianSet) -> float:
+    """Gaussian perimeter: integral of exp(-|x|^2/2)/(2 pi)^{(n-1)/2} over the boundary."""
+    return _row(e)[1]
 
 
 def barycenter(e: GaussianSet) -> np.ndarray:
@@ -448,18 +456,18 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     """Monte Carlo estimate of gamma(E) with its standard error.
 
     Plain indicator average over standard normal draws: unbiased, and
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. Blocks of at most 2,000,000 draws bound
+    the memory; as they fill in stream order, they leave the bits alone.
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
     rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
     dim = dimension(e)
-    chunk = 200_000
+    chunk = min(200_000, max(1, 2_000_000 // dim))
     hits = 0
     remaining = n_samples
     while remaining > 0:
         m = min(chunk, remaining)
-        pts = rng.standard_normal((m, dim))
-        hits += int(np.count_nonzero(contains_points(e, pts)))
+        hits += int(np.count_nonzero(contains_points(e, rng.standard_normal((m, dim)))))
         remaining -= m
     p = hits / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

@@ -111,7 +111,10 @@ class QuadraticFormJ:
             raise ValueError(
                 f"constraint length {c.shape} does not match matrix size {m.shape[0]}"
             )
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+        # np.allclose(m, m.T, rtol=0, atol=1e-12), cheaper: an entry equal to
+        # its mirror passes (symmetric infinities too), with no inf - inf
+        unequal = m != m.T
+        if not (np.abs(m[unequal] - m.T[unequal]) <= 1e-12).all():
             raise ValueError("form matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constraint", c)

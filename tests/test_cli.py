@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import gaussiso
 from gaussiso.cli import cli_main
 from gaussiso.functionals import stability_params
 from gaussiso.optimize import OptimizerSettings, minimize_penalized_functional
+from gaussiso.special import chi2_quantile, gauss_cdf
 from gaussiso.verify import json_value
 
 HALF_SPACE_M1 = '{"type":"halfspace","omega":[1],"s":-1}'
@@ -56,6 +58,19 @@ class TestEval:
         bundle = json.loads(out)
         assert bundle["measure"] == pytest.approx(0.3934693402873665, rel=1e-14)
         assert bundle["barycenter"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [250, 300])
+    def test_high_dim_ball_descriptor(self, capsys, dim):
+        # the ball at level 0.5; its perimeter used to overflow (inf at dim
+        # 250, OverflowError and exit 1 at dim 300)
+        radius = math.sqrt(chi2_quantile(dim, gauss_cdf(0.5)))
+        code, out, err = run_cli(
+            capsys, "eval", "--set", json.dumps({"type": "ball", "dim": dim, "radius": radius})
+        )
+        assert (code, err) == (0, "")
+        bundle = json.loads(out)
+        assert bundle["mass_level"] == pytest.approx(0.5, abs=1e-12)
+        assert all(math.isfinite(bundle[k]) for k in ("perimeter", "deficit", "excess"))
 
     def test_malformed_json_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--set", "{bad")
@@ -163,6 +178,19 @@ class TestMinimize:
         )
         assert code == 2
         assert "--eps" in err
+
+    def test_paper_weights_beyond_their_level_bound_exit_two(self, capsys):
+        # exp(s^2/2) in the paper's eps overflows past |s| = 37.677...
+        code, out, err = run_cli(capsys, "minimize", "--s", "-40")
+        assert (code, out) == (2, "")
+        assert "error: stability_params: |s| must be at most 37.67712072049519" in err
+        assert "Traceback" not in err
+
+    def test_explicit_weights_need_no_paper_weights(self, capsys):
+        code, out, _ = run_cli(capsys, "minimize", "--s", "-40", "--eps", "1", "--lambda", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["eps"], payload["lambda"]) == (1, 1)
 
     def test_bad_kmax_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -39,7 +39,7 @@ class TestRandomSetSpec:
         "k_range", [(1.0, 3), (1, 2.5), (True, 3), (1, np.bool_(True)), ("1", 3), (None, 3)]
     )
     def test_component_range_must_be_integers(self, k_range):
-        with pytest.raises(ValueError, match="pair of integers"):
+        with pytest.raises(ValueError, match="component range: each end must be an integer"):
             RandomSetSpec(k_range=k_range)
 
     def test_numpy_integer_component_range_accepted(self):

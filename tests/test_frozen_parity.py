@@ -64,7 +64,7 @@ FROZEN_EVAL = [
     ),
     (
         '{"type": "ball", "dim": 4, "radius": 1.7}',
-        '{"barycenter": [0, 0, 0, 0], "deficit": 0.47000756634571361, "directed_fraenkel": 0.84720168564182696, "excess": 2.903228188683102, "mass_level": -0.19269008923679212, "max_barycenter_norm": 0.39160434673559219, "measure": 0.42360084282091348, "perimeter": 1.451614094341551, "strong_asymmetry": 0.39160434673559219}\n',
+        '{"barycenter": [0, 0, 0, 0], "deficit": 0.47000756634571383, "directed_fraenkel": 0.84720168564182696, "excess": 2.9032281886831024, "mass_level": -0.19269008923679212, "max_barycenter_norm": 0.39160434673559219, "measure": 0.42360084282091348, "perimeter": 1.4516140943415512, "strong_asymmetry": 0.39160434673559219}\n',
     ),
 ]
 

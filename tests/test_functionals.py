@@ -350,6 +350,16 @@ class TestStabilityParams:
         with pytest.raises(ValueError):
             stability_params(math.inf)
 
+    def test_rejects_levels_whose_eps_overflows(self):
+        # exp(s^2/2) is finite up to |s| = sqrt(2 log(largest float))
+        bound = math.sqrt(2.0 * math.log(np.finfo(float).max))
+        for s in (bound, -bound):
+            p = stability_params(s)
+            assert math.isfinite(p.eps) and math.isfinite(p.lambda_pen)
+        for s in (-40.0, 40.0, math.nextafter(-bound, -math.inf)):
+            with pytest.raises(ValueError, match="must be at most 37.67712072049519"):
+                stability_params(s)
+
 
 class TestQuantityBundle:
     def test_halfspace_bundle(self):
@@ -457,13 +467,28 @@ class TestQuantityColumns:
         with pytest.raises(ValueError, match="degenerate"):
             quantity_columns((E0, normalize([(-math.inf, math.inf)])))
 
-    def test_non_finite_member_fails_the_batch(self):
-        # the dim-250 ball at level 0.5 overflows its perimeter to inf; the
-        # row used to pass, as inf - inf in the excess identity is NaN
-        ball = CenteredBall(dim=250, radius=math.sqrt(chi2_quantile(250, gauss_cdf(0.5))))
-        assert perimeter(ball) == math.inf
+    def test_non_finite_member_fails_the_batch(self, monkeypatch):
+        # an infinite perimeter (and excess 2P) for one member: such a row
+        # used to pass, as inf - inf in the excess identity is NaN
+        ball = CenteredBall(dim=4, radius=1.7)
+        row = functionals._row
+
+        def overflowing(e):
+            mass, perim, b, excess = row(e)
+            return (mass, math.inf, b, math.inf) if e == ball else (mass, perim, b, excess)
+
+        monkeypatch.setattr(functionals, "_row", overflowing)
         with pytest.raises(ValueError, match="non-finite deficit inf"):
             quantity_columns((E0, ball))
+        quantity_columns((E0,))
+
+    def test_high_dim_ball_has_finite_columns(self):
+        # the dim-250 ball at level 0.5 used to overflow its perimeter to inf
+        ball = CenteredBall(dim=250, radius=math.sqrt(chi2_quantile(250, gauss_cdf(0.5))))
+        cols = quantity_columns((E0, ball))
+        assert all(np.isfinite(column).all() for column in cols.values())
+        assert cols["s"][1] == pytest.approx(0.5, abs=1e-12)
+        assert cols["excess"][1] == 2.0 * cols["perimeter"][1]
 
     @pytest.mark.parametrize("omega", [(1.0,), (0.0, -1.0), (0.48, -0.6, 0.64)])
     def test_halfspace_is_its_one_ray_profile(self, omega):

@@ -6,6 +6,7 @@ averages, central-difference derivatives) and then pinned.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,27 @@ class TestPerimeter:
     def test_slab_equals_profile(self):
         prof = normalize([(-1.0, 0.5)])
         assert perimeter(SlabSet(dim=4, profile=prof)) == perimeter(prof)
+
+    # sqrt(2 pi) times the chi density at r = sqrt(n), from mpmath at 40 digits
+    @pytest.mark.parametrize(
+        "dim,expected,rel",
+        [
+            (250, 1.4132710695413162, 1e-12),
+            (1000, 1.4139778797848852, 1e-12),
+            (100_000, 1.4142112053524551, 1e-9),
+        ],
+    )
+    def test_high_dim_ball_matches_chi_density(self, dim, expected, rel):
+        assert perimeter(CenteredBall(dim=dim, radius=math.sqrt(dim))) == pytest.approx(expected, rel=rel)
+
+    def test_ball_is_finite_in_every_dimension(self):
+        # the sphere-area form overflowed to inf at dim 250 and raised from dim 299
+        for dim in (1, 2, 170, 250, 299, 300, 1000, 10_000, 100_000):
+            for radius in (0.5 * math.sqrt(dim), math.sqrt(dim), 2.0 * math.sqrt(dim)):
+                ball = CenteredBall(dim=dim, radius=radius)
+                assert 0.0 <= perimeter(ball) < 2.0
+                assert 0.0 <= measure(ball) <= 1.0
+        assert 0.0 < measure(CenteredBall(dim=300, radius=math.sqrt(300.0))) < 1.0
 
 
 class TestBarycenter:
@@ -477,6 +499,19 @@ class TestMcMeasure:
             mc_measure(normalize([(0.0, 1.0)]), n_samples=0)
         with pytest.raises(ValueError, match="n_samples must be an integer"):
             mc_measure(normalize([(0.0, 1.0)]), n_samples=True)
+
+    def test_memory_does_not_grow_with_dimension(self):
+        # a dim-100 draw is held 20,000 rows at a time, not 200,000
+        h = HalfSpace(omega=(0.1,) * 100, s=0.3)
+        tracemalloc.start()
+        try:
+            p, se = mc_measure(h, n_samples=200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        # the blocks follow the generator's stream: the one-block estimate's bits
+        assert (p.hex(), se.hex()) == ("0x1.3bdc486ad2dcbp-1", "0x1.1cf5f8c4771f2p-10")
 
     @pytest.mark.parametrize("seed", [True, 1.5])
     def test_rejects_non_integer_seed(self, seed):

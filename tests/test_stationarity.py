@@ -17,6 +17,7 @@ Oracles:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from hypothesis import assume, given, settings, strategies as st
 from gaussiso.functionals import (
     FunctionalParams,
     barycenter,
-    measure,
     penalized_functional,
     stability_params,
 )
-from gaussiso.sets import IntervalUnion1D
+from gaussiso.sets import IntervalUnion1D, measure
 from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
     STATION_TOL,
@@ -234,6 +234,26 @@ class TestSecondVariationForm:
             QuadraticFormJ(
                 matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), constraint=np.array([1.0, 1.0])
             )
+        # each off-diagonal pair is decided as np.allclose(m, m.T, rtol=0,
+        # atol=1e-12) decides it, without a RuntimeWarning
+        for upper, lower, accepted in [
+            (2e-12, 0.0, False),
+            (1e-13, 0.0, True),
+            (math.inf, math.inf, True),
+            (math.inf, -math.inf, False),
+            (math.nan, math.nan, False),
+        ]:
+            m = np.array([[1.0, upper], [lower, 1.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert bool(np.allclose(m, m.T, rtol=0.0, atol=1e-12)) is accepted
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if accepted:
+                    QuadraticFormJ(matrix=m, constraint=np.array([1.0, 1.0]))
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        QuadraticFormJ(matrix=m, constraint=np.array([1.0, 1.0]))
 
     def test_form_validation_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="constraint length"):
