@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import GaussianSet, _clipped_mass, _profile, _row, barycenter
-from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
+from .special import SQRT_2PI, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
 
 __all__ = [
     "STABILITY_CONSTANT",
@@ -67,20 +67,8 @@ class FunctionalParams:
     lambda_pen: float
 
     def __post_init__(self) -> None:
-        s = float(self.s)
-        eps = float(self.eps)
-        lam = float(self.lambda_pen)
-        if not math.isfinite(s):
-            raise ValueError(f"FunctionalParams.s must be finite, got {s!r}")
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(f"FunctionalParams.eps must be finite and >= 0, got {eps!r}")
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(
-                f"FunctionalParams.lambda_pen must be finite and >= 0, got {lam!r}"
-            )
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "lambda_pen", lam)
+        for name, sign in (("s", None), ("eps", "nonnegative"), ("lambda_pen", "nonnegative")):
+            object.__setattr__(self, name, _check_real(getattr(self, name), f"FunctionalParams: {name}", sign))
 
 
 def max_barycenter_norm(s: float) -> float:
@@ -205,9 +193,7 @@ def stability_params(s: float) -> FunctionalParams:
     complement at level -s have identical perimeter, barycenter norm, and
     asymmetries). Past ``_MAX_PAPER_LEVEL``, ``exp(s^2/2)`` overflows.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"stability_params: s must be finite, got {s!r}")
+    s = _check_real(s, "stability_params: s")
     if abs(s) > _MAX_PAPER_LEVEL:
         raise ValueError(f"stability_params: |s| must be at most {_MAX_PAPER_LEVEL!r}, got {s!r}")
     s_eff = -abs(s)

@@ -71,7 +71,7 @@ from .sets import (
     symmetric_interval_halfwidth,
     two_ray_endpoint,
 )
-from .special import SQRT_2PI, _check_integer, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_integer, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
     "IntervalTemplate",
@@ -622,11 +622,11 @@ def mass_sweep(s_values) -> tuple[MassSweepRow, ...]:
     which survives the underflow of e^{-s^2/2} at deep levels.  Rows are
     sorted by s.
     """
-    levels = [float(s) for s in np.asarray(list(s_values), dtype=float)]
+    levels = sorted(_check_real(s, "sweep level") for s in s_values)
     if not levels:
         raise ValueError("the sweep needs at least one level")
     rows = []
-    for s in sorted(levels):
+    for s in levels:
         if not s < 0.0:
             raise ValueError(f"sweep levels must be negative, got {s!r}")
         if s < -37.0:

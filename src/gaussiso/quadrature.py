@@ -44,10 +44,13 @@ class QuadSettings:
     max_depth: int = 60
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"QuadSettings: abs_tol must be positive, got {self.abs_tol!r}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"QuadSettings: rel_tol must be positive, got {self.rel_tol!r}")
+        # the oracle imports nothing from the package, so special._check_real is written out here
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+                raise ValueError(f"QuadSettings: {name} must be a real number, got {tol!r}")
+            if not (tol > 0.0 and math.isfinite(tol)):
+                raise ValueError(f"QuadSettings: {name} must be positive, got {tol!r}")
         depth = self.max_depth
         if isinstance(depth, bool) or not (isinstance(depth, (int, np.integer)) and depth >= 1):
             raise ValueError(f"QuadSettings: max_depth must be a positive integer, got {self.max_depth!r}")

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
-from .special import SQRT_2PI, _check_integer, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
+from .special import SQRT_2PI, _check_integer, _check_real, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
 
 __all__ = [
     "MERGE_TOL",
@@ -78,15 +78,6 @@ MERGE_TOL = 1e-9
 _UNIT_NORM_TOL = 1e-12
 
 _LOG_2 = math.log(2.0)
-
-
-def _require_real(name: str, value: float, allow_inf: bool = False) -> float:
-    v = float(value)
-    if math.isnan(v):
-        raise ValueError(f"{name} must not be NaN")
-    if not allow_inf and math.isinf(v):
-        raise ValueError(f"{name} must be finite, got {v!r}")
-    return v
 
 
 def _endpoints(intervals: Iterable[tuple[float, float]]) -> list[float]:
@@ -143,13 +134,14 @@ class HalfSpace:
     s: float
 
     def __post_init__(self) -> None:
-        om = tuple(float(c) for c in self.omega)
+        om = tuple(_check_real(c, "HalfSpace: omega component") for c in self.omega)
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "s", _require_real("HalfSpace.s", self.s))
+        object.__setattr__(self, "s", _check_real(self.s, "HalfSpace: s"))
         if len(om) < 1:
             raise ValueError("HalfSpace: omega must have at least one component")
+        # the components are finite, so an inf norm is an overflow and fails the test
         norm = math.sqrt(sum(c * c for c in om))
-        if not math.isfinite(norm) or abs(norm - 1.0) > _UNIT_NORM_TOL:
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"HalfSpace: omega must be a unit vector, |omega| = {norm!r}")
 
 
@@ -175,10 +167,7 @@ class CenteredBall:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _check_integer(self.dim, "CenteredBall: dim", 1))
-        r = _require_real("CenteredBall.radius", self.radius)
-        if r <= 0.0:
-            raise ValueError(f"CenteredBall: radius must be positive, got {r!r}")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", _check_real(self.radius, "CenteredBall: radius", "positive"))
 
 
 GaussianSet = Union[IntervalUnion1D, HalfSpace, SlabSet, CenteredBall]
@@ -524,17 +513,11 @@ def set_from_dict(d: dict) -> GaussianSet:
         omega = d.get("omega")
         if not isinstance(omega, list) or not omega:
             raise ValueError("set descriptor: halfspace requires a nonempty 'omega' list")
-        s = d.get("s")
-        if isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ValueError("set descriptor: halfspace requires a numeric 's'")
-        return HalfSpace(omega=tuple(float(c) for c in omega), s=float(s))
+        return HalfSpace(omega=tuple(omega), s=d.get("s"))
     if kind == "slab":
         return SlabSet(dim=d.get("dim"), profile=_items_from_json(d.get("profile"), "profile"))
     if kind == "ball":
-        radius = d.get("radius")
-        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-            raise ValueError("set descriptor: ball requires a numeric 'radius'")
-        return CenteredBall(dim=d.get("dim"), radius=float(radius))
+        return CenteredBall(dim=d.get("dim"), radius=d.get("radius"))
     raise ValueError(f"set descriptor: unknown type {kind!r}")
 
 

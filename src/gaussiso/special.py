@@ -11,9 +11,10 @@ Conventions used throughout the package:
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
 
-``_check_integer`` is the package's one integer check, for dimensions,
-counts, seeds and caps alike: a Python or NumPy integer passes, and a bool,
-a float or anything else raises ValueError.
+The package's number checks are ``_check_integer``, for dimensions, counts,
+seeds and caps, and ``_check_real``, for levels, weights, radii, steps and
+margins. A Python or NumPy number of the right kind passes; a bool, a string,
+None or any other object raises ValueError, as does a non-finite real.
 """
 
 from __future__ import annotations
@@ -48,6 +49,23 @@ def _check_integer(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, what: str, sign: str | None = None) -> float:
+    """``value`` as a finite float; refuses a non-number (NumPy numbers pass), NaN, +-inf,
+    or one that is not ``sign``, "positive" or "nonnegative"."""
+    # float() would read True as 1.0 and "1" as 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    if sign is not None and not (x > 0.0 if sign == "positive" else x >= 0.0):
+        raise ValueError(f"{what} must be {sign}, got {value!r}")
+    return x
 
 
 def _gauss_cdf_finite(s: float) -> float:

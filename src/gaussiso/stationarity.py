@@ -42,7 +42,7 @@ import numpy as np
 
 from .functionals import FunctionalParams, penalized_functional
 from .sets import IntervalUnion1D, _endpoints, _pairs, _profile_sums
-from .special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
 
 __all__ = [
     "STATION_TOL",
@@ -81,8 +81,7 @@ class EulerReport:
     def __post_init__(self) -> None:
         if not self.residuals:
             raise ValueError("an Euler report needs at least one residual")
-        if self.max_dev < 0.0 or not math.isfinite(self.max_dev):
-            raise ValueError(f"max_dev must be a finite nonnegative number, got {self.max_dev!r}")
+        object.__setattr__(self, "max_dev", _check_real(self.max_dev, "max_dev", "nonnegative"))
 
     @property
     def stationary(self) -> bool:
@@ -289,8 +288,7 @@ def second_derivative_along_flow(
     nonsmooth mass-penalty term is constant and cancels in the difference,
     leaving the curvature of the perimeter and barycenter terms alone.
     """
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
+    h = _check_real(h, "step size", "positive")
     f_zero = penalized_functional(e, params)
     f_plus = penalized_functional(mass_preserving_flow(e, phi, h), params)
     f_minus = penalized_functional(mass_preserving_flow(e, phi, -h), params)

@@ -46,7 +46,7 @@ from .sets import (
     measure,
     two_ray_set,
 )
-from .special import SQRT_2PI, _check_integer, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_integer, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
 from .stationarity import (
     boundary_points,
     euler_residual,
@@ -92,8 +92,7 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         _check_integer(self.samples, "samples", 1)
         _check_integer(self.seed, "seed", 0)
-        if not (self.main_constant > 0.0 and math.isfinite(self.main_constant)):
-            raise ValueError(f"main_constant must be positive, got {self.main_constant!r}")
+        object.__setattr__(self, "main_constant", _check_real(self.main_constant, "main_constant", "positive"))
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,14 @@ class CheckRecord:
             raise ValueError("check anchor must be nonempty")
         _check_integer(self.samples, "samples", 1)
         _check_integer(self.violations, "violations", 0)
-        if not math.isfinite(self.worst_margin):
-            raise ValueError(f"worst_margin must be finite, got {self.worst_margin!r}")
+        _check_integer(self.seed, "seed", 0)
+        object.__setattr__(self, "worst_margin", _check_real(self.worst_margin, "worst_margin"))
+        object.__setattr__(self, "wall_time", _check_real(self.wall_time, "wall_time", "nonnegative"))
         if (self.violations > 0) != (self.worst_margin < 0.0):
             raise ValueError(
                 f"margin sign must track violations: {self.violations} violations "
                 f"with worst margin {self.worst_margin!r}"
             )
-        if self.wall_time < 0.0:
-            raise ValueError(f"wall_time must be nonnegative, got {self.wall_time!r}")
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,12 @@ class TestEval:
         assert code == 2
         assert "SlabSet: dim must be an integer, got True" in err
 
+    @pytest.mark.parametrize("omega", ["[true]", '["0.6", "0.8"]'])
+    def test_non_numeric_omega_is_usage_error(self, capsys, omega):
+        code, _, err = run_cli(capsys, "eval", "--set", f'{{"type":"halfspace","omega":{omega},"s":0}}')
+        assert code == 2
+        assert "HalfSpace: omega component must be a real number" in err
+
 
 class TestVerify:
     def test_stdout_json_report(self, capsys):

@@ -560,6 +560,32 @@ class TestImports:
                     used.update(ast.literal_eval(node.value))
             assert sorted(imported - used) == [], path.name
 
+    def test_bool_check_lives_in_one_place(self):
+        # a bare isinstance(x, bool) starts a hand-written number check; the
+        # package's checks are special._check_integer and special._check_real
+        allowed = {
+            ("special", "_check_integer"),
+            ("special", "_check_real"),
+            ("quadrature", "QuadSettings"),  # the oracle imports nothing from the package
+            ("sets", "_endpoint_from_json"),  # an endpoint may be +-inf
+            ("verify", "format_number"),  # renders a bool, checks nothing
+        }
+        found = set()
+        for path in Path(gaussiso.__file__).resolve().parent.glob("*.py"):
+            for top in ast.parse(path.read_text(), filename=str(path)).body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance"
+                        and len(node.args) == 2
+                        and isinstance(node.args[1], ast.Name)
+                        and node.args[1].id == "bool"
+                    ):
+                        found.add((path.stem, getattr(top, "name", None)))
+        assert {("special", "_check_integer"), ("special", "_check_real")} <= found
+        assert sorted(found - allowed) == []
+
     def test_every_all_entry_exists(self):
         # a stale entry would break `from gaussiso.<module> import *`
         for path in Path(gaussiso.__file__).resolve().parent.glob("[!_]*.py"):

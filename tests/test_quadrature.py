@@ -43,6 +43,11 @@ class TestSettings:
             QuadSettings(max_depth=0)
         with pytest.raises(ValueError):
             QuadSettings(max_depth=True)
+        for bad in (True, "1e-3", None):
+            with pytest.raises(ValueError, match="abs_tol"):
+                QuadSettings(abs_tol=bad)
+            with pytest.raises(ValueError, match="rel_tol"):
+                QuadSettings(rel_tol=bad)
 
 
 class TestFiniteIntervals:

@@ -578,7 +578,7 @@ class TestJsonDescriptors:
             set_from_dict({"type": "halfspace", "s": 0.0})
         with pytest.raises(ValueError):
             set_from_dict({"type": "halfspace", "omega": [1.0], "s": "zero"})
-        with pytest.raises(ValueError, match="numeric 's'"):
+        with pytest.raises(ValueError, match="HalfSpace: s must be a real number"):
             set_from_dict({"type": "halfspace", "omega": [1.0], "s": True})
 
     def test_rejects_bad_slab_and_ball(self):
@@ -586,7 +586,7 @@ class TestJsonDescriptors:
             set_from_dict({"type": "slab", "dim": "two", "profile": []})
         with pytest.raises(ValueError):
             set_from_dict({"type": "ball", "dim": 2, "radius": "big"})
-        with pytest.raises(ValueError, match="numeric 'radius'"):
+        with pytest.raises(ValueError, match="CenteredBall: radius must be a real number"):
             set_from_dict({"type": "ball", "dim": 2, "radius": True})
         shapes = {"slab": {"profile": [[0.0, 1.0]]}, "ball": {"radius": 1.0}}
         for kind, name in (("slab", "SlabSet"), ("ball", "CenteredBall")):

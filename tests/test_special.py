@@ -10,10 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from gaussiso.functionals import FunctionalParams, stability_params
+from gaussiso.optimize import mass_sweep
 from gaussiso.quadrature import adaptive_quad
-from gaussiso.sets import IntervalUnion1D, barycenter
+from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, barycenter, two_ray_set
 from gaussiso.special import (
     SQRT_2PI,
+    _check_real,
     chi2_cdf,
     chi2_quantile,
     gauss_cdf,
@@ -22,6 +25,8 @@ from gaussiso.special import (
     gauss_weight,
     log_gauss_cdf,
 )
+from gaussiso.stationarity import second_derivative_along_flow
+from gaussiso.verify import CheckRecord, SuiteConfig
 
 # Oracle-derived (adaptive quadrature / bisection), frozen.
 PHI_MINUS_1 = 0.15865525393145707
@@ -183,3 +188,68 @@ class TestChi2:
             hits = float(np.mean(cum[:, dim - 1] < t))
             se = math.sqrt(max(hits * (1 - hits), 1e-12) / n)
             assert abs(chi2_cdf(dim, t) - hits) < 4.0 * se
+
+
+def _flow_step(h):
+    # a small velocity keeps steps 1.5 and 2 inside the flow's mass range
+    return second_derivative_along_flow(two_ray_set(0.0), stability_params(0.0), np.array([0.01, -0.01]), h=h)
+
+
+def _record(**kw):
+    return CheckRecord(**{"name": "x", "anchor": "y", "samples": 1, "violations": 0, "worst_margin": 0.1, **kw})
+
+
+# Every real parameter routed through _check_real: (call, a value past the
+# site's bound or None, two NumPy scalars the site accepts).
+REAL_SITES = {
+    "HalfSpace.s": (lambda v: HalfSpace(omega=(1.0,), s=v).s, None, None),
+    "HalfSpace.omega": (lambda v: HalfSpace(omega=(v,), s=0.0).omega[0], None, (np.float32(1.0), np.int64(-1))),
+    "CenteredBall.radius": (lambda v: CenteredBall(dim=2, radius=v).radius, 0.0, None),
+    "FunctionalParams.s": (lambda v: FunctionalParams(s=v, eps=1.0, lambda_pen=1.0).s, None, None),
+    "FunctionalParams.eps": (lambda v: FunctionalParams(s=0.0, eps=v, lambda_pen=1.0).eps, -1e-300, None),
+    "FunctionalParams.lambda_pen": (
+        lambda v: FunctionalParams(s=0.0, eps=1.0, lambda_pen=v).lambda_pen, -1.0, None,
+    ),
+    "stability_params.s": (lambda v: stability_params(v).s, None, None),
+    "SuiteConfig.main_constant": (lambda v: SuiteConfig(main_constant=v).main_constant, 0.0, None),
+    "CheckRecord.worst_margin": (lambda v: _record(worst_margin=v).worst_margin, None, None),
+    "CheckRecord.wall_time": (lambda v: _record(wall_time=v).wall_time, -1.0, None),
+    "second_derivative_along_flow.h": (_flow_step, 0.0, None),
+    "mass_sweep.level": (lambda v: mass_sweep([v])[0].s, None, (np.float32(-1.5), np.int64(-2))),
+}
+
+
+class TestCheckReal:
+    def test_wording(self):
+        assert _check_real(np.float32(0.5), "w") == 0.5
+        with pytest.raises(ValueError, match=r"^w must be a real number, got True$"):
+            _check_real(True, "w")
+        with pytest.raises(ValueError, match=r"^w must be finite, got nan$"):
+            _check_real(math.nan, "w")
+        with pytest.raises(ValueError, match=r"^w must be finite, got 1000"):
+            _check_real(10**400, "w")  # an int float() cannot hold
+        with pytest.raises(ValueError, match=r"^w must be positive, got 0$"):
+            _check_real(0, "w", "positive")
+        with pytest.raises(ValueError, match=r"^w must be nonnegative, got -0.5$"):
+            _check_real(-0.5, "w", "nonnegative")
+        assert _check_real(0, "w", "nonnegative") == 0.0
+
+    @pytest.mark.parametrize("site", sorted(REAL_SITES))
+    @pytest.mark.parametrize("value", [True, "1", None, math.nan, math.inf, -math.inf])
+    def test_site_refuses_non_reals(self, site, value):
+        with pytest.raises(ValueError):
+            REAL_SITES[site][0](value)
+
+    @pytest.mark.parametrize("site", sorted(n for n, (_, bad, _) in REAL_SITES.items() if bad is not None))
+    def test_site_refuses_values_past_its_bound(self, site):
+        call, bad, _ = REAL_SITES[site]
+        with pytest.raises(ValueError, match="positive|nonnegative"):
+            call(bad)
+
+    @pytest.mark.parametrize("site", sorted(REAL_SITES))
+    def test_site_takes_numpy_scalars_as_floats(self, site):
+        call, _, accepted = REAL_SITES[site]
+        for value in accepted or (np.float32(1.5), np.int64(2)):
+            got = call(value)
+            assert type(got) is float
+            assert got == call(float(value))

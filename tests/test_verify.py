@@ -113,6 +113,16 @@ class TestCheckRecord:
         )
         assert record.violations == 1
 
+    @pytest.mark.parametrize(
+        "seed, match",
+        [("x", "an integer"), (True, "an integer"), (1.5, "an integer"), (-1, "nonnegative")],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, match):
+        fields = {"name": "x", "anchor": "y", "samples": 1, "violations": 0, "worst_margin": 0.1}
+        with pytest.raises(ValueError, match=f"seed must be {match}"):
+            CheckRecord(**fields, seed=seed)
+        assert CheckRecord(**fields, seed=np.int64(3)).seed == 3
+
 
 class TestMargins:
     def test_one_sided_formula(self):
