@@ -51,6 +51,7 @@ deficit-to-asymmetry ratio along the two-ray family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ _ORDER_PENALTY = 1e6
 _STEP_TOL = 1e-10
 
 #: Value tolerance of the stopping test; also the margin within which a
-#: value counts as tied with the best (or with the half-line's).
+#: value counts as tied with the best, and, relative to the half-line's
+#: value, with the half-line's.
 _F_TOL = 1e-12
 
 #: Below this barycenter weight the face search is complete (module docstring).
@@ -551,7 +553,8 @@ def minimize_penalized_functional(
     ``s`` must equal ``params.s``. Either way the half-line at s is
     evaluated, so ``best_value <= half_line_value + 1e-12`` holds on return;
     ``half_line_optimal`` records whether the half-line remained the global
-    optimum among explored configurations.
+    optimum among explored configurations, within a relative 1e-12 of its
+    own value.
 
     On either path, ties within 1e-12 of the best value resolve to fewer
     finite endpoints, then fewer components: energy alone cannot distinguish
@@ -587,7 +590,8 @@ def minimize_penalized_functional(
         target_mass=gauss_cdf(params.s),
         achieved_mass=measure(best_set),
         half_line_value=half_line_value,
-        half_line_optimal=chosen_value >= half_line_value - _F_TOL,
+        # relative: far in the tails F of the half-line itself falls below 1e-12
+        half_line_optimal=chosen_value >= half_line_value - _F_TOL * max(half_line_value, sys.float_info.min),
         starts=tuple(d for _, d in searched),
     )
 

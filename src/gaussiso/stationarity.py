@@ -31,6 +31,14 @@ every weighted zero-average phi,
 ``_variation`` is the one place these formulas live: the residual, the
 quadratic form (and so the instability threshold the suites bisect for) all
 read its coefficients.
+
+Every public call that needs the boundary reads it once, as float lists
+from ``_boundary``, and does its per-point arithmetic on Python floats,
+which round element by element as NumPy's element-wise operations do.  NumPy keeps the reductions
+whose bits are pinned: the weighted mean of the residuals, the form matrix,
+the Householder basis and the eigen-solve.  ``second_derivative_along_flow``
+takes both of its steps from one boundary pass through ``_flows``, the helper
+behind ``mass_preserving_flow``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import numpy as np
 
 from .functionals import FunctionalParams, penalized_functional
 from .sets import IntervalUnion1D, _endpoints, _pairs, _profile_sums
-from .special import SQRT_2PI, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf_inv
 
 __all__ = [
     "STATION_TOL",
@@ -111,9 +119,10 @@ class QuadraticFormJ:
                 f"constraint length {c.shape} does not match matrix size {m.shape[0]}"
             )
         # np.allclose(m, m.T, rtol=0, atol=1e-12), cheaper: an entry equal to
-        # its mirror passes (symmetric infinities too), with no inf - inf
+        # its mirror passes (symmetric infinities too), with no inf - inf,
+        # and an exactly symmetric matrix is not indexed at all
         unequal = m != m.T
-        if not (np.abs(m[unequal] - m.T[unequal]) <= 1e-12).all():
+        if unequal.any() and not (np.abs(m[unequal] - m.T[unequal]) <= 1e-12).all():
             raise ValueError("form matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constraint", c)
@@ -130,6 +139,19 @@ class QuadraticFormJ:
         return float(v @ self.matrix @ v)
 
 
+def _boundary(e: IntervalUnion1D) -> tuple[list[float], list[float], list[float]]:
+    """``boundary_points`` as three float lists, from one pass over the endpoints."""
+    x, nu, w = [], [], []
+    for i, p in enumerate(_endpoints(e.intervals)):
+        if math.isfinite(p):
+            x.append(p)
+            # lower endpoints sit at the even positions
+            nu.append(1.0 if i % 2 else -1.0)
+            # gauss_weight of a finite point; np.exp can differ from it in the last bit
+            w.append(math.exp(-0.5 * p * p))
+    return x, nu, w
+
+
 def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Locations ``x``, exterior normal signs ``nu`` and weights ``w`` of the
     finite boundary of ``e``, in increasing order.
@@ -138,17 +160,11 @@ def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndar
     weight is e^{-x^2/2}; infinite endpoints contribute no boundary point, so
     the full line gives three empty arrays.
     """
-    points = _endpoints(e.intervals)
-    keep = [i for i, p in enumerate(points) if math.isfinite(p)]
-    x = [points[i] for i in keep]
-    # lower endpoints sit at the even positions
-    nu = [1.0 if i % 2 else -1.0 for i in keep]
-    # math.exp per point: np.exp can differ from it in the last bit
-    w = [gauss_weight(v) for v in x]
+    x, nu, w = _boundary(e)
     return np.array(x, dtype=float), np.array(nu, dtype=float), np.array(w, dtype=float)
 
 
-def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple[np.ndarray, ...]:
+def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple[list[float], ...]:
     """Coefficients of the first and second variation of F at ``e``.
 
     Returns ``(w, g, h, db)`` such that, along ``mass_preserving_flow`` with
@@ -157,14 +173,16 @@ def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple
     docstring).  Raises ValueError, naming ``what``, for a set with no finite
     boundary point.
     """
-    x, nu, w = boundary_points(e)
-    if not x.size:
+    x, nu, w = _boundary(e)
+    if not x:
         raise ValueError(f"set has no finite boundary point; {what} is empty")
     # (eps/sqrt(2 pi)) b(E), with b(E) the same sum barycenter returns
     coupling = (params.eps / SQRT_2PI) * _profile_sums(e.intervals)[2]
-    g = -x * nu + coupling * x
-    h = (-1.0 + coupling * nu) * w
-    return w, g, h, x * w / SQRT_2PI
+    # point by point in floats, in the order NumPy's element-wise ops round in
+    g = [-p * n + coupling * p for p, n in zip(x, nu)]
+    h = [(-1.0 + coupling * n) * q for n, q in zip(nu, w)]
+    db = [p * q / SQRT_2PI for p, q in zip(x, w)]
+    return w, g, h, db
 
 
 def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
@@ -180,9 +198,10 @@ def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
     Raises ValueError for sets with no finite boundary point.
     """
     w, g, _, _ = _variation(e, params, "the residual equation")
-    lambda_fit = float(np.dot(g, w) / np.sum(w))
-    max_dev = float(np.max(np.abs(g - lambda_fit)))
-    return EulerReport(residuals=tuple(g.tolist()), lambda_fit=lambda_fit, max_dev=max_dev)
+    weights = np.array(w)
+    lambda_fit = float(np.dot(g, weights) / np.sum(weights))
+    max_dev = max(abs(r - lambda_fit) for r in g)
+    return EulerReport(residuals=tuple(g), lambda_fit=lambda_fit, max_dev=max_dev)
 
 
 def lagrange_bound_check(report: EulerReport, params: FunctionalParams) -> bool:
@@ -227,7 +246,7 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
     k = form.size
     if k < 2:
         return math.inf, np.zeros(k)
-    top = float(np.max(np.abs(form.constraint)))
+    top = max(map(abs, form.constraint.tolist()))
     if top == 0.0:
         # every weight underflowed: no direction moves the mass
         basis = np.eye(k)
@@ -235,13 +254,41 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
         # a power-of-two scale changes no rounding in the normal range, and
         # keeps the squares of deep-tail weights from underflowing
         v = np.ldexp(form.constraint, -math.frexp(top)[1])
-        v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+        # np.linalg.norm of a vector, without its dispatch
+        v[0] += math.copysign(math.sqrt(float(v.dot(v))), v[0])
         basis = (np.eye(k) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
     reduced = basis.T @ form.matrix @ basis
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, eigenvectors = np.linalg.eigh(reduced)
     witness = basis @ eigenvectors[:, 0]
     return float(eigenvalues[0]), witness
+
+
+def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> list[IntervalUnion1D]:
+    """``mass_preserving_flow(e, phi, t)`` for each of ``times`` in turn, from
+    one boundary pass; raises as that call does at the first rejected time."""
+    x, nu, w = _boundary(e)
+    v = np.asarray(phi, dtype=float)
+    if v.shape != (len(x),):
+        raise ValueError(
+            f"expected one velocity per finite boundary point ({len(x)}), got shape {v.shape}"
+        )
+    base = [_gauss_cdf_finite(p) for p in x]
+    ends = _endpoints(e.intervals)
+    flowed = []
+    for t in times:
+        # t * v in NumPy, for its promotion of t; nu_i = +-1 only flips signs,
+        # so the steps round as t * nu * v * w / sqrt(2 pi) does
+        targets = [c + n * tv * q / SQRT_2PI for c, n, tv, q in zip(base, nu, (t * v).tolist(), w)]
+        for p, target in zip(x, targets):
+            if not 0.0 < target < 1.0:
+                raise ValueError(
+                    f"flow time {t!r} pushes the boundary point at {p!r} outside the mass range"
+                )
+        moved = iter([gauss_cdf_inv(target) for target in targets])
+        points = [next(moved) if math.isfinite(p) else p for p in ends]
+        flowed.append(IntervalUnion1D(intervals=_pairs(points)))
+    return flowed
 
 
 def mass_preserving_flow(e: IntervalUnion1D, phi: np.ndarray, t: float) -> IntervalUnion1D:
@@ -257,21 +304,7 @@ def mass_preserving_flow(e: IntervalUnion1D, phi: np.ndarray, t: float) -> Inter
     Raises ValueError when phi has the wrong length or the requested time
     pushes an endpoint outside the valid mass range or across a neighbor.
     """
-    x, nu, w = boundary_points(e)
-    v = np.asarray(phi, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError(
-            f"expected one velocity per finite boundary point ({x.size}), got shape {v.shape}"
-        )
-    targets = [gauss_cdf(p) + d for p, d in zip(x.tolist(), (t * nu * v * w / SQRT_2PI).tolist())]
-    for p, target in zip(x.tolist(), targets):
-        if not 0.0 < target < 1.0:
-            raise ValueError(
-                f"flow time {t!r} pushes the boundary point at {p!r} outside the mass range"
-            )
-    moved = iter([gauss_cdf_inv(target) for target in targets])
-    points = [next(moved) if math.isfinite(p) else p for p in _endpoints(e.intervals)]
-    return IntervalUnion1D(intervals=_pairs(points))
+    return _flows(e, phi, (t,))[0]
 
 
 def second_derivative_along_flow(
@@ -287,9 +320,12 @@ def second_derivative_along_flow(
     For weighted zero-average ``phi`` the set's measure never moves, so the
     nonsmooth mass-penalty term is constant and cancels in the difference,
     leaving the curvature of the perimeter and barycenter terms alone.
+    Both steps share one boundary pass; a rejected step raises as
+    ``mass_preserving_flow`` does, +h before -h.
     """
     h = _check_real(h, "step size", "positive")
     f_zero = penalized_functional(e, params)
-    f_plus = penalized_functional(mass_preserving_flow(e, phi, h), params)
-    f_minus = penalized_functional(mass_preserving_flow(e, phi, -h), params)
+    plus, minus = _flows(e, phi, (h, -h))
+    f_plus = penalized_functional(plus, params)
+    f_minus = penalized_functional(minus, params)
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)

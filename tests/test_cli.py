@@ -198,6 +198,16 @@ class TestMinimize:
         payload = json.loads(out)
         assert (payload["eps"], payload["lambda"]) == (1, 1)
 
+    @pytest.mark.parametrize("s", ["8", "-7", "-7.5"])
+    def test_tail_levels_find_a_better_set_than_the_half_line(self, capsys, s):
+        # F of the half-line is near or below 1e-12 here, so only a tie margin
+        # relative to it tells the returned ray from the half-line
+        code, out, _ = run_cli(capsys, "minimize", f"--s={s}", "--eps", "1", "--lambda", "1", "--kmax", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["best_value"] < payload["half_line_value"]
+        assert payload["half_line_optimal"] is False
+
     def test_bad_kmax_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "minimize", "--s", "0", "--kmax", "0", "--starts", "4"

@@ -29,6 +29,7 @@ from gaussiso.functionals import (
     penalized_functional,
     stability_params,
 )
+from gaussiso import stationarity
 from gaussiso.sets import IntervalUnion1D, measure
 from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
@@ -489,6 +490,39 @@ class TestSecondDerivativeAlongFlow:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]), h=0.0)
+
+    def test_one_boundary_pass_per_call(self, monkeypatch):
+        calls = []
+        boundary = stationarity._boundary
+
+        def counted(e):
+            calls.append(e)
+            return boundary(e)
+
+        monkeypatch.setattr(stationarity, "_boundary", counted)
+        second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "intervals, phi, h, rejected",
+        [
+            # the ray's endpoint leaves the mass range at +h, then at -h
+            (((-math.inf, 3.0),), [1.0], 1.0, 1.0),
+            (((-math.inf, 3.0),), [-1.0], 1.0, -1.0),
+            # the interval closes up at +h, then at -h
+            (((0.0, 0.1),), [-1.0, -1.0], 0.5, 0.5),
+            (((0.0, 0.1),), [1.0, 1.0], 0.5, -0.5),
+        ],
+    )
+    def test_rejected_step_raises_as_the_flow(self, intervals, phi, h, rejected):
+        e = IntervalUnion1D(intervals=intervals)
+        phi = np.array(phi)
+        with pytest.raises(ValueError) as flow:
+            mass_preserving_flow(e, phi, rejected)
+        mass_preserving_flow(e, phi, -rejected)
+        with pytest.raises(ValueError) as second:
+            second_derivative_along_flow(e, PARAMS_0, phi, h=h)
+        assert str(second.value) == str(flow.value)
 
 
 @st.composite
