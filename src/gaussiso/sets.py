@@ -15,10 +15,11 @@ The families collapse to two cases. Every set but the ball is a 1-D profile:
 the preimage of an interval union under ``x -> x . axis`` for a unit axis
 (an interval union along ``(1,)``, a slab along ``e_n``, a half-space as the
 one-ray profile ``(-inf, s)`` along ``omega``). ``_profile`` makes that
-decision for ``dimension``, ``barycenter``, ``symm_diff_measure`` and
-``contains_points``. For scalar quantities ``_row`` is the one family
-decision: ``(mass, perimeter, b, excess)`` of a profile from the one private
-pass over its ``(lo, hi)`` pairs, or of a ball from its closed forms.
+decision for ``dimension``, ``barycenter``, ``symm_diff_measure``,
+``contains_points`` and ``mc_measure``. For scalar quantities ``_row`` is the
+one family decision: ``(mass, perimeter, b, excess)`` of a profile from the
+one private pass over its ``(lo, hi)`` pairs, or of a ball from its closed
+forms.
 ``measure``, ``perimeter`` and :mod:`gaussiso.functionals` read it.
 Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
@@ -434,7 +435,11 @@ def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:
     if profile is None:
         return np.einsum("ij,ij->i", pts, pts) < e.radius * e.radius
     axis, intervals = profile
-    x = pts @ np.asarray(axis, dtype=float)
+    return _in_intervals(pts @ np.asarray(axis, dtype=float), intervals)
+
+
+def _in_intervals(x: np.ndarray, intervals: Iterable[tuple[float, float]]) -> np.ndarray:
+    """Boolean membership of the coordinates ``x`` in a profile's open intervals."""
     out = np.zeros(len(x), dtype=bool)
     for lo, hi in intervals:
         out |= (x > lo) & (x < hi)
@@ -444,19 +449,28 @@ def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:
 def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of gamma(E) with its standard error.
 
-    Plain indicator average over standard normal draws: unbiased, and
-    deterministic for a fixed seed. Blocks of at most 2,000,000 draws bound
-    the memory; as they fill in stream order, they leave the bits alone.
+    Plain indicator average over standard normal points X in R^n: unbiased,
+    and deterministic for a fixed seed. Membership reads one scalar of X, so
+    that scalar is drawn instead of X: ``|X|^2``, which has the chi-square law
+    with ``dim`` degrees of freedom, for a centered ball (NumPy's gamma
+    sampler, independent of the closed form's ``gammainc``), and ``X . axis``,
+    a standard normal, for a profile set, tested against the profile's open
+    intervals as :func:`contains_points` tests it. So the cost is
+    ``n_samples`` draws in every dimension. Blocks of at most 2,000,000 draws
+    bound the memory; as they fill in stream order, they leave the bits alone.
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
     rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
-    dim = dimension(e)
-    chunk = min(200_000, max(1, 2_000_000 // dim))
+    profile = _profile(e)
     hits = 0
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
-        hits += int(np.count_nonzero(contains_points(e, rng.standard_normal((m, dim)))))
+        m = min(2_000_000, remaining)
+        if profile is None:
+            inside = rng.chisquare(e.dim, m) < e.radius * e.radius
+        else:
+            inside = _in_intervals(rng.standard_normal(m), profile[1])
+        hits += int(np.count_nonzero(inside))
         remaining -= m
     p = hits / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import FunctionalParams, penalized_functional
-from .sets import IntervalUnion1D, _endpoints, _pairs, _profile_sums
+from .sets import IntervalUnion1D, _endpoints, _pairs
 from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf_inv
 
 __all__ = [
@@ -176,8 +176,12 @@ def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple
     x, nu, w = _boundary(e)
     if not x:
         raise ValueError(f"set has no finite boundary point; {what} is empty")
-    # (eps/sqrt(2 pi)) b(E), with b(E) the same sum barycenter returns
-    coupling = (params.eps / SQRT_2PI) * _profile_sums(e.intervals)[2]
+    # b(E) as barycenter sums it, without the masses: (w_lo - w_hi)/sqrt(2 pi)
+    # per interval, left to right, with weight exp(-inf) = 0 at +-inf
+    b = 0.0
+    for lo, hi in e.intervals:
+        b += (math.exp(-0.5 * lo * lo) - math.exp(-0.5 * hi * hi)) / SQRT_2PI
+    coupling = (params.eps / SQRT_2PI) * b
     # point by point in floats, in the order NumPy's element-wise ops round in
     g = [-p * n + coupling * p for p, n in zip(x, nu)]
     h = [(-1.0 + coupling * n) * q for n, q in zip(nu, w)]
@@ -195,9 +199,16 @@ def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
     mass constraint.  ``lambda_fit`` recovers it as the weighted mean of the
     residuals, and ``max_dev`` measures how far the set is from the condition.
 
-    Raises ValueError for sets with no finite boundary point.
+    Raises ValueError for sets with no finite boundary point, and for sets
+    whose finite boundary weights all underflow to 0, where the weighted mean
+    is 0/0.
     """
     w, g, _, _ = _variation(e, params, "the residual equation")
+    if not any(w):
+        raise ValueError(
+            "every finite boundary weight e^{-x^2/2} underflows to 0; "
+            "the residual equation's weighted mean is undefined"
+        )
     weights = np.array(w)
     lambda_fit = float(np.dot(g, weights) / np.sum(weights))
     max_dev = max(abs(r - lambda_fit) for r in g)

@@ -56,6 +56,11 @@ def two_ray(a: float) -> IntervalUnion1D:
     return IntervalUnion1D(intervals=((-math.inf, a), (-a, math.inf)))
 
 
+def random_unit_vector(seed: int, dim: int) -> tuple[float, ...]:
+    v = np.random.default_rng(seed).standard_normal(dim)
+    return tuple(v / np.linalg.norm(v))
+
+
 def random_union(rng: np.random.Generator, k: int) -> IntervalUnion1D:
     pts = np.sort(rng.uniform(-4.0, 4.0, size=2 * k))
     return normalize([(pts[2 * i], pts[2 * i + 1]) for i in range(k)])
@@ -501,7 +506,8 @@ class TestMcMeasure:
             mc_measure(normalize([(0.0, 1.0)]), n_samples=True)
 
     def test_memory_does_not_grow_with_dimension(self):
-        # a dim-100 draw is held 20,000 rows at a time, not 200,000
+        # a dim-100 half-space draws one scalar x . omega per sample, so the
+        # 200,000 draws hold 1.6 MB of floats and their masks, not 200,000 rows
         h = HalfSpace(omega=(0.1,) * 100, s=0.3)
         tracemalloc.start()
         try:
@@ -509,9 +515,53 @@ class TestMcMeasure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
-        # the blocks follow the generator's stream: the one-block estimate's bits
-        assert (p.hex(), se.hex()) == ("0x1.3bdc486ad2dcbp-1", "0x1.1cf5f8c4771f2p-10")
+        assert peak < 4e6
+        # the one-block estimate's bits
+        assert (p.hex(), se.hex()) == ("0x1.3c9e44fa05144p-1", "0x1.1cc033bfb3371p-10")
+
+    @pytest.mark.parametrize(
+        "e",
+        [CenteredBall(dim=dim, radius=math.sqrt(dim)) for dim in range(2, 11)]
+        + [
+            SlabSet(dim=4, profile=normalize([(-math.inf, -0.8), (0.1, 1.3)])),
+            HalfSpace(omega=(0.48, -0.6, 0.64), s=-0.4),
+        ],
+        ids=lambda e: f"{type(e).__name__}-{dimension(e)}",
+    )
+    def test_statistic_and_point_draws_agree_with_measure(self, e):
+        # reference: membership of whole points in R^n, the law the drawn statistic stands for
+        n = dimension(e)
+        rng = np.random.default_rng(1701 + n)
+        inside = contains_points(e, rng.standard_normal((200_000, n)))
+        ref = float(np.mean(inside))
+        ref_se = math.sqrt(ref * (1.0 - ref) / len(inside))
+        est, se = mc_measure(e, n_samples=200_000, seed=1702 + n)
+        assert abs(ref - measure(e)) <= 6.0 * ref_se
+        assert abs(est - measure(e)) <= 6.0 * se
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CenteredBall(dim=100_000, radius=math.sqrt(100_000.0)),
+            lambda: CenteredBall(dim=1_000_000, radius=math.sqrt(1_000_000.0 + 1414.0)),
+            lambda: HalfSpace(omega=random_unit_vector(1703, 100_000), s=0.7),
+        ],
+        ids=["ball-1e5", "ball-1e6", "halfspace-1e5"],
+    )
+    def test_high_dimension_agrees_with_measure(self, make):
+        # built in the test: a dim-10^5 half-space takes 0.1 s to validate
+        e = make()
+        est, se = mc_measure(e, n_samples=200_000, seed=1704)
+        assert 0.05 < measure(e) < 0.95
+        assert abs(est - measure(e)) <= 6.0 * se
+
+    def test_one_dimensional_bits_hold(self):
+        # pinned from the point sampler, which drew blocks of 200,000 rows of
+        # shape (m, 1): a 1-D union reads the same normals in the same order,
+        # so one block of 450,001 draws gives the same bits
+        e = normalize([(-math.inf, -2.0), (-0.5, 0.25), (3.0, math.inf)])
+        p, se = mc_measure(e, n_samples=450_001, seed=11)
+        assert (p.hex(), se.hex()) == ("0x1.42b3e0676b51fp-2", "0x1.6b17513c77081p-11")
 
     @pytest.mark.parametrize("seed", [True, 1.5])
     def test_rejects_non_integer_seed(self, seed):

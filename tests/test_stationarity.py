@@ -155,6 +155,22 @@ class TestEulerResidual:
         with pytest.raises(ValueError, match="no finite boundary"):
             euler_residual(IntervalUnion1D(intervals=((-math.inf, math.inf),)), PARAMS_0)
 
+    @pytest.mark.parametrize(
+        "intervals", [((40.0, 41.0),), ((-math.inf, -39.0), (39.0, math.inf))]
+    )
+    def test_underflowing_weights_rejected_without_warning(self, intervals):
+        # e^{-x^2/2} is 0.0 at |x| >= 39, so the weighted mean would be 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every finite boundary weight .* underflows to 0"):
+                euler_residual(IntervalUnion1D(intervals=intervals), PARAMS_0)
+
+    def test_one_underflowing_weight_is_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = euler_residual(IntervalUnion1D(intervals=((0.0, 40.0),)), PARAMS_0)
+        assert math.isfinite(report.lambda_fit)
+
     def test_station_tol_value(self):
         assert STATION_TOL == 1e-8
 
