@@ -12,7 +12,9 @@ code here tells a ball from a profile. :func:`quantities`, the bundle of
 one set, and :func:`excess_identity` are its batch of one, so each formula
 exists once. F is written once on ``(mass, perimeter, b)``: fed the row by
 :func:`penalized_functional`, and a profile's sums on endpoint lists,
-without building sets, by the optimizer.
+without building sets, by the optimizer. The columns refuse only a
+degenerate or non-finite member; whether they obey the paper's claims is
+decided, and counted, by the verification suites alone.
 
 Conventions: ``s`` always denotes the mass level of a set, the number with
 ``measure(E) = gauss_cdf(s)``. All quantities are invariant under taking
@@ -79,33 +81,6 @@ def max_barycenter_norm(s: float) -> float:
     return gauss_weight(s) / SQRT_2PI
 
 
-#: A deficit, strong asymmetry or excess below minus this fails validation.
-_NEGATIVE_TOL = 1e-10
-
-#: Relative tolerance of the excess identity in validation.
-_EXCESS_IDENTITY_TOL = 1e-10
-
-
-def _check_consistent(deficit: np.ndarray, beta: np.ndarray, excess: np.ndarray) -> None:
-    """Raise ValueError unless every member's quantities are finite and
-    mutually consistent; a non-finite perimeter shows as a non-finite deficit."""
-    for name, column in (("deficit", deficit), ("strong asymmetry", beta), ("excess", excess)):
-        bad = ~np.isfinite(column)
-        if bad.any():
-            raise ValueError(f"non-finite {name} {float(column[bad][0])!r}")
-        bad = column < -_NEGATIVE_TOL
-        if bad.any():
-            raise ValueError(f"negative {name} {float(column[bad][0])!r}")
-    via = 2.0 * deficit + 2.0 * SQRT_2PI * beta
-    bad = np.abs(excess - via) > _EXCESS_IDENTITY_TOL * np.maximum(1.0, np.abs(excess))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"excess {float(excess[i])!r} inconsistent with deficit/asymmetry value "
-            f"{float(via[i])!r}"
-        )
-
-
 def _quantity_row(e: GaussianSet) -> tuple[float, ...]:
     """``(measure, s, perimeter, b, w_s, excess, alpha_hat)`` of one set."""
     mass, perim, b, excess = _row(e)
@@ -136,8 +111,10 @@ def quantity_columns(sets) -> dict[str, np.ndarray]:
     (directed Fraenkel asymmetry) and ``excess`` (direct boundary excess).
     Every number equals that of a batch of one, and ``measure``,
     ``perimeter`` and ``b`` equal the scalar readers', bit for bit. Raises
-    ValueError when a set has measure 0 or 1 or its quantities are
-    inconsistent.
+    ValueError when a set has measure 0 or 1 or a non-finite quantity, which
+    no suite could count. The paper's claims on the columns (D >= 0,
+    |b| <= b_max, the excess identity) are not checked here: the
+    verification suites decide and count them.
     """
     rows = np.fromiter(map(_quantity_row, sets), dtype=np.dtype((float, 7)))
     mass, s, perim, b, w_s, excess, alpha_hat = np.ascontiguousarray(rows.T)
@@ -145,7 +122,11 @@ def quantity_columns(sets) -> dict[str, np.ndarray]:
     b_max = w_s / SQRT_2PI
     deficit = perim - w_s
     beta = b_max - b_norm
-    _check_consistent(deficit, beta, excess)
+    # what no suite can count; a non-finite perimeter shows as a non-finite deficit
+    for name, column in (("deficit", deficit), ("strong asymmetry", beta), ("excess", excess)):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise ValueError(f"non-finite {name} {float(column[bad][0])!r}")
     return {
         "measure": mass,
         "s": s,
@@ -205,7 +186,7 @@ def stability_params(s: float) -> FunctionalParams:
 
 @dataclass(frozen=True)
 class QuantityBundle:
-    """Every derived quantity of one set, mutually consistent."""
+    """Every derived quantity of one set, as computed."""
 
     mass_level: float
     measure: float
@@ -219,7 +200,7 @@ class QuantityBundle:
 
 
 def quantities(e: GaussianSet) -> QuantityBundle:
-    """The full consistent bundle of one nondegenerate set: a batch of one."""
+    """The full bundle of one nondegenerate set, as computed: a batch of one."""
     cols = quantity_columns((e,))
     return QuantityBundle(
         mass_level=float(cols["s"][0]),

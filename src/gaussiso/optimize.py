@@ -13,7 +13,13 @@ the finite endpoints, ``nu_i = +-1`` for their outer normals and ``w_i`` for
 their weights ``exp(-x_i^2/2)``. The mass is linear in ``u``, and off the
 mass kink ``gamma(E) = Phi(params.s)`` the Hessian of F in ``u`` is
 
-    diag((-2 pi + sqrt(2 pi) eps b nu_i) / w_i) + eps (nu x)(nu x)^T.
+    H = diag((-2 pi + sqrt(2 pi) eps b nu_i) / w_i) + eps (nu x)(nu x)^T.
+
+This is the second variation of :mod:`gaussiso.stationarity` in other
+coordinates: ``mass_preserving_flow`` moves ``u`` along the line
+``u + t D phi / sqrt(2 pi)`` with ``D = diag(nu_i w_i)``, so its form is
+``J = D H D / (2 pi)``, and the completeness argument and the stationarity
+layer read one derivation.
 
 Since ``|b| <= 1/sqrt(2 pi)`` for every set, the diagonal is negative
 definite when eps < 2 pi, and a rank-one update leaves at most one eigenvalue
@@ -102,6 +108,9 @@ _STEP_TOL = 1e-10
 #: value, with the half-line's.
 _F_TOL = 1e-12
 
+#: Objective evaluations a simplex search may spend from one start.
+_BUDGET = 10000
+
 #: Below this barycenter weight the face search is complete (module docstring).
 _FACE_SEARCH_EPS = 2.0 * math.pi
 
@@ -188,12 +197,10 @@ class OptimizerSettings:
 
     multistarts: int = 64
     seed: int = 0
-    max_iters: int = 10000
 
     def __post_init__(self) -> None:
         _check_integer(self.multistarts, "multistarts", 1)
         _check_integer(self.seed, "seed", 0)
-        _check_integer(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -253,14 +260,13 @@ class _BudgetExhausted(Exception):
     """The evaluation budget of a simplex search ran out."""
 
 
-def _nelder_mead(
-    objective, x0: list[float], xatol: float, fatol: float, budget: int
-) -> tuple[list[float], float, int, bool]:
+def _nelder_mead(objective, x0: list[float]) -> tuple[list[float], float, int, bool]:
     """Non-adaptive Nelder-Mead on lists: ``(x, fun, evaluations, success)``.
 
     Step for step the simplex search of SciPy 1.17.1's
-    ``minimize(method="Nelder-Mead")`` with ``maxiter = maxfev = budget``,
-    and the same floating-point operations: the initial simplex ``1.05 x_k``
+    ``minimize(method="Nelder-Mead")`` with ``maxiter = maxfev = _BUDGET``,
+    ``xatol = _STEP_TOL`` and ``fatol = _F_TOL``, and with the same
+    floating-point operations: the initial simplex ``1.05 x_k``
     (``0.00025`` where ``x_k`` is 0), reflection, expansion, contraction and
     shrink coefficients 1, 2, 0.5 and 0.5, the centroid as a left-to-right
     row sum divided by N, and the ``xatol`` / ``fatol`` stopping test. Only
@@ -282,7 +288,7 @@ def _nelder_mead(
 
     def f(x: list[float]) -> float:
         nonlocal evaluations
-        if evaluations >= budget:
+        if evaluations >= _BUDGET:
             raise _BudgetExhausted
         evaluations += 1
         return objective(x)
@@ -299,11 +305,11 @@ def _nelder_mead(
         pass
     by_value()
 
-    while evaluations < budget:
+    while evaluations < _BUDGET:
         try:
             best = sim[0]
-            small_steps = all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best))
-            if small_steps and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]):
+            small_steps = all(abs(v - b) <= _STEP_TOL for row in sim[1:] for v, b in zip(row, best))
+            if small_steps and all(abs(fsim[0] - fv) <= _F_TOL for fv in fsim[1:]):
                 break
             xbar = sim[0]
             for row in sim[1:-1]:
@@ -344,7 +350,7 @@ def _nelder_mead(
             pass
         by_value()
 
-    return sim[0], fsim[0], evaluations, evaluations < budget
+    return sim[0], fsim[0], evaluations, evaluations < _BUDGET
 
 
 def _deterministic_starts(
@@ -389,9 +395,7 @@ def _multistart_search(
     searched = []
     for template, kind, theta0 in planned:
         objective = _endpoint_objective(template, params, target)
-        x, fun, evaluations, success = _nelder_mead(
-            objective, theta0, _STEP_TOL, _F_TOL, settings.max_iters
-        )
+        x, fun, evaluations, success = _nelder_mead(objective, theta0)
         final_value = fun if math.isfinite(fun) else math.inf
         diagnostic = StartDiagnostic(
             template=template.describe(),
@@ -544,9 +548,9 @@ def minimize_penalized_functional(
     across templates) plus the deterministic competitor starts (half-line at
     s, matched two-ray set, origin-symmetric interval of the same mass).
     Each search stops when the simplex is within 1e-10 of its best vertex and
-    its values within 1e-12, or after ``max_iters`` evaluations of the
-    objective. Fully deterministic for a fixed seed, on every machine:
-    vertices are ordered by a stable sort.  Per-start outcomes are reported;
+    its values within 1e-12, or after 10,000 evaluations of the objective.
+    Fully deterministic for a fixed seed, on every machine: vertices are
+    ordered by a stable sort.  Per-start outcomes are reported;
     a start that fails to converge is recorded, and the call fails only if
     every start fails.
 

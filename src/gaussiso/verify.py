@@ -9,7 +9,9 @@ row per check.  :func:`run_suite` does the rest.  It looks suites up in one
 ordered registry, builds the corpus once (before any timer starts, and only
 when a selected suite reads it), times each row from resuming its suite to
 the yield, and records the violation count and the worst margin.  The corpus
-suites share one ``quantity_columns`` evaluation of the corpus.  An
+suites share one ``quantity_columns`` evaluation of the corpus, which
+refuses only degenerate or non-finite members; each claim is decided in its
+suite alone, so a member that breaks one is counted there, not refused.  An
 inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.

@@ -2,7 +2,7 @@
 
 Every ``StartDiagnostic`` is pinned with its floats as ``float.hex``: four
 calls at ``multistarts=12, seed=7`` (level 0 with ``k_max=2``, level -1 with
-``k_max=4``, the supercritical ``eps=10`` case, and a ``max_iters=20`` call),
+``k_max=4``, the supercritical ``eps=10`` case, and the ``budget-20`` call),
 plus the exact stdout of one CLI call.
 
 Only the supercritical case runs the simplex search. Its numbers were first
@@ -16,13 +16,14 @@ its starts was re-pinned when the stable sort came in).
 The other three calls and the CLI call have eps below 2 pi, so they run the
 face search, one diagnostic per searched piece; they were re-pinned when the
 face search replaced the simplex search there. The CLI's ``best_value`` and
-``half_line_value`` kept their bits, and ``max_iters`` no longer bounds the
-``budget-20`` call. They were re-pinned again when the right-ray pieces,
-the left ray's mirror image, were dropped and a grid dip within the tie
-margin stopped being refined: the right-ray rows went, ``budget-20``'s
-``below-kink`` piece fell from 166 to 120 evaluations, the CLI's
-``starts_total`` and ``starts_converged`` fell from 6 to 4, and every other
-field kept its bits.
+``half_line_value`` kept their bits. They were re-pinned again when the
+right-ray pieces, the left ray's mirror image, were dropped and a grid dip
+within the tie margin stopped being refined: the right-ray rows went,
+``budget-20``'s ``below-kink`` piece fell from 166 to 120 evaluations, the
+CLI's ``starts_total`` and ``starts_converged`` fell from 6 to 4, and every
+other field kept its bits. The ``budget-20`` call once capped the simplex at
+20 evaluations per start; its settings are not read below eps = 2 pi, so it
+now passes ``FAST`` and keeps every pin.
 """
 
 import contextlib
@@ -41,12 +42,7 @@ CASES = {
     "level-zero-kmax-2": (0.0, stability_params(0.0), 2, FAST),
     "level-minus-one-kmax-4": (-1.0, stability_params(-1.0), 4, FAST),
     "supercritical-eps-10": (0.0, FunctionalParams(s=0.0, eps=10.0, lambda_pen=LAM_0), 2, FAST),
-    "budget-20": (
-        -0.5,
-        stability_params(-0.5),
-        3,
-        OptimizerSettings(multistarts=12, seed=7, max_iters=20),
-    ),
+    "budget-20": (-0.5, stability_params(-0.5), 3, FAST),
 }
 MINIMIZE_ARGV = ["minimize", "--s=-1", "--kmax", "3", "--starts", "11", "--seed", "5"]
 

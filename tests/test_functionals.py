@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gaussiso import functionals
+from gaussiso.cli import cli_main
 from gaussiso.corpus import mixed_corpus
 from gaussiso.functionals import (
     BARYCENTER_ZERO_TOL,
@@ -36,7 +37,8 @@ from gaussiso.sets import (
     normalize,
     perimeter,
 )
-from gaussiso.special import chi2_quantile, gauss_cdf, gauss_weight
+from gaussiso.special import SQRT_2PI, chi2_quantile, gauss_cdf, gauss_weight
+from gaussiso.verify import SuiteConfig, run_suite
 
 # gauss_cdf_inv(0.25): the two-ray endpoint at half mass (inverse-CDF oracle)
 A0 = -0.6744897501960817
@@ -380,8 +382,13 @@ class TestQuantityBundle:
 
     def test_validates_on_corpus(self):
         for e in random_corpus(616013, 100):
-            # quantities raises ValueError on an inconsistent bundle
-            quantities(e)
+            # quantities raises ValueError only on a degenerate or non-finite
+            # member; the claims are the suites', checked here at their slack
+            q = quantities(e)
+            assert q.deficit >= -1e-9 * max(1.0, q.perimeter)
+            assert q.strong_asymmetry >= -1e-9 * max(1.0, q.max_barycenter_norm)
+            via = 2.0 * q.deficit + 2.0 * SQRT_2PI * q.strong_asymmetry
+            assert abs(q.excess - via) <= 1e-10 * max(1.0, abs(via))
 
     def test_as_dict_round_trip_fields(self):
         d = asdict(quantities(CenteredBall(dim=2, radius=1.0)))
@@ -449,19 +456,36 @@ class TestQuantityColumns:
         cols = quantity_columns(())
         assert all(column.shape == (0,) for column in cols.values())
 
-    def test_failing_member_fails_the_batch(self, monkeypatch):
-        deficits = quantity_columns(self.CORPUS)["deficit"]
-        lowest, runner_up = np.unique(deficits)[:2]
-        failing = [e for e, d in zip(self.CORPUS, deficits) if d == lowest]
-        passing = [e for e, d in zip(self.CORPUS, deficits) if d != lowest]
-        # fail exactly the members tied at the smallest deficit
-        monkeypatch.setattr(functionals, "_NEGATIVE_TOL", -0.5 * (lowest + runner_up))
-        with pytest.raises(ValueError, match="negative deficit"):
-            quantity_columns(self.CORPUS)
-        for e in failing:
-            with pytest.raises(ValueError, match="negative deficit"):
-                quantities(e)
-        quantity_columns(passing)
+    def test_suites_count_a_failing_member(self, monkeypatch):
+        # the columns refuse only degenerate or non-finite members, so one
+        # member 1e-6 past a bound is counted by the suite that checks it
+        config = SuiteConfig(samples=200, seed=42)
+        corpus = mixed_corpus(config.samples, config.seed)
+        cols = quantity_columns(corpus)
+        i = next(
+            i for i, e in enumerate(corpus)
+            if isinstance(e, IntervalUnion1D) and abs(cols["b"][i]) > 1e-3 and cols["b_max"][i] > 0.1
+        )
+        member = corpus[i]
+        floor = math.exp(-0.5 * cols["s"][i] ** 2)
+        via = 2.0 * cols["deficit"][i] + 2.0 * SQRT_2PI * cols["beta"][i]
+        faults = {
+            "iso": lambda mass, perim, b, excess: (mass, floor - 1e-6, b, excess),
+            "barycenter-max": lambda mass, perim, b, excess: (
+                mass, perim, math.copysign(cols["b_max"][i] + 1e-6, b), excess
+            ),
+            "excess-identity": lambda mass, perim, b, excess: (mass, perim, b, via + 1e-6),
+        }
+        row = functionals._row
+        for suite, fault in faults.items():
+            monkeypatch.setattr(
+                functionals, "_row", lambda e, fault=fault: fault(*row(e)) if e == member else row(e)
+            )
+            (check,) = run_suite(suite, config).checks
+            assert check.violations == 1, suite
+            assert check.worst_margin < 0.0, suite
+            argv = ["verify", "--suite", suite, "--samples", "200", "--seed", "42"]
+            assert cli_main(argv) == 1, suite
 
     def test_degenerate_member_fails_the_batch(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -53,8 +53,13 @@ from gaussiso.sets import (
     two_ray_endpoint,
     two_ray_set,
 )
-from gaussiso.special import gauss_cdf, gauss_cdf_inv, gauss_density
-from gaussiso.stationarity import euler_residual, lagrange_bound_check
+from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_density
+from gaussiso.stationarity import (
+    boundary_points,
+    euler_residual,
+    lagrange_bound_check,
+    second_variation_form,
+)
 
 # Frozen oracle values.
 A_0 = -0.6744897501960817        # two-ray endpoint at level 0
@@ -165,18 +170,15 @@ class TestTemplates:
 class TestSettings:
     def test_defaults(self):
         s = OptimizerSettings()
-        assert (s.multistarts, s.seed, s.max_iters) == (64, 0, 10000)
+        assert (s.multistarts, s.seed) == (64, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"multistarts": 0},
             {"seed": -1},
-            {"max_iters": 0},
             {"multistarts": 2.5},
             {"multistarts": True},
-            {"max_iters": 1.5},
-            {"max_iters": 100.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -356,9 +358,9 @@ class TestMinimize:
 
 class TestEvaluationBudget:
     @pytest.mark.parametrize("budget", [1, 3, 20])
-    def test_budget_caps_evaluations_and_convergence(self, budget):
-        settings = OptimizerSettings(multistarts=12, seed=7, max_iters=budget)
-        out = minimize_penalized_functional(-0.5, supercritical(-0.5), k_max=2, settings=settings)
+    def test_budget_caps_evaluations_and_convergence(self, budget, monkeypatch):
+        monkeypatch.setattr(optimize, "_BUDGET", budget)
+        out = minimize_penalized_functional(-0.5, supercritical(-0.5), k_max=2, settings=FAST)
         assert len(out.starts) == 15
         for diag in out.starts:
             assert diag.evaluations <= budget
@@ -495,7 +497,7 @@ class TestFaceSearch:
         params = stability_params(-0.5)
         outs = [
             minimize_penalized_functional(-0.5, params, k_max=3, settings=settings)
-            for settings in (FAST, OptimizerSettings(multistarts=1, seed=3, max_iters=1))
+            for settings in (FAST, OptimizerSettings(multistarts=1, seed=3))
         ]
         assert outs[0].starts == outs[1].starts
         assert outs[0].best_value == outs[1].best_value
@@ -509,6 +511,88 @@ class TestFaceSearch:
         out = minimize_penalized_functional(s, params, k_max=2)
         assert sum(d.kind == "kink" for d in out.starts) == kink_pieces
         assert math.isfinite(out.best_value)
+
+
+class TestHessianClaim:
+    """The Hessian of F in ``u = Phi(x)`` that proves the face search complete
+    (``optimize`` module docstring), off the mass kink:
+    ``H = diag((-2 pi + sqrt(2 pi) eps b nu_i) / w_i) + eps (nu x)(nu x)^T``."""
+
+    STEP = 1e-4
+
+    @staticmethod
+    def random_cases(count):
+        """``(template, endpoints, params)`` with up to 3 components, endpoints
+        in [-2.5, 2.5] at least 0.2 apart, and mass at least 0.02 off Phi(s)."""
+        rng = np.random.default_rng(1409_2106)
+        templates = enumerate_templates(3)
+        cases = []
+        while len(cases) < count:
+            template = templates[rng.integers(len(templates))]
+            x = np.sort(rng.uniform(-2.5, 2.5, template.dimension))
+            if np.any(np.diff(x) < 0.2):
+                continue
+            eps = (0.5, 3.0, 6.0, 10.0)[len(cases) % 4]
+            params = FunctionalParams(
+                s=float(rng.uniform(-1.5, 1.5)), eps=eps, lambda_pen=float(rng.uniform(0.0, 3.0))
+            )
+            if abs(measure(template.decode(x)) - gauss_cdf(params.s)) < 0.02:
+                continue
+            cases.append((template, x.tolist(), params))
+        return cases
+
+    @staticmethod
+    def hessian(e, params):
+        x, nu, w = boundary_points(e)
+        b = barycenter(e)[-1]
+        diagonal = (-2.0 * math.pi + SQRT_2PI * params.eps * b * nu) / w
+        return np.diag(diagonal) + params.eps * np.outer(nu * x, nu * x)
+
+    def central_differences(self, template, x, params):
+        objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+        u = np.array([gauss_cdf(p) for p in x])
+
+        def f(du):
+            return objective([gauss_cdf_inv(a) for a in (u + du).tolist()])
+
+        n, h = len(x), self.STEP
+        step = np.eye(n) * h
+        fd = np.empty((n, n))
+        for i in range(n):
+            fd[i, i] = (f(step[i]) - 2.0 * f(0.0 * step[i]) + f(-step[i])) / (h * h)
+            for j in range(i + 1, n):
+                fd[i, j] = fd[j, i] = (
+                    f(step[i] + step[j]) - f(step[i] - step[j])
+                    - f(step[j] - step[i]) + f(-step[i] - step[j])
+                ) / (4.0 * h * h)
+        return fd
+
+    def test_hessian_matches_central_differences(self):
+        cases = self.random_cases(120)
+        assert len({template for template, _, _ in cases}) == len(enumerate_templates(3))
+        for template, x, params in cases:
+            hess = self.hessian(template.decode(np.array(x)), params)
+            fd = self.central_differences(template, x, params)
+            assert np.abs(fd - hess).max() <= 1e-3 * np.abs(hess).max(), (template, x, params)
+
+    def test_at_most_one_nonnegative_eigenvalue_below_two_pi(self):
+        checked = 0
+        for template, x, params in self.random_cases(120):
+            if params.eps < 2.0 * math.pi:
+                eigenvalues = np.linalg.eigvalsh(self.hessian(template.decode(np.array(x)), params))
+                assert np.count_nonzero(eigenvalues >= 0.0) <= 1, (template, x, params)
+                checked += 1
+        assert checked == 90
+
+    def test_second_variation_form_is_the_same_derivation(self):
+        # a normal velocity phi moves u by D phi / sqrt(2 pi), D = diag(nu_i w_i)
+        for template, x, params in self.random_cases(120):
+            e = template.decode(np.array(x))
+            _, nu, w = boundary_points(e)
+            scale = np.diag(nu * w)
+            form = second_variation_form(e, params).matrix
+            via_hessian = scale @ self.hessian(e, params) @ scale / (2.0 * math.pi)
+            assert np.abs(form - via_hessian).max() <= 1e-12 * np.abs(form).max(), (template, x)
 
 
 class TestImports:
