@@ -5,6 +5,15 @@ near-extremal families: the symmetric two-ray sets across a grid of mass
 levels, centered balls in dimensions 2-10 with mass-targeted radii, and
 slabs carrying random one-dimensional profiles.
 
+The corpus is drawn into one ``sets._Batch``: flat endpoints, per-member
+component counts, per-interval masses, a family tag and the balls' ``(dim,
+radius)``, with no set object per member or per rejected candidate.  A
+draw's mass-window test adds its ``_interval_mass`` values left to right
+from 0.0, the sum that ``measure`` takes, and the batch keeps those masses.
+``verify`` reads the batch as it is; :func:`mixed_corpus` and
+:func:`random_interval_union` wrap the same batch into set objects, so there
+is one draw loop.
+
 Seeding.  Random member ``i`` of stream ``t`` (0 for the interval unions, 2
 for the slab profiles) under corpus seed ``seed`` takes the child seed
 ``SeedSequence([seed, t, i]).generate_state(1)[0]`` and is drawn from
@@ -27,7 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import CenteredBall, GaussianSet, IntervalUnion1D, SlabSet, _pairs, measure, two_ray_set
+from .sets import (
+    _BALL,
+    _LINE,
+    _SLAB,
+    GaussianSet,
+    IntervalUnion1D,
+    _Batch,
+    _interval_mass,
+    _members,
+    two_ray_endpoint,
+)
 from .special import _check_integer, chi2_quantile
 
 __all__ = [
@@ -217,8 +236,11 @@ def _generators(entropy: list[np.ndarray]):
 # draws
 
 
-def _draw_union(rng: np.random.Generator, k_range: tuple[int, int]) -> IntervalUnion1D | None:
-    """One admissible draw from ``rng``, or None once the retries run out."""
+def _draw_union(
+    rng: np.random.Generator, k_range: tuple[int, int]
+) -> tuple[list[float], list[float]] | None:
+    """One admissible draw from ``rng``, as its endpoints and interval masses,
+    or None once the retries run out."""
     lo_mass, hi_mass = MASS_WINDOW
     lo_k, hi_k = k_range
     for _ in range(_MAX_RETRIES):
@@ -234,27 +256,49 @@ def _draw_union(rng: np.random.Generator, k_range: tuple[int, int]) -> IntervalU
             pts[0] = -math.inf
         if right_ray:
             pts[-1] = math.inf
-        candidate = IntervalUnion1D(intervals=_pairs(pts))
-        if lo_mass < measure(candidate) < hi_mass:
-            return candidate
+        masses = list(map(_interval_mass, pts[0::2], pts[1::2]))
+        # the sum that measure() takes: left to right from 0.0
+        total = 0.0
+        for mass in masses:
+            total += mass
+        if lo_mass < total < hi_mass:
+            return pts, masses
     return None
 
 
-def _random_unions(entropy: list[np.ndarray], k_range: tuple[int, int]) -> list[IntervalUnion1D]:
-    """One random interval union per entropy row, as ``random_interval_union`` draws it."""
-    unions = []
+def _draw_profiles(
+    entropy: list[np.ndarray], k_range: tuple[int, int], points: list[float], masses: list[float]
+) -> list[int]:
+    """One random interval union per entropy row, as ``random_interval_union`` draws it.
+
+    Appends each draw's endpoints to ``points`` and its interval masses to
+    ``masses``, in ``_Batch`` layout, and returns the component counts.
+    """
+    counts = []
     for row, rng in enumerate(_generators(entropy)):
-        union = _draw_union(rng, k_range)
-        if union is None:
+        drawn = _draw_union(rng, k_range)
+        if drawn is None:
             seed = sum(int(words[row]) << (32 * j) for j, words in enumerate(entropy))
             raise RuntimeError(f"no admissible interval union after {_MAX_RETRIES} retries for seed {seed}")
-        unions.append(union)
-    return unions
+        row_points, row_masses = drawn
+        points.extend(row_points)
+        masses.extend(row_masses)
+        counts.append(len(row_masses))
+    return counts
+
+
+def _line_batch(entropy: list[np.ndarray], k_range: tuple[int, int]) -> _Batch:
+    """A batch of one random interval union per entropy row."""
+    points: list[float] = []
+    masses: list[float] = []
+    counts = _draw_profiles(entropy, k_range, points, masses)
+    n = len(counts)
+    return _Batch([_LINE] * n, [1] * n, counts, [0.0] * n, points, masses)
 
 
 def _child_unions(seed: int, stream: int, n: int, k_range: tuple[int, int]) -> list[IntervalUnion1D]:
     """Random interval unions seeded by ``_child_seeds(seed, stream, n)``."""
-    return _random_unions([_child_seeds(seed, stream, n)], k_range)
+    return list(_members(_line_batch([_child_seeds(seed, stream, n)], k_range)))
 
 
 def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
@@ -266,7 +310,48 @@ def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
     measure outside MASS_WINDOW are regenerated, up to a bounded number of
     retries.  The draws are those of ``default_rng(SeedSequence([spec.seed]))``.
     """
-    return _random_unions(_entropy((spec.seed,)), spec.k_range)[0]
+    return next(_members(_line_batch(_entropy((spec.seed,)), spec.k_range)))
+
+
+def _mixed_batch(n: int, seed: int = 0) -> _Batch:
+    """The rows of ``mixed_corpus(n, seed)`` as one batch, drawn without set objects."""
+    _check_integer(n, "corpus size", 1)
+    _check_integer(seed, "seed", 0)
+    n_two_ray = (15 * n) // 100
+    n_ball = (10 * n) // 100
+    n_slab = (5 * n) // 100
+    n_random = n - n_two_ray - n_ball - n_slab
+
+    points: list[float] = []
+    masses: list[float] = []
+    counts = _draw_profiles([_child_seeds(seed, _STREAM_RANDOM, n_random)], (1, 6), points, masses)
+
+    for s in np.linspace(0.0, -4.0, n_two_ray).tolist():
+        a = two_ray_endpoint(s)
+        points.extend((-math.inf, a, -a, math.inf))
+        masses.extend((_interval_mass(-math.inf, a), _interval_mass(-a, math.inf)))
+    counts += [2] * n_two_ray
+
+    dims: list[int] = []
+    radii: list[float] = []
+    if n_ball:
+        rng = next(_generators(_entropy((seed, _STREAM_BALL))))
+        dims = rng.integers(2, 11, size=n_ball).tolist()
+        targets = rng.uniform(0.02, 0.98, size=n_ball).tolist()
+        radii = [math.sqrt(chi2_quantile(dim, target)) for dim, target in zip(dims, targets)]
+    counts += [0] * n_ball
+
+    counts += _draw_profiles([_child_seeds(seed, _STREAM_SLAB, n_slab)], (1, 3), points, masses)
+
+    n_line = n_random + n_two_ray
+    return _Batch(
+        kinds=[_LINE] * n_line + [_BALL] * n_ball + [_SLAB] * n_slab,
+        dims=[1] * n_line + dims + [2 + (j % 4) for j in range(n_slab)],
+        counts=counts,
+        radii=[0.0] * n_line + radii + [0.0] * n_slab,
+        points=points,
+        masses=masses,
+    )
 
 
 def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
@@ -278,28 +363,4 @@ def mixed_corpus(n: int, seed: int = 0) -> tuple[GaussianSet, ...]:
     measures in (0.02, 0.98), and 5% slabs in dimensions 2-5 carrying random
     profiles.
     """
-    _check_integer(n, "corpus size", 1)
-    _check_integer(seed, "seed", 0)
-    n_two_ray = (15 * n) // 100
-    n_ball = (10 * n) // 100
-    n_slab = (5 * n) // 100
-    n_random = n - n_two_ray - n_ball - n_slab
-
-    sets: list[GaussianSet] = _child_unions(seed, _STREAM_RANDOM, n_random, (1, 6))
-
-    if n_two_ray:
-        for s in np.linspace(0.0, -4.0, n_two_ray):
-            sets.append(two_ray_set(float(s)))
-
-    if n_ball:
-        rng = next(_generators(_entropy((seed, _STREAM_BALL))))
-        dims = rng.integers(2, 11, size=n_ball)
-        targets = rng.uniform(0.02, 0.98, size=n_ball)
-        for dim, target in zip(dims, targets):
-            radius = math.sqrt(chi2_quantile(int(dim), float(target)))
-            sets.append(CenteredBall(dim=int(dim), radius=radius))
-
-    profiles = _child_unions(seed, _STREAM_SLAB, n_slab, (1, 3))
-    sets.extend(SlabSet(dim=2 + (j % 4), profile=p) for j, p in enumerate(profiles))
-
-    return tuple(sets)
+    return tuple(_members(_mixed_batch(n, seed)))

@@ -6,11 +6,17 @@ the penalized objective used by the optimizer, and the explicit penalization
 constants under which half-spaces are the unique minimizers.
 
 Every quantity of a set comes from :func:`quantity_columns`, which returns
-one array per quantity for many sets. They start from the row ``(mass,
-perimeter, b, excess)`` of ``sets._row``, the one family decision, so no
-code here tells a ball from a profile. :func:`quantities`, the bundle of
-one set, and :func:`excess_identity` are its batch of one, so each formula
-exists once. F is written once on ``(mass, perimeter, b)``: fed the row by
+one array per quantity for many sets. It packs them into one ``sets._Batch``
+and runs the one private kernel, ``_batch_columns``, which ``verify`` also
+feeds the corpus batch as it was drawn. The kernel starts from ``sets._rows``,
+the row ``(mass, perimeter, b, excess)`` of ``sets._row`` for every member at
+once, so no code here tells a ball from a profile. It keeps the scalar math,
+``math.exp``, ``math.erfc`` and ``_interval_mass`` element by element and each
+set's sums added left to right, and vectorizes only the bookkeeping, so every
+column equals the scalar row bit for bit: a NumPy ``exp`` or pairwise sum
+would move last bits. :func:`quantities`, the bundle of one set, and
+:func:`excess_identity` are its batch of one, so each formula exists once.
+F is written once on ``(mass, perimeter, b)``: fed the row by
 :func:`penalized_functional`, and a profile's sums on endpoint lists,
 without building sets, by the optimizer. The columns refuse only a
 degenerate or non-finite member; whether they obey the paper's claims is
@@ -27,9 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .sets import GaussianSet, _clipped_mass, _profile, _row, barycenter
-from .special import SQRT_2PI, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight, log_gauss_cdf
+from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _elementwise, _row, _rows, barycenter
+from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf, gauss_weight, log_gauss_cdf
 
 __all__ = [
     "STABILITY_CONSTANT",
@@ -81,43 +88,33 @@ def max_barycenter_norm(s: float) -> float:
     return gauss_weight(s) / SQRT_2PI
 
 
-def _quantity_row(e: GaussianSet) -> tuple[float, ...]:
-    """``(measure, s, perimeter, b, w_s, excess, alpha_hat)`` of one set."""
-    mass, perim, b, excess = _row(e)
-    if not 0.0 < mass < 1.0:
-        raise ValueError(
-            f"quantity undefined for degenerate set with measure {mass!r}; need measure in (0, 1)"
-        )
-    s = gauss_cdf_inv(mass)
-    if abs(b) < BARYCENTER_ZERO_TOL:
-        # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
-        alpha_hat = 2.0 * gauss_cdf(-abs(s))
-    else:
-        # gamma(E sym-diff H) for the half-space H at level s opposite to the
-        # barycenter, (-inf, s) or (-s, inf) on the axis; only a profile has b != 0
-        cut = (-s, math.inf) if b > 0.0 else (-math.inf, s)
-        alpha_hat = mass + gauss_cdf(s) - 2.0 * _clipped_mass(_profile(e)[1], *cut)
-    return mass, s, perim, b, gauss_weight(s), excess, alpha_hat
+def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
+    """The ten columns of :func:`quantity_columns` from a batch, bit for bit.
 
-
-def quantity_columns(sets) -> dict[str, np.ndarray]:
-    """Every derived quantity of many nondegenerate sets, one array per quantity.
-
-    Each set is one row of ``sets._row``: a profile's one pass over its
-    ``(lo, hi)`` pairs, or a centered ball's closed forms. The
-    columns are ``measure``, ``s`` (mass level), ``perimeter``, ``b``
-    (barycenter along the profile axis, zero for balls), ``b_norm``,
-    ``b_max``, ``deficit``, ``beta`` (strong asymmetry), ``alpha_hat``
-    (directed Fraenkel asymmetry) and ``excess`` (direct boundary excess).
-    Every number equals that of a batch of one, and ``measure``,
-    ``perimeter`` and ``b`` equal the scalar readers', bit for bit. Raises
-    ValueError when a set has measure 0 or 1 or a non-finite quantity, which
-    no suite could count. The paper's claims on the columns (D >= 0,
-    |b| <= b_max, the excess identity) are not checked here: the
-    verification suites decide and count them.
+    The scalar formulas run unchanged on the batch's columns: ``_rows`` for
+    ``(mass, perimeter, b, excess)``, ``ndtri`` for ``s``, ``math.exp`` for
+    the weight at ``s`` and ``math.erfc`` for the normal CDF, element by
+    element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
+    ``sets._clipped_mass`` on the batch.
     """
-    rows = np.fromiter(map(_quantity_row, sets), dtype=np.dtype((float, 7)))
-    mass, s, perim, b, w_s, excess, alpha_hat = np.ascontiguousarray(rows.T)
+    mass, perim, b, excess = _rows(batch)
+    degenerate = ~((0.0 < mass) & (mass < 1.0))
+    if degenerate.any():
+        raise ValueError(
+            f"quantity undefined for degenerate set with measure {float(mass[degenerate][0])!r}; "
+            "need measure in (0, 1)"
+        )
+    s = ndtri(mass)
+    w_s = _elementwise(math.exp, -0.5 * s * s)
+    alpha_hat = np.empty_like(mass)
+    centered = np.abs(b) < BARYCENTER_ZERO_TOL
+    # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
+    alpha_hat[centered] = 2.0 * _elementwise(_gauss_cdf_finite, -np.abs(s[centered]))
+    # else gamma(E sym-diff H) for the half-space H at level s opposite to the
+    # barycenter, (-inf, s) or (-s, inf) on the axis; only a profile has b != 0
+    directed = ~centered
+    inside = _clipped_masses(batch, directed, s, b > 0.0)[directed]
+    alpha_hat[directed] = mass[directed] + _elementwise(_gauss_cdf_finite, s[directed]) - 2.0 * inside
     b_norm = np.abs(b)
     b_max = w_s / SQRT_2PI
     deficit = perim - w_s
@@ -139,6 +136,25 @@ def quantity_columns(sets) -> dict[str, np.ndarray]:
         "alpha_hat": alpha_hat,
         "excess": excess,
     }
+
+
+def quantity_columns(sets) -> dict[str, np.ndarray]:
+    """Every derived quantity of many nondegenerate sets, one array per quantity.
+
+    The sets are packed as one batch (``sets._batch``), whose rows are those
+    of ``sets._row``: a profile's one pass over its ``(lo, hi)`` pairs, or a
+    centered ball's closed forms. The columns are ``measure``, ``s`` (mass
+    level), ``perimeter``, ``b`` (barycenter along the profile axis, zero for
+    balls), ``b_norm``, ``b_max``, ``deficit``, ``beta`` (strong asymmetry),
+    ``alpha_hat`` (directed Fraenkel asymmetry) and ``excess`` (direct
+    boundary excess). Every number equals that of a batch of one, and
+    ``measure``, ``perimeter`` and ``b`` equal the scalar readers', bit for
+    bit. Raises ValueError when a set has measure 0 or 1 or a non-finite
+    quantity, which no suite could count. The paper's claims on the columns
+    (D >= 0, |b| <= b_max, the excess identity) are not checked here: the
+    verification suites decide and count them.
+    """
+    return _batch_columns(_batch(sets))
 
 
 def excess_identity(e: GaussianSet) -> tuple[float, float]:

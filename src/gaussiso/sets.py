@@ -15,16 +15,21 @@ The families collapse to two cases. Every set but the ball is a 1-D profile:
 the preimage of an interval union under ``x -> x . axis`` for a unit axis
 (an interval union along ``(1,)``, a slab along ``e_n``, a half-space as the
 one-ray profile ``(-inf, s)`` along ``omega``). ``_profile`` makes that
-decision for ``dimension``, ``barycenter``, ``symm_diff_measure``,
-``contains_points`` and ``mc_measure``. For scalar quantities ``_row`` is the
-one family decision: ``(mass, perimeter, b, excess)`` of a profile from the
-one private pass over its ``(lo, hi)`` pairs, or of a ball from its closed
-forms.
-``measure``, ``perimeter`` and :mod:`gaussiso.functionals` read it.
+decision, as ``(family, dimension, intervals)``, for every reader here; it
+builds no axis, so a slab in dimension 10^6 costs no 10^6-long tuple, and
+``_axis`` builds the vector only for ``barycenter`` and
+``symm_diff_measure``. For scalar quantities ``_row`` is the one family
+decision: ``(mass, perimeter, b, excess)`` of a profile from the one private
+pass over its ``(lo, hi)`` pairs, or of a ball from its closed forms.
+``measure``, ``perimeter`` and ``penalized_functional`` read it.
+Many sets travel as one ``_Batch`` of flat columns: the corpus draws into
+it, ``_batch`` packs set objects into it, ``_rows`` is ``_row`` on every row
+at once, bit for bit, and ``_members`` rebuilds a row's set object.
 Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
 positions are lower endpoints, and ``_pairs`` pairs such a list back up.
-Only :func:`complement` and the JSON descriptors build each family's own type.
+Only :func:`complement`, ``_members`` and the JSON descriptors build each
+family's own type.
 The named interval unions of a mass level that the corpus, the optimizer
 and the suites share (the half-line, the symmetric two-ray set, the
 origin-symmetric interval) are built here too.
@@ -77,6 +82,9 @@ __all__ = [
 MERGE_TOL = 1e-9
 
 _UNIT_NORM_TOL = 1e-12
+
+#: Component types that ``HalfSpace`` checks in bulk.
+_PLAIN_REALS = frozenset((float, int, np.float64))
 
 _LOG_2 = math.log(2.0)
 
@@ -135,13 +143,27 @@ class HalfSpace:
     s: float
 
     def __post_init__(self) -> None:
-        om = tuple(_check_real(c, "HalfSpace: omega component") for c in self.omega)
+        om = tuple(self.omega)
+        norm = math.inf
+        # plain floats and ints (and NumPy's float64, a float) are checked in
+        # bulk, a bool being a type of its own; any other component, or a
+        # non-finite one, gets _check_real's message
+        types = set(map(type, om))
+        if types <= _PLAIN_REALS:
+            try:
+                if types != {float}:
+                    om = tuple(map(float, om))
+                norm = math.hypot(*om)
+            except OverflowError:  # an int past the float range
+                pass
+        if not math.isfinite(norm):
+            om = tuple(_check_real(c, "HalfSpace: omega component") for c in om)
+            norm = math.hypot(*om)
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "s", _check_real(self.s, "HalfSpace: s"))
         if len(om) < 1:
             raise ValueError("HalfSpace: omega must have at least one component")
         # the components are finite, so an inf norm is an overflow and fails the test
-        norm = math.sqrt(sum(c * c for c in om))
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"HalfSpace: omega must be a unit vector, |omega| = {norm!r}")
 
@@ -201,28 +223,39 @@ def normalize(raw: Iterable[Sequence[float]]) -> IntervalUnion1D:
     return IntervalUnion1D(intervals=kept)
 
 
-def _profile(e: GaussianSet) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]] | None:
-    """The family decision: ``(axis, profile intervals)``, or None for a centered ball.
+#: Set families, as ``_profile`` names them and a ``_Batch`` tags its rows.
+_LINE, _HALFSPACE, _SLAB, _BALL = range(4)
+
+
+def _profile(e: GaussianSet) -> tuple[int, int, tuple[tuple[float, float], ...]]:
+    """The family decision: ``(family, dimension, profile intervals)``.
 
     Every set but the ball is the preimage of a 1-D interval union under
     ``x -> x . axis`` for a unit axis: an interval union is its own profile
     along ``(1,)``, a slab its profile along ``e_n``, and a half-space the
-    one-ray profile ``(-inf, s)`` along ``omega``.
+    one-ray profile ``(-inf, s)`` along ``omega``. A centered ball has no
+    profile, so its intervals are empty. The axis is built by ``_axis``, and
+    only where a caller needs it as a vector.
     """
-    if isinstance(e, CenteredBall):
-        return None
     if isinstance(e, IntervalUnion1D):
-        return (1.0,), e.intervals
+        return _LINE, 1, e.intervals
     if isinstance(e, SlabSet):
-        return (0.0,) * (e.dim - 1) + (1.0,), e.profile.intervals
+        return _SLAB, e.dim, e.profile.intervals
     if isinstance(e, HalfSpace):
-        return e.omega, ((-math.inf, e.s),)
+        return _HALFSPACE, len(e.omega), ((-math.inf, e.s),)
+    if isinstance(e, CenteredBall):
+        return _BALL, e.dim, ()
     raise TypeError(f"unsupported set representation: {type(e).__name__}")
 
 
+def _axis(e: GaussianSet) -> tuple[float, ...]:
+    """The unit axis of a profile set: ``omega`` for a half-space, else ``e_n``."""
+    family, n, _ = _profile(e)
+    return e.omega if family == _HALFSPACE else (0.0,) * (n - 1) + (1.0,)
+
+
 def dimension(e: GaussianSet) -> int:
-    profile = _profile(e)
-    return e.dim if profile is None else len(profile[0])
+    return _profile(e)[1]
 
 
 def _interval_mass(lo: float, hi: float) -> float:
@@ -273,14 +306,147 @@ def _row(e: GaussianSet) -> tuple[float, float, float, float]:
     ball's perimeter is ``sqrt(2 pi)`` times the chi density at ``r``, in log
     space so that it is finite in every dimension.
     """
-    profile = _profile(e)
-    if profile is None:
-        n, r = e.dim, e.radius
-        log_chi = (n - 1) * math.log(r) - 0.5 * r * r - (0.5 * n - 1.0) * _LOG_2 - math.lgamma(0.5 * n)
-        perim = SQRT_2PI * math.exp(log_chi)
-        return chi2_cdf(n, r * r), perim, 0.0, 2.0 * perim
-    mass, perim, b, left, right = _profile_sums(profile[1])
+    family, _, intervals = _profile(e)
+    if family == _BALL:
+        return _ball_row(e.dim, e.radius)
+    mass, perim, b, left, right = _profile_sums(intervals)
     return mass, perim, b, 4.0 * min(left, right)
+
+
+def _ball_row(n: int, r: float) -> tuple[float, float, float, float]:
+    """``_row`` of the centered ball of radius ``r`` in ``R^n``, from its closed forms."""
+    log_chi = (n - 1) * math.log(r) - 0.5 * r * r - (0.5 * n - 1.0) * _LOG_2 - math.lgamma(0.5 * n)
+    perim = SQRT_2PI * math.exp(log_chi)
+    return chi2_cdf(n, r * r), perim, 0.0, 2.0 * perim
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Many sets as flat columns, one row per set.
+
+    Row ``i`` has family ``kinds[i]`` and dimension ``dims[i]``. A profile
+    row owns the next ``counts[i]`` ``(lo, hi)`` pairs of ``points``, flat in
+    ``_endpoints`` layout, and their masses in ``masses``, each
+    ``_interval_mass(lo, hi)``. A ball row owns no pair and has radius
+    ``radii[i]``; every other row has radius 0. The corpus draws straight
+    into this layout, and :func:`_rows` reads it.
+    """
+
+    kinds: np.ndarray
+    dims: np.ndarray
+    counts: np.ndarray
+    radii: np.ndarray
+    points: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("kinds", np.int8),
+            ("dims", np.int64),
+            ("counts", np.int64),
+            ("radii", float),
+            ("points", float),
+            ("masses", float),
+        ):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def owners(self) -> np.ndarray:
+        """The row of every ``(lo, hi)`` pair."""
+        return np.repeat(np.arange(len(self.kinds)), self.counts)
+
+
+def _batch(sets: Iterable[GaussianSet]) -> _Batch:
+    """The sets packed as a batch, one row per set, each from its ``_profile``."""
+    kinds, dims, counts, radii, points = [], [], [], [], []
+    for e in sets:
+        family, n, intervals = _profile(e)
+        kinds.append(family)
+        dims.append(n)
+        counts.append(len(intervals))
+        radii.append(e.radius if family == _BALL else 0.0)
+        points.extend(itertools.chain.from_iterable(intervals))
+    masses = list(map(_interval_mass, points[0::2], points[1::2]))
+    return _Batch(kinds, dims, counts, radii, points, masses)
+
+
+def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_row`` of every row of a batch, as four columns, bit for bit.
+
+    The arithmetic is ``_profile_sums``': ``math.exp`` per endpoint, the
+    stored ``_interval_mass`` per interval, and each row's sums added left to
+    right from 0.0, by ``np.bincount``, which accumulates its weights in
+    array order. Only the bookkeeping is vectorized, as NumPy's ``exp`` and
+    pairwise sums would move last bits. A ball row takes ``_ball_row``.
+    """
+    n = len(batch.kinds)
+    owner = batch.owners()
+    x = batch.points
+    w = _elementwise(math.exp, -0.5 * x * x)
+    w_lo, w_hi = w[0::2], w[1::2]
+    mass = _row_sums(owner, batch.masses, n)
+    perim = _row_sums(np.repeat(owner, 2), w, n)
+    b = _row_sums(owner, (w_lo - w_hi) / SQRT_2PI, n)
+    excess = 4.0 * np.minimum(_row_sums(owner, w_lo, n), _row_sums(owner, w_hi, n))
+    for i in np.flatnonzero(batch.kinds == _BALL).tolist():
+        mass[i], perim[i], b[i], excess[i] = _ball_row(int(batch.dims[i]), float(batch.radii[i]))
+    return mass, perim, b, excess
+
+
+def _clipped_masses(batch: _Batch, rows: np.ndarray, cut: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """``_clipped_mass`` of every row's profile, bit for bit: cut to
+    ``(-cut[i], inf)`` where ``above[i]``, else to ``(-inf, cut[i])``.
+
+    An interval inside the cut keeps its stored mass, one that straddles it
+    takes ``_interval_mass`` of its clipped part, and one outside adds 0.0,
+    which leaves a sum of nonnegative masses as it is. Only the rows where
+    ``rows`` holds are summed; the others read 0.
+    """
+    owner = batch.owners()
+    above, cut = above[owner], cut[owner]
+    lo, hi = batch.points[0::2], batch.points[1::2]
+    lo_moved = above & (-cut > lo)
+    hi_moved = ~above & (cut < hi)
+    lo = np.where(lo_moved, -cut, lo)
+    hi = np.where(hi_moved, cut, hi)
+    kept = (lo < hi) & rows[owner]
+    masses = np.where(kept, batch.masses, 0.0)
+    for j in np.flatnonzero(kept & (lo_moved | hi_moved)).tolist():
+        masses[j] = _interval_mass(float(lo[j]), float(hi[j]))
+    return _row_sums(owner, masses, len(batch.kinds))
+
+
+def _elementwise(f, x: np.ndarray) -> np.ndarray:
+    """The scalar function ``f`` on every element of ``x``, as Python floats."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
+
+
+def _row_sums(owner: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` per-row sums of ``weights``, whose rows are ``owner``.
+
+    ``np.bincount`` adds each row's weights in array order, left to right
+    from 0.0, as a Python loop would.
+    """
+    # with no weights at all, bincount returns integer zeros
+    return np.bincount(owner, weights, n).astype(float, copy=False)
+
+
+def _members(batch: _Batch, rows: Iterable[int] | None = None) -> Iterator[GaussianSet]:
+    """The set objects of a batch's rows, every row by default.
+
+    A half-space row keeps no direction, so it has no object.
+    """
+    kinds, dims, radii = batch.kinds.tolist(), batch.dims.tolist(), batch.radii.tolist()
+    stops = np.cumsum(2 * batch.counts).tolist()
+    for i in range(len(kinds)) if rows is None else rows:
+        family, n = kinds[i], dims[i]
+        if family == _BALL:
+            yield CenteredBall(dim=n, radius=radii[i])
+            continue
+        if family == _HALFSPACE:
+            raise ValueError(f"batch row {i} is a half-space, which keeps no direction")
+        start = stops[i - 1] if i else 0
+        profile = IntervalUnion1D(intervals=_pairs(batch.points[start : stops[i]].tolist()))
+        yield profile if family == _LINE else SlabSet(dim=n, profile=profile)
 
 
 def measure(e: GaussianSet) -> float:
@@ -295,13 +461,12 @@ def perimeter(e: GaussianSet) -> float:
 
 def barycenter(e: GaussianSet) -> np.ndarray:
     """b(E) = integral over E of x dgamma, as a vector of length dimension(e)."""
-    profile = _profile(e)
-    if profile is None:
-        return np.zeros(e.dim)
-    axis, intervals = profile
+    family, n, intervals = _profile(e)
+    if family == _BALL:
+        return np.zeros(n)
     b = _profile_sums(intervals)[2]
     # components off the axis are exactly zero, never -0.0
-    return np.array([b * c if c else 0.0 for c in axis])
+    return np.array([b * c if c else 0.0 for c in _axis(e)])
 
 
 def mass_level(e: GaussianSet) -> float:
@@ -410,12 +575,11 @@ def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
         raise ValueError(
             f"half-space dimension {len(h.omega)} does not match set dimension {n}"
         )
-    profile = _profile(e)
-    if profile is None:
+    family, _, intervals = _profile(e)
+    if family == _BALL:
         inter = _ball_halfspace_mass(e.dim, e.radius, h.s)
     else:
-        axis, intervals = profile
-        dot = float(np.dot(axis, h.omega))
+        dot = float(np.dot(_axis(e), h.omega))
         if abs(dot - 1.0) <= 1e-9:
             inter = _clipped_mass(intervals, -math.inf, h.s)
         elif abs(dot + 1.0) <= 1e-9:
@@ -431,11 +595,13 @@ def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:
     n = dimension(e)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"contains_points: expected shape (m, {n}), got {pts.shape}")
-    profile = _profile(e)
-    if profile is None:
+    family, _, intervals = _profile(e)
+    if family == _BALL:
         return np.einsum("ij,ij->i", pts, pts) < e.radius * e.radius
-    axis, intervals = profile
-    return _in_intervals(pts @ np.asarray(axis, dtype=float), intervals)
+    # x . e_n is x_n, bit for bit; one contiguous copy of that column is
+    # cheaper to read than the product, and than the strided column
+    x = pts @ np.asarray(e.omega, dtype=float) if family == _HALFSPACE else np.ascontiguousarray(pts[:, -1])
+    return _in_intervals(x, intervals)
 
 
 def _in_intervals(x: np.ndarray, intervals: Iterable[tuple[float, float]]) -> np.ndarray:
@@ -461,15 +627,15 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
     rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
-    profile = _profile(e)
+    family, _, intervals = _profile(e)
     hits = 0
     remaining = n_samples
     while remaining > 0:
         m = min(2_000_000, remaining)
-        if profile is None:
+        if family == _BALL:
             inside = rng.chisquare(e.dim, m) < e.radius * e.radius
         else:
-            inside = _in_intervals(rng.standard_normal(m), profile[1])
+            inside = _in_intervals(rng.standard_normal(m), intervals)
         hits += int(np.count_nonzero(inside))
         remaining -= m
     p = hits / n_samples

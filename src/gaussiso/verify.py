@@ -9,9 +9,13 @@ row per check.  :func:`run_suite` does the rest.  It looks suites up in one
 ordered registry, builds the corpus once (before any timer starts, and only
 when a selected suite reads it), times each row from resuming its suite to
 the yield, and records the violation count and the worst margin.  The corpus
-suites share one ``quantity_columns`` evaluation of the corpus, which
-refuses only degenerate or non-finite members; each claim is decided in its
-suite alone, so a member that breaks one is counted there, not refused.  An
+is built as the batch it is drawn into (``corpus._mixed_batch``), with no set
+object per member, and the corpus suites share one evaluation of its
+``quantity_columns`` from that batch, which refuses only degenerate or
+non-finite members; each claim is decided in its suite alone, so a member
+that breaks one is counted there, not refused.  The quadrature oracle reads
+the batch's interval endpoints and stored masses, and only the members that
+Monte Carlo checks become set objects.  An
 inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.
@@ -28,24 +32,25 @@ import numpy as np
 from scipy.special import log_ndtr as _vector_log_cdf
 from scipy.special import ndtr as _vector_cdf
 
-from .corpus import _child_seeds, _child_unions, _entropy, _generators, mixed_corpus
+from .corpus import _child_seeds, _child_unions, _entropy, _generators, _mixed_batch
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
+    _batch_columns,
     penalized_functional,
     quantity_columns,
     stability_params,
 )
 from .quadrature import QuadSettings, adaptive_quad_many
 from .sets import (
+    _LINE,
     IntervalUnion1D,
     SlabSet,
-    _interval_mass,
+    _Batch,
+    _members,
     contains_points,
-    dimension,
     half_line_set,
     mc_measure,
-    measure,
     two_ray_set,
 )
 from .special import SQRT_2PI, _check_integer, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
@@ -155,18 +160,18 @@ def _margins_identity(a, b, rel=IDENTITY_REL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Corpus:
-    """The seeded corpus and its read-only quantity columns, shared across suites."""
+    """The seeded corpus as one batch and its read-only quantity columns, shared across suites."""
 
-    sets: tuple
+    batch: _Batch
     columns: dict[str, np.ndarray]
 
 
 def _build_corpus(config: SuiteConfig) -> _Corpus:
-    sets = mixed_corpus(config.samples, config.seed)
-    columns = quantity_columns(sets)
+    batch = _mixed_batch(config.samples, config.seed)
+    columns = _batch_columns(batch)
     for column in columns.values():
         column.flags.writeable = False
-    return _Corpus(sets=sets, columns=columns)
+    return _Corpus(batch=batch, columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +187,13 @@ def _oracle_density(x: np.ndarray) -> np.ndarray:
 
 
 def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus):
-    intervals = [iv for e in corpus.sets if isinstance(e, IntervalUnion1D) for iv in e.intervals]
-    lo = np.array([a for a, _ in intervals])
-    hi = np.array([b for _, b in intervals])
-    # the per-interval mass that measure() sums, right-tail mirror included
-    closed = np.array([_interval_mass(a, b) for a, b in intervals])
+    batch = corpus.batch
+    # the intervals of the members on the line; their closed side is the
+    # stored _interval_mass that measure() sums, right-tail mirror included
+    line = (batch.kinds == _LINE)[batch.owners()]
+    lo = batch.points[0::2][line]
+    hi = batch.points[1::2][line]
+    closed = batch.masses[line]
     via_quad = adaptive_quad_many(_oracle_density, lo, hi, ORACLE_SETTINGS)
     margins = _margins_identity(via_quad.value, closed)
     # an interval the oracle did not resolve counts as a violation
@@ -198,14 +205,15 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus):
         {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    high_dim = [e for e in corpus.sets if dimension(e) > 1][:20]
-    if high_dim:
+    # only these members become set objects
+    rows = np.flatnonzero(batch.dims > 1)[:20].tolist()
+    if rows:
         diffs = []
         bounds = []
-        seeds = _child_seeds(config.seed, 11, len(high_dim)).tolist()
-        for e, seed in zip(high_dim, seeds):
+        seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
+        for i, e, seed in zip(rows, _members(batch, rows), seeds):
             est, err = mc_measure(e, n_samples=200_000, seed=seed)
-            diffs.append(abs(measure(e) - est))
+            diffs.append(abs(float(corpus.columns["measure"][i]) - est))
             bounds.append(6.0 * err)
         yield (
             "highdim-measure-vs-monte-carlo",

@@ -25,10 +25,12 @@ from gaussiso.functionals import (
     stability_params,
 )
 from gaussiso.sets import (
+    _BALL,
     CenteredBall,
     HalfSpace,
     IntervalUnion1D,
     SlabSet,
+    _members,
     barycenter,
     complement,
     contains_points,
@@ -476,11 +478,18 @@ class TestQuantityColumns:
             ),
             "excess-identity": lambda mass, perim, b, excess: (mass, perim, b, via + 1e-6),
         }
-        row = functionals._row
+        rows = functionals._rows
+
+        def faulty(batch, fault):
+            # row i of the corpus batch is member i
+            columns = rows(batch)
+            assert next(_members(batch, [i])) == member
+            for column, value in zip(columns, fault(*(float(c[i]) for c in columns))):
+                column[i] = value
+            return columns
+
         for suite, fault in faults.items():
-            monkeypatch.setattr(
-                functionals, "_row", lambda e, fault=fault: fault(*row(e)) if e == member else row(e)
-            )
+            monkeypatch.setattr(functionals, "_rows", lambda batch, fault=fault: faulty(batch, fault))
             (check,) = run_suite(suite, config).checks
             assert check.violations == 1, suite
             assert check.worst_margin < 0.0, suite
@@ -495,13 +504,15 @@ class TestQuantityColumns:
         # an infinite perimeter (and excess 2P) for one member: such a row
         # used to pass, as inf - inf in the excess identity is NaN
         ball = CenteredBall(dim=4, radius=1.7)
-        row = functionals._row
+        rows = functionals._rows
 
-        def overflowing(e):
-            mass, perim, b, excess = row(e)
-            return (mass, math.inf, b, math.inf) if e == ball else (mass, perim, b, excess)
+        def overflowing(batch):
+            mass, perim, b, excess = rows(batch)
+            balls = batch.kinds == _BALL
+            perim[balls] = excess[balls] = math.inf
+            return mass, perim, b, excess
 
-        monkeypatch.setattr(functionals, "_row", overflowing)
+        monkeypatch.setattr(functionals, "_rows", overflowing)
         with pytest.raises(ValueError, match="non-finite deficit inf"):
             quantity_columns((E0, ball))
         quantity_columns((E0,))

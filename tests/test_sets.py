@@ -120,6 +120,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             HalfSpace(omega=(1.0,), s=math.inf)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "must be a real number, got True"),
+            ("0.1", "must be a real number, got '0.1'"),
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be finite, got -inf"),
+            (10**400, "must be finite, got 1000"),
+        ],
+    )
+    def test_halfspace_refuses_one_bad_component_among_many(self, bad, message):
+        omega = list(random_unit_vector(1705, 100_000))
+        omega[5] = bad
+        with pytest.raises(ValueError, match=f"^HalfSpace: omega component {message}"):
+            HalfSpace(omega=tuple(omega), s=0.0)
+
+    def test_halfspace_checks_plain_components_in_bulk(self, monkeypatch):
+        checked = []
+        check_real = sets._check_real
+
+        def counted(value, what, *args):
+            checked.append(what)
+            return check_real(value, what, *args)
+
+        monkeypatch.setattr(sets, "_check_real", counted)
+        omega = random_unit_vector(1705, 100_000)
+        h = HalfSpace(omega=omega, s=0.0)
+        assert checked == ["HalfSpace: s"]
+        assert h.omega == tuple(map(float, omega))
+        assert all(type(c) is float for c in h.omega)
+        assert HalfSpace(omega=(0, -1), s=0.5).omega == (0.0, -1.0)
+        # any other number type goes one component at a time
+        assert HalfSpace(omega=(np.float32(1.0),), s=0.0).omega == (1.0,)
+        assert checked.count("HalfSpace: omega component") == 1
+
     def test_ball_requires_positive_radius_integer_dim(self):
         with pytest.raises(ValueError):
             CenteredBall(dim=2, radius=0.0)
@@ -473,6 +509,16 @@ class TestContainsPoints:
         pts = np.array([[9.0, 0.5], [0.5, 9.0]])
         assert contains_points(e, pts).tolist() == [True, False]
 
+    def test_slab_reads_its_last_coordinate(self):
+        # x . e_n is x_n bit for bit, so reading the column changes no membership
+        rng = np.random.default_rng(1706)
+        for dim in (2, 3, 4, 5):
+            e = SlabSet(dim=dim, profile=normalize([(-math.inf, -0.4), (0.2, 0.9), (1.5, math.inf)]))
+            pts = rng.standard_normal((20_000, dim))
+            along = pts @ np.eye(dim)[-1]
+            assert along.tobytes() == pts[:, -1].tobytes()
+            assert np.array_equal(contains_points(e, pts), contains_points(e.profile, along[:, None]))
+
     def test_ball_membership(self):
         b = CenteredBall(dim=2, radius=1.0)
         pts = np.array([[0.5, 0.5], [1.0, 1.0]])
@@ -549,11 +595,25 @@ class TestMcMeasure:
         ids=["ball-1e5", "ball-1e6", "halfspace-1e5"],
     )
     def test_high_dimension_agrees_with_measure(self, make):
-        # built in the test: a dim-10^5 half-space takes 0.1 s to validate
+        # built in the test, not while the tests are collected
         e = make()
         est, se = mc_measure(e, n_samples=200_000, seed=1704)
         assert 0.05 < measure(e) < 0.95
         assert abs(est - measure(e)) <= 6.0 * se
+
+    def test_high_dimension_slab_builds_no_axis(self):
+        # a dim-10^6 axis would be an 8 MB tuple; the estimate is the profile's
+        e = SlabSet(dim=1_000_000, profile=normalize([(-math.inf, -0.3), (0.5, 1.2)]))
+        tracemalloc.start()
+        try:
+            n = dimension(e)
+            p, se = mc_measure(e, n_samples=10_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert n == 1_000_000
+        assert (p.hex(), se.hex()) == ("0x1.2666666666666p-1", "0x1.43f8fe1bc21eep-8")
 
     def test_one_dimensional_bits_hold(self):
         # pinned from the point sampler, which drew blocks of 200,000 rows of
@@ -567,6 +627,32 @@ class TestMcMeasure:
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             mc_measure(normalize([(0.0, 1.0)]), n_samples=10, seed=seed)
+
+
+class TestBatch:
+    MEMBERS = [
+        normalize([(-math.inf, -1.3), (-0.2, 0.45), (1.1, math.inf)]),
+        two_ray(-9.0),
+        HalfSpace(omega=(0.6, -0.8), s=0.3),
+        SlabSet(dim=5, profile=normalize([(2.5, 7.0)])),
+        CenteredBall(dim=300, radius=17.0),
+        normalize([]),
+    ]
+
+    def test_rows_are_the_scalar_rows(self):
+        columns = sets._rows(sets._batch(self.MEMBERS))
+        for i, e in enumerate(self.MEMBERS):
+            assert [float(c[i]).hex() for c in columns] == [float(v).hex() for v in sets._row(e)], i
+
+    def test_members_rebuild_the_sets(self):
+        batch = sets._batch(self.MEMBERS)
+        assert list(sets._members(batch, [5, 4, 3, 1, 0])) == [self.MEMBERS[i] for i in (5, 4, 3, 1, 0)]
+        # a half-space row keeps its profile, not its direction
+        with pytest.raises(ValueError, match="row 2 is a half-space"):
+            list(sets._members(batch))
+
+    def test_empty_batch(self):
+        assert all(c.shape == (0,) and c.dtype == float for c in sets._rows(sets._batch(())))
 
 
 class TestJsonDescriptors:

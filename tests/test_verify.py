@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from gaussiso import verify
-from gaussiso.corpus import mixed_corpus
-from gaussiso.functionals import STABILITY_CONSTANT
+from gaussiso import sets, verify
+from gaussiso.corpus import _mixed_batch, mixed_corpus
+from gaussiso.functionals import STABILITY_CONSTANT, quantity_columns
 from gaussiso.quadrature import QuadSettings
-from gaussiso.sets import mc_measure
+from gaussiso.sets import IntervalUnion1D, _interval_mass, mc_measure
 from gaussiso.verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -211,9 +211,9 @@ class TestRunSuite:
         def slow_corpus(n, seed):
             time.sleep(1.0)
             built.append((n, seed))
-            return mixed_corpus(n, seed)
+            return _mixed_batch(n, seed)
 
-        monkeypatch.setattr(verify, "mixed_corpus", slow_corpus)
+        monkeypatch.setattr(verify, "_mixed_batch", slow_corpus)
         report = run_suite("iso", SMALL)
         assert built == [(SMALL.samples, SMALL.seed)]
         assert report.checks[0].wall_time < 1.0
@@ -257,6 +257,53 @@ class TestRunSuite:
         assert check.violations == 0
         # margin = threshold + tolerance when the deviation is exactly zero
         assert check.worst_margin == pytest.approx(1e-10 + 1e-9, rel=1e-6)
+
+
+class TestCorpusBatch:
+    """The suites read the corpus as the batch it is drawn into, not as set objects."""
+
+    # n = 1 and 7 have no ball, n = 100 fewer than 20 high-dimensional members
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000, 10_000])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_columns_equal_those_of_the_set_objects(self, n, seed):
+        built = verify._build_corpus(SuiteConfig(samples=n, seed=seed)).columns
+        expected = quantity_columns(mixed_corpus(n, seed))
+        assert built.keys() == expected.keys()
+        for name, column in expected.items():
+            assert built[name].tobytes() == column.tobytes(), name
+
+    def test_measure_oracle_builds_only_the_monte_carlo_members(self, monkeypatch):
+        built = []
+        for cls in (IntervalUnion1D, sets.SlabSet, sets.CenteredBall):
+            post_init = cls.__post_init__
+
+            def counted(self, post_init=post_init):
+                built.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        report = run_suite("measure-oracle", SMALL)
+        # the 20 Monte Carlo members are the first 20 balls of the corpus
+        assert report.checks[1].samples == 20
+        assert built == ["CenteredBall"] * 20
+
+    def test_oracle_closed_side_is_the_interval_mass(self, monkeypatch):
+        seen = []
+
+        def recorded(a, b, rel=verify.IDENTITY_REL):
+            seen.append(np.array(b, dtype=float))
+            return _margins_identity(a, b, rel)
+
+        monkeypatch.setattr(verify, "_margins_identity", recorded)
+        run_suite("measure-oracle", SMALL)
+        members = mixed_corpus(SMALL.samples, SMALL.seed)
+        intervals = [iv for e in members if isinstance(e, IntervalUnion1D) for iv in e.intervals]
+        assert seen[0].tolist() == [_interval_mass(lo, hi) for lo, hi in intervals]
+
+    def test_batch_wraps_into_the_corpus(self):
+        batch = _mixed_batch(400, 3)
+        assert tuple(sets._members(batch)) == mixed_corpus(400, 3)
+        assert list(sets._members(batch, [399, 0])) == [mixed_corpus(400, 3)[i] for i in (399, 0)]
 
 
 @pytest.fixture(scope="module")
