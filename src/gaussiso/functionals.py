@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _elementwise, _row, _rows, barycenter
-from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf, gauss_weight, log_gauss_cdf
+from .special import SQRT_2PI, _check_real, _gauss_cdf_many, gauss_cdf, gauss_weight, log_gauss_cdf
 
 __all__ = [
     "STABILITY_CONSTANT",
@@ -93,8 +93,8 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
 
     The scalar formulas run unchanged on the batch's columns: ``_rows`` for
     ``(mass, perimeter, b, excess)``, ``ndtri`` for ``s``, ``math.exp`` for
-    the weight at ``s`` and ``math.erfc`` for the normal CDF, element by
-    element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
+    the weight at ``s`` and ``special._gauss_cdf_many``, the scalar normal
+    CDF element by element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
     ``sets._clipped_mass`` on the batch.
     """
     mass, perim, b, excess = _rows(batch)
@@ -109,12 +109,12 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
     alpha_hat = np.empty_like(mass)
     centered = np.abs(b) < BARYCENTER_ZERO_TOL
     # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)
-    alpha_hat[centered] = 2.0 * _elementwise(_gauss_cdf_finite, -np.abs(s[centered]))
+    alpha_hat[centered] = 2.0 * _gauss_cdf_many(-np.abs(s[centered]))
     # else gamma(E sym-diff H) for the half-space H at level s opposite to the
     # barycenter, (-inf, s) or (-s, inf) on the axis; only a profile has b != 0
     directed = ~centered
     inside = _clipped_masses(batch, directed, s, b > 0.0)[directed]
-    alpha_hat[directed] = mass[directed] + _elementwise(_gauss_cdf_finite, s[directed]) - 2.0 * inside
+    alpha_hat[directed] = mass[directed] + _gauss_cdf_many(s[directed]) - 2.0 * inside
     b_norm = np.abs(b)
     b_max = w_s / SQRT_2PI
     deficit = perim - w_s
@@ -168,10 +168,11 @@ def excess_identity(e: GaussianSet) -> tuple[float, float]:
     return float(cols["excess"][0]), float(via)
 
 
-def _penalized(mass: float, perim: float, b: float, params: FunctionalParams, target: float) -> float:
+def _penalized(mass, perim, b, params: FunctionalParams, target: float, sqrt=math.sqrt):
     """F from a set's mass, perimeter and barycenter ``b`` along its unit
-    axis (so ``|b| = sqrt(b*b)``); ``target`` is ``gauss_cdf(params.s)``."""
-    norm_b = math.sqrt(b * b)
+    axis (so ``|b| = sqrt(b*b)``); ``target`` is ``gauss_cdf(params.s)``. On
+    arrays, with ``sqrt=np.sqrt``, it is the scalar F per element, bit for bit."""
+    norm_b = sqrt(b * b)
     return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - target)
 
 

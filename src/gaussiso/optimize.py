@@ -5,8 +5,8 @@ components, parameterized per template (an optional left ray, an optional
 right ray, and a number of bounded intervals) by the vector of finite
 endpoints in increasing order. Which search runs depends on the barycenter
 weight alone: below ``eps = 2 pi`` an exact face search, otherwise a
-multistart simplex search. Both evaluate F through the same closed-form
-endpoint objective, so no set is built per evaluation.
+multistart simplex search. Both evaluate F from the closed-form endpoint
+sums of ``functionals._penalized``, so no set is built per evaluation.
 
 Why the face search is complete for eps < 2 pi. Write ``u_i = Phi(x_i)`` for
 the finite endpoints, ``nu_i = +-1`` for their outer normals and ``w_i`` for
@@ -39,6 +39,8 @@ maps each kink face onto itself, so each kink face is searched in its left
 endpoint, from its symmetric set outward. Every piece is a grid followed by
 a golden-section refinement inside each strict interior grid minimum deeper
 than the tie margin; the left ray's two pieces start at its kink point.
+All grids are evaluated as one batch, bit for bit with the scalar objective
+that the golden section and the simplex search call point by point.
 
 The simplex search is an in-house non-adaptive Nelder-Mead on Python lists
 with the floating-point operations of SciPy's ``minimize(method=
@@ -70,15 +72,22 @@ from .functionals import (
 )
 from .corpus import _entropy, _generators
 from .sets import (
+    _LINE,
     IntervalUnion1D,
+    _Batch,
+    _interval_masses,
     _pairs,
     _profile_sums,
+    _rows,
     half_line_set,
     measure,
     symmetric_interval_halfwidth,
     two_ray_endpoint,
 )
-from .special import SQRT_2PI, _check_integer, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import (
+    SQRT_2PI, _check_integer, _check_real, _gauss_cdf_inv_many, _gauss_cdf_many,
+    gauss_cdf, gauss_cdf_inv, gauss_weight,
+)
 
 __all__ = [
     "IntervalTemplate",
@@ -434,18 +443,19 @@ def _golden_section(g, a: float, c: float) -> tuple[float, float, bool]:
     return best[0], best[1], abs(c - a) <= _STEP_TOL
 
 
-def _search_piece(template, kind, objective, endpoints_of, grid: list[float]) -> StartDiagnostic:
-    """Evaluate the face piece ``t -> endpoints_of(t)`` on ``grid``, then
-    refine every strict interior grid minimum deeper than _F_TOL by golden
-    section."""
-    evaluations = 0
+def _search_piece(
+    template, kind, objective, endpoints_of, grid: list[float], values: list[float]
+) -> StartDiagnostic:
+    """Take the objective's ``values`` on the face piece ``t ->
+    endpoints_of(t)`` at ``grid``, then refine every strict interior grid
+    minimum deeper than _F_TOL by golden section."""
+    evaluations = len(grid)
 
     def g(t: float) -> float:
         nonlocal evaluations
         evaluations += 1
         return objective(endpoints_of(t))
 
-    values = [g(t) for t in grid]
     best = min(zip(values, grid))
     converged = True
     for i in range(1, len(grid) - 1):
@@ -468,6 +478,44 @@ def _search_piece(template, kind, objective, endpoints_of, grid: list[float]) ->
     )
 
 
+def _grid_values(grids, params: FunctionalParams, target: float) -> list[list[float]]:
+    """``_endpoint_objective`` at every row of every grid, bit for bit;
+    ``grids`` holds ``(template, columns)``, the rows' finite endpoints from
+    left to right. Invalid rows get the scalar's penalties, and the valid
+    rows of all grids go through ``sets._rows`` as one batch of line rows.
+    """
+    priced, points, counts = [], [], []
+    for template, columns in grids:
+        n = len(columns[0])
+        finite = np.isfinite(columns[0])
+        shortfall = np.zeros(n)
+        with np.errstate(invalid="ignore"):  # inf - inf, on rows priced as non-finite
+            for lo, hi in zip(columns, columns[1:]):
+                finite &= np.isfinite(hi)
+                gap = _MIN_SEPARATION - (hi - lo)
+                shortfall += np.where(gap > 0.0, gap, 0.0)
+        value = np.where(finite, _ORDER_PENALTY * (1.0 + shortfall), 2.0 * _ORDER_PENALTY)
+        valid = finite & (shortfall == 0.0)
+        priced.append((value, valid))
+        head, tail = template._rays()
+        layout = [np.full(n, x) for x in head] + list(columns) + [np.full(n, x) for x in tail]
+        points.append(np.column_stack(layout)[valid].ravel())
+        counts.append(np.full(np.count_nonzero(valid), template.components))
+    points, counts = np.concatenate(points), np.concatenate(counts)
+    n = len(counts)
+    batch = _Batch(kinds=np.full(n, _LINE), dims=np.ones(n), counts=counts, radii=np.zeros(n),
+                   points=points, masses=_interval_masses(points[0::2], points[1::2]))
+    mass, perim, b, _ = _rows(batch)
+    f = _penalized(mass, perim, b, params, target, np.sqrt)
+    values, start = [], 0
+    for value, valid in priced:
+        stop = start + np.count_nonzero(valid)
+        value[valid] = f[start:stop]
+        values.append(value.tolist())
+        start = stop
+    return values
+
+
 def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTemplate, StartDiagnostic]]:
     """Search the faces that hold every minimizer when eps < 2 pi (module
     docstring), one diagnostic per searched piece.
@@ -481,21 +529,23 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
     ``-(|params.s| + 9)``; the mass equation gives the right endpoint. A
     piece's ``evaluations`` counts its objective evaluations, its
     ``start_value`` is the first of them, and it has ``converged`` when every
-    golden-section bracket narrowed below 1e-10.
+    golden-section bracket narrowed below 1e-10. Each face's endpoint map
+    takes the normal CDF and its inverse: the grids read it through the
+    vector ones, the golden section through the scalar ones.
     """
     target = gauss_cdf(params.s)
     reach = abs(params.s) + _REACH
 
-    def ray(x: float) -> list[float]:
+    def ray(x, cdf, inv):
         return [x]
 
-    def bounded(a: float) -> list[float]:
+    def bounded(a, cdf, inv):
         # Phi(b) - Phi(a) = target
-        return [a, gauss_cdf_inv(gauss_cdf(a) + target)]
+        return [a, inv(cdf(a) + target)]
 
-    def two_ray(a: float) -> list[float]:
+    def two_ray(a, cdf, inv):
         # Phi(a) + Phi(-b) = target
-        return [a, -gauss_cdf_inv(target - gauss_cdf(a))]
+        return [a, -inv(target - cdf(a))]
 
     left = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
     pieces = [
@@ -510,22 +560,17 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
         kink_faces.append((IntervalTemplate(left_ray=True, right_ray=True, bounded=0), two_ray,
                            gauss_cdf_inv(target / 2.0)))
     pieces += [
-        (template, "kink", endpoints_of, start, -reach)
-        for template, endpoints_of, start in kink_faces
+        (template, "kink", face, start, -reach)
+        for template, face, start in kink_faces
         if 0.0 < target < 1.0 and math.isfinite(start)
     ]
+    grids = [np.linspace(start, stop, _GRID_POINTS) for *_, start, stop in pieces]
+    grid_values = _grid_values([(template, face(grid, _gauss_cdf_many, _gauss_cdf_inv_many))
+                                for (template, _, face, *_), grid in zip(pieces, grids)], params, target)
     return [
-        (
-            template,
-            _search_piece(
-                template,
-                kind,
-                _endpoint_objective(template, params, target),
-                endpoints_of,
-                np.linspace(start, stop, _GRID_POINTS).tolist(),
-            ),
-        )
-        for template, kind, endpoints_of, start, stop in pieces
+        (template, _search_piece(template, kind, _endpoint_objective(template, params, target),
+                                 lambda t, face=face: face(t, gauss_cdf, gauss_cdf_inv), grid.tolist(), values))
+        for (template, kind, face, *_), grid, values in zip(pieces, grids, grid_values)
     ]
 
 

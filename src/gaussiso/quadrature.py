@@ -26,6 +26,7 @@ order, so a change to it is a change to those numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -161,9 +162,10 @@ def _gk15(f, sign: np.ndarray, anchor: np.ndarray, lo: np.ndarray, hi: np.ndarra
     pairs = np.empty((lo.size, 8))
     pairs[:, 0] = ft[:, 0]
     np.add(ft[:, 1:8], ft[:, 8:], out=pairs[:, 1:])
-    # accumulate is sequential, so the sums run in the one-panel rule's order
-    kronrod = np.add.accumulate(pairs * _KRONROD_WEIGHTS, axis=1)[:, -1] * half
-    gauss = np.add.accumulate(pairs[:, ::2] * _GAUSS_WEIGHTS, axis=1)[:, -1] * half
+    # the weighted columns are added one at a time, left to right: the
+    # one-panel rule's order, which a row reduction would not keep
+    kronrod = functools.reduce(np.add, (pairs * _KRONROD_WEIGHTS).T) * half
+    gauss = functools.reduce(np.add, (pairs[:, ::2] * _GAUSS_WEIGHTS).T) * half
     return kronrod, np.abs(kronrod - gauss)
 
 

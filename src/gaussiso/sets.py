@@ -24,7 +24,8 @@ pass over its ``(lo, hi)`` pairs, or of a ball from its closed forms.
 ``measure``, ``perimeter`` and ``penalized_functional`` read it.
 Many sets travel as one ``_Batch`` of flat columns: the corpus draws into
 it, ``_batch`` packs set objects into it, ``_rows`` is ``_row`` on every row
-at once, bit for bit, and ``_members`` rebuilds a row's set object.
+at once, bit for bit, and ``_members`` rebuilds a row's set object;
+``_interval_masses`` is ``_interval_mass`` on arrays of pairs, bit for bit.
 Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
 positions are lower endpoints, and ``_pairs`` pairs such a list back up.
@@ -50,7 +51,9 @@ import numpy as np
 from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
-from .special import SQRT_2PI, _check_integer, _check_real, _gauss_cdf_finite, chi2_cdf, gauss_cdf, gauss_cdf_inv
+from .special import (
+    SQRT_2PI, _check_integer, _check_real, _gauss_cdf_finite, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv
+)
 
 __all__ = [
     "MERGE_TOL",
@@ -273,6 +276,15 @@ def _interval_mass(lo: float, hi: float) -> float:
     return _gauss_cdf_finite(hi) - _gauss_cdf_finite(lo)
 
 
+def _interval_masses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_interval_mass`` of every pair ``(lo[j], hi[j])``, bit for bit: each of
+    its branches is ``Phi(-lo) - Phi(-hi)`` where ``lo + hi > 0``, else
+    ``Phi(hi) - Phi(lo)``, as an infinite end gives exactly 0 or 1."""
+    with np.errstate(invalid="ignore"):  # NaN on the full line, which is not mirrored
+        mirrored = lo + hi > 0.0
+    return _gauss_cdf_many(np.where(mirrored, -lo, hi)) - _gauss_cdf_many(np.where(mirrored, -hi, lo))
+
+
 def _profile_sums(intervals: Iterable[tuple[float, float]]) -> tuple[float, ...]:
     """``(mass, perimeter, b, left, right)`` of a profile's ``(lo, hi)`` pairs.
 
@@ -410,8 +422,8 @@ def _clipped_masses(batch: _Batch, rows: np.ndarray, cut: np.ndarray, above: np.
     hi = np.where(hi_moved, cut, hi)
     kept = (lo < hi) & rows[owner]
     masses = np.where(kept, batch.masses, 0.0)
-    for j in np.flatnonzero(kept & (lo_moved | hi_moved)).tolist():
-        masses[j] = _interval_mass(float(lo[j]), float(hi[j]))
+    moved = kept & (lo_moved | hi_moved)
+    masses[moved] = _interval_masses(lo[moved], hi[moved])
     return _row_sums(owner, masses, len(batch.kinds))
 
 

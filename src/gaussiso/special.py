@@ -8,6 +8,8 @@ Conventions used throughout the package:
   Gaussian perimeter contribution of a single boundary point in one dimension,
   and the perimeter of the half-space at level ``x`` in any dimension.
 
+The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
+
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
 
@@ -75,6 +77,13 @@ def _gauss_cdf_finite(s: float) -> float:
     return 0.5 * math.erfc(-s / _SQRT_2)
 
 
+def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
+    """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
+    vector ``erfc`` or ``ndtr`` would move last bits), exact at +-inf."""
+    z = (-x / _SQRT_2).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, z), dtype=float, count=len(z))
+
+
 def gauss_cdf(s: float) -> float:
     """Standard normal CDF. Exact limits at +-inf; NaN is rejected."""
     if math.isnan(s):
@@ -93,6 +102,14 @@ def gauss_cdf_inv(p: float) -> float:
     if p == 1.0:
         return math.inf
     return float(ndtri(p))
+
+
+def _gauss_cdf_inv_many(p: np.ndarray) -> np.ndarray:
+    """:func:`gauss_cdf_inv` on an array: ``ndtri``, which maps 0 to -inf and 1 to +inf."""
+    # counted, not .all(): as the only reduction in minimize it mapped ~70 KiB more NumPy code
+    if np.count_nonzero((p >= 0.0) & (p <= 1.0)) != len(p):
+        raise ValueError("gauss_cdf_inv: probabilities must lie in [0, 1]")
+    return ndtri(p)
 
 
 def log_gauss_cdf(s: float) -> float:

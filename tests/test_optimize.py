@@ -13,6 +13,7 @@ Oracles:
 
 import ast
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -39,6 +40,7 @@ from gaussiso.optimize import (
     _MIN_SEPARATION,
     _endpoint_objective,
     _face_search,
+    _grid_values,
     _multistart_search,
     enumerate_templates,
     mass_sweep,
@@ -511,6 +513,83 @@ class TestFaceSearch:
         out = minimize_penalized_functional(s, params, k_max=2)
         assert sum(d.kind == "kink" for d in out.starts) == kink_pieces
         assert math.isfinite(out.best_value)
+
+
+class TestGridBatch:
+    """The face grids are priced as one batch, bit for bit with the scalar objective."""
+
+    @staticmethod
+    def searched_pieces(monkeypatch, params, k_max):
+        seen = []
+        search_piece = optimize._search_piece
+
+        def spy(template, kind, objective, endpoints_of, grid, values):
+            seen.append((objective, endpoints_of, grid, values))
+            return search_piece(template, kind, objective, endpoints_of, grid, values)
+
+        monkeypatch.setattr(optimize, "_search_piece", spy)
+        _face_search(params, k_max)
+        return seen
+
+    def test_grid_values_are_the_scalar_objective(self, monkeypatch):
+        levels = (-37.5, -12.0, -3.0, -1.0, -0.2, 0.0, 0.5, 2.0, 8.25, 30.0)
+        weights = itertools.product((0.0, 1.0, 4.0, 6.28), (0.0, 0.7, LAM_0, 40.0))
+        cases = [FunctionalParams(s=s, eps=eps, lambda_pen=lam)
+                 for s, (eps, lam) in itertools.product(levels, weights)]
+        cases += [stability_params(s) for s in (-6.0, -2.0, -1.0, -0.5, 0.0, 1.5)]
+        pieces = 0
+        for i, params in enumerate(cases):
+            for objective, endpoints_of, grid, values in self.searched_pieces(monkeypatch, params, 1 + i % 4):
+                assert len(grid) == len(values) == 120
+                assert [v.hex() for v in values] == [objective(endpoints_of(t)).hex() for t in grid], params
+                pieces += 1
+        assert pieces > 3 * len(cases)
+
+    def test_invalid_rows_are_priced_as_the_scalar_objective(self):
+        # rows with non-finite endpoints, and rows whose adjacent endpoints
+        # fall short of _MIN_SEPARATION once or several times, on every
+        # template up to four components, priced in one batch
+        params = FunctionalParams(s=-0.4, eps=3.0, lambda_pen=1.5)
+        target = gauss_cdf(params.s)
+        rng = np.random.default_rng(17)
+        grids, expected, kinds = [], [], []
+        for template in enumerate_templates(4):
+            rows = np.sort(rng.normal(0.0, 2.0, (300, template.dimension)), axis=1)
+            for row in rows[: 200 if template.dimension > 1 else 0]:
+                for j in rng.choice(template.dimension - 1, rng.integers(1, template.dimension), replace=False):
+                    row[j + 1] = row[j] + rng.choice([0.0, 1e-9, 5e-9, 1e-8, 2e-8, -1e-3])
+            for row in rows[250:]:
+                row[rng.integers(template.dimension)] = rng.choice([math.inf, -math.inf, math.nan])
+            objective = _endpoint_objective(template, params, target)
+            grids.append((template, list(rows.T)))
+            expected.append([objective(row).hex() for row in rows.tolist()])
+        values = _grid_values(grids, params, target)
+        assert [[v.hex() for v in piece] for piece in values] == expected
+        flat = [v for piece in values for v in piece]
+        assert flat.count(2.0 * optimize._ORDER_PENALTY) > 0
+        assert sum(optimize._ORDER_PENALTY < v < 2.0 * optimize._ORDER_PENALTY for v in flat) > 0
+        assert sum(v < optimize._ORDER_PENALTY for v in flat) > 0
+
+    @pytest.mark.parametrize("k_max, total", [(1, 360), (3, 480)])
+    def test_paper_weights_make_no_scalar_call(self, monkeypatch, k_max, total):
+        calls = 0
+        endpoint_objective = optimize._endpoint_objective
+
+        def counting(template, params, target):
+            objective = endpoint_objective(template, params, target)
+
+            def counted(theta):
+                nonlocal calls
+                calls += 1
+                return objective(theta)
+
+            return counted
+
+        monkeypatch.setattr(optimize, "_endpoint_objective", counting)
+        for s in (0.0, -0.5, -1.0, -2.0):
+            out = minimize_penalized_functional(s, stability_params(s), k_max=k_max)
+            assert sum(d.evaluations for d in out.starts) == total
+        assert calls == 0
 
 
 class TestHessianClaim:

@@ -654,6 +654,41 @@ class TestBatch:
     def test_empty_batch(self):
         assert all(c.shape == (0,) and c.dtype == float for c in sets._rows(sets._batch(())))
 
+    def test_interval_masses_are_the_scalar_masses(self):
+        # rays, the full line, the mirrored branch (lo + hi > 0), its edge
+        # lo + hi = 0, and endpoints out to |x| = 40
+        grid = np.linspace(-40.0, 40.0, 1601).tolist()
+        rng = np.random.default_rng(11)
+        bounded = np.sort(rng.normal(0.0, 8.0, (20_000, 2)), axis=1).tolist()
+        pairs = (
+            [(-math.inf, math.inf)]
+            + [(-math.inf, x) for x in grid]
+            + [(x, math.inf) for x in grid]
+            + [(-x, x) for x in grid if x > 0.0]
+            + [(x, x + 1e-9) for x in grid]
+            + [(lo, hi) for lo, hi in bounded if lo < hi]
+        )
+        lo, hi = (np.array(c) for c in zip(*pairs))
+        masses = sets._interval_masses(lo, hi)
+        assert [m.hex() for m in masses.tolist()] == [sets._interval_mass(a, b).hex() for a, b in pairs]
+
+    def test_clipped_masses_are_the_scalar_clipped_masses(self):
+        rng = np.random.default_rng(5)
+        members = self.MEMBERS + [random_union(rng, k) for k in range(1, 6) for _ in range(40)]
+        batch = sets._batch(members)
+        n = len(members)
+        rows = np.arange(n) % 7 != 3
+        cut = rng.normal(0.0, 2.0, n)
+        above = rng.random(n) < 0.5
+        clipped = sets._clipped_masses(batch, rows, cut, above)
+        for i, e in enumerate(members):
+            intervals = sets._profile(e)[2]
+            expected = 0.0
+            if rows[i]:
+                window = (-cut[i], math.inf) if above[i] else (-math.inf, cut[i])
+                expected = sets._clipped_mass(intervals, *window)
+            assert clipped[i].hex() == expected.hex(), i
+
 
 class TestJsonDescriptors:
     def test_intervals_round_trip_with_inf(self):

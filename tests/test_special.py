@@ -17,6 +17,8 @@ from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, barycenter, 
 from gaussiso.special import (
     SQRT_2PI,
     _check_real,
+    _gauss_cdf_inv_many,
+    _gauss_cdf_many,
     chi2_cdf,
     chi2_quantile,
     gauss_cdf,
@@ -84,6 +86,37 @@ class TestGaussCdfInv:
     def test_round_trip_p_extremes(self):
         for p in (1e-300, 1e-200, 1e-100, 1e-15, 1e-6, 0.5, 1 - 1e-10, 1 - 1e-16):
             assert gauss_cdf(gauss_cdf_inv(p)) == pytest.approx(p, rel=1e-12)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestVectorCdf:
+    """The vector normal CDF and its inverse equal the scalar ones bit for bit."""
+
+    def test_cdf_is_the_scalar_cdf(self):
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 80_001),
+            np.random.default_rng(3).normal(0.0, 6.0, 20_000),
+            [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0],
+        ])
+        assert hexes(_gauss_cdf_many(x)) == hexes(gauss_cdf(v) for v in x.tolist())
+        assert _gauss_cdf_many(np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+
+    def test_inverse_is_the_scalar_inverse(self):
+        p = np.concatenate([
+            np.linspace(0.0, 1.0, 100_001),
+            _gauss_cdf_many(np.linspace(-38.0, 8.0, 20_001)),
+            [0.0, 1.0, 5e-324, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 0.5],
+        ])
+        assert hexes(_gauss_cdf_inv_many(p)) == hexes(gauss_cdf_inv(v) for v in p.tolist())
+        assert _gauss_cdf_inv_many(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, -math.inf])
+    def test_inverse_rejects_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            _gauss_cdf_inv_many(np.array([0.5, bad]))
 
 
 class TestLogGaussCdf:
