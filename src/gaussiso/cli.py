@@ -7,11 +7,17 @@ Subcommands: ``eval`` prints every derived quantity of one set descriptor;
 ``sweep`` tabulates the two-ray deficit-to-asymmetry ratio along a list of
 mass levels.  Exit codes: 0 success with zero violations, 1 at least one
 violation, 2 usage or input error.
+
+The argument parser is built on the first call of ``cli_main`` and reused
+for the rest of the process, so an in-process call pays only for its own
+work.  Importing the module builds nothing.  Reuse is safe because each
+parse makes a fresh namespace and no argument has a mutable default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 
@@ -35,6 +41,7 @@ from .verify import (
 __all__ = ["cli_main", "main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussiso",
@@ -44,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate every derived quantity of one set")
     p_eval.add_argument("--set", required=True, metavar="JSON", help="set descriptor JSON")
+    p_eval.set_defaults(run=_run_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
@@ -57,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the explicit constant of the asymmetry estimate (falsification hook)",
     )
+    p_verify.set_defaults(run=_run_verify)
 
     p_min = sub.add_parser("minimize", help="minimize the penalized functional")
     p_min.add_argument("--s", type=float, required=True, help="target mass level")
@@ -70,21 +79,33 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed of the random simplex starts; used only when eps >= 2 pi")
     p_min.add_argument("--diagnostics", action="store_true",
                        help="add every start's or face piece's outcome as a 'starts' list")
+    p_min.set_defaults(run=_run_minimize)
 
     p_sweep = sub.add_parser("sweep", help="two-ray ratio sweep over mass levels")
     p_sweep.add_argument("--s-list", required=True,
                          help="mass levels, space- or comma-separated, all negative")
+    p_sweep.set_defaults(run=_run_sweep)
     return parser
 
 
-def _resolve_weight(text: str, flag: str, s: float, field: str) -> float:
-    """A weight flag's number, or the ``field`` of the paper's weights at level ``s``."""
-    if text == "paper":
-        return getattr(stability_params(s), field)
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{flag} must be a number or 'paper', got {text!r}") from None
+def _resolve_weights(args) -> tuple[float, float]:
+    """The ``--eps`` and ``--lambda`` numbers; ``'paper'`` reads the paper's weights at ``--s``.
+
+    The flags are read in that order, and the paper's weights are computed at
+    most once, on the first flag that asks for them.
+    """
+    paper = None
+    weights = []
+    for text, flag, field in ((args.eps, "--eps", "eps"), (args.lambda_pen, "--lambda", "lambda_pen")):
+        if text == "paper":
+            paper = paper or stability_params(args.s)
+            weights.append(getattr(paper, field))
+            continue
+        try:
+            weights.append(float(text))
+        except ValueError:
+            raise ValueError(f"{flag} must be a number or 'paper', got {text!r}") from None
+    return weights[0], weights[1]
 
 
 def _run_eval(args) -> int:
@@ -114,11 +135,8 @@ def _run_verify(args) -> int:
 
 
 def _run_minimize(args) -> int:
-    params = FunctionalParams(
-        s=args.s,
-        eps=_resolve_weight(args.eps, "--eps", args.s, "eps"),
-        lambda_pen=_resolve_weight(args.lambda_pen, "--lambda", args.s, "lambda_pen"),
-    )
+    eps, lambda_pen = _resolve_weights(args)
+    params = FunctionalParams(s=args.s, eps=eps, lambda_pen=lambda_pen)
     settings = OptimizerSettings(multistarts=args.starts, seed=args.seed)
     outcome = minimize_penalized_functional(args.s, params, k_max=args.kmax, settings=settings)
     payload = {
@@ -175,21 +193,14 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def cli_main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+        args = _build_parser().parse_args(_normalize_argv(list(argv)))
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    handlers = {
-        "eval": _run_eval,
-        "verify": _run_verify,
-        "minimize": _run_minimize,
-        "sweep": _run_sweep,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

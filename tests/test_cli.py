@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaussiso
+from gaussiso import cli
 from gaussiso.cli import cli_main
 from gaussiso.functionals import stability_params
 from gaussiso.optimize import OptimizerSettings, minimize_penalized_functional
@@ -26,6 +28,19 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """Run ``python *argv`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(gaussiso.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestEval:
@@ -294,15 +309,56 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["gaussiso", "gaussiso.cli"])
     def test_python_dash_m_runs_verify(self, module, tmp_path):
         out_path = tmp_path / "report.json"
-        src = str(Path(gaussiso.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", module, "verify", "--suite", "scalar-functions", "--out", str(out_path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+        done = run_python(
+            "-m", module, "verify", "--suite", "scalar-functions", "--out", str(out_path)
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(out_path.read_text())["suite"] == "scalar-functions"
         assert done.stdout.count("pass ") == 8
+
+
+class TestSharedParser:
+    """One parser serves every call in a process; no call's flags reach the next."""
+
+    def test_parser_is_built_once_with_immutable_defaults(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for sub_parser in (parser, *commands.choices.values()):
+            for action in sub_parser._actions:
+                assert isinstance(action.default, (type(None), bool, int, float, str)), action.dest
+
+    def test_import_builds_no_parser(self):
+        done = run_python(
+            "-c", "import gaussiso.cli; print(gaussiso.cli._build_parser.cache_info().currsize)"
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    def test_diagnostics_do_not_outlive_their_call(self, capsys):
+        argv = ["minimize", "--s=-0.5", "--kmax", "2"]
+        code, detailed, _ = run_cli(capsys, *argv, "--diagnostics")
+        assert code == 0
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(detailed)
+        assert payload.pop("starts")
+        assert "starts" not in json.loads(plain)
+        assert json_value(payload) + "\n" == plain
+
+    def test_error_and_help_leave_a_fresh_process_output(self, capsys, monkeypatch):
+        # argparse wraps help to the terminal width; the fresh processes inherit this one
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+        code, help_text, _ = run_cli(capsys, "--help")
+        assert code == 0
+        fresh = run_python("-m", "gaussiso", "--help")
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert help_text == fresh.stdout
+        argv = ["minimize", "--s=-2", "--kmax", "2", "--starts", "5", "--seed", "9"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        fresh = run_python("-m", "gaussiso", *argv)
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert out == fresh.stdout
