@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _elementwise, _row, _rows, barycenter
-from .special import SQRT_2PI, _check_real, _gauss_cdf_many, gauss_cdf, gauss_weight, log_gauss_cdf
+from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _row, _rows, barycenter
+from .special import SQRT_2PI, _check_real, _elementwise, _gauss_cdf_many, gauss_cdf, gauss_weight, log_gauss_cdf
 
 __all__ = [
     "STABILITY_CONSTANT",

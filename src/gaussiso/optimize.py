@@ -40,7 +40,8 @@ endpoint, from its symmetric set outward. Every piece is a grid followed by
 a golden-section refinement inside each strict interior grid minimum deeper
 than the tie margin; the left ray's two pieces start at its kink point.
 All grids are evaluated as one batch, bit for bit with the scalar objective
-that the golden section and the simplex search call point by point.
+that the golden section and the simplex search call point by point, and that
+alone prices an invalid layout. The face templates are module constants.
 
 The simplex search is an in-house non-adaptive Nelder-Mead on Python lists
 with the floating-point operations of SciPy's ``minimize(method=
@@ -198,6 +199,12 @@ def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
                 if bounded >= 0:
                     templates.append(IntervalTemplate(left_ray=left, right_ray=right, bounded=bounded))
     return tuple(templates)
+
+
+#: The face templates, which are also the shapes of the named competitor starts.
+_LEFT_RAY = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
+_BOUNDED = IntervalTemplate(left_ray=False, right_ray=False, bounded=1)
+_TWO_RAY = IntervalTemplate(left_ray=True, right_ray=True, bounded=0)
 
 
 @dataclass(frozen=True)
@@ -365,22 +372,16 @@ def _nelder_mead(objective, x0: list[float]) -> tuple[list[float], float, int, b
 def _deterministic_starts(
     params: FunctionalParams, templates: tuple[IntervalTemplate, ...]
 ) -> list[tuple[IntervalTemplate, str, list[float]]]:
-    """The named competitor starts at ``params.s``: half-line, two-ray,
-    symmetric interval."""
+    """The named competitor starts at ``params.s``: the half-line, and at s <= 0
+    the two-ray set (if ``templates`` reach two components) and the symmetric interval."""
     s = params.s
-    starts: list[tuple[IntervalTemplate, str, list[float]]] = []
-    by_shape = {(t.left_ray, t.right_ray, t.bounded): t for t in templates}
-    half = by_shape.get((True, False, 0))
-    if half is not None:
-        starts.append((half, "half-line", [s]))
-    two_ray = by_shape.get((True, True, 0))
-    if two_ray is not None and s <= 0.0:
-        a = two_ray_endpoint(s)
-        starts.append((two_ray, "two-ray", [a, -a]))
-    interval = by_shape.get((False, False, 1))
-    if interval is not None and s <= 0.0:
+    starts = [(_LEFT_RAY, "half-line", [s])]
+    if s <= 0.0:
+        if _TWO_RAY in templates:
+            a = two_ray_endpoint(s)
+            starts.append((_TWO_RAY, "two-ray", [a, -a]))
         q = symmetric_interval_halfwidth(s)
-        starts.append((interval, "symmetric-interval", [-q, q]))
+        starts.append((_BOUNDED, "symmetric-interval", [-q, q]))
     return starts
 
 
@@ -481,22 +482,19 @@ def _search_piece(
 def _grid_values(grids, params: FunctionalParams, target: float) -> list[list[float]]:
     """``_endpoint_objective`` at every row of every grid, bit for bit;
     ``grids`` holds ``(template, columns)``, the rows' finite endpoints from
-    left to right. Invalid rows get the scalar's penalties, and the valid
-    rows of all grids go through ``sets._rows`` as one batch of line rows.
+    left to right. The valid rows (finite, adjacent endpoints at least
+    ``_MIN_SEPARATION`` apart) of all grids go through ``sets._rows`` as one
+    batch of line rows, and the scalar objective prices the others.
     """
-    priced, points, counts = [], [], []
+    masks, points, counts = [], [], []
     for template, columns in grids:
         n = len(columns[0])
-        finite = np.isfinite(columns[0])
-        shortfall = np.zeros(n)
-        with np.errstate(invalid="ignore"):  # inf - inf, on rows priced as non-finite
+        valid = np.isfinite(columns[0])
+        with np.errstate(invalid="ignore"):  # inf - inf, on rows that are not finite
             for lo, hi in zip(columns, columns[1:]):
-                finite &= np.isfinite(hi)
-                gap = _MIN_SEPARATION - (hi - lo)
-                shortfall += np.where(gap > 0.0, gap, 0.0)
-        value = np.where(finite, _ORDER_PENALTY * (1.0 + shortfall), 2.0 * _ORDER_PENALTY)
-        valid = finite & (shortfall == 0.0)
-        priced.append((value, valid))
+                # the negation of the scalar's _MIN_SEPARATION - (hi - lo) > 0
+                valid &= np.isfinite(hi) & (hi - lo >= _MIN_SEPARATION)
+        masks.append(valid)
         head, tail = template._rays()
         layout = [np.full(n, x) for x in head] + list(columns) + [np.full(n, x) for x in tail]
         points.append(np.column_stack(layout)[valid].ravel())
@@ -508,9 +506,13 @@ def _grid_values(grids, params: FunctionalParams, target: float) -> list[list[fl
     mass, perim, b, _ = _rows(batch)
     f = _penalized(mass, perim, b, params, target, np.sqrt)
     values, start = [], 0
-    for value, valid in priced:
+    for (template, columns), valid in zip(grids, masks):
         stop = start + np.count_nonzero(valid)
+        value = np.empty(len(valid))
         value[valid] = f[start:stop]
+        if stop - start < len(valid):
+            objective = _endpoint_objective(template, params, target)
+            value[~valid] = [objective(row) for row in np.column_stack(columns)[~valid].tolist()]
         values.append(value.tolist())
         start = stop
     return values
@@ -547,18 +549,15 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
         # Phi(a) + Phi(-b) = target
         return [a, -inv(target - cdf(a))]
 
-    left = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
     pieces = [
-        (left, "below-kink", ray, params.s, -reach),
-        (left, "above-kink", ray, params.s, reach),
+        (_LEFT_RAY, "below-kink", ray, params.s, -reach),
+        (_LEFT_RAY, "above-kink", ray, params.s, reach),
     ]
     # the kink faces start from their symmetric sets (-q, q) and
     # (-inf, a) u (-a, inf); a target within an ulp of 0 or 1 leaves none
-    kink_faces = [(IntervalTemplate(left_ray=False, right_ray=False, bounded=1), bounded,
-                   -gauss_cdf_inv((1.0 + target) / 2.0))]
+    kink_faces = [(_BOUNDED, bounded, -gauss_cdf_inv((1.0 + target) / 2.0))]
     if k_max >= 2:
-        kink_faces.append((IntervalTemplate(left_ray=True, right_ray=True, bounded=0), two_ray,
-                           gauss_cdf_inv(target / 2.0)))
+        kink_faces.append((_TWO_RAY, two_ray, gauss_cdf_inv(target / 2.0)))
     pieces += [
         (template, "kink", face, start, -reach)
         for template, face, start in kink_faces

@@ -30,7 +30,7 @@ Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
 positions are lower endpoints, and ``_pairs`` pairs such a list back up.
 Only :func:`complement`, ``_members`` and the JSON descriptors build each
-family's own type.
+family's own type; :func:`complement` and :func:`set_to_dict` read ``_profile``.
 The named interval unions of a mass level that the corpus, the optimizer
 and the suites share (the half-line, the symmetric two-ray set, the
 origin-symmetric interval) are built here too.
@@ -52,7 +52,8 @@ from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _gauss_cdf_finite, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv
+    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_many, chi2_cdf, gauss_cdf,
+    gauss_cdf_inv,
 )
 
 __all__ = [
@@ -280,7 +281,8 @@ def _interval_masses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_interval_mass`` of every pair ``(lo[j], hi[j])``, bit for bit: each of
     its branches is ``Phi(-lo) - Phi(-hi)`` where ``lo + hi > 0``, else
     ``Phi(hi) - Phi(lo)``, as an infinite end gives exactly 0 or 1."""
-    with np.errstate(invalid="ignore"):  # NaN on the full line, which is not mirrored
+    # NaN on the full line, which is not mirrored; past the float range +-inf, as in the scalar
+    with np.errstate(invalid="ignore", over="ignore"):
         mirrored = lo + hi > 0.0
     return _gauss_cdf_many(np.where(mirrored, -lo, hi)) - _gauss_cdf_many(np.where(mirrored, -hi, lo))
 
@@ -393,7 +395,8 @@ def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     n = len(batch.kinds)
     owner = batch.owners()
     x = batch.points
-    w = _elementwise(math.exp, -0.5 * x * x)
+    with np.errstate(over="ignore"):  # from |x| ~ 1.9e154 on -0.5 x x is -inf, as in _profile_sums
+        w = _elementwise(math.exp, -0.5 * x * x)
     w_lo, w_hi = w[0::2], w[1::2]
     mass = _row_sums(owner, batch.masses, n)
     perim = _row_sums(np.repeat(owner, 2), w, n)
@@ -425,11 +428,6 @@ def _clipped_masses(batch: _Batch, rows: np.ndarray, cut: np.ndarray, above: np.
     moved = kept & (lo_moved | hi_moved)
     masses[moved] = _interval_masses(lo[moved], hi[moved])
     return _row_sums(owner, masses, len(batch.kinds))
-
-
-def _elementwise(f, x: np.ndarray) -> np.ndarray:
-    """The scalar function ``f`` on every element of ``x``, as Python floats."""
-    return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
 
 def _row_sums(owner: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -515,21 +513,15 @@ def symmetric_interval_halfwidth(s: float) -> float:
     return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 
-def _complement_intervals(e: IntervalUnion1D) -> IntervalUnion1D:
-    points = [-math.inf, *_endpoints(e.intervals), math.inf]
-    return IntervalUnion1D(intervals=tuple((lo, hi) for lo, hi in _pairs(points) if lo < hi))
-
-
 def complement(e: GaussianSet) -> GaussianSet:
-    if isinstance(e, IntervalUnion1D):
-        return _complement_intervals(e)
-    if isinstance(e, SlabSet):
-        return SlabSet(dim=e.dim, profile=_complement_intervals(e.profile))
-    if isinstance(e, HalfSpace):
-        return HalfSpace(omega=tuple(-c for c in e.omega), s=-e.s)
-    if isinstance(e, CenteredBall):
+    family, n, intervals = _profile(e)
+    if family == _BALL:
         raise ValueError("complement of a centered ball is not representable here")
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    if family == _HALFSPACE:
+        return HalfSpace(omega=tuple(-c for c in e.omega), s=-e.s)
+    points = [-math.inf, *_endpoints(intervals), math.inf]
+    profile = IntervalUnion1D(intervals=tuple((lo, hi) for lo, hi in _pairs(points) if lo < hi))
+    return profile if family == _LINE else SlabSet(dim=n, profile=profile)
 
 
 def _clipped_mass(intervals: Sequence[tuple[float, float]], lo_cut: float, hi_cut: float) -> float:
@@ -714,22 +706,13 @@ def set_from_dict(d: dict) -> GaussianSet:
 
 
 def set_to_dict(e: GaussianSet) -> dict:
-    if isinstance(e, IntervalUnion1D):
-        return {
-            "type": "intervals",
-            "items": [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in e.intervals],
-        }
-    if isinstance(e, HalfSpace):
+    family, n, intervals = _profile(e)
+    if family == _HALFSPACE:
         return {"type": "halfspace", "omega": list(e.omega), "s": e.s}
-    if isinstance(e, SlabSet):
-        return {
-            "type": "slab",
-            "dim": e.dim,
-            "profile": [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in e.profile.intervals],
-        }
-    if isinstance(e, CenteredBall):
-        return {"type": "ball", "dim": e.dim, "radius": e.radius}
-    raise TypeError(f"unsupported set representation: {type(e).__name__}")
+    if family == _BALL:
+        return {"type": "ball", "dim": n, "radius": e.radius}
+    items = [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in intervals]
+    return {"type": "intervals", "items": items} if family == _LINE else {"type": "slab", "dim": n, "profile": items}
 
 
 def set_from_json(text: str) -> GaussianSet:

@@ -9,6 +9,7 @@ Conventions used throughout the package:
   and the perimeter of the half-space at level ``x`` in any dimension.
 
 The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
+They, ``sets`` and ``functionals`` keep the scalar math through ``_elementwise``.
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -77,11 +78,15 @@ def _gauss_cdf_finite(s: float) -> float:
     return 0.5 * math.erfc(-s / _SQRT_2)
 
 
+def _elementwise(f, x: np.ndarray) -> np.ndarray:
+    """The scalar function ``f`` on every element of the 1-D array ``x``, as Python floats."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
+
+
 def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
     vector ``erfc`` or ``ndtr`` would move last bits), exact at +-inf."""
-    z = (-x / _SQRT_2).tolist()
-    return 0.5 * np.fromiter(map(math.erfc, z), dtype=float, count=len(z))
+    return 0.5 * _elementwise(math.erfc, -x / _SQRT_2)
 
 
 def gauss_cdf(s: float) -> float:

@@ -87,6 +87,12 @@ class TestEval:
         assert bundle["mass_level"] == pytest.approx(0.5, abs=1e-12)
         assert all(math.isfinite(bundle[k]) for k in ("perimeter", "deficit", "excess"))
 
+    @pytest.mark.parametrize("items", ["[[-1e200, 0.5]]", "[[0, 1], [9e307, 1.7e308]]", "[[-1.7e308, -9e307], [0, 1]]"])
+    def test_huge_finite_endpoints_print_no_warning(self, items):
+        out = run_python("-m", "gaussiso", "eval", "--set", f'{{"type": "intervals", "items": {items}}}')
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["measure"] > 0.0
+
     def test_malformed_json_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--set", "{bad")
         assert code == 2

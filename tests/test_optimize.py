@@ -749,6 +749,53 @@ class TestImports:
         assert {("special", "_check_integer"), ("special", "_check_real")} <= found
         assert sorted(found - allowed) == []
 
+    @staticmethod
+    def owners(module, matches):
+        """Where in ``gaussiso.<module>`` the nodes that ``matches`` lie: the
+        top-level function, ``Class.method`` or assigned name around each."""
+        path = Path(gaussiso.__file__).resolve().parent / f"{module}.py"
+        found = set()
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                units = [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+            elif isinstance(top, ast.Assign):
+                units = [(ast.unparse(top.targets[0]), top)]
+            else:
+                units = [(getattr(top, "name", None), top)]
+            for name, unit in units:
+                found.update(name for node in ast.walk(unit) if matches(node))
+        return found
+
+    def test_family_decision_lives_in_one_place(self):
+        # every reader takes (family, dimension, intervals) from _profile
+        families = {"IntervalUnion1D", "SlabSet", "HalfSpace", "CenteredBall"}
+
+        def is_family_check(node):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+                return False
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            return any(isinstance(k, ast.Name) and k.id in families for k in kinds)
+
+        assert self.owners("sets", is_family_check) == {"_profile", "SlabSet.__post_init__"}
+
+    def test_face_templates_are_built_once(self):
+        def builds_template(node):
+            return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "IntervalTemplate"
+
+        expected = {"enumerate_templates", "_LEFT_RAY", "_BOUNDED", "_TWO_RAY"}
+        assert self.owners("optimize", builds_template) == expected
+
+    def test_endpoint_penalty_lives_in_one_place(self):
+        def prices(node):
+            return (
+                isinstance(node, ast.BinOp)
+                and any(isinstance(x, ast.Name) and x.id == "_ORDER_PENALTY" for x in (node.left, node.right))
+                # the candidate filter reads the penalty, it prices nothing
+                and ast.unparse(node) != "_ORDER_PENALTY / 2.0"
+            )
+
+        assert self.owners("optimize", prices) == {"_endpoint_objective"}
+
     def test_every_all_entry_exists(self):
         # a stale entry would break `from gaussiso.<module> import *`
         for path in Path(gaussiso.__file__).resolve().parent.glob("[!_]*.py"):

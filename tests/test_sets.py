@@ -7,12 +7,14 @@ averages, central-difference derivatives) and then pinned.
 
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaussiso import sets
+from gaussiso.functionals import quantity_columns
 from gaussiso.quadrature import QuadSettings, adaptive_quad
 from gaussiso.sets import (
     MERGE_TOL,
@@ -372,6 +374,27 @@ class TestComplement:
         with pytest.raises(ValueError):
             complement(CenteredBall(dim=2, radius=1.0))
 
+    def test_pinned_types_and_errors(self):
+        # each family's complement, its type and its values, and the two refusals
+        cases = [
+            (normalize([(-math.inf, -1.3), (-0.2, 0.45), (1.1, math.inf)]),
+             "IntervalUnion1D(intervals=((-1.3, -0.2), (0.45, 1.1)))"),
+            (normalize([]), "IntervalUnion1D(intervals=((-inf, inf),))"),
+            (SlabSet(dim=5, profile=normalize([(2.5, 7.0), (8.0, math.inf)])),
+             "SlabSet(dim=5, profile=IntervalUnion1D(intervals=((-inf, 2.5), (7.0, 8.0))))"),
+            (HalfSpace(omega=(0.6, -0.8), s=0.3), "HalfSpace(omega=(-0.6, 0.8), s=-0.3)"),
+            (HalfSpace(omega=(0.0, 1.0), s=0.7), "HalfSpace(omega=(-0.0, -1.0), s=-0.7)"),
+        ]
+        for e, expected in cases:
+            c = complement(e)
+            assert type(c) is type(e)
+            assert repr(c) == expected
+            assert complement(c) == e
+        with pytest.raises(ValueError, match="^complement of a centered ball is not representable here$"):
+            complement(CenteredBall(dim=2, radius=1.0))
+        with pytest.raises(TypeError, match="^unsupported set representation: str$"):
+            complement("(0, 1)")
+
 
 class TestSymmDiff:
     def test_identical_halfline_zero(self):
@@ -651,6 +674,21 @@ class TestBatch:
         with pytest.raises(ValueError, match="row 2 is a half-space"):
             list(sets._members(batch))
 
+    def test_huge_finite_endpoints_stay_silent(self):
+        # -0.5 x x and lo + hi overflow to +-inf on the batch path as in the
+        # scalar floats, with no warning and with the same bits
+        members = [
+            IntervalUnion1D(intervals=((-1e200, 0.5),)),
+            IntervalUnion1D(intervals=((0.0, 1.0), (9e307, 1.7e308))),
+            IntervalUnion1D(intervals=((-1.7e308, -9e307), (0.0, 1.0))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = quantity_columns(members)
+        for i, e in enumerate(members):
+            row = [columns[k][i].hex() for k in ("measure", "perimeter", "b", "excess")]
+            assert row == [v.hex() for v in sets._row(e)], i
+
     def test_empty_batch(self):
         assert all(c.shape == (0,) and c.dtype == float for c in sets._rows(sets._batch(())))
 
@@ -720,6 +758,24 @@ class TestJsonDescriptors:
             assert type(b.dim) is int
             back = set_from_json(set_to_json(b))
             assert back == b
+
+    def test_pinned_text_per_family(self):
+        # one descriptor per family, key order included
+        cases = [
+            (normalize([(-math.inf, -1.3), (-0.2, 0.45), (1.1, math.inf)]),
+             '{"type": "intervals", "items": [["-inf", -1.3], [-0.2, 0.45], [1.1, "inf"]]}'),
+            (normalize([]), '{"type": "intervals", "items": []}'),
+            (HalfSpace(omega=(0.6, -0.8), s=0.3), '{"type": "halfspace", "omega": [0.6, -0.8], "s": 0.3}'),
+            (HalfSpace(omega=(-0.0, 1), s=-2), '{"type": "halfspace", "omega": [-0.0, 1.0], "s": -2.0}'),
+            (SlabSet(dim=5, profile=normalize([(2.5, 7.0), (8.0, math.inf)])),
+             '{"type": "slab", "dim": 5, "profile": [[2.5, 7.0], [8.0, "inf"]]}'),
+            (CenteredBall(dim=300, radius=17.0), '{"type": "ball", "dim": 300, "radius": 17.0}'),
+        ]
+        for e, text in cases:
+            assert set_to_json(e) == text
+            assert set_from_json(text) == e
+        with pytest.raises(TypeError, match="^unsupported set representation: float$"):
+            set_to_dict(3.0)
 
     def test_parse_literal_grammar(self):
         e = set_from_json('{"type": "intervals", "items": [["-inf", 0], [1, 2.5]]}')
