@@ -33,10 +33,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _row, _rows, barycenter
-from .special import SQRT_2PI, _check_real, _elementwise, _gauss_cdf_many, gauss_cdf, gauss_weight, log_gauss_cdf
+from .special import (
+    SQRT_2PI,
+    _check_real,
+    _elementwise,
+    _gauss_cdf_inv_many,
+    _gauss_cdf_many,
+    gauss_cdf,
+    gauss_weight,
+    log_gauss_cdf,
+)
 
 __all__ = [
     "STABILITY_CONSTANT",
@@ -92,9 +100,10 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
     """The ten columns of :func:`quantity_columns` from a batch, bit for bit.
 
     The scalar formulas run unchanged on the batch's columns: ``_rows`` for
-    ``(mass, perimeter, b, excess)``, ``ndtri`` for ``s``, ``math.exp`` for
-    the weight at ``s`` and ``special._gauss_cdf_many``, the scalar normal
-    CDF element by element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
+    ``(mass, perimeter, b, excess)``, ``special._gauss_cdf_inv_many`` (the
+    ``ndtri`` of the scalar inverse) for ``s``, ``math.exp`` for the weight at
+    ``s`` and ``special._gauss_cdf_many``, the scalar normal CDF element by
+    element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
     ``sets._clipped_mass`` on the batch.
     """
     mass, perim, b, excess = _rows(batch)
@@ -104,7 +113,7 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
             f"quantity undefined for degenerate set with measure {float(mass[degenerate][0])!r}; "
             "need measure in (0, 1)"
         )
-    s = ndtri(mass)
+    s = _gauss_cdf_inv_many(mass)
     w_s = _elementwise(math.exp, -0.5 * s * s)
     alpha_hat = np.empty_like(mass)
     centered = np.abs(b) < BARYCENTER_ZERO_TOL

@@ -48,12 +48,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_many, chi2_cdf, gauss_cdf,
-    gauss_cdf_inv,
+    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_many, _vector_gammainc,
+    chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -557,7 +556,7 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     def slice_mass(theta: np.ndarray) -> np.ndarray:
         t = radius * np.sin(theta)
         half_chord = radius * np.cos(theta)
-        chi = gammainc(0.5 * (dim - 1), 0.5 * half_chord * half_chord)
+        chi = _vector_gammainc(0.5 * (dim - 1), 0.5 * half_chord * half_chord)
         return np.exp(-0.5 * t * t) / SQRT_2PI * chi * half_chord
 
     r = adaptive_quad_many(slice_mass, [-0.5 * math.pi], [math.asin(s / radius)], _SLICE_SETTINGS)

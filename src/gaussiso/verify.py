@@ -29,8 +29,6 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy.special import log_ndtr as _vector_log_cdf
-from scipy.special import ndtr as _vector_cdf
 
 from .corpus import _child_seeds, _child_unions, _entropy, _generators, _mixed_batch
 from .functionals import (
@@ -53,7 +51,16 @@ from .sets import (
     mc_measure,
     two_ray_set,
 )
-from .special import SQRT_2PI, _check_integer, _check_real, gauss_cdf, gauss_cdf_inv, gauss_weight
+from .special import (
+    SQRT_2PI,
+    _check_integer,
+    _check_real,
+    _vector_cdf,
+    _vector_log_cdf,
+    gauss_cdf,
+    gauss_cdf_inv,
+    gauss_weight,
+)
 from .stationarity import (
     boundary_points,
     euler_residual,

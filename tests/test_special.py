@@ -6,10 +6,15 @@ pinned; see test_quadrature.py for the oracle's own validation.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussiso
 from gaussiso.functionals import FunctionalParams, stability_params
 from gaussiso.optimize import mass_sweep
 from gaussiso.quadrature import adaptive_quad
@@ -286,3 +291,89 @@ class TestCheckReal:
             got = call(value)
             assert type(got) is float
             assert got == call(float(value))
+
+
+#: The grids of the first-call check: s with -37, 0, 1 and +-inf; p with 0,
+#: 1 and Phi(-37); chi-square arguments with 0 and inf.
+FIRST_CALL_GRIDS = """
+import math
+import numpy as np
+from gaussiso.special import _gauss_cdf_inv_many, chi2_cdf, chi2_quantile, gauss_cdf, gauss_cdf_inv, log_gauss_cdf
+S = [-math.inf, -37.0, 0.0, 1.0, math.inf] + np.linspace(-40.0, 10.0, 5001).tolist()
+Q = [0.0, gauss_cdf(-37.0)] + np.linspace(0.0, 1.0, 5001)[:-1].tolist() + np.logspace(-300, -1, 600).tolist()
+P = Q + [1.0]
+T = [0.0, 1.0, math.inf] + np.linspace(0.0, 100.0, 2001).tolist()
+DIMS = (1, 2, 3, 10, 1000)
+"""
+
+#: Per lazily bound function: an invalid first call, its message, the grid
+#: through the function and the same grid through SciPy as ``sp``.
+FIRST_CALLS = {
+    "gauss_cdf_inv": (
+        "gauss_cdf_inv(1.5)",
+        "gauss_cdf_inv: probability must lie in [0, 1], got 1.5",
+        "[gauss_cdf_inv(p) for p in P]",
+        "[sp.ndtri(p) for p in P]",
+    ),
+    "_gauss_cdf_inv_many": (
+        "_gauss_cdf_inv_many(np.array([0.5, math.nan]))",
+        "gauss_cdf_inv: probabilities must lie in [0, 1]",
+        "_gauss_cdf_inv_many(np.array(P))",
+        "sp.ndtri(np.array(P))",
+    ),
+    "log_gauss_cdf": (
+        "log_gauss_cdf(math.nan)",
+        "log_gauss_cdf: argument must not be NaN",
+        "[log_gauss_cdf(s) for s in S]",
+        "[sp.log_ndtr(s) for s in S]",
+    ),
+    "chi2_cdf": (
+        "chi2_cdf(2, -1.0)",
+        "chi2_cdf: t must be >= 0, got -1.0",
+        "[chi2_cdf(n, t) for n in DIMS for t in T]",
+        "[sp.gammainc(0.5 * n, 0.5 * t) for n in DIMS for t in T]",
+    ),
+    "chi2_quantile": (
+        "chi2_quantile(2, 1.0)",
+        "chi2_quantile: probability must lie in [0, 1), got 1.0",
+        "[chi2_quantile(n, p) for n in DIMS for p in Q]",
+        "[2.0 * sp.gammaincinv(0.5 * n, p) for n in DIMS for p in Q]",
+    ),
+}
+
+
+class TestFirstCall:
+    """special loads SciPy on the first call that needs it. In a fresh
+    interpreter an invalid first call keeps its message and loads nothing;
+    the first valid call, through the stub, and every later one, through the
+    bound ufunc, equal SciPy's own ufunc bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+    def test_first_call_is_scipy_bit_for_bit(self, name):
+        invalid, message, call, reference = FIRST_CALLS[name]
+        code = FIRST_CALL_GRIDS + f"""
+import sys
+def scipy_modules():
+    return [m for m in sys.modules if m.startswith("scipy")]
+assert scipy_modules() == [], scipy_modules()
+try:
+    {invalid}
+    raise AssertionError("no ValueError")
+except ValueError as exc:
+    assert str(exc) == {message!r}, str(exc)
+assert scipy_modules() == [], scipy_modules()
+got = list(map(float, {call}))
+assert scipy_modules() != []
+import scipy.special as sp
+want = list(map(float, {reference}))
+assert len(got) > 2000
+assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:5]
+"""
+        src = Path(gaussiso.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 0, out.stderr
