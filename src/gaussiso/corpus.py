@@ -16,26 +16,34 @@ is one draw loop.
 
 Seeding.  Random member ``i`` of stream ``t`` (0 for the interval unions, 2
 for the slab profiles) under corpus seed ``seed`` takes the child seed
-``SeedSequence([seed, t, i]).generate_state(1)[0]`` and is drawn from
-``default_rng(SeedSequence([child]))``.  Neither object is built per member:
-``_child_seeds`` runs SeedSequence's mixing hash on ``uint32`` columns for
-every index at once, the same hash with eight output words gives each
-child's ``generate_state(4, uint64)``, PCG64's seeding routine turns those
-words into a 128-bit state and increment in Python integers, and each state
-is swapped into one reused Generator before that member's draws.  The corpus
-is therefore bit for bit the one the per-member NumPy objects give.  It is
-stable across NumPy versions because NumPy's compatibility policy (NEP 19)
-fixes both the SeedSequence hash and the PCG64 stream.
+``SeedSequence([seed, t, i]).generate_state(1)[0]`` and is drawn as
+``default_rng(SeedSequence([child]))`` draws.  No NumPy object is built per
+member: ``_child_seeds`` runs SeedSequence's mixing hash on ``uint32`` columns
+for every index at once, the same hash with eight output words gives each
+child's ``generate_state(4, uint64)``, and ``_pcg64_limbs`` runs PCG64's
+seeding routine on those words as ``uint64`` limbs.  :class:`_Streams` then
+steps every member's 128-bit LCG, takes the XSL-RR output and decodes the
+words as ``Generator`` does: ``integers`` by Lemire's method on the bit
+generator's buffered 32-bit halves, ``normal`` by the 256-layer ziggurat
+with NumPy's tables (``_ziggurat``), and ``random`` from a word's top 53
+bits.  The corpus is therefore bit for bit the one the per-member NumPy
+objects give.  NumPy's compatibility policy (NEP 19) fixes the SeedSequence
+hash and the PCG64 stream, but not the algorithms of ``Generator.normal``
+and ``Generator.integers``; those are copied from NumPy 2.4.6, and
+``tests/test_corpus.py::TestStreams`` compares them with the installed
+``Generator``, so a change there fails that test instead of moving the
+corpus.  The balls' stream, and the callers that want a Generator, take one
+from ``_generators``, which reads the same seeding.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ziggurat
 from .sets import (
     _BALL,
     _LINE,
@@ -43,11 +51,16 @@ from .sets import (
     GaussianSet,
     IntervalUnion1D,
     _Batch,
-    _interval_mass,
+    _interval_masses,
     _members,
-    two_ray_endpoint,
 )
-from .special import _check_integer, chi2_quantile
+from .special import (
+    _check_integer,
+    _chi2_quantile_many,
+    _elementwise,
+    _gauss_cdf_inv_many,
+    _gauss_cdf_many,
+)
 
 __all__ = [
     "ENDPOINT_CLIP",
@@ -99,7 +112,6 @@ class RandomSetSpec:
 # (numpy/random/bit_generator.pyx and the PCG64 C seeding routine)
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = np.uint32(16)
 _INIT_A = 0x43B0D7E5
@@ -110,10 +122,21 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-#: Rows whose PCG64 states are computed together.  The states are Python
-#: ints; holding every row's at once adds about 1 MB to the peak RSS of a
-#: 10^4 corpus build.
-_STATE_CHUNK = 1024
+# uint64 shifts, masks and the halves of the PCG64 multiplier
+_1 = np.uint64(1)
+_8 = np.uint64(8)
+_11 = np.uint64(11)
+_32 = np.uint64(32)
+_58 = np.uint64(58)
+_63 = np.uint64(63)
+_64 = np.uint64(64)
+_LOW8 = np.uint64(0xFF)
+_LOW32 = np.uint64(_MASK32)
+_LOW52 = np.uint64((1 << 52) - 1)
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & ((1 << 64) - 1))
+_MULT_LO_HI = np.uint64((_PCG64_MULT >> 32) & _MASK32)
+_MULT_LO_LO = np.uint64(_PCG64_MULT & _MASK32)
 
 #: Indices must fit one uint32 column: SeedSequence reads an index of 2**32
 #: or more as two entropy words.
@@ -194,106 +217,257 @@ def _child_seeds(seed: int, stream: int, n: int) -> np.ndarray:
     return _generate_state(_pool(_entropy((seed, stream), n)), 1)[0]
 
 
-def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence(words))`` for every entropy row.
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step ``state * M + inc`` modulo 2**128, as (high, low) limbs.
+
+    The products wrap modulo 2**64 on purpose.  They are array products,
+    which NumPy wraps without a warning; only NumPy scalars warn.
+    """
+    lo_lo = lo & _LOW32
+    lo_hi = lo >> _32
+    p00 = lo_lo * _MULT_LO_LO
+    p01 = lo_lo * _MULT_LO_HI
+    p10 = lo_hi * _MULT_LO_LO
+    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    # the high word of lo * M_lo, from its four 32-bit partial products
+    carry = lo_hi * _MULT_LO_HI + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return carry + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _pcg64_limbs(entropy: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(state high, state low, inc high, inc low) of ``PCG64(SeedSequence(words))``
+    for every entropy row, as uint64 columns.
 
     The seed sequence yields four uint64 words; PCG64 takes the first two as
-    its 128-bit initial state and the last two as its stream, then runs
-    ``pcg_setseq_128_srandom_r`` in Python integers.
+    its 128-bit initial state and the last two as its stream, and
+    ``pcg_setseq_128_srandom_r`` leaves the state ``(inc + initial) * M + inc``.
     """
     words = [w.astype(np.uint64) for w in _generate_state(_pool(entropy), 8)]
-    high_state, low_state, high_seq, low_seq = (
-        (words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
-    )
-    states = []
-    for hs, ls, hq, lq in zip(high_state, low_state, high_seq, low_seq):
-        inc = (((hq << 64) | lq) << 1 | 1) & _MASK128
-        state = (inc + ((hs << 64) | ls)) & _MASK128
-        states.append(((state * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    high_state, low_state, high_seq, low_seq = (words[2 * j] | (words[2 * j + 1] << _32) for j in range(4))
+    inc_hi = (high_seq << _1) | (low_seq >> _63)
+    inc_lo = (low_seq << _1) | _1
+    lo = inc_lo + low_state
+    hi = inc_hi + high_state + (lo < inc_lo)
+    return (*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(words))`` for every entropy row, as ints."""
+    columns = (limb.tolist() for limb in _pcg64_limbs(entropy))
+    return [((hi << 64) | lo, (inc_hi << 64) | inc_lo) for hi, lo, inc_hi, inc_lo in zip(*columns)]
 
 
 def _generators(entropy: list[np.ndarray]):
     """``default_rng(SeedSequence(words))`` for every entropy row, in order.
 
     One Generator is reused: each step swaps the next row's PCG64 state into
-    it, so a yielded generator is valid until the iteration advances.
+    it, so a yielded generator is valid until the iteration advances.  The
+    profile draws do not come here; they run on :class:`_Streams`.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for start in range(0, len(entropy[0]), _STATE_CHUNK):
-        for state, inc in _pcg64_states([words[start : start + _STATE_CHUNK] for words in entropy]):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    for state, inc in _pcg64_states(entropy):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+# ---------------------------------------------------------------------------
+# NumPy's Generator draws on many PCG64 streams at once (numpy/random/src:
+# pcg64/pcg64.h and distributions/distributions.c)
+
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+
+
+class _Streams:
+    """The PCG64 Generators of many members, each drawing as NumPy draws.
+
+    Member ``j`` holds its 128-bit state and increment as uint64 limbs and
+    the bit generator's buffered upper half of a 64-bit word.  A method
+    draws once for each member in ``rows`` (a slice or an index array) and
+    advances only those members; every member steps through its own stream
+    in the order its calls name it, as ``default_rng`` would.
+    """
+
+    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+        self.half = np.zeros_like(lo)
+        self.has_half = np.zeros(len(lo), dtype=bool)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the members ``rows`` alone, in that order."""
+        for name in ("hi", "lo", "inc_hi", "inc_lo", "half", "has_half"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def next64(self, rows) -> np.ndarray:
+        """``next_uint64``: step, then the XSL-RR output of the new state."""
+        hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows] = hi
+        self.lo[rows] = lo
+        x = hi ^ lo
+        rot = hi >> _58
+        return (x >> rot) | (x << ((_64 - rot) & _63))
+
+    def random(self, rows) -> np.ndarray:
+        """``random()``: the top 53 bits of a word, times 2**-53."""
+        return (self.next64(rows) >> _11) * _DOUBLE_UNIT
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        """``next_uint32``: the buffered upper half, else the lower half of a fresh
+        word, whose upper half is buffered."""
+        buffered = self.has_half[rows]
+        out = self.half[rows]
+        fresh = rows[~buffered]
+        word = self.next64(fresh)
+        out[~buffered] = word & _LOW32
+        self.half[fresh] = word >> _32
+        self.has_half[rows] = ~buffered
+        return out
+
+    def integers(self, lo: int, hi: int) -> np.ndarray:
+        """``integers(lo, hi)`` of every member: Lemire's bounded draw on 32-bit
+        words, which takes no word when the range holds one value."""
+        span = hi - lo
+        if span == 1:
+            return np.full(len(self.lo), lo)
+        threshold = (1 << 32) % span
+        scaled = self._next32(np.arange(len(self.lo))) * np.uint64(span)
+        redraw = np.flatnonzero((scaled & _LOW32) < threshold)
+        while redraw.size:
+            scaled[redraw] = self._next32(redraw) * np.uint64(span)
+            redraw = redraw[(scaled[redraw] & _LOW32) < threshold]
+        return lo + (scaled >> _32).astype(np.int64)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        """``standard_normal()`` of members ``0 .. n-1``: the ziggurat of ``_ziggurat``.
+
+        A word picks a layer from its low byte, a sign and a 52-bit
+        magnitude; inside the layer's core it is the value at once, and the
+        members that land on an edge take the base layer's tail or the wedge
+        test, drawing again where the wedge rejects.
+        """
+        out = np.empty(n)
+        rows: slice | np.ndarray = slice(0, n)
+        at = np.arange(n)
+        while at.size:
+            word = self.next64(rows)
+            layer = (word & _LOW8).astype(np.intp)
+            word >>= _8
+            magnitude = (word >> _1) & _LOW52
+            x = magnitude * _ziggurat.WI[layer]
+            np.negative(x, out=x, where=(word & _1).astype(bool))
+            core = magnitude < _ziggurat.KI[layer]
+            out[at[core]] = x[core]
+            edge = np.flatnonzero(~core)
+            if not edge.size:
+                break
+            base = layer[edge] == 0
+            tail, wedge = edge[base], edge[~base]
+            out[at[tail]] = self._tail(at[tail], (magnitude[tail] >> _8) & _1)
+            inside = self._wedge(at[wedge], layer[wedge], x[wedge])
+            out[at[wedge[inside]]] = x[wedge[inside]]
+            rows = at = at[wedge[~inside]]
+        return out
+
+    def _tail(self, rows: np.ndarray, negative: np.ndarray) -> np.ndarray:
+        """Marsaglia's tail beyond ``R`` for the members ``rows``, each redrawing
+        until its pair of uniforms is accepted; ``log1p`` is libm's, element by
+        element."""
+        out = np.empty(len(rows))
+        at = np.arange(len(rows))
+        while at.size:
+            xx = -_ziggurat.INV_R * _elementwise(math.log1p, -self.random(rows[at]))
+            yy = -_elementwise(math.log1p, -self.random(rows[at]))
+            accepted = yy + yy > xx * xx
+            out[at[accepted]] = _ziggurat.R + xx[accepted]
+            at = at[~accepted]
+        return np.where(negative.astype(bool), -out, out)
+
+    def _wedge(self, rows: np.ndarray, layer: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Whether the members ``rows`` keep ``x`` in the wedge of ``layer``:
+        a uniform height under the density, with libm's ``exp`` element by element."""
+        fi = _ziggurat.FI
+        height = (fi[layer - 1] - fi[layer]) * self.random(rows) + fi[layer]
+        return height < _elementwise(math.exp, -0.5 * x * x)
 
 
 # ---------------------------------------------------------------------------
 # draws
 
 
-def _draw_union(
-    rng: np.random.Generator, k_range: tuple[int, int]
-) -> tuple[list[float], list[float]] | None:
-    """One admissible draw from ``rng``, as its endpoints and interval masses,
-    or None once the retries run out."""
-    lo_mass, hi_mass = MASS_WINDOW
-    lo_k, hi_k = k_range
-    for _ in range(_MAX_RETRIES):
-        k = int(rng.integers(lo_k, hi_k + 1))
-        pts = sorted(rng.normal(0.0, _ENDPOINT_SCALE, 2 * k).tolist())
-        left_ray = rng.random() < 0.5
-        right_ray = rng.random() < 0.5
-        if pts[0] < -ENDPOINT_CLIP or pts[-1] > ENDPOINT_CLIP:
-            pts = [min(max(x, -ENDPOINT_CLIP), ENDPOINT_CLIP) for x in pts]
-        if min(map(operator.sub, pts[1:], pts)) < MIN_SEPARATION:
-            continue
-        if left_ray:
-            pts[0] = -math.inf
-        if right_ray:
-            pts[-1] = math.inf
-        masses = list(map(_interval_mass, pts[0::2], pts[1::2]))
-        # the sum that measure() takes: left to right from 0.0
-        total = 0.0
-        for mass in masses:
-            total += mass
-        if lo_mass < total < hi_mass:
-            return pts, masses
-    return None
-
-
-def _draw_profiles(
-    entropy: list[np.ndarray], k_range: tuple[int, int], points: list[float], masses: list[float]
-) -> list[int]:
+def _draw_profiles(entropy: list[np.ndarray], k_range: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """One random interval union per entropy row, as ``random_interval_union`` draws it.
 
-    Appends each draw's endpoints to ``points`` and its interval masses to
-    ``masses``, in ``_Batch`` layout, and returns the component counts.
+    Returns the component counts, the endpoints and the interval masses, in
+    ``_Batch`` layout.  Each round draws one candidate for every member still
+    drawing, on :class:`_Streams`: the count, ``2k`` normals of scale
+    ``_ENDPOINT_SCALE`` and two uniforms for the rays.  A member whose
+    candidate is refused draws again in the next round from where its stream
+    stands, for at most ``_MAX_RETRIES`` rounds.  A candidate's total mass is
+    ``np.bincount``'s sum of its masses, left to right from 0.0, the sum that
+    ``measure`` takes.
     """
-    counts = []
-    for row, rng in enumerate(_generators(entropy)):
-        drawn = _draw_union(rng, k_range)
-        if drawn is None:
-            seed = sum(int(words[row]) << (32 * j) for j, words in enumerate(entropy))
-            raise RuntimeError(f"no admissible interval union after {_MAX_RETRIES} retries for seed {seed}")
-        row_points, row_masses = drawn
-        points.extend(row_points)
-        masses.extend(row_masses)
-        counts.append(len(row_masses))
-    return counts
+    lo_mass, hi_mass = MASS_WINDOW
+    lo_k, hi_k = k_range
+    streams = _Streams(*_pcg64_limbs(entropy))
+    rows = np.arange(len(entropy[0]))
+    drawn = [(rows[:0], rows[:0], np.empty((0, 2)), np.empty(0))]
+    for _ in range(_MAX_RETRIES):
+        if not rows.size:
+            break
+        k = streams.integers(lo_k, hi_k + 1)
+        # longest first: the members still drawing normals are a prefix
+        order = np.argsort(-k, kind="stable")
+        streams.keep(order)
+        k, rows = k[order], rows[order]
+        real = np.arange(2 * k[0]) < 2 * k[:, None]
+        # NaN pads the short rows; it sorts last and fails every comparison
+        pts = np.full(real.shape, np.nan)
+        for j, n in enumerate(np.count_nonzero(real, axis=0).tolist()):
+            pts[:n, j] = 0.0 + _ENDPOINT_SCALE * streams.standard_normal(n)
+        left_ray = streams.random(slice(None)) < 0.5
+        right_ray = streams.random(slice(None)) < 0.5
+        with np.errstate(invalid="ignore"):
+            pts = np.clip(np.sort(pts, axis=1), -ENDPOINT_CLIP, ENDPOINT_CLIP)
+            spaced = np.flatnonzero(~(np.diff(pts, axis=1) < MIN_SEPARATION).any(axis=1))
+        pts, real, k = pts[spaced], real[spaced], k[spaced]
+        pts[left_ray[spaced], 0] = -math.inf
+        ends = np.flatnonzero(right_ray[spaced])
+        pts[ends, 2 * k[ends] - 1] = math.inf
+        pairs = pts[real].reshape(-1, 2)
+        masses = _interval_masses(pairs[:, 0], pairs[:, 1])
+        totals = np.bincount(np.repeat(np.arange(len(k)), k), weights=masses, minlength=len(k))
+        inside = (lo_mass < totals) & (totals < hi_mass)
+        chosen = np.repeat(inside, k)
+        drawn.append((rows[spaced[inside]], k[inside], pairs[chosen], masses[chosen]))
+        refused = np.ones(len(rows), dtype=bool)
+        refused[spaced[inside]] = False
+        streams.keep(np.flatnonzero(refused))
+        rows = rows[refused]
+    if rows.size:
+        row = int(rows.min())
+        seed = sum(int(words[row]) << (32 * j) for j, words in enumerate(entropy))
+        raise RuntimeError(f"no admissible interval union after {_MAX_RETRIES} retries for seed {seed}")
+    rows, counts, pairs, masses = (np.concatenate(column) for column in zip(*drawn))
+    # back to row order: member rows[i] owns pairs starts[i] .. starts[i] + counts[i]
+    order = np.argsort(rows)
+    starts = np.cumsum(counts) - counts
+    counts = counts[order]
+    shift = np.repeat(starts[order] - (np.cumsum(counts) - counts), counts)
+    pair_order = shift + np.arange(len(shift))
+    return counts, pairs[pair_order].ravel(), masses[pair_order]
 
 
 def _line_batch(entropy: list[np.ndarray], k_range: tuple[int, int]) -> _Batch:
     """A batch of one random interval union per entropy row."""
-    points: list[float] = []
-    masses: list[float] = []
-    counts = _draw_profiles(entropy, k_range, points, masses)
+    counts, points, masses = _draw_profiles(entropy, k_range)
     n = len(counts)
-    return _Batch([_LINE] * n, [1] * n, counts, [0.0] * n, points, masses)
+    return _Batch(np.full(n, _LINE), np.ones(n), counts, np.zeros(n), points, masses)
 
 
 def _child_unions(seed: int, stream: int, n: int, k_range: tuple[int, int]) -> list[IntervalUnion1D]:
@@ -322,35 +496,32 @@ def _mixed_batch(n: int, seed: int = 0) -> _Batch:
     n_slab = (5 * n) // 100
     n_random = n - n_two_ray - n_ball - n_slab
 
-    points: list[float] = []
-    masses: list[float] = []
-    counts = _draw_profiles([_child_seeds(seed, _STREAM_RANDOM, n_random)], (1, 6), points, masses)
+    random_counts, random_points, random_masses = _draw_profiles(
+        [_child_seeds(seed, _STREAM_RANDOM, n_random)], (1, 6)
+    )
 
-    for s in np.linspace(0.0, -4.0, n_two_ray).tolist():
-        a = two_ray_endpoint(s)
-        points.extend((-math.inf, a, -a, math.inf))
-        masses.extend((_interval_mass(-math.inf, a), _interval_mass(-a, math.inf)))
-    counts += [2] * n_two_ray
+    # the symmetric two-ray sets (-inf, a) u (-a, inf) with 2 Phi(a) = Phi(s)
+    a = _gauss_cdf_inv_many(_gauss_cdf_many(np.linspace(0.0, -4.0, n_two_ray)) / 2.0)
+    two_ray_points = np.stack([np.full(n_two_ray, -math.inf), a, -a, np.full(n_two_ray, math.inf)], axis=1).ravel()
+    two_ray_masses = _interval_masses(two_ray_points[0::2], two_ray_points[1::2])
 
-    dims: list[int] = []
-    radii: list[float] = []
+    dims = np.empty(0, dtype=np.int64)
+    radii = np.empty(0)
     if n_ball:
         rng = next(_generators(_entropy((seed, _STREAM_BALL))))
-        dims = rng.integers(2, 11, size=n_ball).tolist()
-        targets = rng.uniform(0.02, 0.98, size=n_ball).tolist()
-        radii = [math.sqrt(chi2_quantile(dim, target)) for dim, target in zip(dims, targets)]
-    counts += [0] * n_ball
+        dims = rng.integers(2, 11, size=n_ball)
+        radii = np.sqrt(_chi2_quantile_many(dims, rng.uniform(0.02, 0.98, size=n_ball)))
 
-    counts += _draw_profiles([_child_seeds(seed, _STREAM_SLAB, n_slab)], (1, 3), points, masses)
+    slab_counts, slab_points, slab_masses = _draw_profiles([_child_seeds(seed, _STREAM_SLAB, n_slab)], (1, 3))
 
     n_line = n_random + n_two_ray
     return _Batch(
-        kinds=[_LINE] * n_line + [_BALL] * n_ball + [_SLAB] * n_slab,
-        dims=[1] * n_line + dims + [2 + (j % 4) for j in range(n_slab)],
-        counts=counts,
-        radii=[0.0] * n_line + radii + [0.0] * n_slab,
-        points=points,
-        masses=masses,
+        kinds=np.repeat([_LINE, _BALL, _SLAB], [n_line, n_ball, n_slab]),
+        dims=np.concatenate([np.ones(n_line, dtype=np.int64), dims, 2 + np.arange(n_slab) % 4]),
+        counts=np.concatenate([random_counts, np.full(n_two_ray, 2), np.zeros(n_ball, dtype=np.int64), slab_counts]),
+        radii=np.concatenate([np.zeros(n_line), radii, np.zeros(n_slab)]),
+        points=np.concatenate([random_points, two_ray_points, slab_points]),
+        masses=np.concatenate([random_masses, two_ray_masses, slab_masses]),
     )
 
 

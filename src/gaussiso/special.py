@@ -205,6 +205,11 @@ def chi2_cdf(dim: int, t: float) -> float:
     return float(gammainc(0.5 * dim, 0.5 * t))
 
 
+def _chi2_quantile_many(dims: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`chi2_quantile` of every pair ``(dims[j], p[j])``, unchecked: the same ufunc on an array."""
+    return 2.0 * gammaincinv(0.5 * dims, p)
+
+
 def chi2_quantile(dim: int, p: float) -> float:
     """Inverse of :func:`chi2_cdf` in its second argument, p in [0, 1)."""
     dim = _check_integer(dim, "chi2_quantile: dim", 1)

@@ -284,3 +284,144 @@ class TestSeeding:
         assert [e.profile for e in slabs] == [
             _numpy_route(RandomSetSpec(k_range=(1, 3), seed=c)) for c in children
         ]
+
+
+def _stream_at(state: int, inc: int) -> corpus._Streams:
+    """Streams of one member, which starts at the PCG64 ``(state, inc)``."""
+    limbs = [np.array([value >> shift & (2**64 - 1)], dtype=np.uint64) for value in (state, inc) for shift in (64, 0)]
+    return corpus._Streams(*limbs)
+
+
+def _generator_at(state: int, inc: int) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _stream_state(streams: corpus._Streams, j: int) -> dict:
+    """Member ``j`` of ``streams`` in the layout of ``PCG64.state``."""
+    return {
+        "state": (int(streams.hi[j]) << 64 | int(streams.lo[j]), int(streams.inc_hi[j]) << 64 | int(streams.inc_lo[j])),
+        "has_uint32": int(streams.has_half[j]),
+        "uinteger": int(streams.half[j]),
+    }
+
+
+def _generator_state(rng: np.random.Generator) -> dict:
+    state = rng.bit_generator.state
+    return {
+        "state": (state["state"]["state"], state["state"]["inc"]),
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+
+
+class TestStreams:
+    """``corpus._Streams`` draws what NumPy's Generator draws, member by member."""
+
+    @staticmethod
+    def seeded(seed: int, n: int):
+        streams = corpus._Streams(*corpus._pcg64_limbs(corpus._entropy((seed, 5), n)))
+        generators = [np.random.default_rng(np.random.SeedSequence([seed, 5, i])) for i in range(n)]
+        return streams, generators
+
+    def test_normals_match_generator(self, monkeypatch):
+        # 10^4 streams x 1000 draws = 10^7 normals, compared 100 draws at a time
+        n, passes, per_pass = 10_000, 10, 100
+        edges = {"_tail": 0, "_wedge": 0}
+        for name in edges:
+            method = getattr(corpus._Streams, name)
+
+            def counted(self, rows, *args, _method=method, _name=name):
+                edges[_name] += len(rows)
+                return _method(self, rows, *args)
+
+            monkeypatch.setattr(corpus._Streams, name, counted)
+        streams, generators = self.seeded(8, n)
+        for _ in range(passes):
+            drawn = np.stack([streams.standard_normal(n) for _ in range(per_pass)], axis=1)
+            expected = np.array([rng.standard_normal(per_pass) for rng in generators])
+            assert np.array_equal(drawn, expected)
+        # about 0.03% of draws reach the base layer's tail and 1.5% a wedge
+        assert edges["_tail"] > 1000
+        assert edges["_wedge"] > 50_000
+
+    def test_mixed_draws_and_buffers_match_generator(self):
+        n = 500
+        streams, generators = self.seeded(3, n)
+        for _ in range(40):
+            assert streams.integers(1, 7).tolist() == [rng.integers(1, 7) for rng in generators]
+            assert streams.integers(4, 5).tolist() == [rng.integers(4, 5) for rng in generators]
+            drawn = streams.standard_normal(n)
+            assert drawn.tolist() == [rng.standard_normal() for rng in generators]
+            assert streams.random(slice(None)).tolist() == [rng.random() for rng in generators]
+            assert streams.integers(1, 4).tolist() == [rng.integers(1, 4) for rng in generators]
+        for j, rng in enumerate(generators):
+            assert _stream_state(streams, j) == _generator_state(rng)
+
+    def test_single_value_range_takes_no_word(self):
+        streams, generators = self.seeded(1, 4)
+        before = [_stream_state(streams, j) for j in range(4)]
+        assert streams.integers(4, 5).tolist() == [4] * 4
+        assert [_stream_state(streams, j) for j in range(4)] == before
+        for j, rng in enumerate(generators):
+            assert rng.integers(4, 5) == 4
+            assert _generator_state(rng) == before[j]
+
+    def test_buffered_half_serves_next_count(self):
+        streams, generators = self.seeded(2, 6)
+        first = streams.integers(1, 7)
+        stepped = [_stream_state(streams, j) for j in range(6)]
+        assert all(state["has_uint32"] == 1 for state in stepped)
+        second = streams.integers(1, 7)
+        for j, rng in enumerate(generators):
+            assert (first[j], second[j]) == (rng.integers(1, 7), rng.integers(1, 7))
+            after = _stream_state(streams, j)
+            # the second count read the buffered upper half: no step
+            assert after["state"] == stepped[j]["state"]
+            assert after["has_uint32"] == 0
+            assert after == _generator_state(rng)
+
+    def test_lemire_rejection_redraws(self):
+        # a state whose next word is 0: both of its halves give (0 * 6) mod
+        # 2**32 = 0, under the rejection threshold 2**32 mod 6 = 4
+        mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (12345 << 1) | 1
+        following = (7 << 64) | 7  # high word equals low word: the output is 0
+        state = (following - inc) * pow(mult, -1, 2**128) % 2**128
+        assert _generator_at(state, inc).bit_generator.random_raw() == 0
+        streams = _stream_at(state, inc)
+        rng = _generator_at(state, inc)
+        assert streams.integers(1, 7).tolist() == [rng.integers(1, 7)]
+        after = _stream_state(streams, 0)
+        assert after == _generator_state(rng)
+        # both halves of the zero word were refused, then a second word was read
+        assert after["state"][0] == (following * mult + inc) % 2**128
+
+
+class TestOneDrawPath:
+    def test_mixed_corpus_makes_no_generator_normal_call(self, monkeypatch):
+        calls = []
+
+        class Spy(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                calls.append("normal")
+                return super().normal(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append("standard_normal")
+                return super().standard_normal(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                calls.append("integers")
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: Spy(np.random.PCG64(*args)))
+        mixed_corpus(400, seed=2)
+        # the ball stream is the one Generator the corpus still draws from
+        assert calls == ["integers"]

@@ -22,6 +22,7 @@ from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, barycenter, 
 from gaussiso.special import (
     SQRT_2PI,
     _check_real,
+    _chi2_quantile_many,
     _gauss_cdf_inv_many,
     _gauss_cdf_many,
     chi2_cdf,
@@ -213,6 +214,12 @@ class TestChi2:
         for dim in (1, 2, 4, 9):
             for p in (0.01, 0.25, 0.5, 0.9, 0.99):
                 assert chi2_cdf(dim, chi2_quantile(dim, p)) == pytest.approx(p, rel=1e-12)
+
+    def test_vector_quantile_is_the_scalar_quantile(self):
+        rng = np.random.default_rng(5)
+        dims = rng.integers(1, 1001, size=10_000)
+        p = np.concatenate([rng.uniform(0.0, 1.0, size=9_996), [0.0, 5e-324, 0.5, 1.0 - 2.0**-53]])
+        assert hexes(_chi2_quantile_many(dims, p)) == hexes(chi2_quantile(n, q) for n, q in zip(dims, p.tolist()))
 
     def test_against_monte_carlo_norms(self):
         # independent oracle: sums of squares of standard normal draws,
