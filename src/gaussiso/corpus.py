@@ -32,8 +32,8 @@ hash and the PCG64 stream, but not the algorithms of ``Generator.normal``
 and ``Generator.integers``; those are copied from NumPy 2.4.6, and
 ``tests/test_corpus.py::TestStreams`` compares them with the installed
 ``Generator``, so a change there fails that test instead of moving the
-corpus.  The balls' stream, and the callers that want a Generator, take one
-from ``_generators``, which reads the same seeding.
+corpus.  The balls' stream is a plain ``default_rng([seed, 1])``, as is every
+other single stream in the package.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class RandomSetSpec:
 
 # ---------------------------------------------------------------------------
 # NumPy's SeedSequence and PCG64 seeding, computed for many seeds at once
-# (numpy/random/bit_generator.pyx and the PCG64 C seeding routine)
+# (SeedSequence's Cython source in numpy/random and the PCG64 C seeding routine)
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -236,8 +236,8 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
 
 
 def _pcg64_limbs(entropy: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """(state high, state low, inc high, inc low) of ``PCG64(SeedSequence(words))``
-    for every entropy row, as uint64 columns.
+    """(state high, state low, inc high, inc low) of the PCG64 bit generator
+    that ``SeedSequence(words)`` seeds, for every entropy row, as uint64 columns.
 
     The seed sequence yields four uint64 words; PCG64 takes the first two as
     its 128-bit initial state and the last two as its stream, and
@@ -250,31 +250,6 @@ def _pcg64_limbs(entropy: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     lo = inc_lo + low_state
     hi = inc_hi + high_state + (lo < inc_lo)
     return (*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence(words))`` for every entropy row, as ints."""
-    columns = (limb.tolist() for limb in _pcg64_limbs(entropy))
-    return [((hi << 64) | lo, (inc_hi << 64) | inc_lo) for hi, lo, inc_hi, inc_lo in zip(*columns)]
-
-
-def _generators(entropy: list[np.ndarray]):
-    """``default_rng(SeedSequence(words))`` for every entropy row, in order.
-
-    One Generator is reused: each step swaps the next row's PCG64 state into
-    it, so a yielded generator is valid until the iteration advances.  The
-    profile draws do not come here; they run on :class:`_Streams`.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for state, inc in _pcg64_states(entropy):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +483,7 @@ def _mixed_batch(n: int, seed: int = 0) -> _Batch:
     dims = np.empty(0, dtype=np.int64)
     radii = np.empty(0)
     if n_ball:
-        rng = next(_generators(_entropy((seed, _STREAM_BALL))))
+        rng = np.random.default_rng([seed, _STREAM_BALL])
         dims = rng.integers(2, 11, size=n_ball)
         radii = np.sqrt(_chi2_quantile_many(dims, rng.uniform(0.02, 0.98, size=n_ball)))
 

@@ -49,9 +49,9 @@ with the floating-point operations of SciPy's ``minimize(method=
 initializations per template; ordering is enforced by penalization inside
 the objective so the search stays unconstrained. Vertices are ordered by a
 stable sort, so vertices with tied values keep their order and every result
-is the same on every machine. Its random starts are seeded by the corpus's
-bulk seeding code, and the named competitor starts (half-line, two-ray set,
-symmetric interval) come from :mod:`gaussiso.sets`.
+is the same on every machine. Random start ``i`` draws from
+``default_rng([seed, i])``, and the named competitor starts (half-line,
+two-ray set, symmetric interval) come from :mod:`gaussiso.sets`.
 
 The module also provides the mass-dependence sweep of the
 deficit-to-asymmetry ratio along the two-ray family.
@@ -71,7 +71,6 @@ from .functionals import (
     max_barycenter_norm,
     penalized_functional,
 )
-from .corpus import _entropy, _generators
 from .sets import (
     _LINE,
     IntervalUnion1D,
@@ -393,12 +392,11 @@ def _multistart_search(
     """The simplex search from every random and named start, one diagnostic each."""
     planned: list[tuple[IntervalTemplate, str, list[float]]] = []
     per_template, extra = divmod(settings.multistarts, len(templates))
-    # start i draws from default_rng(SeedSequence([seed, i]))
-    rngs = _generators(_entropy((settings.seed,), settings.multistarts))
-    for i, template in enumerate(templates):
-        for _ in range(per_template + (i < extra)):
-            theta0 = np.sort(next(rngs).normal(loc=0.0, scale=2.0, size=template.dimension))
-            planned.append((template, "random", theta0.tolist()))
+    randoms = [template for j, template in enumerate(templates) for _ in range(per_template + (j < extra))]
+    for i, template in enumerate(randoms):
+        rng = np.random.default_rng([settings.seed, i])
+        theta0 = np.sort(rng.normal(loc=0.0, scale=2.0, size=template.dimension))
+        planned.append((template, "random", theta0.tolist()))
     planned.extend(_deterministic_starts(params, templates))
 
     target = gauss_cdf(params.s)

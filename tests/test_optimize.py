@@ -372,6 +372,32 @@ class TestEvaluationBudget:
             assert diag.final_value <= diag.start_value
 
 
+class TestRandomStarts:
+    # (multistarts, seed, k_max): fewer starts than the 7 templates, 12 = 7 + 5
+    # with a remainder, and a seed of two entropy words over 3 templates
+    @pytest.mark.parametrize("multistarts, seed, k_max", [(4, 7, 2), (12, 7, 2), (5, 2**32 + 9, 1)])
+    def test_start_i_draws_from_default_rng_seed_i(self, monkeypatch, multistarts, seed, k_max):
+        starts = []
+
+        def record(objective, x0):
+            starts.append(list(x0))
+            return list(x0), 0.0, 0, True
+
+        monkeypatch.setattr(optimize, "_nelder_mead", record)
+        templates = enumerate_templates(k_max)
+        settings = OptimizerSettings(multistarts=multistarts, seed=seed)
+        searched = _multistart_search(supercritical(-0.5), templates, settings)
+        randoms = [template for template, d in searched if d.kind == "random"]
+        assert [template for template, _ in searched[:multistarts]] == randoms
+        # each template takes a block of starts, in order; the first `extra` take one more
+        per_template, extra = divmod(multistarts, len(templates))
+        assert [randoms.count(t) for t in templates] == [per_template + (j < extra) for j in range(len(templates))]
+        assert randoms == sorted(randoms, key=templates.index)
+        for i, template in enumerate(randoms):
+            expected = np.sort(np.random.default_rng([seed, i]).normal(0.0, 2.0, template.dimension))
+            assert starts[i] == expected.tolist()
+
+
 def simplex_best(params, k_max, settings):
     """The lowest value any start of the simplex search reaches."""
     searched = _multistart_search(params, enumerate_templates(k_max), settings)
@@ -713,6 +739,26 @@ class TestImports:
                 if any(n.split(".")[0] == "scipy" for n in names):
                     assert path.name == "special.py", (path.name, node.lineno)
                     assert id(node) in in_functions, (path.name, node.lineno)
+
+    def test_random_generators_come_from_default_rng(self):
+        # every single stream is a default_rng, and the batched corpus draws
+        # are corpus._Streams: no module builds a bit generator or swaps its state
+        imports_of = {}
+        for path in Path(gaussiso.__file__).resolve().parent.glob("*.py"):
+            imported = imports_of.setdefault(path.stem, set())
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func).split(".")[-1]
+                    assert called not in {"Generator", "PCG64"}, (path.name, node.lineno)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    assert node.attr != "state", (path.name, node.lineno)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module or "")
+                    imported.update(a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[-1] for a in node.names)
+        assert sorted(m for m, imported in imports_of.items() if "_ziggurat" in imported) == ["corpus"]
+        assert "corpus" not in imports_of["optimize"]
 
     def test_every_import_is_used(self):
         # an imported name must be read somewhere in its module or be listed
