@@ -16,7 +16,8 @@ set's sums added left to right, and vectorizes only the bookkeeping, so every
 column equals the scalar row bit for bit: a NumPy ``exp`` or pairwise sum
 would move last bits. :func:`quantities`, the bundle of one set, and
 :func:`excess_identity` are its batch of one, so each formula exists once.
-F is written once on ``(mass, perimeter, b)``: fed the row by
+F is written once on ``(mass, perimeter, b)``, against the target mass
+``params.target`` that :class:`FunctionalParams` decides once: fed the row by
 :func:`penalized_functional`, and a profile's sums on endpoint lists,
 without building sets, by the optimizer. The columns refuse only a
 degenerate or non-finite member; whether they obey the paper's claims is
@@ -76,7 +77,8 @@ class FunctionalParams:
 
     ``eps`` weighs the squared barycenter norm, ``lambda_pen`` the mass
     constraint violation. Zero values are accepted to allow degenerate
-    (pure-perimeter) objectives.
+    (pure-perimeter) objectives. The target mass ``target = gauss_cdf(s)`` is
+    decided once here, as an attribute that equality, hashing and ``repr`` skip.
     """
 
     s: float
@@ -86,6 +88,7 @@ class FunctionalParams:
     def __post_init__(self) -> None:
         for name, sign in (("s", None), ("eps", "nonnegative"), ("lambda_pen", "nonnegative")):
             object.__setattr__(self, name, _check_real(getattr(self, name), f"FunctionalParams: {name}", sign))
+        object.__setattr__(self, "target", gauss_cdf(self.s))
 
 
 def max_barycenter_norm(s: float) -> float:
@@ -103,8 +106,8 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
     ``(mass, perimeter, b, excess)``, ``special._gauss_cdf_inv_many`` (the
     ``ndtri`` of the scalar inverse) for ``s``, ``math.exp`` for the weight at
     ``s`` and ``special._gauss_cdf_many``, the scalar normal CDF element by
-    element; ``alpha_hat`` reads ``sets._clipped_masses``, which is
-    ``sets._clipped_mass`` on the batch.
+    element; ``alpha_hat`` reads ``sets._clipped_masses``, the mass of each profile
+    cut at a level.
     """
     mass, perim, b, excess = _rows(batch)
     degenerate = ~((0.0 < mass) & (mass < 1.0))
@@ -177,18 +180,18 @@ def excess_identity(e: GaussianSet) -> tuple[float, float]:
     return float(cols["excess"][0]), float(via)
 
 
-def _penalized(mass, perim, b, params: FunctionalParams, target: float, sqrt=math.sqrt):
+def _penalized(mass, perim, b, params: FunctionalParams, sqrt=math.sqrt):
     """F from a set's mass, perimeter and barycenter ``b`` along its unit
-    axis (so ``|b| = sqrt(b*b)``); ``target`` is ``gauss_cdf(params.s)``. On
+    axis (so ``|b| = sqrt(b*b)``), against the mass ``params.target``. On
     arrays, with ``sqrt=np.sqrt``, it is the scalar F per element, bit for bit."""
     norm_b = sqrt(b * b)
-    return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - target)
+    return perim + 0.5 * params.eps * norm_b * norm_b + params.lambda_pen * abs(mass - params.target)
 
 
 def penalized_functional(e: GaussianSet, params: FunctionalParams) -> float:
     """perimeter + (eps/2)|b|^2 + lambda_pen * |measure - gauss_cdf(s)|."""
     mass, perim, b, _ = _row(e)
-    return _penalized(mass, perim, b, params, gauss_cdf(params.s))
+    return _penalized(mass, perim, b, params)
 
 
 def stability_params(s: float) -> FunctionalParams:

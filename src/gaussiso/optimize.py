@@ -50,8 +50,9 @@ initializations per template; ordering is enforced by penalization inside
 the objective so the search stays unconstrained. Vertices are ordered by a
 stable sort, so vertices with tied values keep their order and every result
 is the same on every machine. Random start ``i`` draws from
-``default_rng([seed, i])``, and the named competitor starts (half-line,
-two-ray set, symmetric interval) come from :mod:`gaussiso.sets`.
+``default_rng([seed, i])``. Both searches compare every set with the one
+target mass ``params.target`` and start from the same named sets, decided
+once by ``_named_starts``.
 
 The module also provides the mass-dependence sweep of the
 deficit-to-asymmetry ratio along the two-ray family.
@@ -136,6 +137,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 100
 
 _LN2 = math.log(2.0)
+
+#: Nearer to 0 than this, ``s * s`` underflows and the sweep ratio with it.
+_NEAREST_SWEEP_LEVEL = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,8 @@ class MinimizeOutcome:
     starts: tuple[StartDiagnostic, ...]
 
 
-def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, target: float):
-    """The search objective of one template, on a list of endpoints;
-    ``target`` is ``gauss_cdf(params.s)``.
+def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams):
+    """The search objective of one template, on a list of endpoints.
 
     Non-finite endpoints cost ``2 * _ORDER_PENALTY``; adjacent endpoints
     closer than ``_MIN_SEPARATION`` cost ``_ORDER_PENALTY`` times one plus
@@ -266,7 +269,7 @@ def _endpoint_objective(template: IntervalTemplate, params: FunctionalParams, ta
         if shortfall > 0.0:
             return _ORDER_PENALTY * (1.0 + shortfall)
         mass, perim, b, _, _ = _profile_sums(_pairs(head + theta + tail))
-        return _penalized(mass, perim, b, params, target)
+        return _penalized(mass, perim, b, params)
 
     return objective
 
@@ -368,19 +371,20 @@ def _nelder_mead(objective, x0: list[float]) -> tuple[list[float], float, int, b
     return sim[0], fsim[0], evaluations, evaluations < _BUDGET
 
 
-def _deterministic_starts(
-    params: FunctionalParams, templates: tuple[IntervalTemplate, ...]
-) -> list[tuple[IntervalTemplate, str, list[float]]]:
-    """The named competitor starts at ``params.s``: the half-line, and at s <= 0
-    the two-ray set (if ``templates`` reach two components) and the symmetric interval."""
-    s = params.s
-    starts = [(_LEFT_RAY, "half-line", [s])]
-    if s <= 0.0:
-        if _TWO_RAY in templates:
-            a = two_ray_endpoint(s)
+def _named_starts(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTemplate, str, list[float]]]:
+    """``(template, kind, endpoints)`` of the named sets of mass
+    ``params.target``, from which both searches start: the half-line
+    ``(-inf, s)``, and where ``0 < params.target < 1`` and their endpoints
+    are finite, the two-ray set ``(-inf, a) u (-a, inf)`` (if ``k_max >= 2``)
+    and the origin-symmetric interval ``(-q, q)``."""
+    starts = [(_LEFT_RAY, "half-line", [params.s])]
+    if 0.0 < params.target < 1.0:
+        a = two_ray_endpoint(params.s)
+        q = symmetric_interval_halfwidth(params.s)
+        if k_max >= 2 and math.isfinite(a):
             starts.append((_TWO_RAY, "two-ray", [a, -a]))
-        q = symmetric_interval_halfwidth(s)
-        starts.append((_BOUNDED, "symmetric-interval", [-q, q]))
+        if math.isfinite(q):
+            starts.append((_BOUNDED, "symmetric-interval", [-q, q]))
     return starts
 
 
@@ -397,12 +401,11 @@ def _multistart_search(
         rng = np.random.default_rng([settings.seed, i])
         theta0 = np.sort(rng.normal(loc=0.0, scale=2.0, size=template.dimension))
         planned.append((template, "random", theta0.tolist()))
-    planned.extend(_deterministic_starts(params, templates))
+    planned.extend(_named_starts(params, max(t.components for t in templates)))
 
-    target = gauss_cdf(params.s)
     searched = []
     for template, kind, theta0 in planned:
-        objective = _endpoint_objective(template, params, target)
+        objective = _endpoint_objective(template, params)
         x, fun, evaluations, success = _nelder_mead(objective, theta0)
         final_value = fun if math.isfinite(fun) else math.inf
         diagnostic = StartDiagnostic(
@@ -477,7 +480,7 @@ def _search_piece(
     )
 
 
-def _grid_values(grids, params: FunctionalParams, target: float) -> list[list[float]]:
+def _grid_values(grids, params: FunctionalParams) -> list[list[float]]:
     """``_endpoint_objective`` at every row of every grid, bit for bit;
     ``grids`` holds ``(template, columns)``, the rows' finite endpoints from
     left to right. The valid rows (finite, adjacent endpoints at least
@@ -502,14 +505,14 @@ def _grid_values(grids, params: FunctionalParams, target: float) -> list[list[fl
     batch = _Batch(kinds=np.full(n, _LINE), dims=np.ones(n), counts=counts, radii=np.zeros(n),
                    points=points, masses=_interval_masses(points[0::2], points[1::2]))
     mass, perim, b, _ = _rows(batch)
-    f = _penalized(mass, perim, b, params, target, np.sqrt)
+    f = _penalized(mass, perim, b, params, np.sqrt)
     values, start = [], 0
     for (template, columns), valid in zip(grids, masks):
         stop = start + np.count_nonzero(valid)
         value = np.empty(len(valid))
         value[valid] = f[start:stop]
         if stop - start < len(valid):
-            objective = _endpoint_objective(template, params, target)
+            objective = _endpoint_objective(template, params)
             value[~valid] = [objective(row) for row in np.column_stack(columns)[~valid].tolist()]
         values.append(value.tolist())
         start = stop
@@ -520,12 +523,12 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
     """Search the faces that hold every minimizer when eps < 2 pi (module
     docstring), one diagnostic per searched piece.
 
-    The left ray, which stands for its mirror image the right ray, is
-    searched from its kink point ``params.s``, where its mass is
-    ``Phi(params.s)``, out to ``|params.s| + 9`` on the side of smaller mass
+    The pieces start from the named sets of :func:`_named_starts`. The left
+    ray, which stands for its mirror image the right ray, is searched from
+    the half-line out to ``|params.s| + 9`` on the side of smaller mass
     (kind ``below-kink``) and on the side of larger mass (``above-kink``).
-    The bounded and the two-ray face (``kink``) are searched in their left
-    endpoint ``a``, from the symmetric set on the kink down to
+    The bounded and the two-ray face (``kink``), where named, are searched in
+    their left endpoint ``a``, from the symmetric set on the kink down to
     ``-(|params.s| + 9)``; the mass equation gives the right endpoint. A
     piece's ``evaluations`` counts its objective evaluations, its
     ``start_value`` is the first of them, and it has ``converged`` when every
@@ -533,7 +536,6 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
     takes the normal CDF and its inverse: the grids read it through the
     vector ones, the golden section through the scalar ones.
     """
-    target = gauss_cdf(params.s)
     reach = abs(params.s) + _REACH
 
     def ray(x, cdf, inv):
@@ -541,31 +543,27 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
 
     def bounded(a, cdf, inv):
         # Phi(b) - Phi(a) = target
-        return [a, inv(cdf(a) + target)]
+        return [a, inv(cdf(a) + params.target)]
 
     def two_ray(a, cdf, inv):
         # Phi(a) + Phi(-b) = target
-        return [a, -inv(target - cdf(a))]
+        return [a, -inv(params.target - cdf(a))]
 
+    named = {template: theta[0] for template, _, theta in _named_starts(params, k_max)}
     pieces = [
-        (_LEFT_RAY, "below-kink", ray, params.s, -reach),
-        (_LEFT_RAY, "above-kink", ray, params.s, reach),
+        (_LEFT_RAY, "below-kink", ray, named[_LEFT_RAY], -reach),
+        (_LEFT_RAY, "above-kink", ray, named[_LEFT_RAY], reach),
     ]
-    # the kink faces start from their symmetric sets (-q, q) and
-    # (-inf, a) u (-a, inf); a target within an ulp of 0 or 1 leaves none
-    kink_faces = [(_BOUNDED, bounded, -gauss_cdf_inv((1.0 + target) / 2.0))]
-    if k_max >= 2:
-        kink_faces.append((_TWO_RAY, two_ray, gauss_cdf_inv(target / 2.0)))
     pieces += [
-        (template, "kink", face, start, -reach)
-        for template, face, start in kink_faces
-        if 0.0 < target < 1.0 and math.isfinite(start)
+        (template, "kink", face, named[template], -reach)
+        for template, face in ((_BOUNDED, bounded), (_TWO_RAY, two_ray))
+        if template in named
     ]
     grids = [np.linspace(start, stop, _GRID_POINTS) for *_, start, stop in pieces]
     grid_values = _grid_values([(template, face(grid, _gauss_cdf_many, _gauss_cdf_inv_many))
-                                for (template, _, face, *_), grid in zip(pieces, grids)], params, target)
+                                for (template, _, face, *_), grid in zip(pieces, grids)], params)
     return [
-        (template, _search_piece(template, kind, _endpoint_objective(template, params, target),
+        (template, _search_piece(template, kind, _endpoint_objective(template, params),
                                  lambda t, face=face: face(t, gauss_cdf, gauss_cdf_inv), grid.tolist(), values))
         for (template, kind, face, *_), grid, values in zip(pieces, grids, grid_values)
     ]
@@ -587,8 +585,8 @@ def minimize_penalized_functional(
 
     Otherwise a Nelder-Mead simplex search runs from ``settings.multistarts``
     random initializations (Gaussian endpoint proposal, scale 2, distributed
-    across templates) plus the deterministic competitor starts (half-line at
-    s, matched two-ray set, origin-symmetric interval of the same mass).
+    across templates) plus the named sets of :func:`_named_starts`, from
+    which the face search starts too.
     Each search stops when the simplex is within 1e-10 of its best vertex and
     its values within 1e-12, or after 10,000 evaluations of the objective.
     Fully deterministic for a fixed seed, on every machine: vertices are
@@ -633,7 +631,7 @@ def minimize_penalized_functional(
     return MinimizeOutcome(
         best_set=best_set,
         best_value=chosen_value,
-        target_mass=gauss_cdf(params.s),
+        target_mass=params.target,
         achieved_mass=measure(best_set),
         half_line_value=half_line_value,
         # relative: far in the tails F of the half-line itself falls below 1e-12
@@ -682,6 +680,10 @@ def mass_sweep(s_values) -> tuple[MassSweepRow, ...]:
         if s < -37.0:
             raise ValueError(
                 f"the deficit column underflows the float range below level -37, got {s!r}"
+            )
+        if abs(s) < _NEAREST_SWEEP_LEVEL:
+            raise ValueError(
+                f"the ratio column underflows the float range above level {-_NEAREST_SWEEP_LEVEL:.3g}, got {s!r}"
             )
         a = two_ray_endpoint(s)
         growth = math.expm1((s * s - a * a) / 2.0 + _LN2)

@@ -33,7 +33,9 @@ Only :func:`complement`, ``_members`` and the JSON descriptors build each
 family's own type; :func:`complement` and :func:`set_to_dict` read ``_profile``.
 The named interval unions of a mass level that the corpus, the optimizer
 and the suites share (the half-line, the symmetric two-ray set, the
-origin-symmetric interval) are built here too.
+origin-symmetric interval) are built here too, at every level; the
+two-ray endpoint and the interval's half-width turn infinite only where
+the mass ``Phi(s)`` is within rounding of 0 or 1.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
 and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
@@ -407,8 +409,8 @@ def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def _clipped_masses(batch: _Batch, rows: np.ndarray, cut: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """``_clipped_mass`` of every row's profile, bit for bit: cut to
-    ``(-cut[i], inf)`` where ``above[i]``, else to ``(-inf, cut[i])``.
+    """The Gaussian mass of every row's profile cut to ``(-cut[i], inf)``
+    where ``above[i]``, else to ``(-inf, cut[i])``.
 
     An interval inside the cut keeps its stored mass, one that straddles it
     takes ``_interval_mass`` of its clipped part, and one outside adds 0.0,
@@ -493,9 +495,9 @@ def two_ray_endpoint(s: float) -> float:
 
     Solves 2 * Phi(a) = Phi(s); the symmetric two-ray set
     (-inf, a) u (-a, inf) then has measure Phi(s) and zero barycenter.
+    Since Phi(a) < 1/2, a < 0 at every level; a is -inf where Phi(s) / 2
+    rounds to 0.
     """
-    if not s <= 0.0:
-        raise ValueError(f"mass level must be nonpositive, got {s!r}")
     return gauss_cdf_inv(gauss_cdf(s) / 2.0)
 
 
@@ -506,9 +508,8 @@ def two_ray_set(s: float) -> IntervalUnion1D:
 
 
 def symmetric_interval_halfwidth(s: float) -> float:
-    """Half-width q of the origin-symmetric interval with measure Phi(s)."""
-    if not s <= 0.0:
-        raise ValueError(f"mass level must be nonpositive, got {s!r}")
+    """Half-width q of the origin-symmetric interval with measure Phi(s):
+    Phi(q) - Phi(-q) = Phi(s). q is inf where (1 + Phi(s)) / 2 rounds to 1."""
     return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 
@@ -521,16 +522,6 @@ def complement(e: GaussianSet) -> GaussianSet:
     points = [-math.inf, *_endpoints(intervals), math.inf]
     profile = IntervalUnion1D(intervals=tuple((lo, hi) for lo, hi in _pairs(points) if lo < hi))
     return profile if family == _LINE else SlabSet(dim=n, profile=profile)
-
-
-def _clipped_mass(intervals: Sequence[tuple[float, float]], lo_cut: float, hi_cut: float) -> float:
-    """Gaussian mass of the intervals intersected with (lo_cut, hi_cut)."""
-    total = 0.0
-    for lo, hi in intervals:
-        lo, hi = max(lo, lo_cut), min(hi, hi_cut)
-        if lo < hi:
-            total += _interval_mass(lo, hi)
-    return total
 
 
 #: Quadrature settings of the ball / half-space intersection.
@@ -578,18 +569,16 @@ def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
         raise ValueError(
             f"half-space dimension {len(h.omega)} does not match set dimension {n}"
         )
-    family, _, intervals = _profile(e)
-    if family == _BALL:
+    if _profile(e)[0] == _BALL:
         inter = _ball_halfspace_mass(e.dim, e.radius, h.s)
     else:
         dot = float(np.dot(_axis(e), h.omega))
-        if abs(dot - 1.0) <= 1e-9:
-            inter = _clipped_mass(intervals, -math.inf, h.s)
-        elif abs(dot + 1.0) <= 1e-9:
-            inter = _clipped_mass(intervals, -h.s, math.inf)
-        else:
+        if not (abs(dot - 1.0) <= 1e-9 or abs(dot + 1.0) <= 1e-9):
             raise ValueError("half-space must be collinear with the set's profile axis")
-    return measure(e) + gauss_cdf(h.s) - 2.0 * inter
+        # H is (-inf, h.s) along the axis, and (-h.s, inf) where omega is anti-parallel to it
+        above = np.array([dot < 0.0])
+        inter = float(_clipped_masses(_batch((e,)), np.ones(1, bool), np.array([h.s]), above)[0])
+    return measure(e) + measure(h) - 2.0 * inter
 
 
 def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:

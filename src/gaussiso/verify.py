@@ -49,6 +49,7 @@ from .sets import (
     contains_points,
     half_line_set,
     mc_measure,
+    two_ray_endpoint,
     two_ray_set,
 )
 from .special import (
@@ -467,7 +468,7 @@ def _suite_stationarity(config: SuiteConfig):
 
     yield "negative-mode-witness-consistency", _J_ANCHOR, np.array(witness_margins), {}
 
-    a0 = gauss_cdf_inv(0.25)
+    a0 = two_ray_endpoint(0.0)
     hand_threshold = math.pi / (a0 * a0 * gauss_weight(a0))
     lo_eps, hi_eps = 6.0, 12.0
     e0 = two_ray_set(0.0)
@@ -576,12 +577,15 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
 
 
 def format_number(x) -> str:
-    """A bool, int or float as report text: floats with 17 significant digits."""
+    """A bool, int or finite float as report text: floats with 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(x)
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"JSON has no number for the non-finite {x!r}")
+    return format(x, ".17g")
 
 
 def json_value(value) -> str:

@@ -236,6 +236,18 @@ class TestMinimize:
         assert code == 2
         assert "error:" in err
 
+    def test_no_degenerate_start_at_zero_mass(self, capsys):
+        # Phi(-38.5) is 0: the kink holds only the empty set, so the simplex
+        # starts from no two-ray set (-inf, -inf) u (inf, inf) and no interval
+        code, out, _ = run_cli(
+            capsys, "minimize", "--s=-38.5", "--eps", "10", "--lambda", "1",
+            "--kmax", "2", "--starts", "2", "--diagnostics",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-finite {name} in output"))
+        assert payload["target_mass"] == 0
+        assert {d["kind"] for d in payload["starts"]} == {"random", "half-line"}
+
     def test_diagnostics_flag_adds_every_start(self, capsys):
         argv = ["minimize", "--s=-1", "--kmax", "2", "--starts", "6", "--seed", "3"]
         code, plain, _ = run_cli(capsys, *argv)
@@ -289,6 +301,11 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--s-list", "1.0")
         assert code == 2
         assert "negative" in err
+
+    def test_level_whose_square_underflows_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--s-list=-1e-300")
+        assert (code, out) == (2, "")
+        assert err == "error: the ratio column underflows the float range above level -1.49e-154, got -1e-300\n"
 
     def test_garbage_levels_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--s-list", "abc")

@@ -3,7 +3,8 @@
 Every ``StartDiagnostic`` is pinned with its floats as ``float.hex``: four
 calls at ``multistarts=12, seed=7`` (level 0 with ``k_max=2``, level -1 with
 ``k_max=4``, the supercritical ``eps=10`` case, and the ``budget-20`` call),
-plus the exact stdout of one CLI call.
+plus the exact stdout of one CLI call at level -1 and of the same call at
+levels 0, -0.5, -2 and 0.7.
 
 Only the supercritical case runs the simplex search. Its numbers were first
 recorded while the local search still ran through SciPy's
@@ -85,6 +86,16 @@ FROZEN_STARTS = {
 }
 FROZEN_MINIMIZE_STDOUT = '{"achieved_mass": 0.15865525393145707, "best_set": {"items": [["-inf", -1]], "type": "intervals"}, "best_value": 0.60659178953906001, "eps": 0.0020881298830454521, "half_line_optimal": true, "half_line_value": 0.60659178953906001, "k_max": 3, "lambda": 5.4064637867667571, "s": -1, "starts_converged": 4, "starts_total": 4, "target_mass": 0.15865525393145707}\n'
 
+#: ``gaussiso minimize --s=S --kmax 3 --starts 11 --seed 5`` at four more
+#: levels, one on the positive side, recorded while ``gauss_cdf(params.s)``
+#: was still computed in each function that read it.
+FROZEN_LEVEL_STDOUT = {
+    '0': '{"achieved_mass": 0.5, "best_set": {"items": [["-inf", 0]], "type": "intervals"}, "best_value": 1.0002015720902075, "eps": 0.0025330295910584444, "half_line_optimal": true, "half_line_value": 1.0002015720902075, "k_max": 3, "lambda": 2.8284271247461898, "s": 0, "starts_converged": 4, "starts_total": 4, "target_mass": 0.5}\n',
+    '-0.5': '{"achieved_mass": 0.30853753872598688, "best_set": {"items": [["-inf", -0.5]], "type": "intervals"}, "best_value": 0.88263921198079998, "eps": 0.0022962388501442973, "half_line_optimal": true, "half_line_value": 0.88263921198079998, "k_max": 3, "lambda": 4.0450153765431125, "s": -0.5, "starts_converged": 4, "starts_total": 4, "target_mass": 0.30853753872598688}\n',
+    '-2': '{"achieved_mass": 0.022750131948179219, "best_set": {"items": [["-inf", -2]], "type": "intervals"}, "best_value": 0.13534073919979686, "eps": 0.0037433395497164417, "half_line_optimal": true, "half_line_value": 0.13534073919979686, "k_max": 3, "lambda": 8.4128300203612589, "s": -2, "starts_converged": 4, "starts_total": 4, "target_mass": 0.022750131948179219}\n',
+    '0.7': '{"achieved_mass": 0.75803634777692697, "best_set": {"items": [["-inf", 0.69999999999999996]], "type": "intervals"}, "best_value": 0.78281042508065224, "eps": 0.0021719816057147157, "half_line_optimal": true, "half_line_value": 0.78281042508065224, "k_max": 3, "lambda": 4.5747010476273031, "s": 0.69999999999999996, "starts_converged": 4, "starts_total": 4, "target_mass": 0.75803634777692697}\n',
+}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_start_diagnostics_match_frozen(case):
@@ -110,3 +121,11 @@ def test_minimize_stdout_matches_frozen_bytes():
     with contextlib.redirect_stdout(out):
         assert cli_main(MINIMIZE_ARGV) == 0
     assert out.getvalue() == FROZEN_MINIMIZE_STDOUT
+
+
+@pytest.mark.parametrize("s", sorted(FROZEN_LEVEL_STDOUT))
+def test_minimize_stdout_matches_frozen_bytes_at_more_levels(s):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["minimize", f"--s={s}", "--kmax", "3", "--starts", "11", "--seed", "5"]) == 0
+    assert out.getvalue() == FROZEN_LEVEL_STDOUT[s]

@@ -5,7 +5,7 @@ Frozen constants were produced by the independent oracles noted beside them
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -261,6 +261,21 @@ class TestPenalizedFunctional:
             FunctionalParams(s=0.0, eps=-1.0, lambda_pen=1.0)
         with pytest.raises(ValueError):
             FunctionalParams(s=0.0, eps=1.0, lambda_pen=-0.5)
+
+    def test_params_keep_three_fields_and_decide_the_target_once(self):
+        # the target mass is an attribute, not a field: the constructor,
+        # equality, hashing and repr read s, eps and lambda_pen alone
+        params = FunctionalParams(s=-1, eps=0.5, lambda_pen=2)
+        assert [f.name for f in fields(params)] == ["s", "eps", "lambda_pen"]
+        assert params.target == gauss_cdf(-1.0)
+        assert params == FunctionalParams(s=-1.0, eps=0.5, lambda_pen=2.0)
+        assert hash(params) == hash(FunctionalParams(s=-1.0, eps=0.5, lambda_pen=2.0))
+        assert params != FunctionalParams(s=-1.0, eps=0.5, lambda_pen=2.5)
+        assert repr(params) == "FunctionalParams(s=-1.0, eps=0.5, lambda_pen=2.0)"
+        assert asdict(params) == {"s": -1.0, "eps": 0.5, "lambda_pen": 2.0}
+        assert replace(params, s=0.0).target == 0.5
+        with pytest.raises(FrozenInstanceError):
+            params.target = 0.5
 
     def test_matched_halfspace_closed_form(self):
         # at the target level the mass penalty vanishes and

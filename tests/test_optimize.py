@@ -163,7 +163,7 @@ class TestTemplates:
             if any(hi - lo <= _MIN_SEPARATION for lo, hi in zip(theta, theta[1:])):
                 continue
             params = cases[checked % len(cases)]
-            objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+            objective = _endpoint_objective(template, params)
             direct = penalized_functional(template.decode(np.array(theta)), params)
             assert objective(theta).hex() == direct.hex(), theta
             checked += 1
@@ -220,9 +220,15 @@ class TestTwoRayEndpoint:
         assert a < s
         assert 2.0 * gauss_cdf(a) == pytest.approx(gauss_cdf(s), rel=1e-12)
 
-    def test_positive_level_rejected(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            two_ray_endpoint(0.1)
+    @pytest.mark.parametrize("s", [0.3, 2.0, 8.2])
+    def test_positive_levels_solve_the_defining_equations(self, s):
+        # the named sets exist at every level: 2 Phi(a) = Phi(s) and
+        # Phi(q) - Phi(-q) = Phi(s)
+        a = two_ray_endpoint(s)
+        q = symmetric_interval_halfwidth(s)
+        assert a < 0.0 < q
+        assert 2.0 * gauss_cdf(a) == pytest.approx(gauss_cdf(s), rel=1e-12)
+        assert gauss_cdf(q) - gauss_cdf(-q) == pytest.approx(gauss_cdf(s), rel=1e-12)
 
     def test_two_ray_set_properties(self):
         e = two_ray_set(-1.0)
@@ -434,15 +440,17 @@ class TestFaceSearch:
         simplex = simplex_best(params, 2, OptimizerSettings(multistarts=11, seed=1))
         assert out.best_value <= simplex + 1e-12
 
-    def test_finds_the_interval_that_the_simplex_misses(self):
-        # at k_max = 1 an 11-start simplex stays at the half-line's value
+    def test_both_searches_find_the_symmetric_interval(self):
+        # at s > 0 too both searches start from the symmetric interval, which
+        # beats the half-line here; its random starts alone leave an 11-start
+        # simplex at the half-line's value
         params = FunctionalParams(s=0.7, eps=6.0, lambda_pen=stability_params(0.7).lambda_pen)
         out = minimize_penalized_functional(0.7, params, k_max=1)
         q = gauss_cdf_inv((1.0 + gauss_cdf(0.7)) / 2.0)
         assert out.best_set == IntervalUnion1D(intervals=((-q, q),))
         assert out.best_value < out.half_line_value - 0.05
         simplex = simplex_best(params, 1, OptimizerSettings(multistarts=11, seed=1))
-        assert simplex == out.half_line_value
+        assert abs(simplex - out.best_value) <= 1e-12
 
     def test_runs_without_the_simplex(self, monkeypatch):
         def refuse(*args):
@@ -458,9 +466,9 @@ class TestFaceSearch:
             raise AssertionError("the face search ran at eps >= 2 pi")
 
         monkeypatch.setattr(optimize, "_face_search", refuse)
-        for eps in (2.0 * math.pi, 10.0):
-            params = FunctionalParams(s=0.0, eps=eps, lambda_pen=LAM_0)
-            out = minimize_penalized_functional(0.0, params, k_max=2, settings=FAST)
+        for s, eps in itertools.product((0.0, 0.7), (2.0 * math.pi, 10.0)):
+            params = FunctionalParams(s=s, eps=eps, lambda_pen=LAM_0)
+            out = minimize_penalized_functional(s, params, k_max=2, settings=FAST)
             assert {d.kind for d in out.starts} == {"random", "half-line", "two-ray", "symmetric-interval"}
 
     @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0, 0.5, 1.5])
@@ -491,7 +499,7 @@ class TestFaceSearch:
             assert d.evaluations >= 120
             assert d.final_value <= d.start_value
             # every piece's best endpoints give its final value
-            objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+            objective = _endpoint_objective(template, params)
             assert objective(list(d.endpoints)) == d.final_value
         # each ray piece starts at the kink point, whose mass is the target
         assert [d.start_value for _, d in searched[:2]] == [kink_value] * 2
@@ -515,9 +523,8 @@ class TestFaceSearch:
             FunctionalParams(s=0.0, eps=10.0, lambda_pen=LAM_0),
         ]
         for params in cases:
-            target = gauss_cdf(params.s)
-            on_left = _endpoint_objective(left, params, target)
-            on_right = _endpoint_objective(right, params, target)
+            on_left = _endpoint_objective(left, params)
+            on_right = _endpoint_objective(right, params)
             for x in np.linspace(-12.0, 12.0, 241).tolist() + [params.s, -40.0, 40.0]:
                 assert on_left([x]).hex() == on_right([-x]).hex(), (params, x)
 
@@ -576,7 +583,6 @@ class TestGridBatch:
         # fall short of _MIN_SEPARATION once or several times, on every
         # template up to four components, priced in one batch
         params = FunctionalParams(s=-0.4, eps=3.0, lambda_pen=1.5)
-        target = gauss_cdf(params.s)
         rng = np.random.default_rng(17)
         grids, expected, kinds = [], [], []
         for template in enumerate_templates(4):
@@ -586,10 +592,10 @@ class TestGridBatch:
                     row[j + 1] = row[j] + rng.choice([0.0, 1e-9, 5e-9, 1e-8, 2e-8, -1e-3])
             for row in rows[250:]:
                 row[rng.integers(template.dimension)] = rng.choice([math.inf, -math.inf, math.nan])
-            objective = _endpoint_objective(template, params, target)
+            objective = _endpoint_objective(template, params)
             grids.append((template, list(rows.T)))
             expected.append([objective(row).hex() for row in rows.tolist()])
-        values = _grid_values(grids, params, target)
+        values = _grid_values(grids, params)
         assert [[v.hex() for v in piece] for piece in values] == expected
         flat = [v for piece in values for v in piece]
         assert flat.count(2.0 * optimize._ORDER_PENALTY) > 0
@@ -601,8 +607,8 @@ class TestGridBatch:
         calls = 0
         endpoint_objective = optimize._endpoint_objective
 
-        def counting(template, params, target):
-            objective = endpoint_objective(template, params, target)
+        def counting(template, params):
+            objective = endpoint_objective(template, params)
 
             def counted(theta):
                 nonlocal calls
@@ -654,7 +660,7 @@ class TestHessianClaim:
         return np.diag(diagonal) + params.eps * np.outer(nu * x, nu * x)
 
     def central_differences(self, template, x, params):
-        objective = _endpoint_objective(template, params, gauss_cdf(params.s))
+        objective = _endpoint_objective(template, params)
         u = np.array([gauss_cdf(p) for p in x])
 
         def f(du):
@@ -854,6 +860,44 @@ class TestImports:
 
         assert self.owners("optimize", prices) == {"_endpoint_objective"}
 
+    def test_target_mass_and_named_sets_are_decided_once(self):
+        # FunctionalParams decides Phi(s) once, as params.target, and
+        # optimize._named_starts the named sets that both searches start from
+        package = Path(gaussiso.__file__).resolve().parent
+        modules = sorted(p.stem for p in package.glob("*.py"))
+
+        def takes_target(node):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                return False
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+            return "target" in names
+
+        def calls(names, on_level=False):
+            def matches(node):
+                return (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] in names
+                    and (not on_level or any(isinstance(x, ast.Attribute) and x.attr == "s" for x in node.args))
+                )
+
+            return matches
+
+        assert {m: self.owners(m, takes_target) for m in modules} == {m: set() for m in modules}
+        level_masses = {m: self.owners(m, calls({"gauss_cdf"}, on_level=True)) for m in modules}
+        assert {m: owners for m, owners in level_masses.items() if owners} == {
+            "functionals": {"FunctionalParams.__post_init__"}
+        }
+        closed_forms = {"gauss_cdf", "gauss_cdf_inv", "two_ray_endpoint", "symmetric_interval_halfwidth"}
+        assert self.owners("optimize", calls(closed_forms)) == {"_named_starts", "mass_sweep"}
+        # the face maps receive the scalar CDF and its inverse by name
+        def passes_by_name(node):
+            return isinstance(node, ast.Call) and any(
+                isinstance(x, ast.Name) and x.id in closed_forms for x in node.args
+            )
+
+        assert self.owners("optimize", passes_by_name) == {"_face_search"}
+
     def test_every_all_entry_exists(self):
         # a stale entry would break `from gaussiso.<module> import *`
         for path in Path(gaussiso.__file__).resolve().parent.glob("[!_]*.py"):
@@ -911,6 +955,14 @@ class TestMassSweep:
     def test_underflow_levels_rejected(self):
         with pytest.raises(ValueError, match="underflows"):
             mass_sweep([-40.0])
+
+    def test_levels_whose_square_underflows_rejected(self):
+        # nearer to 0 than sqrt(smallest normal float) ~ 1.49e-154, s * s
+        # underflows and the ratio with it
+        with pytest.raises(ValueError, match="ratio column underflows .* above level -1.49e-154, got -1e-300"):
+            mass_sweep([-3.0, -1e-300])
+        (row,) = mass_sweep([-1e-150])
+        assert row.ratio > 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

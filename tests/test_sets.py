@@ -5,6 +5,7 @@ them (adaptive quadrature of the Gaussian density, Monte Carlo indicator
 averages, central-difference derivatives) and then pinned.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -516,6 +517,44 @@ class TestSymmDiff:
         assert abs(symm_diff_measure(b, h) - est) <= 4.0 * se
 
 
+    #: SHA-256 of the ``float.hex`` values of ``symm_diff_measure`` on the
+    #: 400 pairs of ``seeded_profile_pairs``, recorded while the profile
+    #: branch still clipped each interval by a scalar loop of its own.
+    FROZEN_PROFILE_DIGEST = "cfcf79dc33b2567d6ab1934869bb1a00863dd48308c29186219beefb0053cd5f"
+
+    @staticmethod
+    def seeded_profile_pairs():
+        """200 seeded profile sets (lines, slabs, half-spaces), each with a
+        collinear half-space in both orientations."""
+        for i in range(200):
+            rng = np.random.default_rng([2026, i])
+            k = int(rng.integers(1, 5))
+            points = np.sort(rng.normal(0.0, 2.0, 2 * k)).tolist()
+            if rng.random() < 0.3:
+                points[0] = -math.inf
+            if rng.random() < 0.3:
+                points[-1] = math.inf
+            profile = normalize(list(zip(points[0::2], points[1::2])))
+            if i % 4 == 3:
+                v = rng.standard_normal(3)
+                axis = tuple((v / math.sqrt(sum(c * c for c in v.tolist()))).tolist())
+                e = HalfSpace(omega=axis, s=float(rng.normal(0.0, 2.0)))
+            elif i % 4 == 2:
+                n = int(rng.integers(2, 6))
+                e = SlabSet(dim=n, profile=profile)
+                axis = (0.0,) * (n - 1) + (1.0,)
+            else:
+                e, axis = profile, (1.0,)
+            cut = float(rng.normal(0.0, 2.0))
+            for sign in (1.0, -1.0):
+                yield e, HalfSpace(omega=tuple(sign * c for c in axis), s=cut)
+
+    def test_profiles_keep_their_bits(self):
+        hexes = [symm_diff_measure(e, h).hex() for e, h in self.seeded_profile_pairs()]
+        assert len(hexes) == 400
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == self.FROZEN_PROFILE_DIGEST
+
+
 class TestContainsPoints:
     def test_interval_membership(self):
         e = normalize([(0.0, 1.0), (2.0, math.inf)])
@@ -720,11 +759,14 @@ class TestBatch:
         above = rng.random(n) < 0.5
         clipped = sets._clipped_masses(batch, rows, cut, above)
         for i, e in enumerate(members):
-            intervals = sets._profile(e)[2]
+            # the scalar oracle: each interval cut to the window, added left to right
             expected = 0.0
             if rows[i]:
-                window = (-cut[i], math.inf) if above[i] else (-math.inf, cut[i])
-                expected = sets._clipped_mass(intervals, *window)
+                lo_cut, hi_cut = (-cut[i], math.inf) if above[i] else (-math.inf, cut[i])
+                for lo, hi in sets._profile(e)[2]:
+                    lo, hi = max(lo, lo_cut), min(hi, hi_cut)
+                    if lo < hi:
+                        expected += sets._interval_mass(lo, hi)
             assert clipped[i].hex() == expected.hex(), i
 
 

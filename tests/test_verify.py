@@ -20,6 +20,8 @@ from gaussiso.verify import (
     _margins_identity,
     _margins_le,
     emit_report,
+    format_number,
+    json_value,
     render_report,
     run_suite,
 )
@@ -317,6 +319,15 @@ def scale_report():
 
 
 class TestRenderAndEmit:
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64(-math.inf)])
+    def test_non_finite_numbers_are_refused(self, x):
+        # JSON has no number for them, so no report or CLI output may hold one
+        with pytest.raises(ValueError, match="non-finite"):
+            format_number(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            json_value({"x": x})
+        assert format_number(-0.0) == "-0"
+
     def test_csv_layout(self, report):
         text = render_report(report, "csv")
         lines = text.strip().split("\n")
