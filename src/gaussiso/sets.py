@@ -614,8 +614,9 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     sampler, independent of the closed form's ``gammainc``), and ``X . axis``,
     a standard normal, for a profile set, tested against the profile's open
     intervals as :func:`contains_points` tests it. So the cost is
-    ``n_samples`` draws in every dimension. Blocks of at most 2,000,000 draws
-    bound the memory; as they fill in stream order, they leave the bits alone.
+    ``n_samples`` draws in every dimension. Blocks of at most 65,536 draws
+    (512 KiB of doubles) bound the memory; as they fill in stream order and
+    the hit count is an integer, they leave the bits alone.
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
     rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
@@ -623,7 +624,7 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     hits = 0
     remaining = n_samples
     while remaining > 0:
-        m = min(2_000_000, remaining)
+        m = min(65_536, remaining)
         if family == _BALL:
             inside = rng.chisquare(e.dim, m) < e.radius * e.radius
         else:

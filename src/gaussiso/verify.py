@@ -15,7 +15,15 @@ object per member, and the corpus suites share one evaluation of its
 non-finite members; each claim is decided in its suite alone, so a member
 that breaks one is counted there, not refused.  The quadrature oracle reads
 the batch's interval endpoints and stored masses, and only the members that
-Monte Carlo checks become set objects.  An
+Monte Carlo checks become set objects.
+
+The two Monte Carlo checks draw on one worker thread that ``run_suite``
+owns: NumPy's generators release the GIL while they fill, so the ball draws
+run beside the quadrature oracle and the slab draws beside the other
+checks.  The registry names each suite's draws; they are submitted as soon
+as their inputs exist, and the suite collects them where it yields their
+row.  They keep every bit of the serial draws, and a row that collects them
+counts their duration on the worker as its own time.  An
 inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.
@@ -90,6 +98,9 @@ IDENTITY_REL = 1e-10
 #: Quadrature settings of the interval-measure oracle.
 ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
 
+#: Largest ``SuiteConfig.main_constant`` whose bounds and ratios stay finite.
+_MAX_MAIN_CONSTANT = 1e290
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -97,7 +108,11 @@ class SuiteConfig:
 
     ``main_constant`` overrides the explicit constant of the
     deficit-controls-asymmetry estimate; lowering it demonstrates the
-    suite's sensitivity through the reported margins.
+    suite's sensitivity through the reported margins.  It is at most
+    ``_MAX_MAIN_CONSTANT``: a member's ``(1+s^2) D(E)`` is below 2e4 (|s| is
+    below 38.5 wherever Phi(s) > 0, and D(E) <= P(E) <= 12), and the ratio
+    check divides it by beta(E) > 1e-12, so every bound and ratio stays
+    finite.
     """
 
     samples: int = 10_000
@@ -107,7 +122,12 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         _check_integer(self.samples, "samples", 1)
         _check_integer(self.seed, "seed", 0)
-        object.__setattr__(self, "main_constant", _check_real(self.main_constant, "main_constant", "positive"))
+        c = _check_real(self.main_constant, "main_constant", "positive")
+        if c > _MAX_MAIN_CONSTANT:
+            raise ValueError(
+                f"main_constant must be at most {_MAX_MAIN_CONSTANT:g}, so that every bound stays finite, got {c!r}"
+            )
+        object.__setattr__(self, "main_constant", c)
 
 
 @dataclass(frozen=True)
@@ -182,6 +202,36 @@ def _build_corpus(config: SuiteConfig) -> _Corpus:
     return _Corpus(batch=batch, columns=columns)
 
 
+class _Draws:
+    """One suite's Monte Carlo draws, running on the worker thread until the suite collects them.
+
+    The row that collects them is charged the draws' own duration in place
+    of the time it waited for them.
+    """
+
+    def __init__(self, worker, draws, inputs: tuple) -> None:
+        self._charge = 0.0
+        self._future = worker.submit(self._timed, draws, inputs)
+
+    @staticmethod
+    def _timed(draws, inputs: tuple):
+        started = time.perf_counter()
+        value = draws(*inputs)
+        return value, time.perf_counter() - started
+
+    def result(self):
+        """The draws' value; their exception, if they raised, re-raised here."""
+        started = time.perf_counter()
+        value, took = self._future.result()
+        self._charge = took - (time.perf_counter() - started)
+        return value
+
+    def charge(self) -> float:
+        """Seconds to add to the wall time of the row that collected the draws, then 0."""
+        charge, self._charge = self._charge, 0.0
+        return charge
+
+
 # ---------------------------------------------------------------------------
 # corpus suites: each yields one (name, anchor, margins, params) row per check
 
@@ -194,7 +244,7 @@ def _oracle_density(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus):
+def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Draws):
     batch = corpus.batch
     # the intervals of the members on the line; their closed side is the
     # stored _interval_mass that measure() sums, right-tail mirror included
@@ -213,22 +263,28 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus):
         {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    # only these members become set objects
-    rows = np.flatnonzero(batch.dims > 1)[:20].tolist()
-    if rows:
-        diffs = []
-        bounds = []
-        seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
-        for i, e, seed in zip(rows, _members(batch, rows), seeds):
-            est, err = mc_measure(e, n_samples=200_000, seed=seed)
-            diffs.append(abs(float(corpus.columns["measure"][i]) - est))
-            bounds.append(6.0 * err)
+    diffs, bounds = ball_draws.result()
+    if diffs:
         yield (
             "highdim-measure-vs-monte-carlo",
             _MEASURE_ANCHOR,
             _margins_le(diffs, bounds),
             {"oracle": "Monte Carlo indicator average within 6 standard errors"},
         )
+
+
+def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> tuple[list[float], list[float]]:
+    """Monte Carlo measures of the first 20 high-dimensional members: |error| and 6 SE each."""
+    # only these members become set objects
+    rows = np.flatnonzero(corpus.batch.dims > 1)[:20].tolist()
+    seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
+    diffs = []
+    bounds = []
+    for i, e, seed in zip(rows, _members(corpus.batch, rows), seeds):
+        est, err = mc_measure(e, n_samples=200_000, seed=seed)
+        diffs.append(abs(float(corpus.columns["measure"][i]) - est))
+        bounds.append(6.0 * err)
+    return diffs, bounds
 
 
 def _suite_iso(config: SuiteConfig, corpus: _Corpus):
@@ -321,7 +377,43 @@ def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     return linear - 0.5 * math.exp(0.5 * s * s) * (SQRT_2PI * delta) ** 2
 
 
-def _suite_scalar_functions(config: SuiteConfig):
+#: Rows of standard normals a slab draw fills at a time.
+_SLAB_BLOCK = 16_384
+
+
+def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
+    """Monte Carlo transverse barycenter of a random slab in dims 2-5: |mean| and 6 SE per axis.
+
+    The ``(200000, dim)`` normals are drawn in row blocks from one
+    generator, which is the same stream; each transverse axis fills its own
+    contiguous column, so ``mean`` and ``std`` see the values and the layout
+    of the one-matrix product ``points[:, axis] * inside``.
+    """
+    diffs = []
+    bounds = []
+    n_mc = 200_000
+    dims = (2, 3, 4, 5)
+    profiles = _child_unions(config.seed, 13, len(dims), (1, 3))
+    # one buffer for every dim: its rows are the contiguous axis columns
+    buffer = np.empty((max(dims) - 1, n_mc))
+    inside = np.empty(n_mc, dtype=bool)
+    for i, (dim, profile) in enumerate(zip(dims, profiles)):
+        slab = SlabSet(dim=dim, profile=profile)
+        rng = np.random.default_rng([config.seed, 17, i])
+        columns = buffer[: dim - 1]
+        for start in range(0, n_mc, _SLAB_BLOCK):
+            block = rng.standard_normal((min(_SLAB_BLOCK, n_mc - start), dim))
+            rows = slice(start, start + len(block))
+            columns[:, rows] = block[:, :-1].T
+            inside[rows] = contains_points(slab, block)
+        columns *= inside
+        for vals in columns:
+            diffs.append(abs(float(vals.mean())))
+            bounds.append(6.0 * float(vals.std()) / math.sqrt(n_mc))
+    return diffs, bounds
+
+
+def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
     s_deep = np.linspace(-40.0, 0.0, 4001)
     g = np.exp(-0.5 * s_deep**2) + (SQRT_2PI * s_deep - math.pi) * _vector_cdf(s_deep)
     yield (
@@ -382,19 +474,7 @@ def _suite_scalar_functions(config: SuiteConfig):
         {"levels": "0 -0.5 -1 -2 -3", "mass_fractions": "0.002 0.01 0.05 0.2 0.5"},
     )
 
-    diffs = []
-    bounds = []
-    n_mc = 200_000
-    dims = (2, 3, 4, 5)
-    profiles = _child_unions(config.seed, 13, len(dims), (1, 3))
-    for i, (dim, profile) in enumerate(zip(dims, profiles)):
-        slab = SlabSet(dim=dim, profile=profile)
-        points = np.random.default_rng([config.seed, 17, i]).standard_normal((n_mc, dim))
-        inside = contains_points(slab, points)
-        for axis in range(dim - 1):
-            vals = points[:, axis] * inside
-            diffs.append(abs(float(vals.mean())))
-            bounds.append(6.0 * float(vals.std()) / math.sqrt(n_mc))
+    diffs, bounds = slab_draws.result()
     yield (
         "slab-transverse-barycenter-vanishes",
         "b(E).e_j = 0 for every axis transverse to a slab",
@@ -521,17 +601,18 @@ def _suite_stationarity(config: SuiteConfig):
 # ---------------------------------------------------------------------------
 # registry, dispatch and emission
 
-#: Every suite in report order: its row generator and whether it reads the corpus.
+#: Every suite in report order: its row generator, whether it reads the
+#: corpus, and the Monte Carlo draws it collects from the worker, if any.
 _SUITES = {
-    "measure-oracle": (_suite_measure_oracle, True),
-    "iso": (_suite_iso, True),
-    "barycenter-max": (_suite_barycenter_max, True),
-    "main": (_suite_main, True),
-    "strong-vs-standard": (_suite_strong_vs_standard, True),
-    "alpha-hat-corollary": (_suite_alpha_hat_corollary, True),
-    "excess-identity": (_suite_excess_identity, True),
-    "scalar-functions": (_suite_scalar_functions, False),
-    "stationarity": (_suite_stationarity, False),
+    "measure-oracle": (_suite_measure_oracle, True, _ball_draws),
+    "iso": (_suite_iso, True, None),
+    "barycenter-max": (_suite_barycenter_max, True, None),
+    "main": (_suite_main, True, None),
+    "strong-vs-standard": (_suite_strong_vs_standard, True, None),
+    "alpha-hat-corollary": (_suite_alpha_hat_corollary, True, None),
+    "excess-identity": (_suite_excess_identity, True, None),
+    "scalar-functions": (_suite_scalar_functions, False, _slab_draws),
+    "stationarity": (_suite_stationarity, False, None),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -540,20 +621,49 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationReport:
     """Run one named suite (or ``all``) and return its report.
 
+    The selected suites' Monte Carlo draws run on one worker thread, in
+    suite order, from the moment their inputs exist: the ball draws of
+    ``measure-oracle`` right after the corpus is built, so they overlap the
+    quadrature oracle, and the slab draws of ``scalar-functions`` behind
+    them.  A suite collects its draws where it yields their row, and a
+    draw's exception re-raises there.  Only selected suites submit draws, so
+    a suite without any starts no thread.  On return or on an exception the
+    pending draws are cancelled and the worker is joined.
+
     Each check's ``wall_time`` runs from resuming its suite's generator to
-    the end of its record, so it covers that check's own work only.
+    the end of its record, so it covers that check's own work only; the row
+    that collects draws counts their duration on the worker in place of the
+    time it waited for them.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
-    names = SUITE_NAMES if name == "all" else (name,)
-    # the corpus is built before any check's timer starts
+    # imported here, since concurrent.futures adds about 6 ms to start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            checks = _run_checks(SUITE_NAMES if name == "all" else (name,), config, worker)
+        except BaseException:
+            # no row will collect the draws still queued; the with block joins the worker
+            worker.shutdown(cancel_futures=True)
+            raise
+    return VerificationReport(suite=name, checks=tuple(checks))
+
+
+def _run_checks(names: tuple[str, ...], config: SuiteConfig, worker) -> list[CheckRecord]:
+    # the corpus is built before any draw is submitted and any check's timer starts
     corpus = _build_corpus(config) if any(_SUITES[n][1] for n in names) else None
-    checks: list[CheckRecord] = []
+    # every suite's draws are submitted before the first suite resumes
+    suites = []
     for suite_name in names:
-        suite, reads_corpus = _SUITES[suite_name]
-        rows = suite(config, corpus) if reads_corpus else suite(config)
+        suite, reads_corpus, draws = _SUITES[suite_name]
+        inputs = (config, corpus) if reads_corpus else (config,)
+        job = _Draws(worker, draws, inputs) if draws else None
+        suites.append((suite(*inputs, job) if job else suite(*inputs), job))
+    checks: list[CheckRecord] = []
+    for rows, job in suites:
         started = time.perf_counter()
         for check, anchor, margins, params in rows:
             margins = np.asarray(margins, dtype=float).ravel()
@@ -568,12 +678,12 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
                     worst_margin=float(margins.min()),
                     params=params,
                     seed=config.seed,
-                    wall_time=time.perf_counter() - started,
+                    wall_time=time.perf_counter() - started + (job.charge() if job else 0.0),
                 )
             )
             # the next check's time starts as the for loop resumes the suite
             started = time.perf_counter()
-    return VerificationReport(suite=name, checks=tuple(checks))
+    return checks
 
 
 def format_number(x) -> str:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "iso", "--samples", "0")
         assert code == 2
         assert "error:" in err
+
+    def test_overflowing_main_constant_exits_two(self, capsys):
+        # a constant this large would overflow c (1+s^2) D to inf, and inf * 0 to NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys,
+                "verify", "--suite", "main", "--samples", "300", "--seed", "3",
+                "--main-constant", "1e308",
+            )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: main_constant must be at most 1e+290, so that every bound stays finite, got 1e+308"
+        ]
+        assert caught == []
 
 
 class TestMinimize:

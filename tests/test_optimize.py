@@ -708,10 +708,11 @@ class TestHessianClaim:
 
 class TestImports:
     def test_cli_import_and_help_load_no_scipy(self):
+        # nor concurrent.futures, which only run_suite imports, when it runs
         src = Path(gaussiso.__file__).resolve().parent.parent
         code = (
             "import sys, gaussiso; from gaussiso.cli import cli_main; cli_main(['--help']); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -624,7 +624,7 @@ class TestMcMeasure:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-        # the one-block estimate's bits
+        # the bits of the estimate when it was drawn in one block
         assert (p.hex(), se.hex()) == ("0x1.3c9e44fa05144p-1", "0x1.1cc033bfb3371p-10")
 
     @pytest.mark.parametrize(
@@ -680,10 +680,24 @@ class TestMcMeasure:
     def test_one_dimensional_bits_hold(self):
         # pinned from the point sampler, which drew blocks of 200,000 rows of
         # shape (m, 1): a 1-D union reads the same normals in the same order,
-        # so one block of 450,001 draws gives the same bits
+        # so 450,001 draws in blocks give the same bits
         e = normalize([(-math.inf, -2.0), (-0.5, 0.25), (3.0, math.inf)])
         p, se = mc_measure(e, n_samples=450_001, seed=11)
         assert (p.hex(), se.hex()) == ("0x1.42b3e0676b51fp-2", "0x1.6b17513c77081p-11")
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_blocks_count_as_one_draw(self, seed):
+        # 200,001 draws fill four blocks; the hits are those of one draw of n
+        n = 200_001
+        ball = CenteredBall(dim=7, radius=2.5)
+        x = np.random.default_rng(seed).chisquare(7, n)
+        assert mc_measure(ball, n_samples=n, seed=seed)[0] == np.count_nonzero(x < 6.25) / n
+        profile = normalize([(-math.inf, -1.1), (0.2, 0.9), (2.0, math.inf)])
+        x = np.random.default_rng(seed).standard_normal(n)
+        inside = (x < -1.1) | ((x > 0.2) & (x < 0.9)) | (x > 2.0)
+        p = np.count_nonzero(inside) / n
+        for e in (profile, SlabSet(dim=3, profile=profile)):
+            assert mc_measure(e, n_samples=n, seed=seed) == (p, math.sqrt(p * (1.0 - p) / n))
 
     @pytest.mark.parametrize("seed", [True, 1.5])
     def test_rejects_non_integer_seed(self, seed):

@@ -2,13 +2,14 @@
 
 import json
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from gaussiso import sets, verify
-from gaussiso.corpus import _mixed_batch, mixed_corpus
+from gaussiso.corpus import _child_unions, _mixed_batch, mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT, quantity_columns
 from gaussiso.quadrature import QuadSettings
 from gaussiso.sets import IntervalUnion1D, _interval_mass, mc_measure
@@ -64,6 +65,7 @@ class TestSuiteConfig:
             {"seed": -1},
             {"main_constant": 0.0},
             {"main_constant": math.inf},
+            {"main_constant": 1e308},
             {"seed": 1.5},
             {"samples": 2.5},
             {"samples": True},
@@ -73,6 +75,12 @@ class TestSuiteConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    def test_largest_main_constant_keeps_every_number_finite(self):
+        report = run_suite("all", SuiteConfig(samples=2000, seed=3, main_constant=1e290))
+        render_report(report)  # refuses a non-finite number
+        ratio = next(c for c in report.checks if c.name == "minimum-constant-ratio")
+        assert math.isfinite(ratio.params["min_ratio"])
 
 
 class TestCheckRecord:
@@ -306,6 +314,133 @@ class TestCorpusBatch:
         batch = _mixed_batch(400, 3)
         assert tuple(sets._members(batch)) == mixed_corpus(400, 3)
         assert list(sets._members(batch, [399, 0])) == [mixed_corpus(400, 3)[i] for i in (399, 0)]
+
+
+def _one_matrix_slab_draws(seed: int) -> tuple[list[float], list[float]]:
+    """The slab check's draws as one (200000, dim) matrix per dim, as they were first written."""
+    diffs = []
+    bounds = []
+    n_mc = 200_000
+    dims = (2, 3, 4, 5)
+    profiles = _child_unions(seed, 13, len(dims), (1, 3))
+    for i, (dim, profile) in enumerate(zip(dims, profiles)):
+        slab = sets.SlabSet(dim=dim, profile=profile)
+        points = np.random.default_rng([seed, 17, i]).standard_normal((n_mc, dim))
+        inside = sets.contains_points(slab, points)
+        for axis in range(dim - 1):
+            vals = points[:, axis] * inside
+            diffs.append(abs(float(vals.mean())))
+            bounds.append(6.0 * float(vals.std()) / math.sqrt(n_mc))
+    return diffs, bounds
+
+
+class TestMonteCarloWorker:
+    """The suites' Monte Carlo draws run on one worker thread and leave the report alone."""
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_row_block_slab_draws_are_the_one_matrix_draws(self, seed):
+        diffs, bounds = verify._slab_draws(SuiteConfig(samples=1, seed=seed))
+        want_diffs, want_bounds = _one_matrix_slab_draws(seed)
+        assert len(diffs) == 1 + 2 + 3 + 4
+        assert [x.hex() for x in diffs] == [x.hex() for x in want_diffs]
+        assert [x.hex() for x in bounds] == [x.hex() for x in want_bounds]
+
+    def test_draws_overlap_the_oracle_and_keep_their_own_time(self, monkeypatch):
+        # 0.6 s of ball draws run while the oracle sleeps 1 s; the draws' row
+        # is charged their 0.6 s, not the moment it waited for them
+        def slow_mc_measure(*args, **kwargs):
+            time.sleep(0.03)
+            return mc_measure(*args, **kwargs)
+
+        quad = verify.adaptive_quad_many
+
+        def slow_quad(*args, **kwargs):
+            time.sleep(1.0)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "adaptive_quad_many", slow_quad)
+        started = time.perf_counter()
+        report = run_suite("measure-oracle", SMALL)
+        elapsed = time.perf_counter() - started
+        oracle, draws = report.checks
+        assert draws.samples == 20
+        assert oracle.wall_time >= 1.0
+        assert draws.wall_time >= 0.6
+        # one after the other they would take at least 1.6 s
+        assert elapsed < 1.6
+
+    def test_slow_draws_leave_the_report(self, monkeypatch):
+        config = SuiteConfig(samples=300, seed=7)
+        plain = render_report(run_suite("all", config))
+
+        def slow_mc_measure(*args, **kwargs):
+            time.sleep(0.01)
+            return mc_measure(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        slow = render_report(run_suite("all", config))
+        assert _without_wall_time(slow) == _without_wall_time(plain)
+
+    def test_draw_error_raises_from_run_suite(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        def failing_mc_measure(*args, **kwargs):
+            raise DrawError("draw failed")
+
+        monkeypatch.setattr(verify, "mc_measure", failing_mc_measure)
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="draw failed"):
+            run_suite("all", SMALL)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_run_suite(self):
+        before = threading.active_count()
+        for name in ("measure-oracle", "scalar-functions", "all"):
+            run_suite(name, SMALL)
+            assert threading.active_count() == before, name
+
+    def test_main_thread_error_cancels_the_queued_draws(self, monkeypatch):
+        # the ball draws take 1 s; the oracle fails at once, so the slab
+        # draws queued behind them never start
+        def slow_mc_measure(*args, **kwargs):
+            time.sleep(0.05)
+            return mc_measure(*args, **kwargs)
+
+        def failing_quad(*args, **kwargs):
+            raise RuntimeError("oracle failed")
+
+        slab_points = []
+
+        def recorded_contains_points(e, pts):
+            slab_points.append(len(pts))
+            return sets.contains_points(e, pts)
+
+        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "adaptive_quad_many", failing_quad)
+        monkeypatch.setattr(verify, "contains_points", recorded_contains_points)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            run_suite("all", SMALL)
+        assert threading.active_count() == before
+        assert slab_points == []
+
+    def test_suites_without_draws_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(self):
+            started.append(self.name)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for name in SUITE_NAMES:
+            if name not in ("measure-oracle", "scalar-functions"):
+                run_suite(name, SMALL)
+        assert started == []
+        run_suite("all", SMALL)
+        assert len(started) == 1
 
 
 @pytest.fixture(scope="module")
