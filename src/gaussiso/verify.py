@@ -18,13 +18,18 @@ the batch's interval endpoints and stored masses, and only the members that
 Monte Carlo checks become set objects.
 
 The two Monte Carlo checks draw on one worker thread that ``run_suite``
-owns: NumPy's generators release the GIL while they fill, so the ball draws
-run beside the quadrature oracle and the slab draws beside the other
-checks.  The registry names each suite's draws; they are submitted as soon
-as their inputs exist, and the suite collects them where it yields their
-row.  They keep every bit of the serial draws, and a row that collects them
-counts their duration on the worker as its own time.  An
-inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
+owns: NumPy's generators release the GIL while they fill, so the draws run
+beside the corpus build and the quadrature oracle.  The registry names each
+suite's draws as a list of tasks.  The slab draws need no corpus and are one
+task, submitted before the corpus is built; the ball draws are one task per
+member, submitted once the batch exists.  A suite collects its draws where
+it yields their row: the main thread then runs the tasks the worker has not
+started, from the last back, while the worker goes on from the first, and
+waits only for the one in flight.  Each value lands at its task's index, so
+the draws keep every bit of the serial loop whichever thread ran them, and
+the row counts the worker's share by its duration, not by the wait.
+
+An inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
 check has violations.
 """
@@ -35,6 +40,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -203,28 +209,41 @@ def _build_corpus(config: SuiteConfig) -> _Corpus:
 
 
 class _Draws:
-    """One suite's Monte Carlo draws, running on the worker thread until the suite collects them.
+    """One suite's Monte Carlo draws: tasks queued on the worker thread until the suite collects them.
 
-    The row that collects them is charged the draws' own duration in place
-    of the time it waited for them.
+    Collecting them runs on the calling thread, from the last back, every
+    task the worker has not started, while the worker goes on from the
+    first; then it waits for the one in flight.  Each value lands at its
+    task's index, so the values do not depend on which thread ran a task.
+    The row that collects them is charged the durations of the tasks the
+    worker ran in place of the time it waited for them.
     """
 
-    def __init__(self, worker, draws, inputs: tuple) -> None:
+    def __init__(self, worker, tasks: list) -> None:
+        self._tasks = tasks
+        self._futures = [worker.submit(self._timed, task) for task in tasks]
         self._charge = 0.0
-        self._future = worker.submit(self._timed, draws, inputs)
 
     @staticmethod
-    def _timed(draws, inputs: tuple):
+    def _timed(task):
         started = time.perf_counter()
-        value = draws(*inputs)
+        value = task()
         return value, time.perf_counter() - started
 
-    def result(self):
-        """The draws' value; their exception, if they raised, re-raised here."""
-        started = time.perf_counter()
-        value, took = self._future.result()
-        self._charge = took - (time.perf_counter() - started)
-        return value
+    def result(self) -> list:
+        """The tasks' values in task order; a task's exception, if one raised, re-raised here."""
+        values = [None] * len(self._tasks)
+        # the worker runs the tasks from the first on; this thread takes the
+        # last one the worker has not started until the two meet
+        ours = len(self._tasks)
+        while ours and self._futures[ours - 1].cancel():
+            ours -= 1
+            values[ours] = self._tasks[ours]()
+        for i, future in enumerate(self._futures[:ours]):
+            started = time.perf_counter()
+            values[i], took = future.result()
+            self._charge += took - (time.perf_counter() - started)
+        return values
 
     def charge(self) -> float:
         """Seconds to add to the wall time of the row that collected the draws, then 0."""
@@ -263,8 +282,11 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
         {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    diffs, bounds = ball_draws.result()
-    if diffs:
+    estimates = ball_draws.result()
+    if estimates:
+        measures = corpus.columns["measure"][_ball_rows(batch)]
+        diffs = [abs(float(m) - est) for m, (est, _) in zip(measures, estimates)]
+        bounds = [6.0 * err for _, err in estimates]
         yield (
             "highdim-measure-vs-monte-carlo",
             _MEASURE_ANCHOR,
@@ -273,18 +295,24 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
         )
 
 
-def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> tuple[list[float], list[float]]:
-    """Monte Carlo measures of the first 20 high-dimensional members: |error| and 6 SE each."""
-    # only these members become set objects
-    rows = np.flatnonzero(corpus.batch.dims > 1)[:20].tolist()
+def _ball_rows(batch: _Batch) -> list[int]:
+    """The members the ball draws sample: the first 20 of dimension above 1."""
+    return np.flatnonzero(batch.dims > 1)[:20].tolist()
+
+
+def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> list:
+    """The ball draws, one task per member: ``mc_measure`` at 200k draws on the member's own seed.
+
+    Each task returns the estimate and its standard error; the suite turns
+    them into |error| and 6 SE in member order.  Only these members become
+    set objects.
+    """
+    rows = _ball_rows(corpus.batch)
     seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
-    diffs = []
-    bounds = []
-    for i, e, seed in zip(rows, _members(corpus.batch, rows), seeds):
-        est, err = mc_measure(e, n_samples=200_000, seed=seed)
-        diffs.append(abs(float(corpus.columns["measure"][i]) - est))
-        bounds.append(6.0 * err)
-    return diffs, bounds
+    return [
+        partial(mc_measure, e, n_samples=200_000, seed=seed)
+        for e, seed in zip(_members(corpus.batch, rows), seeds)
+    ]
 
 
 def _suite_iso(config: SuiteConfig, corpus: _Corpus):
@@ -384,6 +412,8 @@ _SLAB_BLOCK = 16_384
 def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
     """Monte Carlo transverse barycenter of a random slab in dims 2-5: |mean| and 6 SE per axis.
 
+    The slab draws are one task, since they need no corpus and every dim
+    shares one buffer; ``run_suite`` submits it before the corpus is built.
     The ``(200000, dim)`` normals are drawn in row blocks from one
     generator, which is the same stream; each transverse axis fills its own
     contiguous column, so ``mean`` and ``std`` see the values and the layout
@@ -474,7 +504,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         {"levels": "0 -0.5 -1 -2 -3", "mass_fractions": "0.002 0.01 0.05 0.2 0.5"},
     )
 
-    diffs, bounds = slab_draws.result()
+    ((diffs, bounds),) = slab_draws.result()
     yield (
         "slab-transverse-barycenter-vanishes",
         "b(E).e_j = 0 for every axis transverse to a slab",
@@ -602,7 +632,8 @@ def _suite_stationarity(config: SuiteConfig):
 # registry, dispatch and emission
 
 #: Every suite in report order: its row generator, whether it reads the
-#: corpus, and the Monte Carlo draws it collects from the worker, if any.
+#: corpus, and the tasks of the Monte Carlo draws it collects, if any, as a
+#: function of its inputs.
 _SUITES = {
     "measure-oracle": (_suite_measure_oracle, True, _ball_draws),
     "iso": (_suite_iso, True, None),
@@ -611,7 +642,7 @@ _SUITES = {
     "strong-vs-standard": (_suite_strong_vs_standard, True, None),
     "alpha-hat-corollary": (_suite_alpha_hat_corollary, True, None),
     "excess-identity": (_suite_excess_identity, True, None),
-    "scalar-functions": (_suite_scalar_functions, False, _slab_draws),
+    "scalar-functions": (_suite_scalar_functions, False, lambda config: [partial(_slab_draws, config)]),
     "stationarity": (_suite_stationarity, False, None),
 }
 
@@ -621,18 +652,22 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationReport:
     """Run one named suite (or ``all``) and return its report.
 
-    The selected suites' Monte Carlo draws run on one worker thread, in
-    suite order, from the moment their inputs exist: the ball draws of
-    ``measure-oracle`` right after the corpus is built, so they overlap the
-    quadrature oracle, and the slab draws of ``scalar-functions`` behind
-    them.  A suite collects its draws where it yields their row, and a
-    draw's exception re-raises there.  Only selected suites submit draws, so
-    a suite without any starts no thread.  On return or on an exception the
-    pending draws are cancelled and the worker is joined.
+    The selected suites' Monte Carlo draws are tasks on one worker thread,
+    which runs them in the order they are submitted.  Draws that need no
+    corpus (the one slab task of ``scalar-functions``) are submitted before
+    the corpus is built, so the worker starts at once; the ball draws of
+    ``measure-oracle``, one task per member, follow once the batch exists
+    and overlap the quadrature oracle.  A suite collects its draws where it
+    yields their row: the main thread runs the tasks the worker has not
+    started, from the last back, waits for the one in flight, and re-raises
+    a task's exception there.  Only selected suites submit draws, so a suite
+    without any starts no thread.  On return or on an exception the pending
+    tasks are cancelled and the worker is joined.
 
     Each check's ``wall_time`` runs from resuming its suite's generator to
-    the end of its record, so it covers that check's own work only; the row
-    that collects draws counts their duration on the worker in place of the
+    the end of its record, so it covers that check's own work only,
+    including the tasks the main thread ran for it; the row that collects
+    draws counts the durations of the tasks the worker ran in place of the
     time it waited for them.
     """
     if name != "all" and name not in _SUITES:
@@ -646,21 +681,28 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
         try:
             checks = _run_checks(SUITE_NAMES if name == "all" else (name,), config, worker)
         except BaseException:
-            # no row will collect the draws still queued; the with block joins the worker
+            # no row will collect the tasks still queued; the with block joins the worker
             worker.shutdown(cancel_futures=True)
             raise
     return VerificationReport(suite=name, checks=tuple(checks))
 
 
 def _run_checks(names: tuple[str, ...], config: SuiteConfig, worker) -> list[CheckRecord]:
-    # the corpus is built before any draw is submitted and any check's timer starts
-    corpus = _build_corpus(config) if any(_SUITES[n][1] for n in names) else None
-    # every suite's draws are submitted before the first suite resumes
+    selected = {n: _SUITES[n] for n in names}
+    # draws that need no corpus are submitted first, so the worker is busy while it is built
+    jobs = {
+        n: _Draws(worker, draws(config))
+        for n, (_, reads_corpus, draws) in selected.items()
+        if draws and not reads_corpus
+    }
+    # the corpus is built before any check's timer starts
+    corpus = _build_corpus(config) if any(s[1] for s in selected.values()) else None
     suites = []
-    for suite_name in names:
-        suite, reads_corpus, draws = _SUITES[suite_name]
+    for suite_name, (suite, reads_corpus, draws) in selected.items():
         inputs = (config, corpus) if reads_corpus else (config,)
-        job = _Draws(worker, draws, inputs) if draws else None
+        if draws and reads_corpus:
+            jobs[suite_name] = _Draws(worker, draws(*inputs))
+        job = jobs.get(suite_name)
         suites.append((suite(*inputs, job) if job else suite(*inputs), job))
     checks: list[CheckRecord] = []
     for rows, job in suites:

@@ -1,15 +1,19 @@
 """Tests for the verification suites, margins, and report emission."""
 
+import ast
 import json
 import math
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussiso
 from gaussiso import sets, verify
-from gaussiso.corpus import _child_unions, _mixed_batch, mixed_corpus
+from gaussiso.corpus import _child_seeds, _child_unions, _mixed_batch, mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT, quantity_columns
 from gaussiso.quadrature import QuadSettings
 from gaussiso.sets import IntervalUnion1D, _interval_mass, mc_measure
@@ -334,6 +338,20 @@ def _one_matrix_slab_draws(seed: int) -> tuple[list[float], list[float]]:
     return diffs, bounds
 
 
+def _serial_ball_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
+    """The ball draws as the one serial loop they were first written as: |error| and 6 SE each."""
+    corpus = verify._build_corpus(config)
+    rows = np.flatnonzero(corpus.batch.dims > 1)[:20].tolist()
+    seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
+    diffs = []
+    bounds = []
+    for i, e, seed in zip(rows, sets._members(corpus.batch, rows), seeds):
+        est, err = mc_measure(e, n_samples=200_000, seed=seed)
+        diffs.append(abs(float(corpus.columns["measure"][i]) - est))
+        bounds.append(6.0 * err)
+    return diffs, bounds
+
+
 class TestMonteCarloWorker:
     """The suites' Monte Carlo draws run on one worker thread and leave the report alone."""
 
@@ -401,30 +419,212 @@ class TestMonteCarloWorker:
             run_suite(name, SMALL)
             assert threading.active_count() == before, name
 
-    def test_main_thread_error_cancels_the_queued_draws(self, monkeypatch):
-        # the ball draws take 1 s; the oracle fails at once, so the slab
-        # draws queued behind them never start
-        def slow_mc_measure(*args, **kwargs):
-            time.sleep(0.05)
-            return mc_measure(*args, **kwargs)
-
-        def failing_quad(*args, **kwargs):
-            raise RuntimeError("oracle failed")
-
-        slab_points = []
+    def test_slab_draws_start_before_the_corpus_is_built(self, monkeypatch):
+        slab_started = threading.Event()
 
         def recorded_contains_points(e, pts):
-            slab_points.append(len(pts))
+            slab_started.set()
             return sets.contains_points(e, pts)
 
-        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
-        monkeypatch.setattr(verify, "adaptive_quad_many", failing_quad)
+        waited = []
+
+        def waiting_batch(n, seed):
+            # the slab draws need no corpus, so the worker is on them already
+            waited.append(slab_started.wait(timeout=10.0))
+            return _mixed_batch(n, seed)
+
         monkeypatch.setattr(verify, "contains_points", recorded_contains_points)
+        monkeypatch.setattr(verify, "_mixed_batch", waiting_batch)
+        run_suite("all", SMALL)
+        assert waited == [True]
+
+    def test_main_thread_error_cancels_the_queued_draws(self, monkeypatch):
+        # the slab draws hold the worker for about 0.5 s and the oracle fails
+        # at once, so the ball tasks queued behind them never start
+        def slow_contains_points(e, pts):
+            time.sleep(0.01)
+            return sets.contains_points(e, pts)
+
+        draws_started = []
+
+        def recorded_mc_measure(*args, **kwargs):
+            draws_started.append(time.perf_counter())
+            return mc_measure(*args, **kwargs)
+
+        raised = []
+
+        def failing_quad(*args, **kwargs):
+            raised.append(time.perf_counter())
+            raise RuntimeError("oracle failed")
+
+        monkeypatch.setattr(verify, "contains_points", slow_contains_points)
+        monkeypatch.setattr(verify, "mc_measure", recorded_mc_measure)
+        monkeypatch.setattr(verify, "adaptive_quad_many", failing_quad)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="oracle failed"):
             run_suite("all", SMALL)
         assert threading.active_count() == before
-        assert slab_points == []
+        assert len(draws_started) < 20
+        assert all(t < raised[0] for t in draws_started)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_ball_draws_do_not_depend_on_the_thread(self, seed, monkeypatch):
+        config = SuiteConfig(samples=300, seed=seed)
+        on_main = []
+        gate = threading.Event()
+
+        def recorded_mc_measure(*args, **kwargs):
+            value = mc_measure(*args, **kwargs)
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if len(on_main) == 20:
+                gate.set()
+            return value
+
+        def held_contains_points(e, pts):
+            # the worker holds the slab task until the 20 ball tasks ran
+            gate.wait(timeout=10.0)
+            gate.set()  # later blocks do not wait, should the gate have timed out
+            return sets.contains_points(e, pts)
+
+        quad = verify.adaptive_quad_many
+
+        def held_quad(*args, **kwargs):
+            # the oracle waits until the worker ran the 20 ball tasks
+            gate.wait(timeout=10.0)
+            return quad(*args, **kwargs)
+
+        def run(name=None, value=None):
+            on_main.clear()
+            gate.clear()
+            seen = []
+
+            def recorded_margins_le(a, b):
+                seen.append((a, b))
+                return _margins_le(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(verify, "mc_measure", recorded_mc_measure)
+                m.setattr(verify, "_margins_le", recorded_margins_le)
+                if name:
+                    m.setattr(verify, name, value)
+                report = render_report(run_suite("all", config))
+            # measure-oracle runs first, and its ball row is the first one-sided check
+            diffs, bounds = seen[0]
+            return report, [x.hex() for x in diffs], [x.hex() for x in bounds]
+
+        want_diffs, want_bounds = _serial_ball_draws(config)
+        plain = run()
+        on_the_main_thread = run("contains_points", held_contains_points)
+        assert on_main == [True] * 20
+        on_the_worker = run("adaptive_quad_many", held_quad)
+        assert on_main == [False] * 20
+        for report, diffs, bounds in (plain, on_the_main_thread, on_the_worker):
+            assert diffs == [x.hex() for x in want_diffs]
+            assert bounds == [x.hex() for x in want_bounds]
+            assert _without_wall_time(report) == _without_wall_time(plain[0])
+
+    def test_both_threads_share_the_ball_tasks(self, monkeypatch):
+        # 20 ball tasks of 0.05 s each and a fast oracle: the main thread
+        # takes tasks from the back while the worker runs them from the front
+        on_main = []
+
+        def slow_mc_measure(*args, **kwargs):
+            time.sleep(0.05)
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return mc_measure(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        started = time.perf_counter()
+        report = run_suite("measure-oracle", SMALL)
+        elapsed = time.perf_counter() - started
+        assert report.checks[1].wall_time >= 1.0
+        assert sorted(set(on_main)) == [False, True]
+        # one after the other they would take at least 1 s
+        assert elapsed < 0.9
+
+    def test_each_task_runs_once_under_races(self):
+        # the main thread and the worker race for the same futures
+        from concurrent.futures import ThreadPoolExecutor
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran = []
+                tasks = [lambda i=i: ran.append(i) or i * i for i in range(500)]
+                with ThreadPoolExecutor(max_workers=1) as worker:
+                    values = verify._Draws(worker, tasks).result()
+                assert values == [i * i for i in range(500)]
+                assert sorted(ran) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_draw_error_on_the_main_thread_keeps_its_type(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        gate = threading.Event()
+        on_main = []
+
+        def held_contains_points(e, pts):
+            # the worker holds the slab task, so the main thread runs the ball tasks
+            gate.wait(timeout=10.0)
+            gate.set()  # later blocks do not wait, should the gate have timed out
+            return sets.contains_points(e, pts)
+
+        def failing_mc_measure(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            gate.set()
+            raise DrawError("draw failed")
+
+        monkeypatch.setattr(verify, "contains_points", held_contains_points)
+        monkeypatch.setattr(verify, "mc_measure", failing_mc_measure)
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="draw failed"):
+            run_suite("all", SMALL)
+        assert on_main == [True]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_a_corpus_without_balls_submits_no_ball_task(self, n, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(self):
+            started.append(self.name)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        report = run_suite("measure-oracle", SuiteConfig(samples=n, seed=42))
+        assert [c.name for c in report.checks] == ["interval-measure-vs-quadrature"]
+        assert started == []
+
+    def test_one_worker_and_no_schedule_knob(self):
+        # the schedule has one worker and nothing to set: verify builds one
+        # ThreadPoolExecutor(max_workers=1) in run_suite, and no module
+        # starts a Thread or reads the environment
+        for path in Path(gaussiso.__file__).resolve().parent.glob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            # the innermost function around each node, as ast.walk reaches outer ones first
+            owner = {
+                id(node): func.name
+                for func in ast.walk(tree)
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(func)
+            }
+            pools = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func).split(".")[-1]
+                    if called == "ThreadPoolExecutor":
+                        pools.append((owner.get(id(node)), ast.unparse(node)))
+                    assert called not in {"Thread", "getenv"}, (path.name, node.lineno)
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr != "environ", (path.name, node.lineno)
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    assert not {a.name for a in node.names} & {"environ", "getenv"}, path.name
+            expected = [("run_suite", "ThreadPoolExecutor(max_workers=1)")] if path.name == "verify.py" else []
+            assert pools == expected, path.name
 
     def test_suites_without_draws_start_no_thread(self, monkeypatch):
         started = []
