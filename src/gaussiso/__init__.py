@@ -46,7 +46,6 @@ from .sets import (
     two_ray_set,
 )
 from .stationarity import (
-    STATION_TOL,
     EulerReport,
     QuadraticFormJ,
     boundary_points,

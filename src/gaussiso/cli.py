@@ -23,6 +23,7 @@ from dataclasses import asdict
 
 from .functionals import FunctionalParams, quantities, stability_params
 from .optimize import (
+    _K_MAX,
     OptimizerSettings,
     mass_sweep,
     minimize_penalized_functional,
@@ -55,14 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--samples", type=int, default=10_000)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--samples", type=int, default=SuiteConfig.samples)
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_verify.add_argument("--out", default=None, help="report file path (default: stdout)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument(
         "--main-constant",
         type=float,
-        default=None,
+        default=SuiteConfig.main_constant,
         help="override the explicit constant of the asymmetry estimate (falsification hook)",
     )
     p_verify.set_defaults(run=_run_verify)
@@ -72,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--eps", default="paper", help="barycenter weight: a number or 'paper'")
     p_min.add_argument("--lambda", dest="lambda_pen", default="paper",
                        help="mass-penalty weight: a number or 'paper'")
-    p_min.add_argument("--kmax", type=int, default=3)
-    p_min.add_argument("--starts", type=int, default=64,
+    p_min.add_argument("--kmax", type=int, default=_K_MAX)
+    p_min.add_argument("--starts", type=int, default=OptimizerSettings.multistarts,
                        help="random simplex starts; used only when eps >= 2 pi")
-    p_min.add_argument("--seed", type=int, default=0,
+    p_min.add_argument("--seed", type=int, default=OptimizerSettings.seed,
                        help="seed of the random simplex starts; used only when eps >= 2 pi")
     p_min.add_argument("--diagnostics", action="store_true",
                        help="add every start's or face piece's outcome as a 'starts' list")
@@ -115,11 +116,7 @@ def _run_eval(args) -> int:
 
 
 def _run_verify(args) -> int:
-    config = SuiteConfig(
-        samples=args.samples,
-        seed=args.seed,
-        **({"main_constant": args.main_constant} if args.main_constant is not None else {}),
-    )
+    config = SuiteConfig(samples=args.samples, seed=args.seed, main_constant=args.main_constant)
     report = run_suite(args.suite, config)
     if args.out is None:
         sys.stdout.write(render_report(report, args.format))

@@ -53,13 +53,12 @@ from .sets import (
     _Batch,
     _interval_masses,
     _members,
+    _two_ray_endpoints,
 )
 from .special import (
     _check_integer,
     _chi2_quantile_many,
     _elementwise,
-    _gauss_cdf_inv_many,
-    _gauss_cdf_many,
 )
 
 __all__ = [
@@ -476,7 +475,7 @@ def _mixed_batch(n: int, seed: int = 0) -> _Batch:
     )
 
     # the symmetric two-ray sets (-inf, a) u (-a, inf) with 2 Phi(a) = Phi(s)
-    a = _gauss_cdf_inv_many(_gauss_cdf_many(np.linspace(0.0, -4.0, n_two_ray)) / 2.0)
+    a = _two_ray_endpoints(np.linspace(0.0, -4.0, n_two_ray))
     two_ray_points = np.stack([np.full(n_two_ray, -math.inf), a, -a, np.full(n_two_ray, math.inf)], axis=1).ravel()
     two_ray_masses = _interval_masses(two_ray_points[0::2], two_ray_points[1::2])
 

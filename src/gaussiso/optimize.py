@@ -121,6 +121,9 @@ _F_TOL = 1e-12
 #: Objective evaluations a simplex search may spend from one start.
 _BUDGET = 10000
 
+#: Component cap of :func:`minimize_penalized_functional` and of ``minimize --kmax``.
+_K_MAX = 3
+
 #: Below this barycenter weight the face search is complete (module docstring).
 _FACE_SEARCH_EPS = 2.0 * math.pi
 
@@ -572,7 +575,7 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
 def minimize_penalized_functional(
     s: float,
     params: FunctionalParams,
-    k_max: int = 3,
+    k_max: int = _K_MAX,
     settings: OptimizerSettings = OptimizerSettings(),
 ) -> MinimizeOutcome:
     """Minimize F over all templates up to ``k_max``.

@@ -2,10 +2,10 @@
 
 This is the package's independent numerical oracle: every closed-form measure,
 moment, and perimeter formula elsewhere is cross-checked against it, so it
-deliberately shares no code with those formulas. The rule is Gauss-Kronrod
-7/15 with bisection; infinite endpoints are mapped to a finite parameter by
-the rational substitution x = a + t/(1-t), and (-inf, inf) is split at 0 and
-summed left then right.
+shares no numerics with them; only its argument checks are ``special``'s. The
+rule is Gauss-Kronrod 7/15 with bisection; infinite endpoints are mapped to a
+finite parameter by the rational substitution x = a + t/(1-t), and (-inf, inf)
+is split at 0 and summed left then right.
 
 One core, :func:`adaptive_quad_many`, integrates a vectorized integrand over
 arrays of intervals in bisection rounds. Each round evaluates the 15 nodes of
@@ -27,11 +27,12 @@ order, so a change to it is a change to those numbers.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .special import _check_integer, _check_real
 
 __all__ = ["QuadSettings", "QuadResult", "QuadBatch", "adaptive_quad", "adaptive_quad_many"]
 
@@ -45,16 +46,9 @@ class QuadSettings:
     max_depth: int = 60
 
     def __post_init__(self) -> None:
-        # the oracle imports nothing from the package, so special._check_real is written out here
-        for name in ("abs_tol", "rel_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-                raise ValueError(f"QuadSettings: {name} must be a real number, got {tol!r}")
-            if not (tol > 0.0 and math.isfinite(tol)):
-                raise ValueError(f"QuadSettings: {name} must be positive, got {tol!r}")
-        depth = self.max_depth
-        if isinstance(depth, bool) or not (isinstance(depth, (int, np.integer)) and depth >= 1):
-            raise ValueError(f"QuadSettings: max_depth must be a positive integer, got {self.max_depth!r}")
+        _check_real(self.abs_tol, "QuadSettings: abs_tol", "positive")
+        _check_real(self.rel_tol, "QuadSettings: rel_tol", "positive")
+        _check_integer(self.max_depth, "QuadSettings: max_depth", 1)
 
 
 @dataclass(frozen=True)
@@ -133,8 +127,6 @@ def _integrand(f, sign: np.ndarray, anchor: np.ndarray, t: np.ndarray) -> np.nda
     (-inf, anchor]; there the integrand is f(x)/(1-t)^2, and 0 where x is
     infinite or f(x) is 0.
     """
-    if not sign.any():
-        return np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
     direct = sign == 0.0
     u = 1.0 - t
     # a node that rounds to t = 1 maps to an infinite x; the rows that

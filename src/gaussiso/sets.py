@@ -53,8 +53,8 @@ import numpy as np
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_many, _vector_gammainc,
-    chi2_cdf, gauss_cdf, gauss_cdf_inv,
+    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_inv_many, _gauss_cdf_many,
+    _vector_gammainc, chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -499,6 +499,11 @@ def two_ray_endpoint(s: float) -> float:
     rounds to 0.
     """
     return gauss_cdf_inv(gauss_cdf(s) / 2.0)
+
+
+def _two_ray_endpoints(levels: np.ndarray) -> np.ndarray:
+    """:func:`two_ray_endpoint` of every level of a 1-D array, bit for bit."""
+    return _gauss_cdf_inv_many(_gauss_cdf_many(levels) / 2.0)
 
 
 def two_ray_set(s: float) -> IntervalUnion1D:

@@ -53,7 +53,6 @@ from .sets import IntervalUnion1D, _endpoints, _pairs
 from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf_inv
 
 __all__ = [
-    "STATION_TOL",
     "EulerReport",
     "QuadraticFormJ",
     "boundary_points",
@@ -64,9 +63,6 @@ __all__ = [
     "mass_preserving_flow",
     "second_derivative_along_flow",
 ]
-
-#: A set is flagged stationary when the residual deviation is below this.
-STATION_TOL = 1e-8
 
 #: Slack added to the multiplier bound so roundoff at the boundary passes.
 _LAGRANGE_SLACK = 1e-10
@@ -79,7 +75,7 @@ class EulerReport:
     ``residuals`` holds -x_i*nu_i + (eps/sqrt(2 pi))*b*x_i per boundary point,
     ``lambda_fit`` the boundary-weighted mean of the residuals (the
     least-squares Lagrange multiplier), and ``max_dev`` the largest absolute
-    deviation of any residual from ``lambda_fit``.
+    deviation of any residual from ``lambda_fit``; callers set the threshold.
     """
 
     residuals: tuple[float, ...]
@@ -90,11 +86,6 @@ class EulerReport:
         if not self.residuals:
             raise ValueError("an Euler report needs at least one residual")
         object.__setattr__(self, "max_dev", _check_real(self.max_dev, "max_dev", "nonnegative"))
-
-    @property
-    def stationary(self) -> bool:
-        """True when every residual agrees with the multiplier within STATION_TOL."""
-        return self.max_dev < STATION_TOL
 
 
 @dataclass(frozen=True, eq=False)

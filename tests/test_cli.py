@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from gaussiso.cli import cli_main
 from gaussiso.functionals import stability_params
 from gaussiso.optimize import OptimizerSettings, minimize_penalized_functional
 from gaussiso.special import chi2_quantile, gauss_cdf
-from gaussiso.verify import json_value
+from gaussiso.verify import SuiteConfig, json_value
 
 HALF_SPACE_M1 = '{"type":"halfspace","omega":[1],"s":-1}'
 PERIM_M1 = 0.60653065971263342  # e^{-1/2}
@@ -343,6 +344,87 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "eval" in out and "verify" in out and "minimize" in out and "sweep" in out
+
+
+#: The ``--help`` texts at 80 columns.
+HELP_TEXTS = {
+    "": """\
+usage: gaussiso [-h] {eval,verify,minimize,sweep} ...
+
+Gaussian isoperimetric quantities, verification suites, and minimization.
+
+positional arguments:
+  {eval,verify,minimize,sweep}
+    eval                evaluate every derived quantity of one set
+    verify              run a verification suite
+    minimize            minimize the penalized functional
+    sweep               two-ray ratio sweep over mass levels
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify": """\
+usage: gaussiso verify [-h] --suite
+                       {measure-oracle,iso,barycenter-max,main,strong-vs-standard,alpha-hat-corollary,excess-identity,scalar-functions,stationarity,all}
+                       [--samples SAMPLES] [--seed SEED] [--out OUT]
+                       [--format {json,csv}] [--main-constant MAIN_CONSTANT]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {measure-oracle,iso,barycenter-max,main,strong-vs-standard,alpha-hat-corollary,excess-identity,scalar-functions,stationarity,all}
+  --samples SAMPLES
+  --seed SEED
+  --out OUT             report file path (default: stdout)
+  --format {json,csv}
+  --main-constant MAIN_CONSTANT
+                        override the explicit constant of the asymmetry
+                        estimate (falsification hook)
+""",
+    "minimize": """\
+usage: gaussiso minimize [-h] --s S [--eps EPS] [--lambda LAMBDA_PEN]
+                         [--kmax KMAX] [--starts STARTS] [--seed SEED]
+                         [--diagnostics]
+
+options:
+  -h, --help           show this help message and exit
+  --s S                target mass level
+  --eps EPS            barycenter weight: a number or 'paper'
+  --lambda LAMBDA_PEN  mass-penalty weight: a number or 'paper'
+  --kmax KMAX
+  --starts STARTS      random simplex starts; used only when eps >= 2 pi
+  --seed SEED          seed of the random simplex starts; used only when eps
+                       >= 2 pi
+  --diagnostics        add every start's or face piece's outcome as a 'starts'
+                       list
+""",
+}
+
+
+class TestDefaults:
+    """The CLI's defaults are the library's, and its help texts do not change."""
+
+    def test_defaults_are_the_library_defaults(self):
+        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        defaults = {
+            (name, action.dest): action.default
+            for name, sub_parser in commands.choices.items()
+            for action in sub_parser._actions
+        }
+        config, settings = SuiteConfig(), OptimizerSettings()
+        assert defaults["verify", "samples"] == config.samples
+        assert defaults["verify", "seed"] == config.seed
+        assert defaults["verify", "main_constant"] == config.main_constant
+        assert defaults["minimize", "starts"] == settings.multistarts
+        assert defaults["minimize", "seed"] == settings.seed
+        k_max = inspect.signature(minimize_penalized_functional).parameters["k_max"].default
+        assert defaults["minimize", "kmax"] == k_max
+
+    @pytest.mark.parametrize("command", list(HELP_TEXTS))
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
+        # argparse wraps help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, *filter(None, [command]), "--help")
+        assert (code, out) == (0, HELP_TEXTS[command])
 
 
 class TestModuleEntryPoint:

@@ -51,6 +51,7 @@ from gaussiso.sets import (
     IntervalUnion1D,
     half_line_set,
     measure,
+    _two_ray_endpoints,
     symmetric_interval_halfwidth,
     two_ray_endpoint,
     two_ray_set,
@@ -229,6 +230,10 @@ class TestTwoRayEndpoint:
         assert a < 0.0 < q
         assert 2.0 * gauss_cdf(a) == pytest.approx(gauss_cdf(s), rel=1e-12)
         assert gauss_cdf(q) - gauss_cdf(-q) == pytest.approx(gauss_cdf(s), rel=1e-12)
+
+    def test_vector_twin_keeps_the_scalar_bits(self):
+        levels = np.concatenate([np.linspace(0.0, -4.0, 97), [-38.0, -40.0, 0.3, 8.2]])
+        assert _two_ray_endpoints(levels).tolist() == [two_ray_endpoint(s) for s in levels.tolist()]
 
     def test_two_ray_set_properties(self):
         e = two_ray_set(-1.0)
@@ -794,7 +799,6 @@ class TestImports:
         allowed = {
             ("special", "_check_integer"),
             ("special", "_check_real"),
-            ("quadrature", "QuadSettings"),  # the oracle imports nothing from the package
             ("sets", "_endpoint_from_json"),  # an endpoint may be +-inf
             ("verify", "format_number"),  # renders a bool, checks nothing
         }
@@ -898,6 +902,22 @@ class TestImports:
             )
 
         assert self.owners("optimize", passes_by_name) == {"_face_search"}
+
+        # sets owns the two-ray rule 2 Phi(a) = Phi(s), scalar and vector
+        def halves_a_level_mass(node):
+            return (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 2
+                and isinstance(node.left, ast.Call)
+                and ast.unparse(node.left.func).split(".")[-1] in {"gauss_cdf", "_gauss_cdf_many", "_gauss_cdf_finite"}
+            )
+
+        endpoints = {m: self.owners(m, halves_a_level_mass) for m in modules}
+        assert {m: owners for m, owners in endpoints.items() if owners} == {
+            "sets": {"two_ray_endpoint", "_two_ray_endpoints"}
+        }
 
     def test_every_all_entry_exists(self):
         # a stale entry would break `from gaussiso.<module> import *`

@@ -49,6 +49,12 @@ class TestSettings:
             with pytest.raises(ValueError, match="rel_tol"):
                 QuadSettings(rel_tol=bad)
 
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    def test_rejects_int_past_the_float_range(self, name):
+        # float(10**400) overflows; the check reads it as +inf, not finite
+        with pytest.raises(ValueError, match=f"QuadSettings: {name} must be finite"):
+            QuadSettings(**{name: 10**400})
+
 
 class TestFiniteIntervals:
     def test_polynomial_exact(self):

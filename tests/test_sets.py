@@ -554,6 +554,48 @@ class TestSymmDiff:
         assert len(hexes) == 400
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == self.FROZEN_PROFILE_DIGEST
 
+    #: ``float.hex`` of ``symm_diff_measure`` of the centered ball B_R in
+    #: dimension n against {x_1 < s}, for s = -1, 0.3 and the ball's own mass
+    #: level (0.1 where that level is outside (-R, R)), recorded while the
+    #: quadrature oracle still had a shortcut for all-finite panels. These
+    #: balls are the only package path whose panels are all finite.
+    FROZEN_BALLS = {
+        (2, 0.5): ('0x1.1ac9413e354c3p-2', '0x1.10d9a3cbfbf00p-1', '0x1.04defef5e70aep-1'),
+        (2, 1.5): ('0x1.7508b8ae87843p-1', '0x1.a8278eb3e507ap-2', '0x1.7e9a01bb86184p-2'),
+        (2, 3.0): ('0x1.ada5bf87857dcp-1', '0x1.87ebe04f05688p-2', '0x1.0f9335bfb6a40p-6'),
+        (2, 8.0): ('0x1.aec4bd120d373p-1', '0x1.87423a677e914p-2', '0x1.8c00000000000p-46'),
+        (3, 0.5): ('0x1.84205c8d1086cp-3', '0x1.2fc8a87128354p-1', '0x1.0fa8ddf4a71d4p-1'),
+        (3, 1.5): ('0x1.2a247a5b7c43ap-1', '0x1.d6d595a1d5896p-2', '0x1.03f9f8d0e3314p-1'),
+        (3, 3.0): ('0x1.aa3af4c2175a4p-1', '0x1.89fb4c3112160p-2', '0x1.794842f4b3520p-5'),
+        (3, 8.0): ('0x1.aec4bd120d323p-1', '0x1.87423a677e948p-2', '0x1.6080000000000p-43'),
+        (5, 0.5): ('0x1.480a64876474ep-3', '0x1.3bae49adac11dp-1', '0x1.141b21f92b24ap-1'),
+        (5, 1.5): ('0x1.5615ca2e62b37p-2', '0x1.1794e520a7d6ap-1', '0x1.6a13ee1c3ba56p-2'),
+        (5, 3.0): ('0x1.969090bcedef0p-1', '0x1.9631a77cfae8cp-2', '0x1.54ab16aee8eb8p-3'),
+        (5, 8.0): ('0x1.aec4bd120c7d3p-1', '0x1.87423a677f018p-2', '0x1.f4d8000000000p-39'),
+        (10, 0.5): ('0x1.44ed2a7abcabfp-3', '0x1.3c5edb566a122p-1', '0x1.14644cb39d17ep-1'),
+        (10, 1.5): ('0x1.50fd7bcdb0596p-3', '0x1.3adbc9de1cfe2p-1', '0x1.13dbf3dca0507p-1'),
+        (10, 3.0): ('0x1.0c4227d752611p-1', '0x1.f183f86e5044ep-2', '0x1.020e34b8b7a3ap-1'),
+        (10, 8.0): ('0x1.aec4bd10881f4p-1', '0x1.87423a686bca0p-2', '0x1.5889380000000p-30'),
+        (50, 0.5): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+        (50, 1.5): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+        (50, 3.0): ('0x1.44ed0bb86b872p-3', '0x1.3c5ee2cc2b55ap-1', '0x1.146450751ee09p-1'),
+        (50, 8.0): ('0x1.93c8e8cce5a5ap-1', '0x1.991fa39b459bcp-2', '0x1.3ac1eb12b9ec0p-3'),
+        (200, 0.5): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+        (200, 1.5): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+        (200, 3.0): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+        (200, 8.0): ('0x1.44ed0bb7cb20cp-3', '0x1.3c5ee2cc40b78p-1', '0x1.1464507526871p-1'),
+    }
+
+    @pytest.mark.parametrize("dim, radius", list(FROZEN_BALLS))
+    def test_balls_keep_their_bits(self, dim, radius):
+        ball = CenteredBall(dim=dim, radius=radius)
+        own = mass_level(ball)
+        if not -radius < own < radius:
+            own = 0.1
+        omega = (1.0,) + (0.0,) * (dim - 1)
+        hexes = tuple(symm_diff_measure(ball, HalfSpace(omega=omega, s=s)).hex() for s in (-1.0, 0.3, own))
+        assert hexes == self.FROZEN_BALLS[dim, radius]
+
 
 class TestContainsPoints:
     def test_interval_membership(self):

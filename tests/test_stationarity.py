@@ -33,7 +33,6 @@ from gaussiso import stationarity
 from gaussiso.sets import IntervalUnion1D, measure
 from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
-    STATION_TOL,
     EulerReport,
     QuadraticFormJ,
     boundary_points,
@@ -117,7 +116,6 @@ class TestEulerResidual:
         assert report.residuals == (-A0, -A0)
         assert report.lambda_fit == pytest.approx(-A0, abs=1e-15)
         assert report.max_dev < 1e-13
-        assert report.stationary
 
     def test_half_line_residual_matches_closed_form(self):
         e = IntervalUnion1D(intervals=((-math.inf, -1.0),))
@@ -125,13 +123,11 @@ class TestEulerResidual:
         assert len(report.residuals) == 1
         assert report.residuals[0] == pytest.approx(HALFLINE_RESID_M1, rel=1e-15)
         assert report.max_dev < 1e-15
-        assert report.stationary
 
     def test_mismatched_two_piece_set_is_not_stationary(self):
         e = IntervalUnion1D(intervals=((-math.inf, -1.0), (0.0, math.inf)))
         report = euler_residual(e, PARAMS_0)
         assert report.max_dev > 0.1
-        assert not report.stationary
 
     @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0, -5.0, -10.0, -20.0])
     def test_two_ray_family_is_stationary_across_levels(self, s):
@@ -170,9 +166,6 @@ class TestEulerResidual:
             warnings.simplefilter("error")
             report = euler_residual(IntervalUnion1D(intervals=((0.0, 40.0),)), PARAMS_0)
         assert math.isfinite(report.lambda_fit)
-
-    def test_station_tol_value(self):
-        assert STATION_TOL == 1e-8
 
     def test_report_rejects_empty_residuals(self):
         with pytest.raises(ValueError, match="at least one"):
