@@ -47,6 +47,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -54,7 +55,7 @@ import numpy as np
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
     SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_inv_many, _gauss_cdf_many,
-    _vector_gammainc, chi2_cdf, gauss_cdf, gauss_cdf_inv,
+    chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -173,6 +174,14 @@ class HalfSpace:
             raise ValueError(f"HalfSpace: omega must be a unit vector, |omega| = {norm!r}")
 
 
+def _check_dim(value, what: str) -> int:
+    """``value`` as a dimension: an integer from 1 to 2**63 - 1, the int64 range a ``_Batch`` stores."""
+    dim = _check_integer(value, what, 1)
+    if dim >= 2**63:
+        raise ValueError(f"{what} must be at most 2**63 - 1, got {value!r}")
+    return dim
+
+
 @dataclass(frozen=True)
 class SlabSet:
     """R^{dim-1} x profile, the profile living on the last coordinate axis."""
@@ -181,7 +190,7 @@ class SlabSet:
     profile: IntervalUnion1D
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _check_integer(self.dim, "SlabSet: dim", 1))
+        object.__setattr__(self, "dim", _check_dim(self.dim, "SlabSet: dim"))
         if not isinstance(self.profile, IntervalUnion1D):
             raise ValueError("SlabSet: profile must be an IntervalUnion1D")
 
@@ -194,7 +203,7 @@ class CenteredBall:
     radius: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _check_integer(self.dim, "CenteredBall: dim", 1))
+        object.__setattr__(self, "dim", _check_dim(self.dim, "CenteredBall: dim"))
         object.__setattr__(self, "radius", _check_real(self.radius, "CenteredBall: radius", "positive"))
 
 
@@ -552,7 +561,7 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     def slice_mass(theta: np.ndarray) -> np.ndarray:
         t = radius * np.sin(theta)
         half_chord = radius * np.cos(theta)
-        chi = _vector_gammainc(0.5 * (dim - 1), 0.5 * half_chord * half_chord)
+        chi = _elementwise(partial(chi2_cdf, dim - 1), half_chord * half_chord)
         return np.exp(-0.5 * t * t) / SQRT_2PI * chi * half_chord
 
     r = adaptive_quad_many(slice_mass, [-0.5 * math.pi], [math.asin(s / radius)], _SLICE_SETTINGS)
@@ -659,7 +668,10 @@ def _endpoint_from_json(v: object) -> float:
         raise ValueError(f"set descriptor: bad endpoint string {v!r}; allowed: 'inf', '-inf'")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"set descriptor: endpoint must be a number or 'inf'/'-inf', got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"set descriptor: endpoint must be finite, got {v!r}") from None
 
 
 def _endpoint_to_json(v: float) -> object:

@@ -9,20 +9,19 @@ Conventions used throughout the package:
   and the perimeter of the half-space at level ``x`` in any dimension.
 
 The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
-They, ``sets`` and ``functionals`` keep the scalar math through ``_elementwise``.
+Every array form in the package keeps the scalar math: the ufunc that the
+scalar form calls, or the scalar form element by element (``_elementwise``).
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
 
 SciPy is loaded on the first call that needs it, not at import: importing
 ``scipy.special`` is about half of a fresh process's start-up. Until then
-``ndtri``, ``ndtr``, ``log_ndtr``, ``gammainc`` and ``gammaincinv`` are stubs
-here; the first call of any of them runs ``_load_scipy``, which binds all
-five ufuncs over the stubs, so every later call reaches the ufunc directly.
-This is the one module that names SciPy; other modules call the functions
-here, never a stub by name. ``_vector_cdf``, ``_vector_log_cdf`` and
-``_vector_gammainc`` are the ufuncs on arrays; unlike the ``_many`` forms,
-they need not equal a scalar form bit for bit.
+``ndtri``, ``log_ndtr``, ``gammainc`` and ``gammaincinv`` are stubs here; the
+first call of any of them runs ``_load_scipy``, which binds all four ufuncs
+over the stubs, so every later call reaches the ufunc directly. This is the
+one module that names SciPy; other modules call the functions here, never a
+stub by name.
 
 The package's number checks are ``_check_integer``, for dimensions, counts,
 seeds and caps, and ``_check_real``, for levels, weights, radii, steps and
@@ -54,8 +53,8 @@ _SQRT_2 = math.sqrt(2.0)
 
 def _load_scipy() -> None:
     """Bind SciPy's ufuncs over their stubs; runs once, on the first call of any stub."""
-    global gammainc, gammaincinv, log_ndtr, ndtr, ndtri
-    from scipy.special import gammainc, gammaincinv, log_ndtr, ndtr, ndtri
+    global gammainc, gammaincinv, log_ndtr, ndtri
+    from scipy.special import gammainc, gammaincinv, log_ndtr, ndtri
 
 
 def _stub(name: str):
@@ -71,7 +70,6 @@ def _stub(name: str):
 gammainc = _stub("gammainc")
 gammaincinv = _stub("gammaincinv")
 log_ndtr = _stub("log_ndtr")
-ndtr = _stub("ndtr")
 ndtri = _stub("ndtri")
 
 
@@ -147,21 +145,6 @@ def _gauss_cdf_inv_many(p: np.ndarray) -> np.ndarray:
     if np.count_nonzero((p >= 0.0) & (p <= 1.0)) != len(p):
         raise ValueError("gauss_cdf_inv: probabilities must lie in [0, 1]")
     return ndtri(p)
-
-
-def _vector_cdf(x: np.ndarray) -> np.ndarray:
-    """SciPy's vector ``ndtr``: faster than :func:`_gauss_cdf_many`, and not bit for bit :func:`gauss_cdf`."""
-    return ndtr(x)
-
-
-def _vector_log_cdf(x: np.ndarray) -> np.ndarray:
-    """SciPy's vector ``log_ndtr``, the log of :func:`_vector_cdf` far into the left tail."""
-    return log_ndtr(x)
-
-
-def _vector_gammainc(a: float, x: np.ndarray) -> np.ndarray:
-    """SciPy's regularized lower incomplete gamma function ``gammainc(a, x)`` on an array."""
-    return gammainc(a, x)
 
 
 def log_gauss_cdf(s: float) -> float:

@@ -70,11 +70,12 @@ from .special import (
     SQRT_2PI,
     _check_integer,
     _check_real,
-    _vector_cdf,
-    _vector_log_cdf,
+    _elementwise,
+    _gauss_cdf_many,
     gauss_cdf,
     gauss_cdf_inv,
     gauss_weight,
+    log_gauss_cdf,
 )
 from .stationarity import (
     boundary_points,
@@ -397,10 +398,13 @@ def _suite_excess_identity(config: SuiteConfig, corpus: _Corpus):
 # ---------------------------------------------------------------------------
 # grid suites (corpus-independent)
 
+#: The slab gain's and the stationarity suite's levels; the slab competitors take the first five.
+_STATION_LEVELS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0)
+
 
 def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     """Gain of widening the matched slab: nonnegative for every t >= 0, s <= 0."""
-    delta = _vector_cdf(s) - _vector_cdf(s - t)
+    delta = gauss_cdf(s) - _gauss_cdf_many(s - t)
     linear = gauss_weight(s) - np.exp(-0.5 * (s - t) ** 2) + SQRT_2PI * s * delta
     return linear - 0.5 * math.exp(0.5 * s * s) * (SQRT_2PI * delta) ** 2
 
@@ -445,7 +449,9 @@ def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
 
 def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
     s_deep = np.linspace(-40.0, 0.0, 4001)
-    g = np.exp(-0.5 * s_deep**2) + (SQRT_2PI * s_deep - math.pi) * _vector_cdf(s_deep)
+    weight = np.exp(-0.5 * s_deep**2)
+    phi = _gauss_cdf_many(s_deep)
+    g = weight + (SQRT_2PI * s_deep - math.pi) * phi
     yield (
         "mass-gap-function-nonpositive",
         "e^{-s^2/2} + (sqrt(2 pi) s - pi) Phi(s) <= 0 for s <= 0",
@@ -453,7 +459,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         {"grid": "[-40, 0] with 4001 points"},
     )
 
-    log_lam = 0.5 * math.log(2.0) - 0.5 * s_deep**2 - _vector_log_cdf(s_deep)
+    log_lam = 0.5 * math.log(2.0) - 0.5 * s_deep**2 - _elementwise(log_gauss_cdf, s_deep)
     lam = np.exp(log_lam)
     yield (
         "penalty-weight-square-bound",
@@ -465,15 +471,12 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
     yield (
         "weight-dominates-twice-mass",
         "e^{-s^2/2} >= 2 Phi(s) for s <= 0",
-        _margins_le(2.0 * _vector_cdf(s_deep), np.exp(-0.5 * s_deep**2)),
+        _margins_le(2.0 * phi, weight),
         {"grid": "[-40, 0] with 4001 points"},
     )
 
     t_grid = np.linspace(0.0, 40.0, 801)
-    gain_margins = [
-        _margins_le(np.zeros_like(t_grid), _slab_gain(s, t_grid))
-        for s in (0.0, -0.5, -1.0, -2.0, -3.0, -5.0)
-    ]
+    gain_margins = [_margins_le(np.zeros_like(t_grid), _slab_gain(s, t_grid)) for s in _STATION_LEVELS]
     yield (
         "slab-widening-gain-nonnegative",
         "int_{s-t}^{s} (s-x) e^{-x^2/2} dx >= (e^{s^2/2}/2) (int_{s-t}^{s} e^{-x^2/2} dx)^2",
@@ -483,7 +486,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
 
     lowers = []
     competitors = []
-    for s in (0.0, -0.5, -1.0, -2.0, -3.0):
+    for s in _STATION_LEVELS[:5]:
         mass = gauss_cdf(s)
         for fraction in (0.002, 0.01, 0.05, 0.2, 0.5):
             m = fraction * min(mass, 1.0 - mass)
@@ -535,7 +538,6 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
 # ---------------------------------------------------------------------------
 # stationarity suite (structured families)
 
-_STATION_LEVELS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0)
 _J_ANCHOR = (
     "J[phi] = sum_i (-1 + (eps/sqrt(2 pi)) b nu_i) phi_i^2 w_i "
     "+ (eps/(2 pi)) (sum_i phi_i x_i w_i)^2 on zero-average phi"

@@ -114,6 +114,22 @@ class TestEval:
         assert code == 2
         assert "HalfSpace: omega component must be a real number" in err
 
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ('{"type":"intervals","items":[[-1, 1' + "0" * 400 + "]]}", "set descriptor: endpoint must be finite, got 1000"),
+            ('{"type":"ball","dim":100000000000000000000,"radius":1}', "CenteredBall: dim must be at most 2**63 - 1"),
+            ('{"type":"slab","dim":100000000000000000000,"profile":[[0,1]]}', "SlabSet: dim must be at most 2**63 - 1"),
+        ],
+        ids=["endpoint", "ball-dim", "slab-dim"],
+    )
+    def test_out_of_range_descriptor_is_usage_error(self, capsys, descriptor, message):
+        # exit 1 means a violation, so out-of-range input must exit 2, without a traceback
+        code, out, err = run_cli(capsys, "eval", "--set", descriptor)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
 
 class TestVerify:
     def test_stdout_json_report(self, capsys):

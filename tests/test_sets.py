@@ -173,6 +173,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             SlabSet(dim=2, profile=((0.0, 1.0),))  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: SlabSet(dim=n, profile=normalize([(0.0, 1.0)])), lambda n: CenteredBall(dim=n, radius=1.0)],
+        ids=["slab", "ball"],
+    )
+    def test_dim_stays_in_the_int64_range_a_batch_stores(self, make):
+        top = make(2**63 - 1)
+        assert sets._batch((top,)).dims.tolist() == [2**63 - 1]
+        for n in (2**63, 10**20):
+            with pytest.raises(ValueError, match=r"dim must be at most 2\*\*63 - 1, got "):
+                make(n)
+
     def test_dimension(self):
         assert dimension(normalize([(0.0, 1.0)])) == 1
         assert dimension(HalfSpace(omega=(0.0, 1.0), s=0.0)) == 2
@@ -893,6 +905,13 @@ class TestJsonDescriptors:
             set_from_dict({"type": "intervals", "items": "nope"})
         with pytest.raises(ValueError):
             set_from_dict({"type": "intervals", "items": [[0, 1, 2]]})
+
+    def test_rejects_int_endpoint_past_the_float_range(self):
+        for big in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^set descriptor: endpoint must be finite, got -?1000"):
+                set_from_dict({"type": "intervals", "items": [[-1, big]]})
+        # a float literal past the range reads as inf, as "inf" does
+        assert set_from_json('{"type": "intervals", "items": [[-1, 1e400]]}') == normalize([(-1.0, math.inf)])
 
     def test_rejects_bool_endpoint(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ oracle (and, for inverse values, bisection against that oracle) and then
 pinned; see test_quadrature.py for the oracle's own validation.
 """
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -384,3 +386,31 @@ assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:5]
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.returncode == 0, out.stderr
+
+    def test_every_bound_ufunc_is_reached_through_a_checked_scalar_function(self):
+        # each ufunc that _load_scipy binds is called by a function that the
+        # first-call check compares with that ufunc, and no module keeps a
+        # _vector_* twin beside the bit-exact forms
+        package = Path(gaussiso.__file__).resolve().parent
+        functions = {
+            node.name: node
+            for node in ast.parse((package / "special.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        bound = {a.name for node in ast.walk(functions["_load_scipy"]) if isinstance(node, ast.ImportFrom) for a in node.names}
+        reached = set()
+        for name, (*_, reference) in FIRST_CALLS.items():
+            called = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)} & bound
+            assert called == set(re.findall(r"\bsp\.(\w+)", reference)), name
+            reached |= called
+        assert reached == bound == {"gammainc", "gammaincinv", "log_ndtr", "ndtri"}
+        for path in package.glob("*.py"):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+            assert sorted(n for n in names if n.startswith("_vector_")) == [], path.name
