@@ -86,8 +86,11 @@ class FunctionalParams:
     lambda_pen: float
 
     def __post_init__(self) -> None:
-        for name, sign in (("s", None), ("eps", "nonnegative"), ("lambda_pen", "nonnegative")):
-            object.__setattr__(self, name, _check_real(getattr(self, name), f"FunctionalParams: {name}", sign))
+        object.__setattr__(self, "s", _check_real(self.s, "FunctionalParams: s"))
+        object.__setattr__(self, "eps", _check_real(self.eps, "FunctionalParams: eps", "nonnegative"))
+        object.__setattr__(
+            self, "lambda_pen", _check_real(self.lambda_pen, "FunctionalParams: lambda_pen", "nonnegative")
+        )
         object.__setattr__(self, "target", gauss_cdf(self.s))
 
 

@@ -113,10 +113,20 @@ def _elementwise(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
 
+def _elementwise_finite(f, x: np.ndarray) -> np.ndarray:
+    """``_elementwise(f, x)`` for a libm ``f``, which is called only at the
+    finite elements: +-inf read ``f(+-inf)``, taken once each, and NaN stays NaN."""
+    out = np.where(np.isnan(x), x, np.where(x > 0.0, f(math.inf), f(-math.inf)))
+    # integer indices: a boolean mask scatters and gathers at twice the cost
+    finite = np.flatnonzero(np.isfinite(x))
+    out[finite] = _elementwise(f, x[finite])
+    return out
+
+
 def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
     vector ``erfc`` or ``ndtr`` would move last bits), exact at +-inf."""
-    return 0.5 * _elementwise(math.erfc, -x / _SQRT_2)
+    return 0.5 * _elementwise_finite(math.erfc, -x / _SQRT_2)
 
 
 def gauss_cdf(s: float) -> float:

@@ -32,11 +32,14 @@ every weighted zero-average phi,
 quadratic form (and so the instability threshold the suites bisect for) all
 read its coefficients.
 
-Every public call that needs the boundary reads it once, as float lists
-from ``_boundary``, and does its per-point arithmetic on Python floats,
-which round element by element as NumPy's element-wise operations do.  NumPy keeps the reductions
-whose bits are pinned: the weighted mean of the residuals, the form matrix,
-the Householder basis and the eigen-solve.  ``second_derivative_along_flow``
+Every public call that needs the boundary reads it once: ``_boundary``
+gives the points, signs and weights as float lists, and sums b(E) from the
+same weights.  The per-point arithmetic and the entries of the form matrix
+and of the Householder basis are Python floats, which round element by
+element as NumPy's element-wise operations do.  NumPy keeps only the
+reductions whose bits are pinned: the weighted mean of the residuals
+(``np.dot`` and the weights' sum), ``v @ v``, the two projection products,
+the symmetrization and ``np.linalg.eigh``.  ``second_derivative_along_flow``
 takes both of its steps from one boundary pass through ``_flows``, the helper
 behind ``mass_preserving_flow``.
 """
@@ -111,9 +114,10 @@ class QuadraticFormJ:
             )
         # np.allclose(m, m.T, rtol=0, atol=1e-12), cheaper: an entry equal to
         # its mirror passes (symmetric infinities too), with no inf - inf,
-        # and an exactly symmetric matrix is not indexed at all
+        # and an exactly symmetric matrix is not indexed at all; counted, as
+        # .any() goes through a Python wrapper
         unequal = m != m.T
-        if unequal.any() and not (np.abs(m[unequal] - m.T[unequal]) <= 1e-12).all():
+        if np.count_nonzero(unequal) and not (np.abs(m[unequal] - m.T[unequal]) <= 1e-12).all():
             raise ValueError("form matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constraint", c)
@@ -130,17 +134,30 @@ class QuadraticFormJ:
         return float(v @ self.matrix @ v)
 
 
-def _boundary(e: IntervalUnion1D) -> tuple[list[float], list[float], list[float]]:
-    """``boundary_points`` as three float lists, from one pass over the endpoints."""
+def _boundary(e: IntervalUnion1D) -> tuple[list[float], list[float], list[float], float]:
+    """``boundary_points`` as three float lists, and b(E), from one pass over the endpoints.
+
+    b is summed as ``barycenter`` sums it, without the masses:
+    (w_lo - w_hi)/sqrt(2 pi) per interval, left to right, with weight
+    exp(-inf) = 0 at a ray's infinite end.
+    """
     x, nu, w = [], [], []
-    for i, p in enumerate(_endpoints(e.intervals)):
-        if math.isfinite(p):
-            x.append(p)
-            # lower endpoints sit at the even positions
-            nu.append(1.0 if i % 2 else -1.0)
-            # gauss_weight of a finite point; np.exp can differ from it in the last bit
-            w.append(math.exp(-0.5 * p * p))
-    return x, nu, w
+    b = 0.0
+    for lo, hi in e.intervals:
+        w_lo = w_hi = 0.0
+        # gauss_weight of a finite point; np.exp can differ from it in the last bit
+        if math.isfinite(lo):
+            w_lo = math.exp(-0.5 * lo * lo)
+            x.append(lo)
+            nu.append(-1.0)
+            w.append(w_lo)
+        if math.isfinite(hi):
+            w_hi = math.exp(-0.5 * hi * hi)
+            x.append(hi)
+            nu.append(1.0)
+            w.append(w_hi)
+        b += (w_lo - w_hi) / SQRT_2PI
+    return x, nu, w, b
 
 
 def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +168,7 @@ def boundary_points(e: IntervalUnion1D) -> tuple[np.ndarray, np.ndarray, np.ndar
     weight is e^{-x^2/2}; infinite endpoints contribute no boundary point, so
     the full line gives three empty arrays.
     """
-    x, nu, w = _boundary(e)
+    x, nu, w, _ = _boundary(e)
     return np.array(x, dtype=float), np.array(nu, dtype=float), np.array(w, dtype=float)
 
 
@@ -164,14 +181,9 @@ def _variation(e: IntervalUnion1D, params: FunctionalParams, what: str) -> tuple
     docstring).  Raises ValueError, naming ``what``, for a set with no finite
     boundary point.
     """
-    x, nu, w = _boundary(e)
+    x, nu, w, b = _boundary(e)
     if not x:
         raise ValueError(f"set has no finite boundary point; {what} is empty")
-    # b(E) as barycenter sums it, without the masses: (w_lo - w_hi)/sqrt(2 pi)
-    # per interval, left to right, with weight exp(-inf) = 0 at +-inf
-    b = 0.0
-    for lo, hi in e.intervals:
-        b += (math.exp(-0.5 * lo * lo) - math.exp(-0.5 * hi * hi)) / SQRT_2PI
     coupling = (params.eps / SQRT_2PI) * b
     # point by point in floats, in the order NumPy's element-wise ops round in
     g = [-p * n + coupling * p for p, n in zip(x, nu)]
@@ -201,7 +213,7 @@ def euler_residual(e: IntervalUnion1D, params: FunctionalParams) -> EulerReport:
             "the residual equation's weighted mean is undefined"
         )
     weights = np.array(w)
-    lambda_fit = float(np.dot(g, weights) / np.sum(weights))
+    lambda_fit = float(np.dot(g, weights) / weights.sum())
     max_dev = max(abs(r - lambda_fit) for r in g)
     return EulerReport(residuals=tuple(g), lambda_fit=lambda_fit, max_dev=max_dev)
 
@@ -226,7 +238,13 @@ def second_variation_form(e: IntervalUnion1D, params: FunctionalParams) -> Quadr
     ``constraint``.
     """
     w, _, h, db = _variation(e, params, "the form")
-    return QuadraticFormJ(matrix=np.diag(h) + params.eps * np.outer(db, db), constraint=w)
+    eps = params.eps
+    # diag(h) + eps * outer(db, db) entry by entry, as NumPy rounds it: off the
+    # diagonal 0.0 + x, so a product of -0.0 reads +0.0
+    k = len(db)
+    matrix = [(h_i if i == j else 0.0) + eps * (p * q)
+              for i, (h_i, p) in enumerate(zip(h, db)) for j, q in enumerate(db)]
+    return QuadraticFormJ(matrix=np.array(matrix).reshape(k, k), constraint=np.array(w))
 
 
 def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
@@ -258,7 +276,13 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
         v = np.ldexp(form.constraint, -math.frexp(top)[1])
         # np.linalg.norm of a vector, without its dispatch
         v[0] += math.copysign(math.sqrt(float(v.dot(v))), v[0])
-        basis = (np.eye(k) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+        c = float(2.0 / (v @ v))
+        vs = v.tolist()
+        # (I - c v v^T)[:, 1:] entry by entry, as NumPy rounds it: off the
+        # diagonal 0.0 - x
+        basis = [(1.0 if i == j else 0.0) - c * (p * q)
+                 for i, p in enumerate(vs) for j, q in enumerate(vs[1:], 1)]
+        basis = np.array(basis).reshape(k, k - 1)
     reduced = basis.T @ form.matrix @ basis
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, eigenvectors = np.linalg.eigh(reduced)
@@ -269,7 +293,7 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
 def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> list[IntervalUnion1D]:
     """``mass_preserving_flow(e, phi, t)`` for each of ``times`` in turn, from
     one boundary pass; raises as that call does at the first rejected time."""
-    x, nu, w = _boundary(e)
+    x, nu, w, _ = _boundary(e)
     v = np.asarray(phi, dtype=float)
     if v.shape != (len(x),):
         raise ValueError(

@@ -16,8 +16,10 @@ Oracles:
   random interval unions with nonzero barycenter.
 """
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,3 +599,111 @@ class TestVariationsOnRandomSets:
         fd = second_derivative_along_flow(e, params, phi, h=1e-3)
         scale = abs(fd) + float(np.sum(phi * phi * form.constraint))
         assert abs(form.value(phi) - fd) <= 1e-4 * scale
+
+
+def _reference_form(e, params):
+    """``second_variation_form``'s matrix and constraint in NumPy's element-wise ops."""
+    w, _, h, db = stationarity._variation(e, params, "the form")
+    return np.diag(h) + params.eps * np.outer(db, db), np.array(w)
+
+
+def _reference_psd(matrix, constraint):
+    """``psd_on_zero_average`` with the Householder basis in NumPy's element-wise ops."""
+    k = len(constraint)
+    top = max(map(abs, constraint.tolist()))
+    if top == 0.0:
+        basis = np.eye(k)
+    else:
+        v = np.ldexp(constraint, -math.frexp(top)[1])
+        v[0] += math.copysign(math.sqrt(float(v.dot(v))), v[0])
+        basis = (np.eye(k) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    reduced = basis.T @ matrix @ basis
+    reduced = 0.5 * (reduced + reduced.T)
+    values, vectors = np.linalg.eigh(reduced)
+    return float(values[0]), basis @ vectors[:, 0]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _bit_identity_sets():
+    """Seeded unions with rays, and deep-tail sets: weights that underflow,
+    all of them or some, weights in the subnormal range, and signed zeros."""
+    rng = np.random.default_rng(32)
+    intervals = []
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        ends = np.sort(rng.uniform(-4.0, 4.0, 2 * k))
+        if min(np.diff(ends)) < 1e-3:
+            continue
+        if rng.random() < 0.3:
+            ends[0] = -math.inf
+        if rng.random() < 0.3:
+            ends[-1] = math.inf
+        if not np.isfinite(ends).any():
+            continue
+        intervals.append(tuple(zip(ends[0::2].tolist(), ends[1::2].tolist())))
+    intervals += [
+        ((-0.0, 1.0),),
+        ((-math.inf, -0.0),),
+        ((0.0, math.inf),),
+        ((-0.0, 0.5), (38.2, math.inf)),
+        ((39.0, 40.0),),
+        ((-40.0, -39.0), (39.0, 40.0)),
+        ((-math.inf, -38.5), (38.6, math.inf)),
+        ((-1e300, -1e299), (5.0, 6.0)),
+        ((-2e154, -1.9e154), (1.9e154, 2e154)),
+        ((-math.inf, -37.0), (-2.0, 1.0), (36.0, 38.0)),
+    ]
+    return [IntervalUnion1D(intervals=iv) for iv in intervals]
+
+
+class TestBitIdentity:
+    """The residual's multiplier, the form and the eigen-solve equal their
+    NumPy element-wise forms in every bit."""
+
+    @pytest.mark.parametrize("eps", [None, 0.0, 0.3, 7.0])
+    def test_python_float_entries_match_numpy_elementwise(self, eps):
+        compared = 0
+        for e in _bit_identity_sets():
+            s = gauss_cdf_inv(measure(e))
+            if eps is None:
+                if not math.isfinite(s):
+                    continue
+                params = stability_params(s)
+            else:
+                params = FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)
+            w, g, _, _ = stationarity._variation(e, params, "the residual")
+            if any(w):
+                weights = np.array(w)
+                expected = float(np.dot(g, weights) / np.sum(weights))
+                assert euler_residual(e, params).lambda_fit.hex() == expected.hex()
+            form = second_variation_form(e, params)
+            matrix, constraint = _reference_form(e, params)
+            assert _hexes(form.matrix) == _hexes(matrix)
+            assert _hexes(form.constraint) == _hexes(constraint)
+            if form.size >= 2:
+                lam, witness = psd_on_zero_average(form)
+                ref_lam, ref_witness = _reference_psd(matrix, constraint)
+                assert lam.hex() == ref_lam.hex()
+                assert _hexes(witness) == _hexes(ref_witness)
+            compared += 1
+        assert compared >= 250
+
+    def test_boundary_alone_evaluates_the_weight(self):
+        # one exp pass per set: _boundary gives the weights and b(E) together
+        path = Path(stationarity.__file__)
+        callers = set()
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            units = top.body if isinstance(top, ast.ClassDef) else [top]
+            for unit in units:
+                for node in ast.walk(unit):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "exp"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("math", "np")
+                    ):
+                        callers.add(getattr(unit, "name", None))
+        assert callers == {"_boundary"}
