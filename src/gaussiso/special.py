@@ -116,10 +116,11 @@ def _elementwise(f, x: np.ndarray) -> np.ndarray:
 def _elementwise_finite(f, x: np.ndarray) -> np.ndarray:
     """``_elementwise(f, x)`` for a libm ``f``, which is called only at the
     finite elements: +-inf read ``f(+-inf)``, taken once each, and NaN stays NaN."""
+    finite = np.isfinite(x)
+    # f runs before any array of x's size is made, to keep the peak memory down
+    values = np.fromiter(map(f, x[finite].tolist()), dtype=float, count=np.count_nonzero(finite))
     out = np.where(np.isnan(x), x, np.where(x > 0.0, f(math.inf), f(-math.inf)))
-    # integer indices: a boolean mask scatters and gathers at twice the cost
-    finite = np.flatnonzero(np.isfinite(x))
-    out[finite] = _elementwise(f, x[finite])
+    out[finite] = values
     return out
 
 

@@ -238,13 +238,12 @@ def second_variation_form(e: IntervalUnion1D, params: FunctionalParams) -> Quadr
     ``constraint``.
     """
     w, _, h, db = _variation(e, params, "the form")
-    eps = params.eps
+    eps, k = params.eps, len(db)
     # diag(h) + eps * outer(db, db) entry by entry, as NumPy rounds it: off the
     # diagonal 0.0 + x, so a product of -0.0 reads +0.0
-    k = len(db)
-    matrix = [(h_i if i == j else 0.0) + eps * (p * q)
-              for i, (h_i, p) in enumerate(zip(h, db)) for j, q in enumerate(db)]
-    return QuadraticFormJ(matrix=np.array(matrix).reshape(k, k), constraint=np.array(w))
+    matrix = np.array([(h_i if i == j else 0.0) + eps * (p * q)
+                       for i, (h_i, p) in enumerate(zip(h, db)) for j, q in enumerate(db)]).reshape(k, k)
+    return QuadraticFormJ(matrix=matrix, constraint=np.array(w))
 
 
 def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
@@ -280,9 +279,8 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
         vs = v.tolist()
         # (I - c v v^T)[:, 1:] entry by entry, as NumPy rounds it: off the
         # diagonal 0.0 - x
-        basis = [(1.0 if i == j else 0.0) - c * (p * q)
-                 for i, p in enumerate(vs) for j, q in enumerate(vs[1:], 1)]
-        basis = np.array(basis).reshape(k, k - 1)
+        basis = np.array([(1.0 if i == j else 0.0) - c * (p * q)
+                          for i, p in enumerate(vs) for j, q in enumerate(vs[1:], 1)]).reshape(k, k - 1)
     reduced = basis.T @ form.matrix @ basis
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, eigenvectors = np.linalg.eigh(reduced)
