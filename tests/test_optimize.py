@@ -113,8 +113,11 @@ class TestTemplates:
 
     # eps 0.5 takes the face search, eps 10 the simplex
     @pytest.mark.parametrize("eps", [0.5, 10.0])
-    @pytest.mark.parametrize("k_max, message", [(0, r"must lie in \[1, 4\]"), (5, r"must lie in \[1, 4\]"),
-                                                (2.0, "must be an integer")])
+    @pytest.mark.parametrize(
+        "k_max, message",
+        [(0, r"must lie in \[1, 4\]"), (5, r"must lie in \[1, 4\]"), (2.0, "must be an integer")],
+        ids=["zero", "five", "float"],
+    )
     def test_minimize_checks_the_cap_on_both_paths(self, eps, k_max, message):
         params = FunctionalParams(s=0.0, eps=eps, lambda_pen=2.0)
         with pytest.raises(ValueError, match=f"component cap {message}"):
