@@ -10,7 +10,8 @@ Conventions used throughout the package:
 
 The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
 Every array form in the package keeps the scalar math: the ufunc that the
-scalar form calls, or the scalar form element by element (``_elementwise``).
+scalar form calls, or the scalar form element by element (``_elementwise``;
+``_elementwise_finite`` calls a libm function only at the finite elements).
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
