@@ -192,17 +192,11 @@ class IntervalTemplate:
         return IntervalUnion1D(intervals=_pairs(head + theta.tolist() + tail))
 
 
-def _check_component_cap(k_max: int) -> int:
-    """``k_max`` as an int; refuses a non-integer or one outside [1, 4]."""
-    k_max = _check_integer(k_max, "component cap")
-    if not 1 <= k_max <= 4:
-        raise ValueError(f"component cap must lie in [1, 4], got {k_max}")
-    return k_max
-
-
 def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
     """Every template with between 1 and ``k_max`` components, in stable order."""
-    k_max = _check_component_cap(k_max)
+    _check_integer(k_max, "component cap")
+    if not 1 <= k_max <= 4:
+        raise ValueError(f"component cap must lie in [1, 4], got {k_max}")
     templates = []
     for k in range(1, k_max + 1):
         for left in (True, False):
@@ -614,14 +608,14 @@ def minimize_penalized_functional(
     a half-line from a bounded interval whose far endpoint has escaped beyond
     floating-point support.
     """
-    k_max = _check_component_cap(k_max)
+    templates = enumerate_templates(k_max)
     # params.s is finite, so this refuses every non-finite s
     if s != params.s:
         raise ValueError(f"mass level must be finite and equal params.s = {params.s!r}, got {s!r}")
     if params.eps < _FACE_SEARCH_EPS:
         searched = _face_search(params, k_max)
     else:
-        searched = _multistart_search(params, enumerate_templates(k_max), settings)
+        searched = _multistart_search(params, templates, settings)
 
     candidates = [
         (template.dimension, template.components, d.final_value, d.endpoints, template)

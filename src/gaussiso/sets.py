@@ -54,8 +54,8 @@ import numpy as np
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _elementwise, _elementwise_finite, _gauss_cdf_finite,
-    _gauss_cdf_inv_many, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
+    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_inv_many, _gauss_cdf_many,
+    chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -406,7 +406,7 @@ def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     owner = batch.owners()
     x = batch.points
     with np.errstate(over="ignore"):  # from |x| ~ 1.9e154 on -0.5 x x is -inf, as in _profile_sums
-        w = _elementwise_finite(math.exp, -0.5 * x * x)
+        w = _elementwise(math.exp, -0.5 * x * x)
     w_lo, w_hi = w[0::2], w[1::2]
     mass = _row_sums(owner, batch.masses, n)
     perim = _row_sums(np.repeat(owner, 2), w, n)

@@ -10,8 +10,7 @@ Conventions used throughout the package:
 
 The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
 Every array form in the package keeps the scalar math: the ufunc that the
-scalar form calls, or the scalar form element by element (``_elementwise``;
-``_elementwise_finite`` calls a libm function only at the finite elements).
+scalar form calls, or the scalar form element by element (``_elementwise``).
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -114,21 +113,10 @@ def _elementwise(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
 
-def _elementwise_finite(f, x: np.ndarray) -> np.ndarray:
-    """``_elementwise(f, x)`` for a libm ``f``, which is called only at the
-    finite elements: +-inf read ``f(+-inf)``, taken once each, and NaN stays NaN."""
-    finite = np.isfinite(x)
-    # f runs before any array of x's size is made, to keep the peak memory down
-    values = np.fromiter(map(f, x[finite].tolist()), dtype=float, count=np.count_nonzero(finite))
-    out = np.where(np.isnan(x), x, np.where(x > 0.0, f(math.inf), f(-math.inf)))
-    out[finite] = values
-    return out
-
-
 def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
     vector ``erfc`` or ``ndtr`` would move last bits), exact at +-inf."""
-    return 0.5 * _elementwise_finite(math.erfc, -x / _SQRT_2)
+    return 0.5 * _elementwise(math.erfc, -x / _SQRT_2)
 
 
 def gauss_cdf(s: float) -> float:

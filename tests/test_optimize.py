@@ -111,26 +111,6 @@ class TestTemplates:
         with pytest.raises(ValueError, match="component cap must be an integer"):
             enumerate_templates(k_max)
 
-    # eps 0.5 takes the face search, eps 10 the simplex
-    @pytest.mark.parametrize("eps", [0.5, 10.0])
-    @pytest.mark.parametrize(
-        "k_max, message",
-        [(0, r"must lie in \[1, 4\]"), (5, r"must lie in \[1, 4\]"), (2.0, "must be an integer")],
-        ids=["zero", "five", "float"],
-    )
-    def test_minimize_checks_the_cap_on_both_paths(self, eps, k_max, message):
-        params = FunctionalParams(s=0.0, eps=eps, lambda_pen=2.0)
-        with pytest.raises(ValueError, match=f"component cap {message}"):
-            minimize_penalized_functional(0.0, params, k_max=k_max)
-
-    def test_face_search_enumerates_no_templates(self, monkeypatch):
-        def refused(k_max):
-            raise AssertionError("the face search reads no template list")
-
-        monkeypatch.setattr(optimize, "enumerate_templates", refused)
-        out = minimize_penalized_functional(0.0, stability_params(0.0), k_max=2)
-        assert out.half_line_optimal
-
     def test_decode_half_line(self):
         t = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)
         assert t.decode(np.array([-1.5])).intervals == ((-math.inf, -1.5),)

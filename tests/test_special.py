@@ -25,7 +25,6 @@ from gaussiso.special import (
     SQRT_2PI,
     _check_real,
     _chi2_quantile_many,
-    _elementwise_finite,
     _gauss_cdf_inv_many,
     _gauss_cdf_many,
     chi2_cdf,
@@ -121,30 +120,6 @@ class TestVectorCdf:
         ])
         assert hexes(_gauss_cdf_inv_many(p)) == hexes(gauss_cdf_inv(v) for v in p.tolist())
         assert _gauss_cdf_inv_many(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
-
-    # the arguments as the row kernel and the normal CDF pass them
-    @pytest.mark.parametrize(
-        "f, argument", [(math.exp, lambda x: -0.5 * x * x), (math.erfc, lambda x: -x / math.sqrt(2.0))]
-    )
-    def test_libm_runs_only_at_finite_points(self, f, argument):
-        with np.errstate(over="ignore"):
-            x = argument(np.concatenate([
-                [math.inf, -math.inf, math.nan, 0.0, -0.0, 1.9e154, -1.9e154, 5e-324, -5e-324, 38.6, -40.0],
-                np.random.default_rng(32).normal(0.0, 20.0, 2_000),
-                np.full(500, -math.inf),
-                np.full(500, math.inf),
-            ]))
-        seen = []
-
-        def counted(v):
-            seen.append(v)
-            return f(v)
-
-        # f of NaN is NaN, and 'nan' is NaN's hex
-        assert hexes(_elementwise_finite(counted, x)) == hexes(f(v) for v in x.tolist())
-        # f(+-inf) is read once each, and NaN is never passed
-        assert sorted(v for v in seen if not math.isfinite(v)) == [-math.inf, math.inf]
-        assert len(seen) == np.count_nonzero(np.isfinite(x)) + 2
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, -math.inf])
     def test_inverse_rejects_outside_unit_interval(self, bad):
