@@ -8,14 +8,18 @@ finite parameter by the rational substitution x = a + t/(1-t), and (-inf, inf)
 is split at 0 and summed left then right.
 
 One core, :func:`adaptive_quad_many`, integrates a vectorized integrand over
-arrays of intervals in bisection rounds. Each round evaluates the 15 nodes of
-every pending panel of every interval (in groups of ``_GROUP`` intervals) as
-one array. A panel is accepted when its error estimate is within its
-width-proportional share of the tolerance (or is zero, or the panel hit the
-depth budget); otherwise both halves join the next round. The decisions are
-per panel, so each interval gets the leaves it would get alone, whatever
-else is in its batch. :func:`adaptive_quad` is a batch of one with the
-scalar integrand lifted elementwise.
+arrays of intervals in bisection rounds, in groups of ``_GROUP`` intervals.
+The rows of a group that integrate f itself (finite intervals) and the rows
+mapped onto a ray are bisected apart, so neither selects between the two
+integrands per node. Each round evaluates the 15 nodes of every pending panel
+of its rows as one (node, panel) array, so that each node's values, and each
+weighted term of the Kronrod and Gauss sums, are one contiguous row. A panel
+is accepted when its error estimate is within its width-proportional share of
+the tolerance (or is zero, or the panel hit the depth budget); otherwise both
+halves join the next round. The decisions are per panel and the tolerance
+per row, so each interval gets the leaves it would get alone, whatever else
+is in its batch. :func:`adaptive_quad` is a batch of one with the scalar
+integrand lifted elementwise.
 
 The summation order is fixed: each interval's leaves are added one after
 another from 0.0 in descending order of their left endpoint, and a split
@@ -119,45 +123,51 @@ _KRONROD_WEIGHTS = np.array((_WGK[7],) + _WGK[:7])
 _GAUSS_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 
 
-def _integrand(f, sign: np.ndarray, anchor: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Integrand in the parameter t of each panel (one row of t per panel).
+def _direct(f, t: np.ndarray) -> np.ndarray:
+    """f itself at every node of a (node, panel) array t."""
+    return np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
 
-    ``sign`` is 0 where the panel integrates f itself, and +1 or -1 where
-    x = anchor + sign * t/(1-t) maps [0, 1) onto [anchor, inf) or
-    (-inf, anchor]; there the integrand is f(x)/(1-t)^2, and 0 where x is
-    infinite or f(x) is 0.
+
+def _mapped(f, sign: np.ndarray, anchor: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Integrand in the parameter t of panels mapped onto a ray, one column of t per panel.
+
+    x = anchor + sign * t/(1-t) maps [0, 1) onto [anchor, inf) for sign +1
+    and onto (-inf, anchor] for sign -1; the integrand is f(x)/(1-t)^2, and 0
+    where x is infinite (a node that rounds to t = 1) or f(x) is 0.
     """
-    direct = sign == 0.0
     u = 1.0 - t
-    # a node that rounds to t = 1 maps to an infinite x; the rows that
-    # integrate f itself compute a t/(1-t) that the where discards
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(direct, t, anchor + sign * (t / u))
-    live = direct | ~np.isinf(x)
+        x = anchor + sign * (t / u)
+    live = ~np.isinf(x)
     if live.all():
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(t.shape)
+        fx = _direct(f, x)
     else:
         fx = np.zeros_like(t)
         fx[live] = f(x[live])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(direct, fx, np.where(fx == 0.0, 0.0, fx / (u * u)))
+        return np.where(fx == 0.0, 0.0, fx / (u * u))
 
 
-def _gk15(f, sign: np.ndarray, anchor: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Kronrod 7/15 on every panel at once; returns (estimate, error_estimate)."""
+def _gk15(integrand, row: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod 7/15 on every panel at once; returns (estimate, error_estimate).
+
+    Panel j spans [lo[j], hi[j]] of row ``row[j]``; ``integrand(row, t)``
+    evaluates the (node, panel) array t, so each node's values are one
+    contiguous row.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # half * (-x) is exactly -(half * x), so the left nodes are center - half*x
-    t = center[:, None] + half[:, None] * _OFFSETS
-    ft = _integrand(f, sign[:, None], anchor[:, None], t)
-    # column 0 is f(center), column j+1 is f(center - dx_j) + f(center + dx_j)
-    pairs = np.empty((lo.size, 8))
-    pairs[:, 0] = ft[:, 0]
-    np.add(ft[:, 1:8], ft[:, 8:], out=pairs[:, 1:])
-    # the weighted columns are added one at a time, left to right: the
-    # one-panel rule's order, which a row reduction would not keep
-    kronrod = functools.reduce(np.add, (pairs * _KRONROD_WEIGHTS).T) * half
-    gauss = functools.reduce(np.add, (pairs[:, ::2] * _GAUSS_WEIGHTS).T) * half
+    t = center + half * _OFFSETS[:, None]
+    ft = integrand(row, t)
+    # row 0 is f(center), row j+1 is f(center - dx_j) + f(center + dx_j)
+    pairs = np.empty((8, lo.size))
+    pairs[0] = ft[0]
+    np.add(ft[1:8], ft[8:], out=pairs[1:])
+    # the weighted rows are added one at a time, top to bottom: the
+    # one-panel rule's order, which a column reduction would not keep
+    kronrod = functools.reduce(np.add, pairs * _KRONROD_WEIGHTS[:, None]) * half
+    gauss = functools.reduce(np.add, pairs[::2] * _GAUSS_WEIGHTS[:, None]) * half
     return kronrod, np.abs(kronrod - gauss)
 
 
@@ -231,13 +241,21 @@ def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     row_a = np.concatenate([a, np.zeros(int(both.sum()))])
     row_b = np.concatenate([np.where(both, 0.0, b), b[both]])
     upper, lower = np.isinf(row_b), np.isinf(row_a)
-    sign = upper * 1.0 - lower * 1.0
-    anchor = np.where(upper, row_a, row_b)
-    mapped = upper | lower
-    p_lo = np.where(mapped, 0.0, row_a)
-    p_hi = np.where(mapped, 1.0, row_b)
-
-    value, error, evals = _bisect(f, sign, anchor, p_lo, p_hi, settings)
+    # Rows on a ray integrate f(x)/(1-t)^2 over t in [0, 1), the others f
+    # itself; the decisions are per panel and the tolerance per row, so
+    # bisecting the two kinds apart gives every row its leaves.
+    ray = np.flatnonzero(upper | lower)
+    sign = upper[ray] * 1.0 - lower[ray] * 1.0
+    anchor = np.where(upper, row_a, row_b)[ray]
+    direct = np.flatnonzero(~(upper | lower))
+    value, error = np.empty(owner.size), np.empty(owner.size)
+    evals = np.empty(owner.size, dtype=np.int64)
+    for part, integrand, p_lo, p_hi in (
+        (direct, lambda row, t: _direct(f, t), row_a[direct], row_b[direct]),
+        (ray, lambda row, t: _mapped(f, sign[row], anchor[row], t), np.zeros(ray.size), np.ones(ray.size)),
+    ):
+        if part.size:
+            value[part], error[part], evals[part] = _bisect(integrand, p_lo, p_hi, settings)
     # Convergence is judged on the accumulated error: localized features (an
     # integrable endpoint singularity) can leave single panels over their
     # share at the depth budget while the total is well inside tolerance.
@@ -254,19 +272,19 @@ def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     )
 
 
-def _bisect(f, sign, anchor, p_lo, p_hi, settings: QuadSettings):
-    """Per-row (value, error, evals) of the adaptive rule on [p_lo, p_hi].
+def _bisect(integrand, p_lo, p_hi, settings: QuadSettings):
+    """Per-row (value, error, evals) of the adaptive rule on [p_lo, p_hi] of ``integrand``.
 
     A panel is a leaf when its error is within ``tol * width / total_width``,
     is zero, or the panel is at ``max_depth``; every other panel is bisected
     and both halves are evaluated in the next round. ``tol`` is fixed by the
     whole-row estimate, and every pending panel of a round has the same depth.
     """
-    rows = sign.size
-    whole, err0 = _gk15(f, sign, anchor, p_lo, p_hi)
+    rows = p_lo.size
+    row = np.arange(rows)
+    whole, err0 = _gk15(integrand, row, p_lo, p_hi)
     tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(whole))
     total_width = p_hi - p_lo
-    row = np.arange(rows)
     pan_lo, pan_hi, est, err = p_lo, p_hi, whole, err0
     depth = 0
     leaves = []
@@ -281,7 +299,7 @@ def _bisect(f, sign, anchor, p_lo, p_hi, settings: QuadSettings):
         mid = 0.5 * (pan_lo + pan_hi)
         row = np.concatenate([row, row])
         pan_lo, pan_hi = np.concatenate([pan_lo, mid]), np.concatenate([mid, pan_hi])
-        est, err = _gk15(f, sign[row], anchor[row], pan_lo, pan_hi)
+        est, err = _gk15(integrand, row, pan_lo, pan_hi)
         depth += 1
     leaves = [np.concatenate(c) for c in zip(*leaves)]
     value, error, count = _sum_leaves(rows, *leaves)

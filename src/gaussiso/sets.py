@@ -105,6 +105,29 @@ def _pairs(points: Sequence[float]) -> Iterator[tuple[float, float]]:
     return zip(points[0::2], points[1::2])
 
 
+def _check_intervals(items: Iterable[tuple[float, float]]) -> None:
+    """Raise ValueError unless the float pairs ``items`` are the intervals of an
+    ``IntervalUnion1D``: no NaN, each ``lo < hi``, sorted, and every gap and
+    width above ``MERGE_TOL``."""
+    prev_hi = -math.inf
+    first = True
+    for lo, hi in items:
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("IntervalUnion1D: endpoints must not be NaN")
+        if not lo < hi:
+            raise ValueError(f"IntervalUnion1D: empty or reversed interval ({lo!r}, {hi!r})")
+        if not first and lo - prev_hi <= MERGE_TOL:
+            raise ValueError(
+                f"IntervalUnion1D: intervals not sorted/disjoint at gap ({prev_hi!r}, {lo!r}); use normalize()"
+            )
+        if hi - lo <= MERGE_TOL:
+            raise ValueError(
+                f"IntervalUnion1D: degenerate interval ({lo!r}, {hi!r}) below merge tolerance; use normalize()"
+            )
+        prev_hi = hi
+        first = False
+
+
 @dataclass(frozen=True)
 class IntervalUnion1D:
     """Sorted union of disjoint open intervals; build raw data via normalize()."""
@@ -114,23 +137,7 @@ class IntervalUnion1D:
     def __post_init__(self) -> None:
         items = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", items)
-        prev_hi = -math.inf
-        first = True
-        for lo, hi in items:
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("IntervalUnion1D: endpoints must not be NaN")
-            if not lo < hi:
-                raise ValueError(f"IntervalUnion1D: empty or reversed interval ({lo!r}, {hi!r})")
-            if not first and lo - prev_hi <= MERGE_TOL:
-                raise ValueError(
-                    f"IntervalUnion1D: intervals not sorted/disjoint at gap ({prev_hi!r}, {lo!r}); use normalize()"
-                )
-            if hi - lo <= MERGE_TOL:
-                raise ValueError(
-                    f"IntervalUnion1D: degenerate interval ({lo!r}, {hi!r}) below merge tolerance; use normalize()"
-                )
-            prev_hi = hi
-            first = False
+        _check_intervals(items)
 
     @property
     def finite_endpoints(self) -> tuple[float, ...]:

@@ -39,9 +39,14 @@ and of the Householder basis are Python floats, which round element by
 element as NumPy's element-wise operations do.  NumPy keeps only the
 reductions whose bits are pinned: the weighted mean of the residuals
 (``np.dot`` and the weights' sum), ``v @ v``, the two projection products,
-the symmetrization and ``np.linalg.eigh``.  ``second_derivative_along_flow``
-takes both of its steps from one boundary pass through ``_flows``, the helper
-behind ``mass_preserving_flow``.
+and, for a reduced form larger than 1x1, the symmetrization and
+``np.linalg.eigh``.  A 1x1 form (two boundary points, some weight nonzero)
+is its own eigenvalue, ``0.5 * (r + r)`` as the symmetrization rounds it,
+with the basis column as witness, which is what ``eigh`` returns there.
+``second_derivative_along_flow`` takes both of its steps from one boundary
+pass through ``_flows``, the helper behind ``mass_preserving_flow``, and
+prices the flowed endpoint pairs with the sums ``penalized_functional``
+reads, without building set objects.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalParams, penalized_functional
-from .sets import IntervalUnion1D, _endpoints, _pairs
+from .functionals import FunctionalParams, _penalized
+from .sets import IntervalUnion1D, _check_intervals, _endpoints, _pairs, _profile_sums
 from .special import SQRT_2PI, _check_real, _gauss_cdf_finite, gauss_cdf_inv
 
 __all__ = [
@@ -254,7 +259,8 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
     The basis is the last k - 1 columns of the Householder reflection
     I - 2 v v^T / v^T v with v = w + sign(w_0) |w| e_0, which maps w onto the
     e_0 axis; when every weight has underflowed to zero the whole space is
-    admissible and the basis is the identity.
+    admissible and the basis is the identity.  With one basis column the
+    reduced form is 1x1 and needs no solver unless its entry is not finite.
     Returns the minimum eigenvalue together with a unit-norm witness vector in
     the original boundary coordinates; the witness satisfies
     witness @ matrix @ witness == min_eigenvalue to solver precision.
@@ -282,15 +288,23 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
         basis = np.array([(1.0 if i == j else 0.0) - c * (p * q)
                           for i, p in enumerate(vs) for j, q in enumerate(vs[1:], 1)]).reshape(k, k - 1)
     reduced = basis.T @ form.matrix @ basis
+    if basis.shape[1] == 1:
+        # eigh of a 1x1 form (LAPACK's dsyevd) returns its entry, with the
+        # eigenvector +1, and no basis entry is -0.0: the witness is the column
+        r = reduced.item()
+        lam = 0.5 * (r + r)
+        if math.isfinite(lam):
+            return lam, basis[:, 0].copy()
     reduced = 0.5 * (reduced + reduced.T)
     eigenvalues, eigenvectors = np.linalg.eigh(reduced)
     witness = basis @ eigenvectors[:, 0]
     return float(eigenvalues[0]), witness
 
 
-def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> list[IntervalUnion1D]:
-    """``mass_preserving_flow(e, phi, t)`` for each of ``times`` in turn, from
-    one boundary pass; raises as that call does at the first rejected time."""
+def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> list[tuple[tuple[float, float], ...]]:
+    """The intervals of ``mass_preserving_flow(e, phi, t)`` for each of ``times``
+    in turn, checked as ``IntervalUnion1D`` checks them, from one boundary
+    pass; raises as that call does at the first rejected time."""
     x, nu, w, _ = _boundary(e)
     v = np.asarray(phi, dtype=float)
     if v.shape != (len(x),):
@@ -299,11 +313,14 @@ def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> lis
         )
     base = [_gauss_cdf_finite(p) for p in x]
     ends = _endpoints(e.intervals)
+    vs = v.tolist()
     flowed = []
     for t in times:
-        # t * v in NumPy, for its promotion of t; nu_i = +-1 only flips signs,
-        # so the steps round as t * nu * v * w / sqrt(2 pi) does
-        targets = [c + n * tv * q / SQRT_2PI for c, n, tv, q in zip(base, nu, (t * v).tolist(), w)]
+        # t * v: entry by entry for a float t, as NumPy rounds it, else in
+        # NumPy, for its promotion of t; nu_i = +-1 only flips signs, so the
+        # steps round as t * nu * v * w / sqrt(2 pi) does
+        tvs = [t * p for p in vs] if type(t) is float else (t * v).tolist()
+        targets = [c + n * tv * q / SQRT_2PI for c, n, tv, q in zip(base, nu, tvs, w)]
         for p, target in zip(x, targets):
             if not 0.0 < target < 1.0:
                 raise ValueError(
@@ -311,7 +328,9 @@ def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> lis
                 )
         moved = iter([gauss_cdf_inv(target) for target in targets])
         points = [next(moved) if math.isfinite(p) else p for p in ends]
-        flowed.append(IntervalUnion1D(intervals=_pairs(points)))
+        pairs = tuple(_pairs(points))
+        _check_intervals(pairs)
+        flowed.append(pairs)
     return flowed
 
 
@@ -328,7 +347,7 @@ def mass_preserving_flow(e: IntervalUnion1D, phi: np.ndarray, t: float) -> Inter
     Raises ValueError when phi has the wrong length or the requested time
     pushes an endpoint outside the valid mass range or across a neighbor.
     """
-    return _flows(e, phi, (t,))[0]
+    return IntervalUnion1D(intervals=_flows(e, phi, (t,))[0])
 
 
 def second_derivative_along_flow(
@@ -348,8 +367,7 @@ def second_derivative_along_flow(
     ``mass_preserving_flow`` does, +h before -h.
     """
     h = _check_real(h, "step size", "positive")
-    f_zero = penalized_functional(e, params)
     plus, minus = _flows(e, phi, (h, -h))
-    f_plus = penalized_functional(plus, params)
-    f_minus = penalized_functional(minus, params)
+    # penalized_functional of each set, from the sums _row takes for a line
+    f_plus, f_zero, f_minus = (_penalized(*_profile_sums(pairs)[:3], params) for pairs in (plus, e.intervals, minus))
     return (f_plus - 2.0 * f_zero + f_minus) / (h * h)

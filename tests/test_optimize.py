@@ -847,6 +847,32 @@ class TestImports:
 
         assert self.owners("sets", is_family_check) == {"_profile", "SlabSet.__post_init__"}
 
+    def test_interval_rules_are_written_once(self):
+        # IntervalUnion1D and the flow steps of stationarity check intervals
+        # through sets._check_intervals; normalize merges and drops by the
+        # tolerance, so that what it builds passes the check
+        package = Path(gaussiso.__file__).resolve().parent
+        modules = sorted(p.stem for p in package.glob("*.py"))
+
+        def compares_merge_tol(node):
+            return isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Name) and x.id == "MERGE_TOL" for x in [node.left, *node.comparators]
+            )
+
+        def words_a_rule(node):
+            return isinstance(node, ast.Constant) and str(node.value).startswith("IntervalUnion1D: ")
+
+        tolerances = {m: self.owners(m, compares_merge_tol) for m in modules}
+        assert {m: owners for m, owners in tolerances.items() if owners} == {"sets": {"_check_intervals", "normalize"}}
+        rules = {m: self.owners(m, words_a_rule) for m in modules}
+        assert {m: owners for m, owners in rules.items() if owners} == {"sets": {"_check_intervals"}}
+
+    def test_flow_builds_a_set_object_only_where_it_returns_one(self):
+        def builds_union(node):
+            return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "IntervalUnion1D"
+
+        assert self.owners("stationarity", builds_union) == {"mass_preserving_flow"}
+
     def test_face_templates_are_built_once(self):
         def builds_template(node):
             return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "IntervalTemplate"

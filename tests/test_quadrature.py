@@ -5,6 +5,7 @@ exponentials), not from the Gaussian closed forms the oracle is later used to
 check, so the two routes stay independent.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -226,3 +227,139 @@ class TestBatch:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="1-D of one shape"):
             adaptive_quad_many(lambda x: x, [0.0, 1.0], [1.0])
+
+
+def _panel_major_integrand(f, sign, anchor, t):
+    """The batched core's integrand before rows were bisected by kind: one
+    row of t per panel, with the direct and mapped rows selected by where."""
+    direct = sign == 0.0
+    u = 1.0 - t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(direct, t, anchor + sign * (t / u))
+    live = direct | ~np.isinf(x)
+    if live.all():
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(t.shape)
+    else:
+        fx = np.zeros_like(t)
+        fx[live] = f(x[live])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(direct, fx, np.where(fx == 0.0, 0.0, fx / (u * u)))
+
+
+def _panel_major_gk15(f, sign, anchor, lo, hi):
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = center[:, None] + half[:, None] * quadrature._OFFSETS
+    ft = _panel_major_integrand(f, sign[:, None], anchor[:, None], t)
+    pairs = np.empty((lo.size, 8))
+    pairs[:, 0] = ft[:, 0]
+    np.add(ft[:, 1:8], ft[:, 8:], out=pairs[:, 1:])
+    kronrod = functools.reduce(np.add, (pairs * quadrature._KRONROD_WEIGHTS).T) * half
+    gauss = functools.reduce(np.add, (pairs[:, ::2] * quadrature._GAUSS_WEIGHTS).T) * half
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _panel_major_integrate(f, lo, hi, settings):
+    """``quadrature._integrate`` as it was with panel-major arrays and every
+    row of a group bisected together: the reference for the current kernel."""
+    nonempty = np.flatnonzero(lo < hi)
+    a, b = lo[nonempty], hi[nonempty]
+    both = np.isinf(a) & np.isinf(b)
+    owner = np.concatenate([nonempty, nonempty[both]])
+    row_a = np.concatenate([a, np.zeros(int(both.sum()))])
+    row_b = np.concatenate([np.where(both, 0.0, b), b[both]])
+    upper, lower = np.isinf(row_b), np.isinf(row_a)
+    sign = upper * 1.0 - lower * 1.0
+    anchor = np.where(upper, row_a, row_b)
+    mapped = upper | lower
+    p_lo = np.where(mapped, 0.0, row_a)
+    p_hi = np.where(mapped, 1.0, row_b)
+
+    rows = sign.size
+    whole, err0 = _panel_major_gk15(f, sign, anchor, p_lo, p_hi)
+    tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(whole))
+    total_width = p_hi - p_lo
+    row = np.arange(rows)
+    pan_lo, pan_hi, est, err = p_lo, p_hi, whole, err0
+    depth = 0
+    leaves = []
+    while True:
+        budget = tol[row] * ((pan_hi - pan_lo) / total_width[row])
+        done = (err <= budget) | (err == 0.0) | (depth >= settings.max_depth)
+        leaves.append((row[done], pan_lo[done], est[done], err[done]))
+        if done.all():
+            break
+        split = ~done
+        row, pan_lo, pan_hi = row[split], pan_lo[split], pan_hi[split]
+        mid = 0.5 * (pan_lo + pan_hi)
+        row = np.concatenate([row, row])
+        pan_lo, pan_hi = np.concatenate([pan_lo, mid]), np.concatenate([mid, pan_hi])
+        est, err = _panel_major_gk15(f, sign[row], anchor[row], pan_lo, pan_hi)
+        depth += 1
+    leaves = [np.concatenate(c) for c in zip(*leaves)]
+    value, error, count = quadrature._sum_leaves(rows, *leaves)
+    evals = 30 * count - 15
+    row_converged = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+    n = lo.size
+    return (
+        np.bincount(owner, value, minlength=n),
+        np.bincount(owner, error, minlength=n),
+        np.bincount(owner, ~row_converged, minlength=n) == 0,
+        np.bincount(owner, evals, minlength=n).astype(np.int64),
+    )
+
+
+def _density(x):
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _oscillating(x):
+    return np.exp(-np.abs(x)) * (1.0 + np.cos(3.0 * x))
+
+
+def _peaked(x):
+    """A peak of width 1e-12 at 0, which exhausts a small depth budget."""
+    return np.exp(-np.abs(x)) / np.sqrt(np.abs(x) + 1e-12)
+
+
+class TestKernelKeepsItsBits:
+    """The node-major kernel, with the direct and the mapped rows bisected
+    apart, against the panel-major kernel that bisected them together."""
+
+    @staticmethod
+    def intervals():
+        rng = np.random.default_rng(33)
+        lo = np.sort(rng.normal(0.0, 3.0, (300, 2)), axis=1)
+        lo, hi = lo[:, 0].copy(), lo[:, 1].copy()
+        lo[::7] = -math.inf      # left rays
+        hi[3::11] = math.inf     # right rays
+        hi[5::13] = lo[5::13]    # zero width
+        extra = [(-math.inf, math.inf), (-math.inf, -30.0), (38.0, math.inf), (37.0, 39.0),
+                 (-40.0, -39.5), (0.0, 0.0), (-math.inf, -math.inf), (2.0, math.inf), (-1e300, 1e300)]
+        return np.concatenate([lo, [a for a, _ in extra]]), np.concatenate([hi, [b for _, b in extra]])
+
+    @pytest.mark.parametrize(
+        "f, settings",
+        [
+            (_density, QuadSettings(abs_tol=1e-13, rel_tol=1e-13)),
+            (_oscillating, QuadSettings()),
+            (_density, QuadSettings(max_depth=4)),
+            (_peaked, QuadSettings(max_depth=4)),
+        ],
+        ids=["density", "oscillating", "density-depth-4", "peaked-depth-4"],
+    )
+    def test_matches_panel_major_kernel(self, monkeypatch, f, settings):
+        lo, hi = self.intervals()
+        # the density's x * x overflows at 1e300, alike in both kernels
+        with np.errstate(over="ignore"):
+            current = adaptive_quad_many(f, lo, hi, settings)
+            monkeypatch.setattr(quadrature, "_integrate", _panel_major_integrate)
+            reference = adaptive_quad_many(f, lo, hi, settings)
+        for field in ("value", "error"):
+            assert [x.hex() for x in getattr(current, field).tolist()] == [
+                x.hex() for x in getattr(reference, field).tolist()
+            ]
+        assert current.converged.tolist() == reference.converged.tolist()
+        assert current.evals.tolist() == reference.evals.tolist()
+        if settings.max_depth == 4:
+            assert not current.converged.all()

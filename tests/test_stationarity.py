@@ -707,3 +707,95 @@ class TestBitIdentity:
                     ):
                         callers.add(getattr(unit, "name", None))
         assert callers == {"_boundary"}
+
+    @staticmethod
+    def _two_point_forms():
+        """Forms with two boundary points, probe-style, and hand-built ones:
+        -0.0 and subnormal entries, overflowing products, infinite entries,
+        and the all-underflow weights of (39, 40), whose basis is the identity."""
+        rng = np.random.default_rng(33)
+        forms = []
+        while len(forms) < 900:
+            a, b = np.sort(rng.normal(0.0, 1.5, 2)).tolist()
+            if b - a < 1e-2:
+                continue
+            for intervals in (((a, b),), ((-math.inf, a), (b, math.inf))):
+                e = IntervalUnion1D(intervals=intervals)
+                forms += [
+                    second_variation_form(e, FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0))
+                    for eps in (0.0, 0.3, 7.0)
+                ]
+                forms.append(second_variation_form(e, stability_params(gauss_cdf_inv(measure(e)))))
+        forms.append(second_variation_form(IntervalUnion1D(intervals=((-0.0, 1.0),)), PARAMS_0))
+        underflow = second_variation_form(IntervalUnion1D(intervals=((39.0, 40.0),)), PARAMS_0)
+        assert not underflow.constraint.any()
+        hand_built = [
+            ([[-0.0, -0.0], [-0.0, -0.0]], [0.5, 1.0]),
+            ([[0.0, 0.0], [0.0, -5e-324]], [1.0, 0.5]),
+            ([[1e308, 1e308], [1e308, 1e308]], [1.0, -1.0]),
+            ([[1.0, 0.0], [0.0, 1.7e308]], [1.0, 0.0]),  # r + r overflows
+            ([[math.inf, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+            ([[-math.inf, 0.0], [0.0, 1.0]], [1.0, 0.5]),
+            ([[1.0, 2.0], [2.0, -3.0]], underflow.constraint),
+        ]
+        forms += [QuadraticFormJ(matrix=np.array(m), constraint=np.array(c)) for m, c in hand_built]
+        return forms
+
+    def test_one_column_solve_matches_eigh(self):
+        closed = 0
+        with warnings.catch_warnings():
+            # the hand-built forms overflow, or meet inf * 0, in the projection
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for form in self._two_point_forms():
+                lam, witness = psd_on_zero_average(form)
+                ref_lam, ref_witness = _reference_psd(form.matrix, form.constraint)
+                assert lam.hex() == ref_lam.hex()
+                assert _hexes(witness) == _hexes(ref_witness)
+                closed += form.constraint.any() and math.isfinite(lam)
+        assert closed >= 900
+
+    @pytest.mark.parametrize("entry", [-0.0, 0.0, 5e-324, -5e-324, -1e300, 0.75, 1.7976931348623157e308])
+    def test_eigh_of_one_entry_is_the_entry(self, entry):
+        # LAPACK's dsyevd returns A(1,1) and the eigenvector 1 for n = 1,
+        # which the closed-form 1x1 solve relies on
+        values, vectors = np.linalg.eigh(np.array([[entry]]))
+        assert values[0].hex() == entry.hex()
+        assert vectors.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-2, 0.3])
+    def test_flow_steps_price_as_the_public_flow(self, h):
+        # second_derivative_along_flow prices endpoint pairs, not set
+        # objects: it equals the difference of F on mass_preserving_flow's
+        # sets in every bit, and a rejected step raises the same text
+        rng = np.random.default_rng(34)
+        rejected = 0
+        for e in _bit_identity_sets()[:200]:
+            k = len(e.finite_endpoints)
+            phi = rng.normal(size=k)
+            try:
+                got = second_derivative_along_flow(e, PARAMS_0, phi, h=h)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as flow:
+                    for t in (h, -h):
+                        mass_preserving_flow(e, phi, t)
+                assert str(exc) == str(flow.value)
+                rejected += 1
+                continue
+            f_plus, f_zero, f_minus = (
+                penalized_functional(mass_preserving_flow(e, phi, t), PARAMS_0) if t else penalized_functional(e, PARAMS_0)
+                for t in (h, 0.0, -h)
+            )
+            assert got.hex() == ((f_plus - 2.0 * f_zero + f_minus) / (h * h)).hex()
+        assert rejected < 200
+        if h == 0.3:
+            assert rejected > 0
+
+    @pytest.mark.parametrize("t", [1, -2, np.float64(0.01), np.float32(0.01), np.int64(1)])
+    def test_flow_time_keeps_numpy_promotion(self, t):
+        # t * phi is taken in NumPy for any t but a float: a float32 time is
+        # widened exactly, as a float64 product with phi
+        e = IntervalUnion1D(intervals=((-1.0, -0.5), (0.2, 0.9)))
+        phi = np.array([0.3, -0.1, 0.2, -0.25]) * 0.1
+        assert mass_preserving_flow(e, phi, t) == mass_preserving_flow(e, phi, float(t))
+        with pytest.raises(OverflowError):
+            mass_preserving_flow(e, phi, 10**400)
