@@ -244,10 +244,10 @@ def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     # Rows on a ray integrate f(x)/(1-t)^2 over t in [0, 1), the others f
     # itself; the decisions are per panel and the tolerance per row, so
     # bisecting the two kinds apart gives every row its leaves.
-    ray = np.flatnonzero(upper | lower)
+    mapped = upper | lower
+    direct, ray = np.flatnonzero(~mapped), np.flatnonzero(mapped)
     sign = upper[ray] * 1.0 - lower[ray] * 1.0
     anchor = np.where(upper, row_a, row_b)[ray]
-    direct = np.flatnonzero(~(upper | lower))
     value, error = np.empty(owner.size), np.empty(owner.size)
     evals = np.empty(owner.size, dtype=np.int64)
     for part, integrand, p_lo, p_hi in (

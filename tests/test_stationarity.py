@@ -768,8 +768,9 @@ class TestBitIdentity:
         # objects: it equals the difference of F on mass_preserving_flow's
         # sets in every bit, and a rejected step raises the same text
         rng = np.random.default_rng(34)
+        sets = _bit_identity_sets()
         rejected = 0
-        for e in _bit_identity_sets()[:200]:
+        for e in sets:
             k = len(e.finite_endpoints)
             phi = rng.normal(size=k)
             try:
@@ -781,12 +782,10 @@ class TestBitIdentity:
                 assert str(exc) == str(flow.value)
                 rejected += 1
                 continue
-            f_plus, f_zero, f_minus = (
-                penalized_functional(mass_preserving_flow(e, phi, t), PARAMS_0) if t else penalized_functional(e, PARAMS_0)
-                for t in (h, 0.0, -h)
-            )
+            f_plus, f_minus = (penalized_functional(mass_preserving_flow(e, phi, t), PARAMS_0) for t in (h, -h))
+            f_zero = penalized_functional(e, PARAMS_0)
             assert got.hex() == ((f_plus - 2.0 * f_zero + f_minus) / (h * h)).hex()
-        assert rejected < 200
+        assert len(sets) - rejected >= 100
         if h == 0.3:
             assert rejected > 0
 
