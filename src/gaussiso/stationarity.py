@@ -313,14 +313,11 @@ def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> lis
         )
     base = [_gauss_cdf_finite(p) for p in x]
     ends = _endpoints(e.intervals)
-    vs = v.tolist()
     flowed = []
     for t in times:
-        # t * v: entry by entry for a float t, as NumPy rounds it, else in
-        # NumPy, for its promotion of t; nu_i = +-1 only flips signs, so the
-        # steps round as t * nu * v * w / sqrt(2 pi) does
-        tvs = [t * p for p in vs] if type(t) is float else (t * v).tolist()
-        targets = [c + n * tv * q / SQRT_2PI for c, n, tv, q in zip(base, nu, tvs, w)]
+        # t * v in NumPy, for its promotion of t; nu_i = +-1 only flips signs,
+        # so the steps round as t * nu * v * w / sqrt(2 pi) does
+        targets = [c + n * tv * q / SQRT_2PI for c, n, tv, q in zip(base, nu, (t * v).tolist(), w)]
         for p, target in zip(x, targets):
             if not 0.0 < target < 1.0:
                 raise ValueError(

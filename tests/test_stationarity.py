@@ -791,8 +791,8 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("t", [1, -2, np.float64(0.01), np.float32(0.01), np.int64(1)])
     def test_flow_time_keeps_numpy_promotion(self, t):
-        # t * phi is taken in NumPy for any t but a float: a float32 time is
-        # widened exactly, as a float64 product with phi
+        # t * phi is taken in NumPy: a float32 time is widened exactly, as a
+        # float64 product with phi
         e = IntervalUnion1D(intervals=((-1.0, -0.5), (0.2, 0.9)))
         phi = np.array([0.3, -0.1, 0.2, -0.25]) * 0.1
         assert mass_preserving_flow(e, phi, t) == mass_preserving_flow(e, phi, float(t))
