@@ -16,11 +16,11 @@ the preimage of an interval union under ``x -> x . axis`` for a unit axis
 (an interval union along ``(1,)``, a slab along ``e_n``, a half-space as the
 one-ray profile ``(-inf, s)`` along ``omega``). ``_profile`` makes that
 decision, as ``(family, dimension, intervals)``, for every reader here; it
-builds no axis, so a slab in dimension 10^6 costs no 10^6-long tuple, and
-``_axis`` builds the vector only for ``barycenter`` and
-``symm_diff_measure``. For scalar quantities ``_row`` is the one family
-decision: ``(mass, perimeter, b, excess)`` of a profile from the one private
-pass over its ``(lo, hi)`` pairs, or of a ball from its closed forms.
+builds no axis, and no reader builds ``e_n``: ``barycenter`` writes ``b`` at
+its last index, and ``symm_diff_measure`` takes ``omega[-1]`` as ``omega .
+e_n``. For scalar quantities ``_row`` is the one family decision: ``(mass,
+perimeter, b, excess)`` of a profile from the one private pass over its
+``(lo, hi)`` pairs, or of a ball from its closed forms.
 ``measure``, ``perimeter`` and ``penalized_functional`` read it.
 Many sets travel as one ``_Batch`` of flat columns: the corpus draws into
 it, ``_batch`` packs set objects into it, ``_rows`` is ``_row`` on every row
@@ -39,6 +39,8 @@ the mass ``Phi(s)`` is within rounding of 0 or 1.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
 and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
+Endpoints are read by ``special._check_endpoint``, half-space components and
+levels by ``_check_real``, so a bool, a string or NaN raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ import numpy as np
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _elementwise, _gauss_cdf_finite, _gauss_cdf_inv_many, _gauss_cdf_many,
-    chi2_cdf, gauss_cdf, gauss_cdf_inv,
+    SQRT_2PI, _check_endpoint, _check_integer, _check_real, _elementwise, _gauss_cdf_finite,
+    _gauss_cdf_inv_many, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -89,9 +91,6 @@ MERGE_TOL = 1e-9
 
 _UNIT_NORM_TOL = 1e-12
 
-#: Component types that ``HalfSpace`` checks in bulk.
-_PLAIN_REALS = frozenset((float, int, np.float64))
-
 _LOG_2 = math.log(2.0)
 
 
@@ -107,13 +106,11 @@ def _pairs(points: Sequence[float]) -> Iterator[tuple[float, float]]:
 
 def _check_intervals(items: Iterable[tuple[float, float]]) -> None:
     """Raise ValueError unless the float pairs ``items`` are the intervals of an
-    ``IntervalUnion1D``: no NaN, each ``lo < hi``, sorted, and every gap and
-    width above ``MERGE_TOL``."""
+    ``IntervalUnion1D``: each ``lo < hi``, sorted, and every gap and width above
+    ``MERGE_TOL``. The endpoints are checked numbers, never NaN."""
     prev_hi = -math.inf
     first = True
     for lo, hi in items:
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("IntervalUnion1D: endpoints must not be NaN")
         if not lo < hi:
             raise ValueError(f"IntervalUnion1D: empty or reversed interval ({lo!r}, {hi!r})")
         if not first and lo - prev_hi <= MERGE_TOL:
@@ -135,7 +132,8 @@ class IntervalUnion1D:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        items = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        what = "interval endpoint"
+        items = tuple((_check_endpoint(lo, what), _check_endpoint(hi, what)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", items)
         _check_intervals(items)
 
@@ -156,22 +154,8 @@ class HalfSpace:
     s: float
 
     def __post_init__(self) -> None:
-        om = tuple(self.omega)
-        norm = math.inf
-        # plain floats and ints (and NumPy's float64, a float) are checked in
-        # bulk, a bool being a type of its own; any other component, or a
-        # non-finite one, gets _check_real's message
-        types = set(map(type, om))
-        if types <= _PLAIN_REALS:
-            try:
-                if types != {float}:
-                    om = tuple(map(float, om))
-                norm = math.hypot(*om)
-            except OverflowError:  # an int past the float range
-                pass
-        if not math.isfinite(norm):
-            om = tuple(_check_real(c, "HalfSpace: omega component") for c in om)
-            norm = math.hypot(*om)
+        om = tuple(_check_real(c, "HalfSpace: omega component") for c in self.omega)
+        norm = math.hypot(*om)
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "s", _check_real(self.s, "HalfSpace: s"))
         if len(om) < 1:
@@ -225,9 +209,7 @@ def normalize(raw: Iterable[Sequence[float]]) -> IntervalUnion1D:
     """
     pairs = []
     for item in raw:
-        lo, hi = (float(item[0]), float(item[1]))
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("normalize: endpoints must not be NaN")
+        lo, hi = _check_endpoint(item[0], "normalize: endpoint"), _check_endpoint(item[1], "normalize: endpoint")
         if lo > hi:
             raise ValueError(f"normalize: reversed interval ({lo!r}, {hi!r})")
         if lo == hi:
@@ -255,8 +237,8 @@ def _profile(e: GaussianSet) -> tuple[int, int, tuple[tuple[float, float], ...]]
     ``x -> x . axis`` for a unit axis: an interval union is its own profile
     along ``(1,)``, a slab its profile along ``e_n``, and a half-space the
     one-ray profile ``(-inf, s)`` along ``omega``. A centered ball has no
-    profile, so its intervals are empty. The axis is built by ``_axis``, and
-    only where a caller needs it as a vector.
+    profile, so its intervals are empty. No axis is built: a half-space
+    keeps its own as ``omega``, and ``e_n`` is known by its last index.
     """
     if isinstance(e, IntervalUnion1D):
         return _LINE, 1, e.intervals
@@ -267,12 +249,6 @@ def _profile(e: GaussianSet) -> tuple[int, int, tuple[tuple[float, float], ...]]
     if isinstance(e, CenteredBall):
         return _BALL, e.dim, ()
     raise TypeError(f"unsupported set representation: {type(e).__name__}")
-
-
-def _axis(e: GaussianSet) -> tuple[float, ...]:
-    """The unit axis of a profile set: ``omega`` for a half-space, else ``e_n``."""
-    family, n, _ = _profile(e)
-    return e.omega if family == _HALFSPACE else (0.0,) * (n - 1) + (1.0,)
 
 
 def dimension(e: GaussianSet) -> int:
@@ -489,11 +465,13 @@ def perimeter(e: GaussianSet) -> float:
 def barycenter(e: GaussianSet) -> np.ndarray:
     """b(E) = integral over E of x dgamma, as a vector of length dimension(e)."""
     family, n, intervals = _profile(e)
-    if family == _BALL:
-        return np.zeros(n)
-    b = _profile_sums(intervals)[2]
-    # components off the axis are exactly zero, never -0.0
-    return np.array([b * c if c else 0.0 for c in _axis(e)])
+    b = _profile_sums(intervals)[2]  # 0.0 for a ball, whose profile is empty
+    if family == _HALFSPACE:
+        # components off the axis are exactly zero, never -0.0
+        return np.array([b * c if c else 0.0 for c in e.omega])
+    out = np.zeros(n)
+    out[-1] = b
+    return out
 
 
 def mass_level(e: GaussianSet) -> float:
@@ -503,7 +481,7 @@ def mass_level(e: GaussianSet) -> float:
 
 def half_line_set(s: float) -> IntervalUnion1D:
     """The left half-line with mass level ``s``."""
-    return IntervalUnion1D(intervals=((-math.inf, float(s)),))
+    return IntervalUnion1D(intervals=((-math.inf, s),))
 
 
 def two_ray_endpoint(s: float) -> float:
@@ -585,15 +563,15 @@ def symm_diff_measure(e: GaussianSet, h: HalfSpace) -> float:
     A profile set needs H collinear with its axis; a centered ball accepts
     every direction.
     """
-    n = dimension(e)
+    family, n, _ = _profile(e)
     if len(h.omega) != n:
         raise ValueError(
             f"half-space dimension {len(h.omega)} does not match set dimension {n}"
         )
-    if _profile(e)[0] == _BALL:
+    if family == _BALL:
         inter = _ball_halfspace_mass(e.dim, e.radius, h.s)
     else:
-        dot = float(np.dot(_axis(e), h.omega))
+        dot = float(np.dot(e.omega, h.omega)) if family == _HALFSPACE else h.omega[-1]
         if not (abs(dot - 1.0) <= 1e-9 or abs(dot + 1.0) <= 1e-9):
             raise ValueError("half-space must be collinear with the set's profile axis")
         # H is (-inf, h.s) along the axis, and (-h.s, inf) where omega is anti-parallel to it
@@ -673,12 +651,7 @@ def _endpoint_from_json(v: object) -> float:
         if v == "-inf":
             return -math.inf
         raise ValueError(f"set descriptor: bad endpoint string {v!r}; allowed: 'inf', '-inf'")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"set descriptor: endpoint must be a number or 'inf'/'-inf', got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an int past the float range
-        raise ValueError(f"set descriptor: endpoint must be finite, got {v!r}") from None
+    return _check_endpoint(v, "set descriptor: endpoint")
 
 
 def _endpoint_to_json(v: float) -> object:

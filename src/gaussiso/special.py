@@ -24,9 +24,11 @@ one module that names SciPy; other modules call the functions here, never a
 stub by name.
 
 The package's number checks are ``_check_integer``, for dimensions, counts,
-seeds and caps, and ``_check_real``, for levels, weights, radii, steps and
-margins. A Python or NumPy number of the right kind passes; a bool, a string,
-None or any other object raises ValueError, as does a non-finite real.
+seeds and caps, ``_check_real``, for levels, weights, radii, steps, margins
+and directions, and ``_check_endpoint``, for interval endpoints. A Python or
+NumPy number of the right kind passes; a bool, a string, None or any other
+object raises ValueError, as does NaN, an int past the float range, or +-inf
+anywhere but in ``_check_endpoint``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def _check_real(value, what: str, sign: str | None = None) -> float:
     if sign is not None and not (x > 0.0 if sign == "positive" else x >= 0.0):
         raise ValueError(f"{what} must be {sign}, got {value!r}")
     return x
+
+
+def _check_endpoint(value, what: str) -> float:
+    """``value`` as an interval endpoint: what ``_check_real`` accepts, or a float
+    (NumPy floats too) +-inf."""
+    if isinstance(value, (float, np.floating)) and math.isinf(value):
+        return float(value)
+    return _check_real(value, what)
 
 
 def _gauss_cdf_finite(s: float) -> float:

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import ast
+import importlib
 import inspect
 import json
 import math
@@ -120,8 +122,10 @@ class TestEval:
             ('{"type":"intervals","items":[[-1, 1' + "0" * 400 + "]]}", "set descriptor: endpoint must be finite, got 1000"),
             ('{"type":"ball","dim":100000000000000000000,"radius":1}', "CenteredBall: dim must be at most 2**63 - 1"),
             ('{"type":"slab","dim":100000000000000000000,"profile":[[0,1]]}', "SlabSet: dim must be at most 2**63 - 1"),
+            # the barycenter's array is refused by its size, before anything is allocated
+            ('{"type":"slab","dim":9223372036854775807,"profile":[[0,1]]}', "array is too big"),
         ],
-        ids=["endpoint", "ball-dim", "slab-dim"],
+        ids=["endpoint", "ball-dim", "slab-dim", "slab-dim-too-big-to-print"],
     )
     def test_out_of_range_descriptor_is_usage_error(self, capsys, descriptor, message):
         # exit 1 means a violation, so out-of-range input must exit 2, without a traceback
@@ -500,3 +504,62 @@ class TestSharedParser:
         fresh = run_python("-m", "gaussiso", *argv)
         assert (fresh.returncode, fresh.stderr) == (0, "")
         assert out == fresh.stdout
+
+
+class TestBenchmarkApi:
+    """The names ``bench/`` imports from the package exist, and the argv it passes parses.
+
+    Read from the benchmark's source and parsed, never run, so a dropped name
+    or flag fails here rather than in a benchmark run.
+    """
+
+    BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+    def trees(self):
+        """The syntax trees of the benchmark, and of the code its set-up interpreter runs."""
+        trees = [ast.parse((self.BENCH / name).read_text()) for name in ("workloads.py", "run.py")]
+        (snippet,) = [
+            node.value.value
+            for node in ast.walk(trees[1])
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETUP_SNIPPET"
+        ]
+        return [*trees, ast.parse(snippet)]
+
+    def test_imported_names_exist(self):
+        imported = [
+            (node.module, a.name)
+            for tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gaussiso"
+            for a in node.names
+        ]
+        assert ("gaussiso.cli", "cli_main") in imported and len(imported) > 20
+        assert [(m, n) for m, n in imported if not hasattr(importlib.import_module(m), n)] == []
+
+    def test_argv_shapes_parse(self, capsys):
+        def render(node):
+            # a computed value stands in as -1 inside an f-string, else as 1
+            if isinstance(node, ast.Constant):
+                return node.value
+            if isinstance(node, ast.JoinedStr):
+                return "".join(render(x) if isinstance(x, ast.Constant) else "-1" for x in node.values)
+            return "1"
+
+        shapes = [
+            [render(x) for x in node.elts]
+            for tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.List) and node.elts and isinstance(getattr(node.elts[0], "value", None), str)
+        ]
+        verify = ["verify", "--suite", "all", "--samples", "1", "--seed", "1"]
+        minimize = ["minimize", "--s=-1", "--kmax", "3", "--starts", "1", "--seed", "1"]
+        assert sorted(shapes) == sorted([verify, ["--out", "1"], minimize, ["--help"]])
+        parser = cli._build_parser()
+        args = parser.parse_args(verify + ["--out", "1"])
+        assert (args.command, args.suite, args.samples, args.seed, args.out) == ("verify", "all", 1, 1, "1")
+        args = parser.parse_args(minimize)
+        assert (args.command, args.s, args.kmax, args.starts, args.seed) == ("minimize", -1.0, 3, 1, 1)
+        with pytest.raises(SystemExit) as done:
+            parser.parse_args(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gaussiso")

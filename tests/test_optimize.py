@@ -799,7 +799,6 @@ class TestImports:
         allowed = {
             ("special", "_check_integer"),
             ("special", "_check_real"),
-            ("sets", "_endpoint_from_json"),  # an endpoint may be +-inf
             ("verify", "format_number"),  # renders a bool, checks nothing
         }
         found = set()
@@ -866,6 +865,33 @@ class TestImports:
         assert {m: owners for m, owners in tolerances.items() if owners} == {"sets": {"_check_intervals", "normalize"}}
         rules = {m: self.owners(m, words_a_rule) for m in modules}
         assert {m: owners for m, owners in rules.items() if owners} == {"sets": {"_check_intervals"}}
+
+    def test_numbers_are_told_apart_in_one_place(self):
+        # special's checks decide what a real number or an integer is, and
+        # verify only renders numbers; sets reads endpoints and components
+        # through those checks, never by float(), which reads True as 1.0
+        package = Path(gaussiso.__file__).resolve().parent
+        modules = sorted(p.stem for p in package.glob("*.py"))
+        number_types = {"bool", "int", "float", "np.integer", "np.floating"}
+
+        def tests_a_number_type(node):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+                return False
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            return any(ast.unparse(k) in number_types for k in kinds)
+
+        def calls_float(node):
+            return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+
+        checks = {m: self.owners(m, tests_a_number_type) for m in modules}
+        assert {m: owners for m, owners in checks.items() if owners} == {
+            "special": {"_check_integer", "_check_real", "_check_endpoint"},
+            "verify": {"format_number", "json_value"},
+        }
+        readers = {
+            "IntervalUnion1D.__post_init__", "HalfSpace.__post_init__", "normalize", "_endpoint_from_json", "half_line_set"
+        }
+        assert self.owners("sets", calls_float) & readers == set()
 
     def test_flow_builds_a_set_object_only_where_it_returns_one(self):
         def builds_union(node):
