@@ -53,6 +53,7 @@ from .sets import (
     _Batch,
     _interval_masses,
     _members,
+    _row_sums,
     _two_ray_endpoints,
 )
 from .special import (
@@ -383,7 +384,7 @@ def _draw_profiles(entropy: list[np.ndarray], k_range: tuple[int, int]) -> tuple
     ``_ENDPOINT_SCALE`` and two uniforms for the rays.  A member whose
     candidate is refused draws again in the next round from where its stream
     stands, for at most ``_MAX_RETRIES`` rounds.  A candidate's total mass is
-    ``np.bincount``'s sum of its masses, left to right from 0.0, the sum that
+    ``_row_sums`` of its masses, left to right from 0.0, the sum that
     ``measure`` takes.
     """
     lo_mass, hi_mass = MASS_WINDOW
@@ -415,7 +416,7 @@ def _draw_profiles(entropy: list[np.ndarray], k_range: tuple[int, int]) -> tuple
         pts[ends, 2 * k[ends] - 1] = math.inf
         pairs = pts[real].reshape(-1, 2)
         masses = _interval_masses(pairs[:, 0], pairs[:, 1])
-        totals = np.bincount(np.repeat(np.arange(len(k)), k), weights=masses, minlength=len(k))
+        totals = _row_sums(np.repeat(np.arange(len(k)), k), masses, len(k))
         inside = (lo_mass < totals) & (totals < hi_mass)
         chosen = np.repeat(inside, k)
         drawn.append((rows[spaced[inside]], k[inside], pairs[chosen], masses[chosen]))

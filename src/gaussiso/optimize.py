@@ -66,12 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import (
-    FunctionalParams,
-    _penalized,
-    max_barycenter_norm,
-    penalized_functional,
-)
+from .functionals import FunctionalParams, _penalized, max_barycenter_norm
 from .sets import (
     _LINE,
     IntervalUnion1D,
@@ -80,13 +75,12 @@ from .sets import (
     _pairs,
     _profile_sums,
     _rows,
-    half_line_set,
     measure,
     symmetric_interval_halfwidth,
     two_ray_endpoint,
 )
 from .special import (
-    SQRT_2PI, _check_integer, _check_real, _gauss_cdf_inv_many, _gauss_cdf_many,
+    SQRT_2PI, _SQRT_MIN_NORMAL, _check_integer, _check_real, _gauss_cdf_inv_many, _gauss_cdf_many,
     gauss_cdf, gauss_cdf_inv, gauss_weight,
 )
 
@@ -140,9 +134,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 100
 
 _LN2 = math.log(2.0)
-
-#: Nearer to 0 than this, ``s * s`` underflows and the sweep ratio with it.
-_NEAREST_SWEEP_LEVEL = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -630,7 +621,8 @@ def minimize_penalized_functional(
     _, _, chosen_value, endpoints, template = min(near_best, key=lambda c: c[:4])
     best_set = template.decode(endpoints)
 
-    half_line_value = penalized_functional(half_line_set(params.s), params)
+    # F of the half-line (-inf, s), from the sums penalized_functional reads
+    half_line_value = _penalized(*_profile_sums(((-math.inf, params.s),))[:3], params)
     return MinimizeOutcome(
         best_set=best_set,
         best_value=chosen_value,
@@ -684,9 +676,9 @@ def mass_sweep(s_values) -> tuple[MassSweepRow, ...]:
             raise ValueError(
                 f"the deficit column underflows the float range below level -37, got {s!r}"
             )
-        if abs(s) < _NEAREST_SWEEP_LEVEL:
+        if abs(s) < _SQRT_MIN_NORMAL:
             raise ValueError(
-                f"the ratio column underflows the float range above level {-_NEAREST_SWEEP_LEVEL:.3g}, got {s!r}"
+                f"the ratio column underflows the float range above level {-_SQRT_MIN_NORMAL:.3g}, got {s!r}"
             )
         a = two_ray_endpoint(s)
         growth = math.expm1((s * s - a * a) / 2.0 + _LN2)

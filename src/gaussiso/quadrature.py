@@ -2,10 +2,11 @@
 
 This is the package's independent numerical oracle: every closed-form measure,
 moment, and perimeter formula elsewhere is cross-checked against it, so it
-shares no numerics with them; only its argument checks are ``special``'s. The
-rule is Gauss-Kronrod 7/15 with bisection; infinite endpoints are mapped to a
-finite parameter by the rational substitution x = a + t/(1-t), and (-inf, inf)
-is split at 0 and summed left then right.
+shares no numerics with them; only its argument checks, and the elementwise
+lift of :func:`adaptive_quad`'s scalar integrand (``special._elementwise``),
+are ``special``'s. The rule is Gauss-Kronrod 7/15 with bisection; infinite
+endpoints are mapped to a finite parameter by the rational substitution
+x = a + t/(1-t), and (-inf, inf) is split at 0 and summed left then right.
 
 One core, :func:`adaptive_quad_many`, integrates a vectorized integrand over
 arrays of intervals in bisection rounds, in groups of ``_GROUP`` intervals.
@@ -20,6 +21,11 @@ halves join the next round. The decisions are per panel and the tolerance
 per row, so each interval gets the leaves it would get alone, whatever else
 is in its batch. :func:`adaptive_quad` is a batch of one with the scalar
 integrand lifted elementwise.
+
+A row whose leaves all read 0 although its whole-row estimate did not has
+lost its mass between the nodes, as on a wide interval around a narrow
+peak; its error is the whole-row estimate, so it reads not converged. A row
+that misses only part of its mass, with some leaf nonzero, is not caught.
 
 The summation order is fixed: each interval's leaves are added one after
 another from 0.0 in descending order of their left endpoint, and a split
@@ -36,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import _check_integer, _check_real
+from .special import _check_integer, _check_real, _elementwise
 
 __all__ = ["QuadSettings", "QuadResult", "QuadBatch", "adaptive_quad", "adaptive_quad_many"]
 
@@ -196,8 +202,9 @@ def adaptive_quad_many(
 
     ``f`` maps a 1-D float array to an array of the same shape; it is never
     called at an infinite point. Endpoints may be infinite, and lo[i] == hi[i]
-    gives 0 with no evaluations. Requires lo <= hi elementwise. Lack of
-    convergence is reported per interval through ``converged``, not raised.
+    gives 0 with no evaluations. Requires lo <= hi elementwise, and a finite
+    interval's width within the float range. Lack of convergence is reported
+    per interval through ``converged``, not raised.
     """
     if settings is None:
         settings = QuadSettings()
@@ -213,6 +220,13 @@ def adaptive_quad_many(
         i = int(np.argmax(lo > hi))
         raise ValueError(
             f"adaptive_quad: requires a <= b, got a={float(lo[i])!r} > b={float(hi[i])!r}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        too_wide = np.isinf(hi - lo) & np.isfinite(lo) & np.isfinite(hi)
+    if too_wide.any():
+        i = int(np.argmax(too_wide))
+        raise ValueError(
+            f"adaptive_quad: the width of ({float(lo[i])!r}, {float(hi[i])!r}) overflows the float range"
         )
 
     n = lo.size
@@ -279,6 +293,8 @@ def _bisect(integrand, p_lo, p_hi, settings: QuadSettings):
     is zero, or the panel is at ``max_depth``; every other panel is bisected
     and both halves are evaluated in the next round. ``tol`` is fixed by the
     whole-row estimate, and every pending panel of a round has the same depth.
+    A row whose leaves sum to 0.0 where the whole-row estimate is nonzero
+    takes that estimate's size as its error.
     """
     rows = p_lo.size
     row = np.arange(rows)
@@ -303,6 +319,7 @@ def _bisect(integrand, p_lo, p_hi, settings: QuadSettings):
         depth += 1
     leaves = [np.concatenate(c) for c in zip(*leaves)]
     value, error, count = _sum_leaves(rows, *leaves)
+    error = np.where((value == 0.0) & (whole != 0.0), np.abs(whole), error)
     # a row with n leaves had n - 1 bisections: 15 evaluations, then 30 each
     return value, error, 30 * count - 15
 
@@ -319,11 +336,7 @@ def adaptive_quad(
     substitution to converge; lack of convergence is reported through the
     ``converged`` flag rather than raised.
     """
-
-    def lifted(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
-
-    r = adaptive_quad_many(lifted, [a], [b], settings)
+    r = adaptive_quad_many(functools.partial(_elementwise, f), [a], [b], settings)
     return QuadResult(
         value=float(r.value[0]),
         error=float(r.error[0]),

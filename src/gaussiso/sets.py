@@ -108,12 +108,12 @@ def _check_intervals(items: Iterable[tuple[float, float]]) -> None:
     """Raise ValueError unless the float pairs ``items`` are the intervals of an
     ``IntervalUnion1D``: each ``lo < hi``, sorted, and every gap and width above
     ``MERGE_TOL``. The endpoints are checked numbers, never NaN."""
+    # the first gap, lo - (-inf), is +inf, or NaN for a ray: never <= MERGE_TOL
     prev_hi = -math.inf
-    first = True
     for lo, hi in items:
         if not lo < hi:
             raise ValueError(f"IntervalUnion1D: empty or reversed interval ({lo!r}, {hi!r})")
-        if not first and lo - prev_hi <= MERGE_TOL:
+        if lo - prev_hi <= MERGE_TOL:
             raise ValueError(
                 f"IntervalUnion1D: intervals not sorted/disjoint at gap ({prev_hi!r}, {lo!r}); use normalize()"
             )
@@ -122,7 +122,6 @@ def _check_intervals(items: Iterable[tuple[float, float]]) -> None:
                 f"IntervalUnion1D: degenerate interval ({lo!r}, {hi!r}) below merge tolerance; use normalize()"
             )
         prev_hi = hi
-        first = False
 
 
 @dataclass(frozen=True)
@@ -371,7 +370,7 @@ def _batch(sets: Iterable[GaussianSet]) -> _Batch:
         dims.append(n)
         counts.append(len(intervals))
         radii.append(e.radius if family == _BALL else 0.0)
-        points.extend(itertools.chain.from_iterable(intervals))
+        points += _endpoints(intervals)
     masses = list(map(_interval_mass, points[0::2], points[1::2]))
     return _Batch(kinds, dims, counts, radii, points, masses)
 
@@ -541,7 +540,7 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     if s <= -radius:
         return 0.0
     if dim == 1:
-        return _interval_mass(-radius, min(s, radius))
+        return _interval_mass(-radius, s)
 
     def slice_mass(theta: np.ndarray) -> np.ndarray:
         t = radius * np.sin(theta)

@@ -34,6 +34,7 @@ anywhere but in ``_check_endpoint``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -51,6 +52,9 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _SQRT_2 = math.sqrt(2.0)
+
+#: Nearer to 0 than this, ``x * x`` underflows the normal float range.
+_SQRT_MIN_NORMAL = math.sqrt(sys.float_info.min)
 
 
 def _load_scipy() -> None:

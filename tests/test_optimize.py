@@ -899,6 +899,44 @@ class TestImports:
 
         assert self.owners("stationarity", builds_union) == {"mass_preserving_flow"}
 
+    @pytest.mark.parametrize(
+        "callee, weighted, expected",
+        [
+            # special._elementwise lifts a scalar function onto an array
+            ("np.fromiter", False, {"special": {"_elementwise"}}),
+            # sets._endpoints flattens (lo, hi) pairs
+            ("itertools.chain", False, {"sets": {"_endpoints"}}),
+            # sets._row_sums adds a weight column per row; quadrature, below
+            # sets, adds its own leaves and rows
+            ("np.bincount", True, {"sets": {"_row_sums"}, "quadrature": {"_sum_leaves", "_integrate"}}),
+        ],
+        ids=["elementwise-lift", "endpoint-layout", "row-sums"],
+    )
+    def test_shared_helper_is_the_only_copy(self, callee, weighted, expected):
+        package = Path(gaussiso.__file__).resolve().parent
+        modules = sorted(p.stem for p in package.glob("*.py"))
+
+        def calls(node):
+            return (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).startswith(callee)
+                and (not weighted or len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))
+            )
+
+        found = {m: self.owners(m, calls) for m in modules}
+        assert {m: owners for m, owners in found.items() if owners} == expected
+
+    def test_minimize_builds_only_the_set_it_returns(self):
+        # the half-line is priced from its endpoint sums, as the faces are
+        def builds(names):
+            def matches(node):
+                return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in names
+
+            return matches
+
+        assert self.owners("optimize", builds({"IntervalUnion1D"})) == {"IntervalTemplate.decode"}
+        assert self.owners("optimize", builds({"half_line_set", "two_ray_set", "penalized_functional"})) == set()
+
     def test_face_templates_are_built_once(self):
         def builds_template(node):
             return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "IntervalTemplate"

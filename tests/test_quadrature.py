@@ -228,6 +228,55 @@ class TestBatch:
         with pytest.raises(ValueError, match="1-D of one shape"):
             adaptive_quad_many(lambda x: x, [0.0, 1.0], [1.0])
 
+    def test_rejects_finite_interval_whose_width_overflows(self):
+        # its nodes would be non-finite: f would see them
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.zeros_like(x)
+
+        with pytest.raises(ValueError, match=r"width of \(-1e\+308, 1e\+308\) overflows the float range"):
+            adaptive_quad_many(f, [0.0, -1e308], [1.0, 1e308])
+        with pytest.raises(ValueError, match="overflows the float range"):
+            adaptive_quad(lambda x: 0.0, -1e308, 1e308)
+        assert seen == []
+        # rays and the whole line have no finite width to overflow
+        r = adaptive_quad_many(f, [-1e308, -math.inf, -math.inf, -1e300], [math.inf, 1e308, math.inf, 1e300])
+        assert r.converged.all()
+        assert all(np.isfinite(x).all() for x in seen)
+
+
+class TestLostMass:
+    """A row whose leaves all read 0 although its whole-row estimate did not
+    has lost its mass between the nodes, and reads not converged."""
+
+    def test_wide_interval_around_a_peak_is_not_converged(self):
+        # the first split puts every node of both halves beyond |x| ~ 43
+        r = adaptive_quad_many(_density, [-1e4, -1e3], [1e4, 1e3])
+        whole, _ = quadrature._gk15(
+            lambda row, t: quadrature._direct(_density, t), np.arange(1), np.array([-1e4]), np.array([1e4])
+        )
+        assert r.value[0] == 0.0
+        assert r.error[0] == abs(whole[0]) > 0.0
+        assert r.converged.tolist() == [False, True]
+        assert r.value[1] == pytest.approx(1.0, rel=1e-12)
+        assert not adaptive_quad(lambda x: math.exp(-0.5 * x * x), -1e4, 1e4).converged
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (np.zeros_like, -1e4, 1e4),   # nothing to lose: the whole-row estimate is 0
+            (lambda x: x, -1.0, 1.0),     # the odd parts cancel in every estimate
+        ],
+        ids=["zero", "odd"],
+    )
+    def test_zero_integral_still_converges(self, f, lo, hi):
+        r = adaptive_quad_many(f, [lo], [hi])
+        assert r.value.tolist() == [0.0]
+        assert r.error.tolist() == [0.0]
+        assert r.converged.all()
+
 
 def _panel_major_integrand(f, sign, anchor, t):
     """The batched core's integrand before rows were bisected by kind: one
@@ -298,6 +347,8 @@ def _panel_major_integrate(f, lo, hi, settings):
         depth += 1
     leaves = [np.concatenate(c) for c in zip(*leaves)]
     value, error, count = quadrature._sum_leaves(rows, *leaves)
+    # a row whose leaves lost all the mass its whole-row estimate saw
+    error = np.where((value == 0.0) & (whole != 0.0), np.abs(whole), error)
     evals = 30 * count - 15
     row_converged = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
     n = lo.size

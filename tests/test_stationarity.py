@@ -33,7 +33,8 @@ from gaussiso.functionals import (
 )
 from gaussiso import stationarity
 from gaussiso.sets import IntervalUnion1D, measure
-from gaussiso.special import SQRT_2PI, gauss_cdf, gauss_cdf_inv, gauss_weight
+from gaussiso.optimize import mass_sweep
+from gaussiso.special import SQRT_2PI, _SQRT_MIN_NORMAL, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
     EulerReport,
     QuadraticFormJ,
@@ -501,6 +502,20 @@ class TestSecondDerivativeAlongFlow:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]), h=0.0)
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-160, 5e-324, math.nextafter(_SQRT_MIN_NORMAL, 0.0)])
+    def test_step_whose_square_underflows_is_refused(self, h):
+        # h * h would be 0 (a division by zero) or subnormal (a curvature of 0.0)
+        with pytest.raises(ValueError, match=r"step size must be at least 1\.49e-154, where h \* h underflows"):
+            second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]), h=h)
+
+    def test_smallest_step_is_the_sweep_bound(self):
+        # both bounds are special._SQRT_MIN_NORMAL, sqrt(smallest normal float)
+        fd = second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]), h=_SQRT_MIN_NORMAL)
+        assert math.isfinite(fd)
+        mass_sweep([-_SQRT_MIN_NORMAL])
+        with pytest.raises(ValueError, match="underflows"):
+            mass_sweep([-math.nextafter(_SQRT_MIN_NORMAL, 0.0)])
 
     def test_one_boundary_pass_per_call(self, monkeypatch):
         calls = []
