@@ -52,6 +52,7 @@ from .sets import (
     IntervalUnion1D,
     _Batch,
     _interval_masses,
+    _line_rows,
     _members,
     _row_sums,
     _two_ray_endpoints,
@@ -86,10 +87,13 @@ _MAX_RETRIES = 100
 #: Standard deviation of the Gaussian endpoint draws.
 _ENDPOINT_SCALE = 2.0
 
-#: Stream tags namespacing the per-purpose child seeds of a corpus seed.
+#: Stream tags namespacing the per-purpose child seeds of a corpus seed, ``verify``'s Monte Carlo draws last.
 _STREAM_RANDOM = 0
 _STREAM_BALL = 1
 _STREAM_SLAB = 2
+_STREAM_MC_BALL = 11
+_STREAM_MC_SLAB_PROFILE = 13
+_STREAM_MC_SLAB = 17
 
 
 @dataclass(frozen=True)
@@ -438,16 +442,9 @@ def _draw_profiles(entropy: list[np.ndarray], k_range: tuple[int, int]) -> tuple
     return counts, pairs[pair_order].ravel(), masses[pair_order]
 
 
-def _line_batch(entropy: list[np.ndarray], k_range: tuple[int, int]) -> _Batch:
-    """A batch of one random interval union per entropy row."""
-    counts, points, masses = _draw_profiles(entropy, k_range)
-    n = len(counts)
-    return _Batch(np.full(n, _LINE), np.ones(n), counts, np.zeros(n), points, masses)
-
-
 def _child_unions(seed: int, stream: int, n: int, k_range: tuple[int, int]) -> list[IntervalUnion1D]:
     """Random interval unions seeded by ``_child_seeds(seed, stream, n)``."""
-    return list(_members(_line_batch([_child_seeds(seed, stream, n)], k_range)))
+    return list(_members(_line_rows(*_draw_profiles([_child_seeds(seed, stream, n)], k_range))))
 
 
 def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
@@ -459,7 +456,7 @@ def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
     measure outside MASS_WINDOW are regenerated, up to a bounded number of
     retries.  The draws are those of ``default_rng(SeedSequence([spec.seed]))``.
     """
-    return next(_members(_line_batch(_entropy((spec.seed,)), spec.k_range)))
+    return next(_members(_line_rows(*_draw_profiles(_entropy((spec.seed,)), spec.k_range))))
 
 
 def _mixed_batch(n: int, seed: int = 0) -> _Batch:

@@ -68,10 +68,8 @@ import numpy as np
 
 from .functionals import FunctionalParams, _penalized, max_barycenter_norm
 from .sets import (
-    _LINE,
     IntervalUnion1D,
-    _Batch,
-    _interval_masses,
+    _line_rows,
     _pairs,
     _profile_sums,
     _rows,
@@ -495,10 +493,7 @@ def _grid_values(grids, params: FunctionalParams) -> list[list[float]]:
         points.append(np.column_stack(layout)[valid].ravel())
         counts.append(np.full(np.count_nonzero(valid), template.components))
     points, counts = np.concatenate(points), np.concatenate(counts)
-    n = len(counts)
-    batch = _Batch(kinds=np.full(n, _LINE), dims=np.ones(n), counts=counts, radii=np.zeros(n),
-                   points=points, masses=_interval_masses(points[0::2], points[1::2]))
-    mass, perim, b, _ = _rows(batch)
+    mass, perim, b, _ = _rows(_line_rows(counts, points))
     f = _penalized(mass, perim, b, params, np.sqrt)
     values, start = [], 0
     for (template, columns), valid in zip(grids, masks):

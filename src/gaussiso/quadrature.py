@@ -16,8 +16,8 @@ integrands per node. Each round evaluates the 15 nodes of every pending panel
 of its rows as one (node, panel) array, so that each node's values, and each
 weighted term of the Kronrod and Gauss sums, are one contiguous row. A panel
 is accepted when its error estimate is within its width-proportional share of
-the tolerance (or is zero, or the panel hit the depth budget); otherwise both
-halves join the next round. The decisions are per panel and the tolerance
+the tolerance (or is zero, or hit the depth or the panel budget); otherwise
+both halves join the next round. The decisions are per panel and the tolerance
 per row, so each interval gets the leaves it would get alone, whatever else
 is in its batch. :func:`adaptive_quad` is a batch of one with the scalar
 integrand lifted elementwise.
@@ -120,6 +120,12 @@ _WG = (
 #: one group, the peak RSS of ``verify`` grew by up to 8%.
 _GROUP = 1024
 
+#: A finite interval ends within this, so every panel's center and width are finite.
+_MAX_END = np.finfo(float).max / 2
+
+#: Most panels a row evaluates in one round; ``verify``'s rows hold at most 8.
+_MAX_PANELS = 2048
+
 # Nodes in the order the rule reads them: the center, then the seven
 # Kronrod abscissae to its left and the same seven to its right.
 _OFFSETS = np.array([0.0] + [-x for x in _XGK[:7]] + list(_XGK[:7]))
@@ -203,8 +209,9 @@ def adaptive_quad_many(
     ``f`` maps a 1-D float array to an array of the same shape; it is never
     called at an infinite point. Endpoints may be infinite, and lo[i] == hi[i]
     gives 0 with no evaluations. Requires lo <= hi elementwise, and a finite
-    interval's width within the float range. Lack of convergence is reported
-    per interval through ``converged``, not raised.
+    interval's endpoints within half the float range; a ray may have any
+    finite anchor. Lack of convergence is reported per interval through
+    ``converged``, not raised.
     """
     if settings is None:
         settings = QuadSettings()
@@ -221,12 +228,12 @@ def adaptive_quad_many(
         raise ValueError(
             f"adaptive_quad: requires a <= b, got a={float(lo[i])!r} > b={float(hi[i])!r}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        too_wide = np.isinf(hi - lo) & np.isfinite(lo) & np.isfinite(hi)
-    if too_wide.any():
-        i = int(np.argmax(too_wide))
+    too_far = np.isfinite(lo) & np.isfinite(hi) & ((np.abs(lo) > _MAX_END) | (np.abs(hi) > _MAX_END))
+    if too_far.any():
+        i = int(np.argmax(too_far))
         raise ValueError(
-            f"adaptive_quad: the width of ({float(lo[i])!r}, {float(hi[i])!r}) overflows the float range"
+            f"adaptive_quad: the finite interval ({float(lo[i])!r}, {float(hi[i])!r}) has an endpoint beyond "
+            f"{_MAX_END:.4g}, where a panel's width or center overflows the float range"
         )
 
     n = lo.size
@@ -290,8 +297,9 @@ def _bisect(integrand, p_lo, p_hi, settings: QuadSettings):
     """Per-row (value, error, evals) of the adaptive rule on [p_lo, p_hi] of ``integrand``.
 
     A panel is a leaf when its error is within ``tol * width / total_width``,
-    is zero, or the panel is at ``max_depth``; every other panel is bisected
-    and both halves are evaluated in the next round. ``tol`` is fixed by the
+    is zero, or the panel is at ``max_depth`` or in a row whose halves would
+    pass ``_MAX_PANELS``; every other panel is bisected and both halves are
+    evaluated in the next round. ``tol`` is fixed by the
     whole-row estimate, and every pending panel of a round has the same depth.
     A row whose leaves sum to 0.0 where the whole-row estimate is nonzero
     takes that estimate's size as its error.
@@ -307,6 +315,9 @@ def _bisect(integrand, p_lo, p_hi, settings: QuadSettings):
     while True:
         budget = tol[row] * ((pan_hi - pan_lo) / total_width[row])
         done = (err <= budget) | (err == 0.0) | (depth >= settings.max_depth)
+        # no row can pass the panel budget unless the whole round does
+        if 2 * (done.size - np.count_nonzero(done)) > _MAX_PANELS:
+            done |= (2 * np.bincount(row[~done], minlength=rows) > _MAX_PANELS)[row]
         leaves.append((row[done], pan_lo[done], est[done], err[done]))
         if done.all():
             break

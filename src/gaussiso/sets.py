@@ -375,6 +375,13 @@ def _batch(sets: Iterable[GaussianSet]) -> _Batch:
     return _Batch(kinds, dims, counts, radii, points, masses)
 
 
+def _line_rows(counts: np.ndarray, points: np.ndarray, masses: np.ndarray | None = None) -> _Batch:
+    """Interval unions as a batch, row ``i`` owning ``counts[i]`` pairs of ``points``; ``masses`` default to theirs."""
+    n = len(counts)
+    masses = _interval_masses(points[0::2], points[1::2]) if masses is None else masses
+    return _Batch(np.full(n, _LINE), np.ones(n), counts, np.zeros(n), points, masses)
+
+
 def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_row`` of every row of a batch, as four columns, bit for bit.
 

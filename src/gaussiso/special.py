@@ -53,8 +53,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _SQRT_2 = math.sqrt(2.0)
 
-#: Nearer to 0 than this, ``x * x`` underflows the normal float range.
+#: Nearer to 0 than the first, ``x * x`` underflows the normal float range; farther than the second, it overflows.
 _SQRT_MIN_NORMAL = math.sqrt(sys.float_info.min)
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _load_scipy() -> None:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .functionals import FunctionalParams, _penalized
 from .sets import IntervalUnion1D, _check_intervals, _endpoints, _pairs, _profile_sums
-from .special import SQRT_2PI, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_finite, gauss_cdf_inv
+from .special import SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_finite, gauss_cdf_inv
 
 __all__ = [
     "EulerReport",
@@ -361,12 +361,14 @@ def second_derivative_along_flow(
     nonsmooth mass-penalty term is constant and cancels in the difference,
     leaving the curvature of the perimeter and barycenter terms alone.
     Both steps share one boundary pass; a rejected step raises as
-    ``mass_preserving_flow`` does, +h before -h. ``h`` below about 1.49e-154,
-    where ``h * h`` underflows, raises ValueError.
+    ``mass_preserving_flow`` does, +h before -h. ``h`` outside about [1.49e-154,
+    1.34e154], where ``h * h`` underflows or overflows, raises ValueError.
     """
     h = _check_real(h, "step size", "positive")
     if h < _SQRT_MIN_NORMAL:
         raise ValueError(f"step size must be at least {_SQRT_MIN_NORMAL:.3g}, where h * h underflows, got {h!r}")
+    if h > _SQRT_MAX:
+        raise ValueError(f"step size must be at most {_SQRT_MAX:.3g}, where h * h overflows, got {h!r}")
     plus, minus = _flows(e, phi, (h, -h))
     # penalized_functional of each set, from the sums _row takes for a line
     f_plus, f_zero, f_minus = (_penalized(*_profile_sums(pairs)[:3], params) for pairs in (plus, e.intervals, minus))

@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import _child_seeds, _child_unions, _mixed_batch
+from .corpus import _STREAM_MC_BALL, _STREAM_MC_SLAB, _STREAM_MC_SLAB_PROFILE, _child_seeds, _child_unions, _mixed_batch
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
@@ -107,6 +107,14 @@ ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
 
 #: Largest ``SuiteConfig.main_constant`` whose bounds and ratios stay finite.
 _MAX_MAIN_CONSTANT = 1e290
+
+#: Draws per Monte Carlo estimate, the standard errors a check allows, and the corpus balls drawn.
+_MC_SAMPLES = 200_000
+_MC_SIGMAS = 6.0
+_MC_MEMBERS = 20
+
+#: Nearer than this to its bound, a member is an equality case of ``iso`` and ``barycenter-max``.
+_EQUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,15 @@ class VerificationReport:
     @property
     def total_violations(self) -> int:
         return sum(c.violations for c in self.checks)
+
+
+def _text(value) -> str:
+    """Report text of a check input: a grid array as its range and size, a tuple as its values, a number as ``g``."""
+    if isinstance(value, np.ndarray):
+        return f"[{value[0]:g}, {value[-1]:g}] with {len(value)} points"
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    return format(value, "g")
 
 
 def _margins_le(a, b) -> np.ndarray:
@@ -287,31 +304,31 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
     if estimates:
         measures = corpus.columns["measure"][_ball_rows(batch)]
         diffs = [abs(float(m) - est) for m, (est, _) in zip(measures, estimates)]
-        bounds = [6.0 * err for _, err in estimates]
+        bounds = [_MC_SIGMAS * err for _, err in estimates]
         yield (
             "highdim-measure-vs-monte-carlo",
             _MEASURE_ANCHOR,
             _margins_le(diffs, bounds),
-            {"oracle": "Monte Carlo indicator average within 6 standard errors"},
+            {"oracle": f"Monte Carlo indicator average within {_text(_MC_SIGMAS)} standard errors"},
         )
 
 
 def _ball_rows(batch: _Batch) -> list[int]:
-    """The members the ball draws sample: the first 20 of dimension above 1."""
-    return np.flatnonzero(batch.dims > 1)[:20].tolist()
+    """The members the ball draws sample: the first ``_MC_MEMBERS`` of dimension above 1."""
+    return np.flatnonzero(batch.dims > 1)[:_MC_MEMBERS].tolist()
 
 
 def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> list:
-    """The ball draws, one task per member: ``mc_measure`` at 200k draws on the member's own seed.
+    """The ball draws, one task per member: ``mc_measure`` at ``_MC_SAMPLES`` draws on the member's own seed.
 
     Each task returns the estimate and its standard error; the suite turns
-    them into |error| and 6 SE in member order.  Only these members become
+    them into |error| and ``_MC_SIGMAS`` SE in member order.  Only these members become
     set objects.
     """
     rows = _ball_rows(corpus.batch)
-    seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
+    seeds = _child_seeds(config.seed, _STREAM_MC_BALL, len(rows)).tolist()
     return [
-        partial(mc_measure, e, n_samples=200_000, seed=seed)
+        partial(mc_measure, e, n_samples=_MC_SAMPLES, seed=seed)
         for e, seed in zip(_members(corpus.batch, rows), seeds)
     ]
 
@@ -319,7 +336,7 @@ def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> list:
 def _suite_iso(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
     floor = np.exp(-0.5 * cols["s"] ** 2)
-    equality = int(np.count_nonzero(np.abs(cols["perimeter"] - floor) < 1e-10))
+    equality = int(np.count_nonzero(np.abs(cols["perimeter"] - floor) < _EQUALITY_TOL))
     yield (
         "isoperimetric-lower-bound",
         "P_gamma(E) >= e^{-s^2/2}",
@@ -330,7 +347,7 @@ def _suite_iso(config: SuiteConfig, corpus: _Corpus):
 
 def _suite_barycenter_max(config: SuiteConfig, corpus: _Corpus):
     cols = corpus.columns
-    equality = int(np.count_nonzero(cols["b_max"] - cols["b_norm"] < 1e-10))
+    equality = int(np.count_nonzero(cols["b_max"] - cols["b_norm"] < _EQUALITY_TOL))
     yield (
         "barycenter-norm-maximality",
         "|b(E)| <= b_s = e^{-s^2/2}/sqrt(2 pi)",
@@ -401,6 +418,11 @@ def _suite_excess_identity(config: SuiteConfig, corpus: _Corpus):
 #: The slab gain's and the stationarity suite's levels; the slab competitors take the first five.
 _STATION_LEVELS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0)
 
+#: The slab competitors' removed mass, as fractions of the smaller side's, and
+#: the dimensions of the slabs whose transverse barycenter is drawn.
+_SLAB_FRACTIONS = (0.002, 0.01, 0.05, 0.2, 0.5)
+_SLAB_DIMS = (2, 3, 4, 5)
+
 
 def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     """Gain of widening the matched slab: nonnegative for every t >= 0, s <= 0."""
@@ -414,36 +436,34 @@ _SLAB_BLOCK = 16_384
 
 
 def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
-    """Monte Carlo transverse barycenter of a random slab in dims 2-5: |mean| and 6 SE per axis.
+    """Monte Carlo transverse barycenter of a random slab per ``_SLAB_DIMS``: |mean| and ``_MC_SIGMAS`` SE per axis.
 
     The slab draws are one task, since they need no corpus and every dim
     shares one buffer; ``run_suite`` submits it before the corpus is built.
-    The ``(200000, dim)`` normals are drawn in row blocks from one
+    The ``(_MC_SAMPLES, dim)`` normals are drawn in row blocks from one
     generator, which is the same stream; each transverse axis fills its own
     contiguous column, so ``mean`` and ``std`` see the values and the layout
     of the one-matrix product ``points[:, axis] * inside``.
     """
     diffs = []
     bounds = []
-    n_mc = 200_000
-    dims = (2, 3, 4, 5)
-    profiles = _child_unions(config.seed, 13, len(dims), (1, 3))
+    profiles = _child_unions(config.seed, _STREAM_MC_SLAB_PROFILE, len(_SLAB_DIMS), (1, 3))
     # one buffer for every dim: its rows are the contiguous axis columns
-    buffer = np.empty((max(dims) - 1, n_mc))
-    inside = np.empty(n_mc, dtype=bool)
-    for i, (dim, profile) in enumerate(zip(dims, profiles)):
+    buffer = np.empty((max(_SLAB_DIMS) - 1, _MC_SAMPLES))
+    inside = np.empty(_MC_SAMPLES, dtype=bool)
+    for i, (dim, profile) in enumerate(zip(_SLAB_DIMS, profiles)):
         slab = SlabSet(dim=dim, profile=profile)
-        rng = np.random.default_rng([config.seed, 17, i])
+        rng = np.random.default_rng([config.seed, _STREAM_MC_SLAB, i])
         columns = buffer[: dim - 1]
-        for start in range(0, n_mc, _SLAB_BLOCK):
-            block = rng.standard_normal((min(_SLAB_BLOCK, n_mc - start), dim))
+        for start in range(0, _MC_SAMPLES, _SLAB_BLOCK):
+            block = rng.standard_normal((min(_SLAB_BLOCK, _MC_SAMPLES - start), dim))
             rows = slice(start, start + len(block))
             columns[:, rows] = block[:, :-1].T
             inside[rows] = contains_points(slab, block)
         columns *= inside
         for vals in columns:
             diffs.append(abs(float(vals.mean())))
-            bounds.append(6.0 * float(vals.std()) / math.sqrt(n_mc))
+            bounds.append(_MC_SIGMAS * float(vals.std()) / math.sqrt(_MC_SAMPLES))
     return diffs, bounds
 
 
@@ -456,7 +476,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "mass-gap-function-nonpositive",
         "e^{-s^2/2} + (sqrt(2 pi) s - pi) Phi(s) <= 0 for s <= 0",
         _margins_le(g, np.zeros_like(g)),
-        {"grid": "[-40, 0] with 4001 points"},
+        {"grid": _text(s_deep)},
     )
 
     log_lam = 0.5 * math.log(2.0) - 0.5 * s_deep**2 - _elementwise(log_gauss_cdf, s_deep)
@@ -465,14 +485,14 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "penalty-weight-square-bound",
         "Lambda^2 + 1 <= (9/2) pi^2 (1+s^2)",
         _margins_le(lam**2 + 1.0, 4.5 * math.pi**2 * (1.0 + s_deep**2)),
-        {"grid": "[-40, 0] with 4001 points"},
+        {"grid": _text(s_deep)},
     )
 
     yield (
         "weight-dominates-twice-mass",
         "e^{-s^2/2} >= 2 Phi(s) for s <= 0",
         _margins_le(2.0 * phi, weight),
-        {"grid": "[-40, 0] with 4001 points"},
+        {"grid": _text(s_deep)},
     )
 
     t_grid = np.linspace(0.0, 40.0, 801)
@@ -481,14 +501,15 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "slab-widening-gain-nonnegative",
         "int_{s-t}^{s} (s-x) e^{-x^2/2} dx >= (e^{s^2/2}/2) (int_{s-t}^{s} e^{-x^2/2} dx)^2",
         np.concatenate(gain_margins),
-        {"levels": "0 -0.5 -1 -2 -3 -5", "t_grid": "[0, 40] with 801 points"},
+        {"levels": _text(_STATION_LEVELS), "t_grid": _text(t_grid)},
     )
 
     lowers = []
     competitors = []
-    for s in _STATION_LEVELS[:5]:
+    levels = _STATION_LEVELS[:5]
+    for s in levels:
         mass = gauss_cdf(s)
-        for fraction in (0.002, 0.01, 0.05, 0.2, 0.5):
+        for fraction in _SLAB_FRACTIONS:
             m = fraction * min(mass, 1.0 - mass)
             below = gauss_cdf_inv(mass - m)
             above = gauss_cdf_inv(mass + m)
@@ -504,7 +525,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "slab-competitor-asymmetry-bound",
         "beta(F) >= sqrt(pi/2) e^{s^2/2} gamma(E minus H)^2",
         _margins_le(lowers, cols["beta"]),
-        {"levels": "0 -0.5 -1 -2 -3", "mass_fractions": "0.002 0.01 0.05 0.2 0.5"},
+        {"levels": _text(levels), "mass_fractions": _text(_SLAB_FRACTIONS)},
     )
 
     ((diffs, bounds),) = slab_draws.result()
@@ -512,7 +533,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "slab-transverse-barycenter-vanishes",
         "b(E).e_j = 0 for every axis transverse to a slab",
         _margins_le(diffs, bounds),
-        {"oracle": "Monte Carlo moment within 6 standard errors", "dims": "2 3 4 5"},
+        {"oracle": f"Monte Carlo moment within {_text(_MC_SIGMAS)} standard errors", "dims": _text(_SLAB_DIMS)},
     )
 
     product = np.exp(-np.log(40.0 * math.pi**2 * (1.0 + s_deep**2)) - math.log(SQRT_2PI))
@@ -520,7 +541,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "penalty-times-barycenter-small",
         "eps |b| <= eps b_s <= 1/4",
         _margins_le(product, np.full_like(product, 0.25)),
-        {"grid": "[-40, 0] with 4001 points"},
+        {"grid": _text(s_deep)},
     )
 
     s_mid = np.linspace(-5.0, 0.0, 501)
@@ -531,7 +552,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         "half-line-objective-bound",
         "F(H_s) <= (10/9) e^{-s^2/2}",
         _margins_le(values, (10.0 / 9.0) * np.exp(-0.5 * s_mid**2)),
-        {"grid": "[-5, 0] with 501 points"},
+        {"grid": _text(s_mid)},
     )
 
 
@@ -546,14 +567,15 @@ _J_ANCHOR = (
 
 def _suite_stationarity(config: SuiteConfig):
     devs = []
-    for s in _STATION_LEVELS + (-10.0,):
+    levels = _STATION_LEVELS + (-10.0,)
+    for s in levels:
         report = euler_residual(two_ray_set(s), stability_params(s))
         devs.append(report.max_dev)
     yield (
         "two-ray-criticality",
         "-(x.nu) + (eps/sqrt(2 pi)) (b.x) = lambda on the boundary",
         _margins_le(devs, np.full(len(devs), 1e-10)),
-        {"levels": "0 -0.5 -1 -2 -3 -5 -10"},
+        {"levels": _text(levels)},
     )
 
     min_eigs = []
@@ -575,7 +597,7 @@ def _suite_stationarity(config: SuiteConfig):
         "two-ray-negative-mode",
         _J_ANCHOR + " attains negative values at the stability eps",
         _margins_le(min_eigs, np.full(len(min_eigs), -1e-8)),
-        {"levels": "0 -0.5 -1 -2 -3 -5"},
+        {"levels": _text(_STATION_LEVELS)},
     )
 
     yield "negative-mode-witness-consistency", _J_ANCHOR, np.array(witness_margins), {}
@@ -603,7 +625,8 @@ def _suite_stationarity(config: SuiteConfig):
 
     lam_abs = []
     lam_bounds = []
-    for s in _STATION_LEVELS + (-10.0, -20.0):
+    levels = _STATION_LEVELS + (-10.0, -20.0)
+    for s in levels:
         params = stability_params(s)
         report = euler_residual(half_line_set(s), params)
         lam_abs.append(abs(report.lambda_fit))
@@ -612,7 +635,7 @@ def _suite_stationarity(config: SuiteConfig):
         "half-line-multiplier-bound",
         "|lambda| <= Lambda",
         _margins_le(lam_abs, lam_bounds),
-        {"levels": "0 -0.5 -1 -2 -3 -5 -10 -20"},
+        {"levels": _text(levels)},
     )
 
     moments = []
@@ -626,7 +649,7 @@ def _suite_stationarity(config: SuiteConfig):
         "boundary-second-moment-bound",
         "int over the boundary of (x.omega)^2 dH_gamma <= 20 pi^2 (1+s^2) e^{-s^2/2}",
         _margins_le(moments, bounds),
-        {"levels": "0 -0.5 -1 -2 -3 -5", "families": "two-ray and half-line"},
+        {"levels": _text(_STATION_LEVELS), "families": "two-ray and half-line"},
     )
 
 

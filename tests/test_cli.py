@@ -536,6 +536,30 @@ class TestBenchmarkApi:
         assert ("gaussiso.cli", "cli_main") in imported and len(imported) > 20
         assert [(m, n) for m, n in imported if not hasattr(importlib.import_module(m), n)] == []
 
+    def test_keywords_passed_exist(self):
+        # a renamed parameter or field fails here, not in a benchmark run
+        imported = {
+            a.asname or a.name: getattr(importlib.import_module(node.module), a.name)
+            for tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gaussiso"
+            for a in node.names
+        }
+        calls = [
+            (node.func.id, [k.arg for k in node.keywords if k.arg])
+            for tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported
+        ]
+        assert sum(bool(keywords) for _, keywords in calls) > 5
+        unknown = []
+        for name, keywords in calls:
+            try:
+                inspect.signature(imported[name]).bind_partial(**dict.fromkeys(keywords))
+            except TypeError:
+                unknown.append((name, keywords))
+        assert unknown == []
+
     def test_argv_shapes_parse(self, capsys):
         def render(node):
             # a computed value stands in as -1 inside an f-string, else as 1

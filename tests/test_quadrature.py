@@ -7,6 +7,7 @@ check, so the two routes stay independent.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestBatch:
             seen.append(x)
             return np.zeros_like(x)
 
-        with pytest.raises(ValueError, match=r"width of \(-1e\+308, 1e\+308\) overflows the float range"):
+        with pytest.raises(ValueError, match=r"interval \(-1e\+308, 1e\+308\) has an endpoint beyond 8\.988e\+307, where a panel's width or center overflows the float range"):
             adaptive_quad_many(f, [0.0, -1e308], [1.0, 1e308])
         with pytest.raises(ValueError, match="overflows the float range"):
             adaptive_quad(lambda x: 0.0, -1e308, 1e308)
@@ -245,6 +246,67 @@ class TestBatch:
         r = adaptive_quad_many(f, [-1e308, -math.inf, -math.inf, -1e300], [math.inf, 1e308, math.inf, 1e300])
         assert r.converged.all()
         assert all(np.isfinite(x).all() for x in seen)
+
+
+class TestEndpointRange:
+    """A finite interval's endpoints stay within half the float range, so that
+    every panel's center and width are finite."""
+
+    def test_rejects_finite_endpoint_whose_panel_centers_overflow(self):
+        # (0, 1.7e308) has a finite width, but its right half's lo + hi overflows
+        f = lambda x: np.exp(-np.abs(x - 1.6e308) / 1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"interval \(0\.0, 1\.7e\+308\) has an endpoint beyond 8\.988e\+307"):
+                adaptive_quad_many(f, [0.0], [1.7e308], QuadSettings(max_depth=5))
+
+    def test_half_the_float_range_and_any_ray_anchor_are_accepted(self):
+        end = quadrature._MAX_END
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = adaptive_quad_many(np.zeros_like, [-end, 0.0, 1.7e308, -math.inf], [end, end, math.inf, -1.7e308])
+        assert r.converged.all()
+
+
+class TestPanelBudget:
+    """No row evaluates more than ``_MAX_PANELS`` panels in one round."""
+
+    @staticmethod
+    def f(x):
+        return np.exp(-np.abs(x)) / np.sqrt(np.abs(x) + 1e-12)
+
+    SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=24)
+
+    def test_row_stops_at_the_budget(self, monkeypatch):
+        # rounding noise keeps every panel near the peak over its share, so
+        # the row's panels double each round until the budget stops them
+        widest = []
+        gk15 = quadrature._gk15
+
+        def counted(integrand, row, lo, hi):
+            widest.append(int(np.bincount(row).max()))
+            return gk15(integrand, row, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk15", counted)
+        r = adaptive_quad_many(self.f, [-math.inf], [1.1951], self.SETTINGS)
+        assert max(widest) <= quadrature._MAX_PANELS < 2 * max(widest)
+        assert len(widest) < self.SETTINGS.max_depth
+        # without the budget the row took 162,795 evaluations
+        assert r.evals[0] < 50_000
+        assert not r.converged[0]
+        # the 1e-12 offset aside, the integral is sqrt(pi) (1 + erf(sqrt(1.1951)))
+        assert r.value[0] == pytest.approx(math.sqrt(math.pi) * (1.0 + math.erf(math.sqrt(1.1951))), abs=r.error[0])
+
+    def test_row_stops_as_it_would_alone(self):
+        alone = adaptive_quad_many(self.f, [-math.inf], [1.1951], self.SETTINGS)
+        # the other rows push every round's total past the budget
+        batch = adaptive_quad_many(
+            self.f, [0.5, -math.inf, 1.0, -math.inf], [1.0, 1.1951, 2.0, 1.1951], self.SETTINGS
+        )
+        for field in ("value", "error", "evals"):
+            got = getattr(batch, field)
+            assert got[1] == got[3] == getattr(alone, field)[0]
+        assert batch.converged[[0, 2]].all()
 
 
 class TestLostMass:

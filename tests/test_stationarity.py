@@ -34,7 +34,7 @@ from gaussiso.functionals import (
 from gaussiso import stationarity
 from gaussiso.sets import IntervalUnion1D, measure
 from gaussiso.optimize import mass_sweep
-from gaussiso.special import SQRT_2PI, _SQRT_MIN_NORMAL, gauss_cdf, gauss_cdf_inv, gauss_weight
+from gaussiso.special import SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, gauss_cdf, gauss_cdf_inv, gauss_weight
 from gaussiso.stationarity import (
     EulerReport,
     QuadraticFormJ,
@@ -508,6 +508,16 @@ class TestSecondDerivativeAlongFlow:
         # h * h would be 0 (a division by zero) or subnormal (a curvature of 0.0)
         with pytest.raises(ValueError, match=r"step size must be at least 1\.49e-154, where h \* h underflows"):
             second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1.0, -1.0]), h=h)
+
+    @pytest.mark.parametrize("h", [1e200, 1e300, math.nextafter(_SQRT_MAX, math.inf)])
+    def test_step_whose_square_overflows_is_refused(self, h):
+        # h * h would be inf, and the curvature 0.0 whatever the flow did
+        with pytest.raises(ValueError, match=r"step size must be at most 1\.34e\+154, where h \* h overflows"):
+            second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1e-300, -1e-300]), h=h)
+
+    def test_largest_step_is_accepted(self):
+        fd = second_derivative_along_flow(two_ray_e0(), PARAMS_0, np.array([1e-300, -1e-300]), h=_SQRT_MAX)
+        assert math.isfinite(fd)
 
     def test_smallest_step_is_the_sweep_bound(self):
         # both bounds are special._SQRT_MIN_NORMAL, sqrt(smallest normal float)

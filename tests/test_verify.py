@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -803,3 +804,53 @@ class TestCorpusSuitesAtScale:
         # slack is essentially the full identity tolerance: the two sides agree
         # to far better than 1e-10 relative
         assert identity.worst_margin > 9e-11
+
+
+class TestParamsDescribeTheirInputs:
+    """Every ``params`` text is rendered from the value its check reads, never typed beside it."""
+
+    def test_params_follow_the_levels_and_slab_inputs(self, monkeypatch):
+        monkeypatch.setattr(verify, "_STATION_LEVELS", (-0.25, -1.5, -2.5))
+        monkeypatch.setattr(verify, "_SLAB_FRACTIONS", (0.03, 0.3))
+        monkeypatch.setattr(verify, "_SLAB_DIMS", (2, 3))
+        monkeypatch.setattr(verify, "_MC_SIGMAS", 7.0)
+        checks = {c.name: c for name in ("scalar-functions", "stationarity") for c in run_suite(name, SMALL).checks}
+        params = {name: c.params for name, c in checks.items()}
+        assert params["slab-widening-gain-nonnegative"] == {"levels": "-0.25 -1.5 -2.5", "t_grid": "[0, 40] with 801 points"}
+        assert params["slab-competitor-asymmetry-bound"] == {"levels": "-0.25 -1.5 -2.5", "mass_fractions": "0.03 0.3"}
+        assert params["slab-transverse-barycenter-vanishes"] == {
+            "oracle": "Monte Carlo moment within 7 standard errors",
+            "dims": "2 3",
+        }
+        assert params["two-ray-criticality"] == {"levels": "-0.25 -1.5 -2.5 -10"}
+        assert params["two-ray-negative-mode"] == {"levels": "-0.25 -1.5 -2.5"}
+        assert params["half-line-multiplier-bound"] == {"levels": "-0.25 -1.5 -2.5 -10 -20"}
+        assert params["boundary-second-moment-bound"] == {"levels": "-0.25 -1.5 -2.5", "families": "two-ray and half-line"}
+        # the checks read the values their texts name
+        samples = {name: c.samples for name, c in checks.items()}
+        assert samples["slab-competitor-asymmetry-bound"] == 3 * 2
+        assert samples["slab-transverse-barycenter-vanishes"] == 1 + 2
+        assert samples["two-ray-negative-mode"] == 3
+        assert samples["half-line-multiplier-bound"] == 5
+
+    def test_grid_text_is_read_from_the_grid(self):
+        assert verify._text(np.linspace(-40.0, 0.0, 4001)) == "[-40, 0] with 4001 points"
+        assert verify._text((0.0, -0.5, 2, 0.002)) == "0 -0.5 2 0.002"
+
+    def test_no_input_is_typed_twice(self):
+        # no text restates a number list, a grid or a sigma multiple, and no
+        # seed stream is a bare tag: corpus names every stream of a seed
+        tree = ast.parse(Path(verify.__file__).read_text())
+        restated = re.compile(r"-?\d+(\.\d+)?( -?\d+(\.\d+)?)+|with \d+ points|within \d+ standard errors")
+        texts = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert [t for t in texts if restated.search(t)] == []
+        tags = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func).split(".")[-1]
+                if called in ("_child_seeds", "_child_unions"):
+                    tags.append(node.args[1])
+                elif called == "default_rng":
+                    tags.extend(ast.walk(node.args[0]))
+        assert len(tags) >= 3
+        assert [ast.unparse(t) for t in tags if isinstance(t, ast.Constant) and isinstance(t.value, int)] == []
