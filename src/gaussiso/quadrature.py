@@ -22,16 +22,23 @@ per row, so each interval gets the leaves it would get alone, whatever else
 is in its batch. :func:`adaptive_quad` is a batch of one with the scalar
 integrand lifted elementwise.
 
+``verify``'s measure oracle calls :func:`_chained_quad_many`, which integrates
+each side's rays as one chain through their sorted anchors, for about a fifth
+of the evaluations of integrating each ray alone.
+
 A row whose leaves all read 0 although its whole-row estimate did not has
 lost its mass between the nodes, as on a wide interval around a narrow
 peak; its error is the whole-row estimate, so it reads not converged. A row
 that misses only part of its mass, with some leaf nonzero, is not caught.
 
 The summation order is fixed: each interval's leaves are added one after
-another from 0.0 in descending order of their left endpoint, and a split
-``(-inf, inf)`` adds its left half's sum, then its right half's. The margins
-that the suites and the tests pin on the oracle's values depend on this
-order, so a change to it is a change to those numbers.
+another from 0.0 in descending order of their left endpoint, a split
+``(-inf, inf)`` adds its left half's sum, then its right half's. A chained
+ray adds its tail's value, then each piece's from the outermost inward, and
+then the rounding errors of those additions, summed the same way, so a chain
+of 10^5 rays keeps the accuracy of one ray. The margins that the suites and
+the tests pin on the oracle's values depend on this order, so a change to it
+is a change to those numbers.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ _GROUP = 1024
 #: A finite interval ends within this, so every panel's center and width are finite.
 _MAX_END = np.finfo(float).max / 2
 
-#: Most panels a row evaluates in one round; ``verify``'s rows hold at most 8.
+#: Most panels a row evaluates in one round; ``verify``'s rows, chained or not, hold at most 8.
 _MAX_PANELS = 2048
 
 # Nodes in the order the rule reads them: the center, then the seven
@@ -251,6 +258,46 @@ def adaptive_quad_many(
     return out
 
 
+def _chained_quad_many(quad_many, f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings) -> QuadBatch:
+    """``quad_many`` (:func:`adaptive_quad_many` or a stand-in, called once) of the intervals, rays chained.
+
+    The right rays (a, inf), by ascending anchor, and the left rays (-inf, b),
+    by descending anchor, become the pieces between neighbouring anchors and
+    one tail beyond the outermost, integrated with the other intervals, which
+    keep their bits. A ray's value and error sum its tail and the pieces out
+    to it; its ``evals`` are its own piece's or tail's, so they total the work
+    done. A ray anchored beyond ``_MAX_END`` is integrated alone.
+    """
+    right = (hi == np.inf) & (np.abs(lo) <= _MAX_END)
+    left = (lo == -np.inf) & (np.abs(hi) <= _MAX_END)
+    rest, r, l = np.flatnonzero(~(right | left)), np.flatnonzero(right), np.flatnonzero(left)
+    r, l = r[np.argsort(lo[r], kind="stable")], l[np.argsort(-hi[l], kind="stable")]
+    q_lo = np.concatenate([lo[rest], lo[r], hi[l][1:], [-np.inf][: l.size]])
+    q_hi = np.concatenate([hi[rest], lo[r][1:], [np.inf][: r.size], hi[l]])
+    q = quad_many(f, q_lo, q_hi, settings)
+    # q's rows are rest, then each chain from its innermost anchor out to its tail
+    for part in (slice(rest.size, rest.size + r.size), slice(rest.size + r.size, None)):
+        q.value[part], q.error[part] = _sums_from_the_tail(q.value[part]), _sums_from_the_tail(q.error[part])
+        q.converged[part] = _converged(q.value[part], q.error[part], settings)
+    back = np.empty(lo.size, dtype=np.intp)
+    back[np.concatenate([rest, r, l])] = np.arange(lo.size)
+    return QuadBatch(q.value[back], q.error[back], q.converged[back], q.evals[back])
+
+
+def _sums_from_the_tail(x: np.ndarray) -> np.ndarray:
+    """Each ``x[i:].sum()``, added from the last term inward and compensated (Sum2 of Ogita, Rump and Oishi)."""
+    w = x[::-1]
+    s = np.cumsum(w)
+    before = np.concatenate([[0.0], s[:-1]])
+    z = s - before
+    return (s + np.cumsum((before - (s - z)) + (w - z)))[::-1]
+
+
+def _converged(value: np.ndarray, error: np.ndarray, settings: QuadSettings) -> np.ndarray:
+    """Whether each accumulated error is within its tolerance."""
+    return error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+
+
 def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     """Per-interval (value, error, converged, evals) of one group of intervals."""
     # Rows: one per nonempty interval; (-inf, inf) gets a second row, its
@@ -280,7 +327,7 @@ def _integrate(f, lo: np.ndarray, hi: np.ndarray, settings: QuadSettings):
     # Convergence is judged on the accumulated error: localized features (an
     # integrable endpoint singularity) can leave single panels over their
     # share at the depth budget while the total is well inside tolerance.
-    row_converged = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+    row_converged = _converged(value, error, settings)
 
     # Fold rows into intervals; a split interval's right row comes second in
     # ``owner``, so it is added second.

@@ -14,8 +14,8 @@ object per member, and the corpus suites share one evaluation of its
 ``quantity_columns`` from that batch, which refuses only degenerate or
 non-finite members; each claim is decided in its suite alone, so a member
 that breaks one is counted there, not refused.  The quadrature oracle reads
-the batch's interval endpoints and stored masses, and only the members that
-Monte Carlo checks become set objects.
+the batch's interval endpoints and stored masses, chaining each side's rays
+through their sorted anchors; only the Monte Carlo members become set objects.
 
 The two Monte Carlo checks draw on one worker thread that ``run_suite``
 owns: NumPy's generators release the GIL while they fill, so the draws run
@@ -53,7 +53,7 @@ from .functionals import (
     quantity_columns,
     stability_params,
 )
-from .quadrature import QuadSettings, adaptive_quad_many
+from .quadrature import QuadSettings, _chained_quad_many, adaptive_quad_many
 from .sets import (
     _LINE,
     IntervalUnion1D,
@@ -289,7 +289,7 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
     lo = batch.points[0::2][line]
     hi = batch.points[1::2][line]
     closed = batch.masses[line]
-    via_quad = adaptive_quad_many(_oracle_density, lo, hi, ORACLE_SETTINGS)
+    via_quad = _chained_quad_many(adaptive_quad_many, _oracle_density, lo, hi, ORACLE_SETTINGS)
     margins = _margins_identity(via_quad.value, closed)
     # an interval the oracle did not resolve counts as a violation
     margins = np.where(via_quad.converged, margins, np.minimum(margins, -via_quad.error))

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import gaussiso
 from gaussiso import sets, verify
 from gaussiso.corpus import _child_seeds, _child_unions, _mixed_batch, mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT, quantity_columns
-from gaussiso.quadrature import QuadSettings
+from gaussiso.quadrature import _MAX_END, QuadSettings, _chained_quad_many, _sums_from_the_tail, adaptive_quad_many
 from gaussiso.sets import IntervalUnion1D, _interval_mass, mc_measure
 from gaussiso.verify import (
     SUITE_NAMES,
@@ -250,10 +251,11 @@ class TestRunSuite:
         assert checks["interval-measure-vs-quadrature"].wall_time < 1.0
 
     def test_unconverged_oracle_intervals_are_violations(self, monkeypatch):
-        # at depth 3 every estimate still matches its closed form within the
-        # identity tolerance, so only the unconverged intervals are violations
+        # at depth 2 one chained ray is still unconverged, and every estimate
+        # matches its closed form within the identity tolerance, so only the
+        # unconverged intervals are violations
         monkeypatch.setattr(
-            verify, "ORACLE_SETTINGS", QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=3)
+            verify, "ORACLE_SETTINGS", QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=2)
         )
         report = run_suite("measure-oracle", SMALL)
         check = next(c for c in report.checks if c.name == "interval-measure-vs-quadrature")
@@ -319,6 +321,119 @@ class TestCorpusBatch:
         batch = _mixed_batch(400, 3)
         assert tuple(sets._members(batch)) == mixed_corpus(400, 3)
         assert list(sets._members(batch, [399, 0])) == [mixed_corpus(400, 3)[i] for i in (399, 0)]
+
+
+def _oracle_intervals(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) arrays the measure oracle integrates for a corpus of n members."""
+    batch = _mixed_batch(n, seed)
+    line = (batch.kinds == verify._LINE)[batch.owners()]
+    return batch.points[0::2][line], batch.points[1::2][line]
+
+
+def _chained_and_alone(lo, hi, settings=verify.ORACLE_SETTINGS):
+    """The chained and the per-interval oracle on (lo, hi), the chain's integrand checked and counted."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    points = []
+
+    def density(x):
+        assert np.isfinite(x).all()
+        points.append(x.size)
+        return verify._oracle_density(x)
+
+    # x * x overflows to inf, and the density to 0, beyond about 1.3e154
+    with np.errstate(over="ignore"):
+        chained = _chained_quad_many(adaptive_quad_many, density, lo, hi, settings)
+        alone = adaptive_quad_many(verify._oracle_density, lo, hi, settings)
+    assert sum(points) == chained.evals.sum()
+    return chained, alone
+
+
+_BATCH_FIELDS = ("value", "error", "converged", "evals")
+
+
+class TestChainedOracle:
+    """The oracle integrates each side's rays as one chain through their sorted anchors."""
+
+    @staticmethod
+    def assert_matches(chained, alone, lo, hi):
+        """Everything but a chained ray keeps its bits; a chained ray agrees within 1e-14."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        ray = (np.isinf(lo) != np.isinf(hi)) & (np.abs(np.where(np.isinf(lo), hi, lo)) <= _MAX_END)
+        for name in _BATCH_FIELDS:
+            assert getattr(chained, name)[~ray].tobytes() == getattr(alone, name)[~ray].tobytes(), name
+        assert np.all(np.abs(chained.value[ray] - alone.value[ray]) <= 1e-14)
+        assert chained.converged.all()
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_corpus_intervals_match_the_per_interval_oracle(self, seed):
+        lo, hi = _oracle_intervals(10_000, seed)
+        chained, alone = _chained_and_alone(lo, hi)
+        self.assert_matches(chained, alone, lo, hi)
+
+    def test_corpus_evaluations_are_at_most_a_quarter(self):
+        chained, alone = _chained_and_alone(*_oracle_intervals(10_000, 42))
+        assert chained.evals.sum() <= 0.25 * alone.evals.sum()
+
+    def test_without_rays_the_batch_is_the_per_interval_oracle(self):
+        lo, hi = [-1.0, 0.5, -math.inf, 2.0, -3.0], [0.25, 0.5, math.inf, 7.0, 3.0]
+        chained, alone = _chained_and_alone(lo, hi)
+        for name in _BATCH_FIELDS:
+            assert getattr(chained, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ([-math.inf, -math.inf, -1.0, -math.inf], [0.3, -2.5, 1.0, 4.0]),  # only left rays
+            ([0.3, -2.5, -1.0, 4.0], [math.inf, math.inf, 1.0, math.inf]),  # only right rays
+            ([1.2], [math.inf]),  # a single right ray
+            ([-math.inf], [-0.7]),  # a single left ray
+            ([0.5, -math.inf, 0.5, 0.5, -math.inf, 2.0], [math.inf, 1.0, math.inf, math.inf, 1.0, math.inf]),  # duplicates
+            ([-math.inf, -math.inf, 1.0, 3.0], [math.inf, 0.0, math.inf, 3.5]),  # with (-inf, inf)
+            ([1e308, -math.inf, 0.0], [math.inf, -1e308, math.inf]),  # anchors too far out to chain
+        ],
+    )
+    def test_edge_cases_match_the_per_interval_oracle(self, lo, hi):
+        chained, alone = _chained_and_alone(lo, hi)
+        self.assert_matches(chained, alone, lo, hi)
+
+    def test_duplicate_anchors_cost_nothing_more(self):
+        lo, hi = [0.5, 0.5, 0.5, -math.inf, -math.inf], [math.inf, math.inf, math.inf, 1.0, 1.0]
+        chained, alone = _chained_and_alone(lo, hi)
+        self.assert_matches(chained, alone, lo, hi)
+        # one ray per side carries the tail; its twins' zero-width pieces cost nothing
+        assert sorted(chained.evals.tolist()) == [0, 0, 0, alone.evals[0], alone.evals[3]]
+        assert len(set(chained.value[:3].tolist())) == 1
+        assert chained.value[3] == chained.value[4]
+
+    def test_a_ray_is_its_tail_plus_the_pieces_out_to_it(self):
+        chained, _ = _chained_and_alone([2.0, -1.0, 0.5], [math.inf] * 3)
+        # the chain's pieces, innermost first, out to the tail beyond 2
+        pieces = adaptive_quad_many(
+            verify._oracle_density, [-1.0, 0.5, 2.0], [0.5, 2.0, math.inf], verify.ORACLE_SETTINGS
+        )
+        sums = _sums_from_the_tail(pieces.value)
+        assert chained.value.tolist() == [sums[2], sums[0], sums[1]]
+        assert chained.evals.tolist() == [pieces.evals[2], pieces.evals[0], pieces.evals[1]]
+
+    def test_a_ray_converges_on_its_accumulated_error(self):
+        # at depth 1 a piece left over its tolerance carries its error into
+        # every ray inward of it: 20 pieces are unconverged, 308 intervals
+        settings = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=1)
+        chained, _ = _chained_and_alone(*_oracle_intervals(SMALL.samples, SMALL.seed), settings)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(chained.value))
+        assert not chained.converged.all()
+        assert chained.converged.tolist() == (chained.error <= tol).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_chains_sum_within_an_ulp(self, seed):
+        # 2,000 terms added plainly from the tail drift 10 to 27 ulps
+        x = np.random.default_rng(seed).random(2000) * 1e-3
+        exact, acc = [], Fraction(0)
+        for term in x[::-1].tolist():
+            acc += Fraction(term)
+            exact.append(float(acc))
+        exact = np.array(exact[::-1])
+        assert np.all(np.abs(_sums_from_the_tail(x) - exact) <= np.spacing(exact))
 
 
 def _one_matrix_slab_draws(seed: int) -> tuple[list[float], list[float]]:
