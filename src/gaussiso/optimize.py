@@ -368,7 +368,8 @@ def _named_starts(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTe
     ``params.target``, from which both searches start: the half-line
     ``(-inf, s)``, and where ``0 < params.target < 1`` and their endpoints
     are finite, the two-ray set ``(-inf, a) u (-a, inf)`` (if ``k_max >= 2``)
-    and the origin-symmetric interval ``(-q, q)``."""
+    and the origin-symmetric interval ``(-q, q)``. From about s = -8.21 down
+    ``q`` is 0.0, so that interval is empty and starts at ``[-0.0, 0.0]``."""
     starts = [(_LEFT_RAY, "half-line", [params.s])]
     if 0.0 < params.target < 1.0:
         a = two_ray_endpoint(params.s)

@@ -33,9 +33,9 @@ Only :func:`complement`, ``_members`` and the JSON descriptors build each
 family's own type; :func:`complement` and :func:`set_to_dict` read ``_profile``.
 The named interval unions of a mass level that the corpus, the optimizer
 and the suites share (the half-line, the symmetric two-ray set, the
-origin-symmetric interval) are built here too, at every level; the
-two-ray endpoint and the interval's half-width turn infinite only where
-the mass ``Phi(s)`` is within rounding of 0 or 1.
+origin-symmetric interval) are built here too, at every level. The two-ray
+endpoint and the half-width are infinite only where ``Phi(s)`` is within
+rounding of 0 or 1; the half-width is 0.0 from about s = -8.21 down.
 
 Measure-theoretic conventions: intervals are open, boundaries are null sets,
 and degenerate features below ``MERGE_TOL`` are collapsed by :func:`normalize`.
@@ -56,7 +56,7 @@ import numpy as np
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_endpoint, _check_integer, _check_real, _elementwise, _gauss_cdf_finite,
+    SQRT_2PI, _check_endpoint, _check_integer, _check_real, _elementwise, _gauss_cdf_unchecked,
     _gauss_cdf_inv_many, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
@@ -255,24 +255,18 @@ def dimension(e: GaussianSet) -> int:
 
 
 def _interval_mass(lo: float, hi: float) -> float:
-    # For intervals entirely in the right tail, the mirrored form keeps
-    # relative (not just absolute) accuracy. Every argument passed on is
-    # finite: the rays' infinite ends are taken by the branches.
-    if lo == -math.inf and hi == math.inf:
-        return 1.0
-    if lo == -math.inf:
-        return _gauss_cdf_finite(hi)
-    if hi == math.inf:
-        return _gauss_cdf_finite(-lo)
+    # Mirrored where lo + hi > 0, for relative accuracy in the right tail. An
+    # infinite end gives exactly 0 or 1: a ray is Phi(hi) or Phi(-lo), and the
+    # full line, whose NaN sum is not mirrored, 1 - 0.
     if lo + hi > 0.0:
-        return _gauss_cdf_finite(-lo) - _gauss_cdf_finite(-hi)
-    return _gauss_cdf_finite(hi) - _gauss_cdf_finite(lo)
+        return _gauss_cdf_unchecked(-lo) - _gauss_cdf_unchecked(-hi)
+    return _gauss_cdf_unchecked(hi) - _gauss_cdf_unchecked(lo)
 
 
 def _interval_masses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``_interval_mass`` of every pair ``(lo[j], hi[j])``, bit for bit: each of
-    its branches is ``Phi(-lo) - Phi(-hi)`` where ``lo + hi > 0``, else
-    ``Phi(hi) - Phi(lo)``, as an infinite end gives exactly 0 or 1."""
+    """``_interval_mass`` of every pair ``(lo[j], hi[j])``, bit for bit: its
+    rule, ``Phi(-lo) - Phi(-hi)`` where ``lo + hi > 0``, else
+    ``Phi(hi) - Phi(lo)``, on arrays."""
     # NaN on the full line, which is not mirrored; past the float range +-inf, as in the scalar
     with np.errstate(invalid="ignore", over="ignore"):
         mirrored = lo + hi > 0.0
@@ -514,7 +508,8 @@ def two_ray_set(s: float) -> IntervalUnion1D:
 
 def symmetric_interval_halfwidth(s: float) -> float:
     """Half-width q of the origin-symmetric interval with measure Phi(s):
-    Phi(q) - Phi(-q) = Phi(s). q is inf where (1 + Phi(s)) / 2 rounds to 1."""
+    Phi(q) - Phi(-q) = Phi(s). q is inf where (1 + Phi(s)) / 2 rounds to 1,
+    and 0.0 where it rounds to 1/2, from about s = -8.21 down (2.8e-16 at -8.2)."""
     return gauss_cdf_inv((1.0 + gauss_cdf(s)) / 2.0)
 
 

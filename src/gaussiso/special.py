@@ -8,9 +8,11 @@ Conventions used throughout the package:
   Gaussian perimeter contribution of a single boundary point in one dimension,
   and the perimeter of the half-space at level ``x`` in any dimension.
 
-The private ``_many`` forms take arrays and equal the scalar ones bit for bit.
-Every array form in the package keeps the scalar math: the ufunc that the
-scalar form calls, or the scalar form element by element (``_elementwise``).
+The private ``_many`` forms take arrays and equal the scalar ones bit for bit,
+edges included: erfc, exp, ndtri and gammainc are exact at +-inf and at p = 0
+and 1, so no form branches there but ``log_gauss_cdf`` at +inf (``log_ndtr``
+gives -0.0). Every array form in the package keeps the scalar math: the ufunc
+that the scalar form calls, or the scalar form elementwise (``_elementwise``).
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -19,9 +21,9 @@ SciPy is loaded on the first call that needs it, not at import: importing
 ``scipy.special`` is about half of a fresh process's start-up. Until then
 ``ndtri``, ``log_ndtr``, ``gammainc`` and ``gammaincinv`` are stubs here; the
 first call of any of them runs ``_load_scipy``, which binds all four ufuncs
-over the stubs, so every later call reaches the ufunc directly. This is the
-one module that names SciPy; other modules call the functions here, never a
-stub by name.
+over the stubs, so every later call reaches the ufunc directly; a first
+``gauss_cdf_inv`` at 0 or 1 loads SciPy too. This is the one module that
+names SciPy; other modules call the functions here, never a stub by name.
 
 The package's number checks are ``_check_integer``, for dimensions, counts,
 seeds and caps, ``_check_real``, for levels, weights, radii, steps, margins
@@ -116,8 +118,8 @@ def _check_endpoint(value, what: str) -> float:
     return _check_real(value, what)
 
 
-def _gauss_cdf_finite(s: float) -> float:
-    """:func:`gauss_cdf` without its guards, for arguments known to be finite."""
+def _gauss_cdf_unchecked(s: float) -> float:
+    """:func:`gauss_cdf` without its NaN guard; exact at +-inf."""
     # 0.5*erfc(-s/sqrt(2)) keeps full relative accuracy in the left tail,
     # where the plain form 1 - gauss_cdf(-s) would cancel.
     return 0.5 * math.erfc(-s / _SQRT_2)
@@ -138,19 +140,13 @@ def gauss_cdf(s: float) -> float:
     """Standard normal CDF. Exact limits at +-inf; NaN is rejected."""
     if math.isnan(s):
         raise ValueError("gauss_cdf: argument must not be NaN")
-    if math.isinf(s):
-        return 0.0 if s < 0.0 else 1.0
-    return _gauss_cdf_finite(s)
+    return _gauss_cdf_unchecked(s)
 
 
 def gauss_cdf_inv(p: float) -> float:
     """Inverse of :func:`gauss_cdf` on [0, 1]; maps 0 -> -inf and 1 -> +inf."""
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"gauss_cdf_inv: probability must lie in [0, 1], got {p!r}")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
     return float(ndtri(p))
 
 
@@ -166,8 +162,8 @@ def log_gauss_cdf(s: float) -> float:
     """log of :func:`gauss_cdf`, usable far into the left tail (s ~ -40)."""
     if math.isnan(s):
         raise ValueError("log_gauss_cdf: argument must not be NaN")
-    if math.isinf(s):
-        return -math.inf if s < 0.0 else 0.0
+    if s == math.inf:  # log_ndtr(inf) is -0.0
+        return 0.0
     return float(log_ndtr(s))
 
 
@@ -175,8 +171,6 @@ def gauss_density(x: float) -> float:
     """Standard normal density exp(-x^2/2)/sqrt(2*pi); zero at +-inf."""
     if math.isnan(x):
         raise ValueError("gauss_density: argument must not be NaN")
-    if math.isinf(x):
-        return 0.0
     return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
@@ -184,8 +178,6 @@ def gauss_weight(x: float) -> float:
     """Boundary weight exp(-x^2/2); zero at +-inf."""
     if math.isnan(x):
         raise ValueError("gauss_weight: argument must not be NaN")
-    if math.isinf(x):
-        return 0.0
     return math.exp(-0.5 * x * x)
 
 
@@ -198,8 +190,6 @@ def chi2_cdf(dim: int, t: float) -> float:
     dim = _check_integer(dim, "chi2_cdf: dim", 1)
     if math.isnan(t) or t < 0.0:
         raise ValueError(f"chi2_cdf: t must be >= 0, got {t!r}")
-    if math.isinf(t):
-        return 1.0
     return float(gammainc(0.5 * dim, 0.5 * t))
 
 

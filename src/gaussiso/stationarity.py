@@ -58,7 +58,7 @@ import numpy as np
 
 from .functionals import FunctionalParams, _penalized
 from .sets import IntervalUnion1D, _check_intervals, _endpoints, _pairs, _profile_sums
-from .special import SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_finite, gauss_cdf_inv
+from .special import SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_unchecked, gauss_cdf_inv
 
 __all__ = [
     "EulerReport",
@@ -311,7 +311,7 @@ def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> lis
         raise ValueError(
             f"expected one velocity per finite boundary point ({len(x)}), got shape {v.shape}"
         )
-    base = [_gauss_cdf_finite(p) for p in x]
+    base = [_gauss_cdf_unchecked(p) for p in x]
     ends = _endpoints(e.intervals)
     flowed = []
     for t in times:

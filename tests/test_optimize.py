@@ -1001,7 +1001,7 @@ class TestImports:
                 and isinstance(node.right, ast.Constant)
                 and node.right.value == 2
                 and isinstance(node.left, ast.Call)
-                and ast.unparse(node.left.func).split(".")[-1] in {"gauss_cdf", "_gauss_cdf_many", "_gauss_cdf_finite"}
+                and ast.unparse(node.left.func).split(".")[-1] in {"gauss_cdf", "_gauss_cdf_many", "_gauss_cdf_unchecked"}
             )
 
         endpoints = {m: self.owners(m, halves_a_level_mass) for m in modules}

@@ -275,6 +275,46 @@ class TestMeasure:
             assert measure(e) == pytest.approx(total, rel=1e-11, abs=1e-14)
 
 
+def _branchy_interval_mass(lo, hi):
+    # the four-branch form that took each ray and the full line apart
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    if lo == -math.inf and hi == math.inf:
+        return 1.0
+    if lo == -math.inf:
+        return phi(hi)
+    if hi == math.inf:
+        return phi(-lo)
+    if lo + hi > 0.0:
+        return phi(-lo) - phi(-hi)
+    return phi(hi) - phi(lo)
+
+
+class TestIntervalMass:
+    """The two-branch mirror rule gives the four-branch form's bits."""
+
+    def check(self, pairs):
+        assert [sets._interval_mass(lo, hi).hex() for lo, hi in pairs] == [
+            _branchy_interval_mass(lo, hi).hex() for lo, hi in pairs
+        ]
+
+    def test_rays_and_the_full_line(self):
+        ends = np.linspace(-45.0, 45.0, 9_001).tolist() + [
+            sign * x for x in (0.0, 5e-324, 1e-300, 8.3, 38.5, 1e154, 1e308) for sign in (1.0, -1.0)
+        ]
+        self.check([(-math.inf, math.inf)] + [(-math.inf, x) for x in ends] + [(x, math.inf) for x in ends])
+        assert sets._interval_mass(-math.inf, math.inf) == 1.0
+
+    def test_random_pairs_mirrored_and_not(self):
+        rng = np.random.default_rng(38)
+        pairs = np.sort(rng.normal(0.0, 6.0, (100_000, 2)), axis=1).tolist()
+        pairs += [(-0.0, 0.0), (-1e308, 1e308), (1e308, 1.7e308), (-1.7e308, -1e308), (8.3, 38.5)]
+        mirrored = [(-hi, -lo) for lo, hi in pairs]
+        assert sum(lo + hi > 0.0 for lo, hi in pairs) > 40_000
+        self.check(pairs + mirrored)
+
+
 class TestPerimeter:
     def test_halfspace(self):
         assert perimeter(HalfSpace(omega=(1.0,), s=0.6)) == gauss_weight(0.6)

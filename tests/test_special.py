@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, log_ndtr, ndtri
 
 import gaussiso
 from gaussiso.functionals import FunctionalParams, stability_params
@@ -235,6 +236,77 @@ class TestChi2:
             hits = float(np.mean(cum[:, dim - 1] < t))
             se = math.sqrt(max(hits * (1 - hits), 1e-12) / n)
             assert abs(chi2_cdf(dim, t) - hits) < 4.0 * se
+
+
+# The scalar forms as they were when each handled its edge points with a
+# branch of its own; the branch-free forms must return the same bits.
+def _branchy_gauss_cdf(s):
+    if math.isinf(s):
+        return 0.0 if s < 0.0 else 1.0
+    return 0.5 * math.erfc(-s / math.sqrt(2.0))
+
+
+def _branchy_gauss_cdf_inv(p):
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    return float(ndtri(p))
+
+
+def _branchy_log_gauss_cdf(s):
+    if math.isinf(s):
+        return -math.inf if s < 0.0 else 0.0
+    return float(log_ndtr(s))
+
+
+def _branchy_gauss_weight(x):
+    return 0.0 if math.isinf(x) else math.exp(-0.5 * x * x)
+
+
+def _branchy_gauss_density(x):
+    return 0.0 if math.isinf(x) else math.exp(-0.5 * x * x) / SQRT_2PI
+
+
+def _branchy_chi2_cdf(dim, t):
+    return 1.0 if math.isinf(t) else float(gammainc(0.5 * dim, 0.5 * t))
+
+
+EDGE_X = [
+    sign * x for x in (math.inf, 0.0, 5e-324, 1e-300, 8.3, 38.5, 1e154, 1e308) for sign in (1.0, -1.0)
+] + np.linspace(-45.0, 45.0, 90_001).tolist() + np.logspace(-320, 308, 2_000).tolist()
+EDGE_P = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0] + np.linspace(0.0, 1.0, 20_001).tolist()
+
+
+class TestEdgesWithoutBranches:
+    """Each scalar form reaches its edge points through the formula its vector
+    twin uses: erfc, exp, ndtri and gammainc are exact there, bit for bit
+    with the branches they replace."""
+
+    @pytest.mark.parametrize(
+        "new, old",
+        [
+            (gauss_cdf, _branchy_gauss_cdf),
+            (log_gauss_cdf, _branchy_log_gauss_cdf),
+            (gauss_weight, _branchy_gauss_weight),
+            (gauss_density, _branchy_gauss_density),
+        ],
+        ids=["gauss_cdf", "log_gauss_cdf", "gauss_weight", "gauss_density"],
+    )
+    def test_reals_match_the_branchy_form(self, new, old):
+        assert hexes(map(new, EDGE_X)) == hexes(map(old, EDGE_X))
+
+    def test_inverse_matches_the_branchy_form(self):
+        assert hexes(map(gauss_cdf_inv, EDGE_P)) == hexes(map(_branchy_gauss_cdf_inv, EDGE_P))
+
+    def test_log_cdf_at_inf_is_plus_zero(self):
+        # log_ndtr(inf) is -0.0; the one branch left keeps the sign bit off
+        assert log_gauss_cdf(math.inf).hex() == "0x0.0p+0"
+
+    def test_chi2_at_inf_is_one_in_every_dimension(self):
+        dims = sorted({n for k in range(64) for n in (2**k - 1, 2**k, 2**k + 1) if 1 <= n < 2**63} | set(range(1, 2_001)))
+        assert dims[-1] == 2**63 - 1
+        assert hexes(chi2_cdf(n, math.inf) for n in dims) == hexes(_branchy_chi2_cdf(n, math.inf) for n in dims)
 
 
 def _flow_step(h):
