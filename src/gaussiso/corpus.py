@@ -61,6 +61,7 @@ from .special import (
     _check_integer,
     _chi2_quantile_many,
     _elementwise,
+    _gauss_weight_many,
 )
 
 __all__ = [
@@ -369,10 +370,11 @@ class _Streams:
 
     def _wedge(self, rows: np.ndarray, layer: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Whether the members ``rows`` keep ``x`` in the wedge of ``layer``:
-        a uniform height under the density, with libm's ``exp`` element by element."""
+        a uniform height under the density ``exp(-x^2/2)``, which
+        ``special._gauss_weight_many`` takes with libm's ``exp`` element by element."""
         fi = _ziggurat.FI
         height = (fi[layer - 1] - fi[layer]) * self.random(rows) + fi[layer]
-        return height < _elementwise(math.exp, -0.5 * x * x)
+        return height < _gauss_weight_many(x)
 
 
 # ---------------------------------------------------------------------------

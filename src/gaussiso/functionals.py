@@ -39,9 +39,9 @@ from .sets import GaussianSet, _Batch, _batch, _clipped_masses, _row, _rows, bar
 from .special import (
     SQRT_2PI,
     _check_real,
-    _elementwise,
     _gauss_cdf_inv_many,
     _gauss_cdf_many,
+    _gauss_weight_many,
     gauss_cdf,
     gauss_weight,
     log_gauss_cdf,
@@ -107,9 +107,9 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
 
     The scalar formulas run unchanged on the batch's columns: ``_rows`` for
     ``(mass, perimeter, b, excess)``, ``special._gauss_cdf_inv_many`` (the
-    ``ndtri`` of the scalar inverse) for ``s``, ``math.exp`` for the weight at
-    ``s`` and ``special._gauss_cdf_many``, the scalar normal CDF element by
-    element; ``alpha_hat`` reads ``sets._clipped_masses``, the mass of each profile
+    ``ndtri`` of the scalar inverse) for ``s``, ``special._gauss_weight_many``
+    for the weight at ``s`` and ``special._gauss_cdf_many``, the scalar forms
+    element by element; ``alpha_hat`` reads ``sets._clipped_masses``, the mass of each profile
     cut at a level.
     """
     mass, perim, b, excess = _rows(batch)
@@ -120,7 +120,7 @@ def _batch_columns(batch: _Batch) -> dict[str, np.ndarray]:
             "need measure in (0, 1)"
         )
     s = _gauss_cdf_inv_many(mass)
-    w_s = _elementwise(math.exp, -0.5 * s * s)
+    w_s = _gauss_weight_many(s)
     alpha_hat = np.empty_like(mass)
     centered = np.abs(b) < BARYCENTER_ZERO_TOL
     # a zero barycenter leaves no direction: take the ceiling 2 Phi(-|s|)

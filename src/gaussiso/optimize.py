@@ -181,11 +181,17 @@ class IntervalTemplate:
         return IntervalUnion1D(intervals=_pairs(head + theta.tolist() + tail))
 
 
-def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
-    """Every template with between 1 and ``k_max`` components, in stable order."""
-    _check_integer(k_max, "component cap")
+def _check_component_cap(k_max) -> int:
+    """``k_max`` as an int; refuses a non-integer or one outside [1, 4]."""
+    k_max = _check_integer(k_max, "component cap")
     if not 1 <= k_max <= 4:
         raise ValueError(f"component cap must lie in [1, 4], got {k_max}")
+    return k_max
+
+
+def enumerate_templates(k_max: int) -> tuple[IntervalTemplate, ...]:
+    """Every template with between 1 and ``k_max`` components, in stable order."""
+    k_max = _check_component_cap(k_max)
     templates = []
     for k in range(1, k_max + 1):
         for left in (True, False):
@@ -453,13 +459,11 @@ def _search_piece(
 
     best = min(zip(values, grid))
     converged = True
-    for i in range(1, len(grid) - 1):
+    for left, mid, right, a, c in zip(values, values[1:], values[2:], grid, grid[2:]):
         # near a minimum F is quadratic, so refining gains at most a quarter
         # of the dip: a dip within _F_TOL is rounding noise
-        if values[i] < values[i - 1] and values[i] < values[i + 1] and (
-            max(values[i - 1], values[i + 1]) - values[i] > _F_TOL
-        ):
-            value, t, refined = _golden_section(g, grid[i - 1], grid[i + 1])
+        if mid < left and mid < right and max(left, right) - mid > _F_TOL:
+            value, t, refined = _golden_section(g, a, c)
             best = min(best, (value, t))
             converged = converged and refined
     return StartDiagnostic(
@@ -478,34 +482,37 @@ def _grid_values(grids, params: FunctionalParams) -> list[list[float]]:
     ``grids`` holds ``(template, columns)``, the rows' finite endpoints from
     left to right. The valid rows (finite, adjacent endpoints at least
     ``_MIN_SEPARATION`` apart) of all grids go through ``sets._rows`` as one
-    batch of line rows, and the scalar objective prices the others.
+    batch of line rows, and the scalar objective prices the others. A grid
+    whose rows are all valid skips the masks.
     """
-    masks, points, counts = [], [], []
-    for template, columns in grids:
-        n = len(columns[0])
-        valid = np.isfinite(columns[0])
-        with np.errstate(invalid="ignore"):  # inf - inf, on rows that are not finite
+    kept, points, counts = [], [], []
+    with np.errstate(invalid="ignore"):  # inf - inf, on rows that are not finite
+        for template, columns in grids:
+            n = len(columns[0])
+            valid = np.isfinite(columns[0])
             for lo, hi in zip(columns, columns[1:]):
                 # the negation of the scalar's _MIN_SEPARATION - (hi - lo) > 0
                 valid &= np.isfinite(hi) & (hi - lo >= _MIN_SEPARATION)
-        masks.append(valid)
-        head, tail = template._rays()
-        layout = [np.full(n, x) for x in head] + list(columns) + [np.full(n, x) for x in tail]
-        points.append(np.column_stack(layout)[valid].ravel())
-        counts.append(np.full(np.count_nonzero(valid), template.components))
+            head, tail = template._rays()
+            layout = np.column_stack([np.full(n, x) for x in head] + list(columns) + [np.full(n, x) for x in tail])
+            k = np.count_nonzero(valid)
+            kept.append((valid, k))
+            points.append(layout.ravel() if k == n else layout[valid].ravel())
+            counts.append(np.full(k, template.components))
     points, counts = np.concatenate(points), np.concatenate(counts)
     mass, perim, b, _ = _rows(_line_rows(counts, points))
     f = _penalized(mass, perim, b, params, np.sqrt)
     values, start = [], 0
-    for (template, columns), valid in zip(grids, masks):
-        stop = start + np.count_nonzero(valid)
-        value = np.empty(len(valid))
-        value[valid] = f[start:stop]
-        if stop - start < len(valid):
+    for (template, columns), (valid, k) in zip(grids, kept):
+        if k == len(valid):
+            values.append(f[start:start + k].tolist())
+        else:
+            value = np.empty(len(valid))
+            value[valid] = f[start:start + k]
             objective = _endpoint_objective(template, params)
             value[~valid] = [objective(row) for row in np.column_stack(columns)[~valid].tolist()]
-        values.append(value.tolist())
-        start = stop
+            values.append(value.tolist())
+        start += k
     return values
 
 
@@ -595,14 +602,14 @@ def minimize_penalized_functional(
     a half-line from a bounded interval whose far endpoint has escaped beyond
     floating-point support.
     """
-    templates = enumerate_templates(k_max)
+    k_max = _check_component_cap(k_max)
     # params.s is finite, so this refuses every non-finite s
     if s != params.s:
         raise ValueError(f"mass level must be finite and equal params.s = {params.s!r}, got {s!r}")
     if params.eps < _FACE_SEARCH_EPS:
         searched = _face_search(params, k_max)
     else:
-        searched = _multistart_search(params, templates, settings)
+        searched = _multistart_search(params, enumerate_templates(k_max), settings)
 
     candidates = [
         (template.dimension, template.components, d.final_value, d.endpoints, template)

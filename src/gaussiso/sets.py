@@ -26,6 +26,9 @@ Many sets travel as one ``_Batch`` of flat columns: the corpus draws into
 it, ``_batch`` packs set objects into it, ``_rows`` is ``_row`` on every row
 at once, bit for bit, and ``_members`` rebuilds a row's set object;
 ``_interval_masses`` is ``_interval_mass`` on arrays of pairs, bit for bit.
+``_rows`` takes the endpoint weights, and ``_interval_masses`` the CDF,
+through ``special``'s vector twins, which write the known values at a ray's
+infinite end (weight 0.0, CDF 0.0 or 1.0) without a libm call.
 Two private helpers own the endpoint layout, for every module: ``_endpoints``
 flattens ``(lo, hi)`` pairs to ``[lo_0, hi_0, lo_1, ...]``, where the even
 positions are lower endpoints, and ``_pairs`` pairs such a list back up.
@@ -57,7 +60,7 @@ import numpy as np
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
     SQRT_2PI, _check_endpoint, _check_integer, _check_real, _elementwise, _gauss_cdf_unchecked,
-    _gauss_cdf_inv_many, _gauss_cdf_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
+    _gauss_cdf_inv_many, _gauss_cdf_many, _gauss_weight_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
 __all__ = [
@@ -379,17 +382,17 @@ def _line_rows(counts: np.ndarray, points: np.ndarray, masses: np.ndarray | None
 def _rows(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_row`` of every row of a batch, as four columns, bit for bit.
 
-    The arithmetic is ``_profile_sums``': ``math.exp`` per endpoint, the
-    stored ``_interval_mass`` per interval, and each row's sums added left to
-    right from 0.0, by ``np.bincount``, which accumulates its weights in
-    array order. Only the bookkeeping is vectorized, as NumPy's ``exp`` and
-    pairwise sums would move last bits. A ball row takes ``_ball_row``.
+    The arithmetic is ``_profile_sums``': the weight per endpoint, by
+    ``special._gauss_weight_many`` (``math.exp``, and 0.0 with no call at a
+    ray's infinite end), the stored ``_interval_mass`` per interval, and each
+    row's sums added left to right from 0.0, by ``np.bincount``, which
+    accumulates its weights in array order. Only the bookkeeping is
+    vectorized, as NumPy's ``exp`` and pairwise sums would move last bits. A
+    ball row takes ``_ball_row``.
     """
     n = len(batch.kinds)
     owner = batch.owners()
-    x = batch.points
-    with np.errstate(over="ignore"):  # from |x| ~ 1.9e154 on -0.5 x x is -inf, as in _profile_sums
-        w = _elementwise(math.exp, -0.5 * x * x)
+    w = _gauss_weight_many(batch.points)
     w_lo, w_hi = w[0::2], w[1::2]
     mass = _row_sums(owner, batch.masses, n)
     perim = _row_sums(np.repeat(owner, 2), w, n)

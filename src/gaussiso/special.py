@@ -10,9 +10,14 @@ Conventions used throughout the package:
 
 The private ``_many`` forms take arrays and equal the scalar ones bit for bit,
 edges included: erfc, exp, ndtri and gammainc are exact at +-inf and at p = 0
-and 1, so no form branches there but ``log_gauss_cdf`` at +inf (``log_ndtr``
-gives -0.0). Every array form in the package keeps the scalar math: the ufunc
-that the scalar form calls, or the scalar form elementwise (``_elementwise``).
+and 1, so no scalar form branches there but ``log_gauss_cdf`` at +inf
+(``log_ndtr`` gives -0.0). Every array form in the package keeps the scalar
+math: the ufunc that the scalar form calls, or the scalar form elementwise
+(``_elementwise``). The two that run element by element on endpoint columns,
+``_gauss_cdf_many`` and ``_gauss_weight_many``, call libm only where ``x`` is
+not infinite and write the values it gives at +-inf (0.0 and 1.0 for the CDF,
+0.0 for the weight), as rays put many infinite ends in a batch; NaN still
+goes through libm.
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -132,8 +137,12 @@ def _elementwise(f, x: np.ndarray) -> np.ndarray:
 
 def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
-    vector ``erfc`` or ``ndtr`` would move last bits), exact at +-inf."""
-    return 0.5 * _elementwise(math.erfc, -x / _SQRT_2)
+    vector ``erfc`` or ``ndtr`` would move last bits) where ``x`` is not
+    infinite, and ``0.5*erfc(-+inf)``, 1.0 or 0.0, at +-inf; NaN gives NaN."""
+    cdf = (x > 0.0).astype(float)
+    at = ~np.isinf(x)
+    cdf[at] = 0.5 * _elementwise(math.erfc, -x[at] / _SQRT_2)
+    return cdf
 
 
 def gauss_cdf(s: float) -> float:
@@ -179,6 +188,17 @@ def gauss_weight(x: float) -> float:
     if math.isnan(x):
         raise ValueError("gauss_weight: argument must not be NaN")
     return math.exp(-0.5 * x * x)
+
+
+def _gauss_weight_many(x: np.ndarray) -> np.ndarray:
+    """:func:`gauss_weight` on a 1-D array: ``math.exp`` element by element
+    where ``x`` is not infinite, and ``exp(-inf)``, 0.0, at +-inf; NaN gives NaN."""
+    weight = np.zeros(len(x))
+    at = ~np.isinf(x)
+    x = x[at]
+    with np.errstate(over="ignore"):  # from |x| ~ 1.9e154 on -0.5 x x is -inf, as in the scalar
+        weight[at] = _elementwise(math.exp, -0.5 * x * x)
+    return weight
 
 
 def chi2_cdf(dim: int, t: float) -> float:

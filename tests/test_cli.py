@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -26,6 +27,14 @@ HALF_SPACE_M1 = '{"type":"halfspace","omega":[1],"s":-1}'
 PERIM_M1 = 0.60653065971263342  # e^{-1/2}
 B_M1 = -0.24197072451914337  # barycenter of the half-line at level -1
 F_HALF_0 = 1.0002015720902075  # optimal objective value at level 0
+# SHA-256 of the stdout of `minimize --s=S --kmax 3 --starts 11 --seed 5`, the
+# calls of the minimize-levels benchmark; below eps = 2 pi the seed is not read
+BENCHMARK_MINIMIZE_SHA256 = {
+    "0": "76ea0dab29465a81c723308e34cad60c39a2e2d5fb7855f18e98cd7d03dfb432",
+    "-0.5": "6b8c1974a2c738766f9ec772f9882b56c44a6e9a43a8a112b694df34e093a98d",
+    "-1": "3ec24f513544b087dd7185cd1843b2d31085113a083f1c0966499c688a7b2c47",
+    "-2": "98fb67abeb8a2f8ceacb7a387576d022a3b4ca9b20a71a64fece5c4f1e073d74",
+}
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +275,12 @@ class TestMinimize:
         payload = json.loads(out)
         assert payload["best_value"] < payload["half_line_value"]
         assert payload["half_line_optimal"] is False
+
+    @pytest.mark.parametrize("s", list(BENCHMARK_MINIMIZE_SHA256))
+    def test_benchmark_calls_keep_their_bytes(self, capsys, s):
+        code, out, err = run_cli(capsys, "minimize", f"--s={s}", "--kmax", "3", "--starts", "11", "--seed", "5")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_MINIMIZE_SHA256[s]
 
     def test_bad_kmax_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -16,6 +16,7 @@ import importlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,36 @@ class TestTemplates:
     def test_non_integer_cap_rejected(self, k_max):
         with pytest.raises(ValueError, match="component cap must be an integer"):
             enumerate_templates(k_max)
+
+    CAP_ERRORS = {
+        0: "component cap must lie in [1, 4], got 0",
+        5: "component cap must lie in [1, 4], got 5",
+        2.0: "component cap must be an integer, got 2.0",
+        True: "component cap must be an integer, got True",
+    }
+
+    @pytest.mark.parametrize("eps", [0.5, 10.0], ids=["face-search", "simplex"])
+    @pytest.mark.parametrize("k_max", list(CAP_ERRORS), ids=repr)
+    def test_minimize_refuses_a_bad_cap_on_both_paths(self, eps, k_max):
+        params = FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)
+        for s in (-1.0, 0.0):  # the cap is refused before the level is compared
+            with pytest.raises(ValueError, match=re.escape(self.CAP_ERRORS[k_max]) + "$"):
+                minimize_penalized_functional(s, params, k_max=k_max, settings=FAST)
+
+    def test_face_search_builds_no_templates(self, monkeypatch):
+        built = []
+
+        def spy(k_max):
+            built.append(k_max)
+            return enumerate_templates(k_max)
+
+        monkeypatch.setattr(optimize, "enumerate_templates", spy)
+        for s in (0.0, -2.0):
+            minimize_penalized_functional(s, stability_params(s), k_max=3)
+        minimize_penalized_functional(-1.0, FunctionalParams(s=-1.0, eps=6.28, lambda_pen=1.0), k_max=2)
+        assert built == []
+        minimize_penalized_functional(-1.0, supercritical(-1.0), k_max=2, settings=FAST)
+        assert built == [2]
 
     def test_decode_half_line(self):
         t = IntervalTemplate(left_ray=True, right_ray=False, bounded=0)

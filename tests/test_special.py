@@ -18,16 +18,19 @@ import pytest
 from scipy.special import gammainc, log_ndtr, ndtri
 
 import gaussiso
-from gaussiso.functionals import FunctionalParams, stability_params
-from gaussiso.optimize import mass_sweep
+from gaussiso import special
+from gaussiso.functionals import FunctionalParams, quantity_columns, stability_params
+from gaussiso.optimize import mass_sweep, minimize_penalized_functional
 from gaussiso.quadrature import adaptive_quad
-from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, barycenter, two_ray_set
+from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, SlabSet, barycenter, two_ray_set
 from gaussiso.special import (
     SQRT_2PI,
     _check_real,
     _chi2_quantile_many,
     _gauss_cdf_inv_many,
     _gauss_cdf_many,
+    _gauss_cdf_unchecked,
+    _gauss_weight_many,
     chi2_cdf,
     chi2_quantile,
     gauss_cdf,
@@ -102,16 +105,32 @@ def hexes(values) -> list[str]:
 
 
 class TestVectorCdf:
-    """The vector normal CDF and its inverse equal the scalar ones bit for bit."""
+    """The vector normal CDF, its inverse and the vector weight equal the scalar ones bit for bit."""
+
+    X = np.concatenate([
+        np.linspace(-40.0, 40.0, 80_001),
+        np.random.default_rng(3).normal(0.0, 6.0, 20_000),
+        [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0],
+        [1e154, -1e154, 1e308, -1e308],
+    ])
 
     def test_cdf_is_the_scalar_cdf(self):
-        x = np.concatenate([
-            np.linspace(-40.0, 40.0, 80_001),
-            np.random.default_rng(3).normal(0.0, 6.0, 20_000),
-            [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0],
-        ])
-        assert hexes(_gauss_cdf_many(x)) == hexes(gauss_cdf(v) for v in x.tolist())
+        assert hexes(_gauss_cdf_many(self.X)) == hexes(gauss_cdf(v) for v in self.X.tolist())
         assert _gauss_cdf_many(np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+
+    def test_weight_is_the_scalar_weight(self):
+        assert hexes(_gauss_weight_many(self.X)) == hexes(gauss_weight(v) for v in self.X.tolist())
+        assert _gauss_weight_many(np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+
+    def test_nan_goes_through_libm(self):
+        # the scalar forms refuse NaN; the twins give what libm gives, beside an infinity
+        x = np.array([math.nan, -math.inf, math.nan, math.inf])
+        assert hexes(_gauss_cdf_many(x)) == [_gauss_cdf_unchecked(math.nan).hex(), "0x0.0p+0", "nan", "0x1.0000000000000p+0"]
+        assert hexes(_gauss_weight_many(x)) == [math.exp(-0.5 * math.nan * math.nan).hex(), "0x0.0p+0", "nan", "0x0.0p+0"]
+
+    def test_empty_arrays(self):
+        assert _gauss_cdf_many(np.empty(0)).tolist() == []
+        assert _gauss_weight_many(np.empty(0)).tolist() == []
 
     def test_inverse_is_the_scalar_inverse(self):
         p = np.concatenate([
@@ -126,6 +145,50 @@ class TestVectorCdf:
     def test_inverse_rejects_outside_unit_interval(self, bad):
         with pytest.raises(ValueError, match="must lie in"):
             _gauss_cdf_inv_many(np.array([0.5, bad]))
+
+
+class TestLibmAtInfinity:
+    """The vector CDF and weight call ``math.erfc`` and ``math.exp`` at no infinite point."""
+
+    @staticmethod
+    def libm_arguments(monkeypatch):
+        """Every array that reaches ``math.erfc`` or ``math.exp`` through ``_elementwise``, in any module."""
+        seen = []
+        elementwise = special._elementwise
+
+        def spy(f, x):
+            if f in (math.erfc, math.exp):
+                seen.append(np.array(x))
+            return elementwise(f, x)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gaussiso.") and getattr(module, "_elementwise", None) is elementwise:
+                monkeypatch.setattr(module, "_elementwise", spy)
+        return seen
+
+    def test_paper_weight_minimize_calls_libm_at_no_infinity(self, monkeypatch):
+        seen = self.libm_arguments(monkeypatch)
+        for s in (0.0, -1.0):
+            minimize_penalized_functional(s, stability_params(s), k_max=3)
+        assert sum(map(len, seen)) > 1000
+        assert sum(np.count_nonzero(np.isinf(x)) for x in seen) == 0
+
+    def test_columns_of_sets_with_rays_call_libm_at_no_infinity(self, monkeypatch):
+        inf = math.inf
+        sets = [
+            IntervalUnion1D(intervals=((-inf, -1.0), (0.5, 2.0))),
+            IntervalUnion1D(intervals=((-0.3, inf),)),
+            IntervalUnion1D(intervals=((-inf, -2.0), (-1.0, 1.0), (3.0, inf))),
+            two_ray_set(-0.5),
+            HalfSpace(omega=(0.6, 0.8), s=-0.5),
+            SlabSet(dim=3, profile=IntervalUnion1D(intervals=((1.0, inf),))),
+            CenteredBall(dim=4, radius=2.0),
+        ]
+        seen = self.libm_arguments(monkeypatch)
+        cols = quantity_columns(sets)
+        assert np.isfinite(cols["deficit"]).all()
+        assert sum(map(len, seen)) >= 20
+        assert sum(np.count_nonzero(np.isinf(x)) for x in seen) == 0
 
 
 class TestLogGaussCdf:
