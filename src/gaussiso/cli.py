@@ -28,7 +28,7 @@ from .optimize import (
     mass_sweep,
     minimize_penalized_functional,
 )
-from .sets import set_from_json, set_to_dict
+from .sets import dimension, set_from_json, set_to_dict
 from .verify import (
     SUITE_NAMES,
     SuiteConfig,
@@ -40,6 +40,9 @@ from .verify import (
 )
 
 __all__ = ["cli_main", "main"]
+
+#: Largest dimension of a set ``eval`` prints: 10^6, the largest the planned high-dimensional checks reach.
+_EVAL_MAX_DIM = 10**6
 
 
 @functools.cache
@@ -110,7 +113,11 @@ def _resolve_weights(args) -> tuple[float, float]:
 
 
 def _run_eval(args) -> int:
-    bundle = quantities(set_from_json(args.set))
+    e = set_from_json(args.set)
+    # the barycenter is dim entries long; refuse it before it is allocated
+    if dimension(e) > _EVAL_MAX_DIM:
+        raise ValueError(f"eval: dim must be at most {_EVAL_MAX_DIM}, the longest barycenter it prints, got {dimension(e)}")
+    bundle = quantities(e)
     sys.stdout.write(json_value(asdict(bundle)) + "\n")
     return 0
 

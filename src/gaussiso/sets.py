@@ -617,26 +617,49 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     sampler, independent of the closed form's ``gammainc``), and ``X . axis``,
     a standard normal, for a profile set, tested against the profile's open
     intervals as :func:`contains_points` tests it. So the cost is
-    ``n_samples`` draws in every dimension. Blocks of at most 65,536 draws
-    (512 KiB of doubles) bound the memory; as they fill in stream order and
-    the hit count is an integer, they leave the bits alone.
+    ``n_samples`` draws in every dimension. It is ``_mc_measures`` with one
+    member.
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
-    rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
-    family, _, intervals = _profile(e)
-    hits = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(65_536, remaining)
-        if family == _BALL:
-            inside = rng.chisquare(e.dim, m) < e.radius * e.radius
-        else:
-            inside = _in_intervals(rng.standard_normal(m), intervals)
-        hits += int(np.count_nonzero(inside))
-        remaining -= m
-    p = hits / n_samples
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return p, se
+    return _mc_measures([e], n_samples, _check_integer(seed, "mc_measure: seed", 0))[0]
+
+
+def _mc_law(e: GaussianSet) -> int:
+    """The law of the scalar that ``mc_measure`` draws for ``e``: a ball's dimension (chi-square), else 0 (normal)."""
+    family, n, _ = _profile(e)
+    return n if family == _BALL else 0
+
+
+def _mc_measures(members: Sequence[GaussianSet], n_samples: int, seed: int) -> list[tuple[float, float]]:
+    """``mc_measure`` of members that share one law, from one stream: each block is tested against every member.
+
+    The members are centered balls of one dimension, whose membership reads
+    ``|X|^2``, or profile sets of any dimension, whose membership reads
+    ``X . axis`` (``_mc_law``). Each member's estimate is still an indicator
+    average over ``n_samples`` iid draws, with its own standard error, and
+    its bits do not depend on the other members; only the members' errors
+    are correlated. Blocks of at most 65,536 draws (512 KiB of
+    doubles) bound the memory; as they fill in stream order and the hit
+    counts are integers, they leave the bits alone.
+    """
+    laws = {_mc_law(e) for e in members}
+    if len(laws) != 1:
+        raise ValueError(f"_mc_measures: the members must share one law, got {sorted(laws)}")
+    (law,) = laws
+    rng = np.random.default_rng(seed)
+    draw = partial(rng.chisquare, law) if law else rng.standard_normal
+    profiles = [_profile(e) for e in members]
+    hits = [0] * len(members)
+    for start in range(0, n_samples, 65_536):
+        x = draw(min(65_536, n_samples - start))
+        for i, (e, (family, _, intervals)) in enumerate(zip(members, profiles)):
+            inside = x < e.radius * e.radius if family == _BALL else _in_intervals(x, intervals)
+            hits[i] += int(np.count_nonzero(inside))
+    estimates = []
+    for count in hits:
+        p = count / n_samples
+        estimates.append((p, math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)))
+    return estimates
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ owns: NumPy's generators release the GIL while they fill, so the draws run
 beside the corpus build and the quadrature oracle.  The registry names each
 suite's draws as a list of tasks.  The slab draws need no corpus and are one
 task, submitted before the corpus is built; the ball draws are one task per
-member, submitted once the batch exists.  A suite collects its draws where
+dimension, submitted once the batch exists: a dimension's chi-square draws
+are tested against every ball of that dimension, so the 20 balls, in
+dimensions 2 to 10, cost at most 9 streams.  A suite collects its draws where
 it yields their row: the main thread then runs the tasks the worker has not
 started, from the last back, while the worker goes on from the first, and
 waits only for the one in flight.  Each value lands at its task's index, so
@@ -59,10 +61,11 @@ from .sets import (
     IntervalUnion1D,
     SlabSet,
     _Batch,
+    _mc_law,
+    _mc_measures,
     _members,
     contains_points,
     half_line_set,
-    mc_measure,
     two_ray_endpoint,
     two_ray_set,
 )
@@ -108,7 +111,8 @@ ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
 #: Largest ``SuiteConfig.main_constant`` whose bounds and ratios stay finite.
 _MAX_MAIN_CONSTANT = 1e290
 
-#: Draws per Monte Carlo estimate, the standard errors a check allows, and the corpus balls drawn.
+#: Draws per Monte Carlo estimate, the standard errors a check allows, and the corpus members of
+#: dimension above 1 it estimates (balls, and below 200 samples the slabs after them).
 _MC_SAMPLES = 200_000
 _MC_SIGMAS = 6.0
 _MC_MEMBERS = 20
@@ -300,11 +304,13 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
         {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    estimates = ball_draws.result()
+    estimates = {row: value for task in ball_draws.result() for row, value in task.items()}
     if estimates:
-        measures = corpus.columns["measure"][_ball_rows(batch)]
-        diffs = [abs(float(m) - est) for m, (est, _) in zip(measures, estimates)]
-        bounds = [_MC_SIGMAS * err for _, err in estimates]
+        # the members in row order, which is member order
+        rows = sorted(estimates)
+        measures = corpus.columns["measure"]
+        diffs = [abs(float(measures[row]) - estimates[row][0]) for row in rows]
+        bounds = [_MC_SIGMAS * estimates[row][1] for row in rows]
         yield (
             "highdim-measure-vs-monte-carlo",
             _MEASURE_ANCHOR,
@@ -314,23 +320,41 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
 
 
 def _ball_rows(batch: _Batch) -> list[int]:
-    """The members the ball draws sample: the first ``_MC_MEMBERS`` of dimension above 1."""
+    """The Monte Carlo members: the first ``_MC_MEMBERS`` rows of dimension above 1.
+
+    They are balls from 200 samples on; below that the corpus has fewer
+    than 20 balls, and the slabs that follow them fill the rest (at 100
+    samples, 10 balls and all 5 slabs).
+    """
     return np.flatnonzero(batch.dims > 1)[:_MC_MEMBERS].tolist()
 
 
 def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> list:
-    """The ball draws, one task per member: ``mc_measure`` at ``_MC_SAMPLES`` draws on the member's own seed.
+    """The ball draws, one task per dimension: ``_mc_measures`` of its members at ``_MC_SAMPLES`` draws.
 
-    Each task returns the estimate and its standard error; the suite turns
-    them into |error| and ``_MC_SIGMAS`` SE in member order.  Only these members become
-    set objects.
+    The members are grouped by ``sets._mc_law``: a ball's law is its
+    dimension, and the slabs of a small corpus share law 0, one standard
+    normal ``X . e_n``.  The task of law ``k`` draws on the seed
+    ``_child_seeds(seed, _STREAM_MC_BALL, k + 1)[k]``, which does not depend
+    on the members, so a dimension's chi-square variates are drawn once and
+    tested against each of its balls' squared radii.  Each member's estimate
+    is still an indicator average over ``_MC_SAMPLES`` iid draws with its own
+    standard error.  A task returns them by corpus row, and the suite turns
+    them into |error| and ``_MC_SIGMAS`` SE in member order.  Only these
+    members become set objects.
     """
     rows = _ball_rows(corpus.batch)
-    seeds = _child_seeds(config.seed, _STREAM_MC_BALL, len(rows)).tolist()
-    return [
-        partial(mc_measure, e, n_samples=_MC_SAMPLES, seed=seed)
-        for e, seed in zip(_members(corpus.batch, rows), seeds)
-    ]
+    groups: dict[int, list] = {}
+    for row, e in zip(rows, _members(corpus.batch, rows)):
+        groups.setdefault(_mc_law(e), []).append((row, e))
+    seeds = _child_seeds(config.seed, _STREAM_MC_BALL, max(groups, default=0) + 1).tolist()
+    return [partial(_ball_estimates, groups[law], seeds[law]) for law in sorted(groups)]
+
+
+def _ball_estimates(pairs: list, seed: int) -> dict[int, tuple[float, float]]:
+    """One ball task: the estimate and standard error of each ``(row, member)`` pair, by row."""
+    rows, members = zip(*pairs)
+    return dict(zip(rows, _mc_measures(members, _MC_SAMPLES, seed)))
 
 
 def _suite_iso(config: SuiteConfig, corpus: _Corpus):
@@ -681,7 +705,7 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
     which runs them in the order they are submitted.  Draws that need no
     corpus (the one slab task of ``scalar-functions``) are submitted before
     the corpus is built, so the worker starts at once; the ball draws of
-    ``measure-oracle``, one task per member, follow once the batch exists
+    ``measure-oracle``, one task per dimension, follow once the batch exists
     and overlap the quadrature oracle.  A suite collects its draws where it
     yields their row: the main thread runs the tasks the worker has not
     started, from the last back, waits for the one in flight, and re-raises

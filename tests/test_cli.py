@@ -131,10 +131,12 @@ class TestEval:
             ('{"type":"intervals","items":[[-1, 1' + "0" * 400 + "]]}", "set descriptor: endpoint must be finite, got 1000"),
             ('{"type":"ball","dim":100000000000000000000,"radius":1}', "CenteredBall: dim must be at most 2**63 - 1"),
             ('{"type":"slab","dim":100000000000000000000,"profile":[[0,1]]}', "SlabSet: dim must be at most 2**63 - 1"),
-            # the barycenter's array is refused by its size, before anything is allocated
-            ('{"type":"slab","dim":9223372036854775807,"profile":[[0,1]]}', "array is too big"),
+            # a dim-long barycenter past the cap is refused before it is allocated
+            ('{"type":"slab","dim":9223372036854775807,"profile":[[0,1]]}', "eval: dim must be at most 1000000"),
+            ('{"type":"slab","dim":1000000000,"profile":[[0,1]]}', "eval: dim must be at most 1000000, the longest barycenter it prints, got 1000000000"),
+            ('{"type":"ball","dim":1000000000,"radius":1}', "eval: dim must be at most 1000000, the longest barycenter it prints, got 1000000000"),
         ],
-        ids=["endpoint", "ball-dim", "slab-dim", "slab-dim-too-big-to-print"],
+        ids=["endpoint", "ball-dim", "slab-dim", "slab-dim-too-big-to-print", "slab-dim-1e9", "ball-dim-1e9"],
     )
     def test_out_of_range_descriptor_is_usage_error(self, capsys, descriptor, message):
         # exit 1 means a violation, so out-of-range input must exit 2, without a traceback
@@ -142,6 +144,16 @@ class TestEval:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("family", ['"type":"ball","radius":1', '"type":"slab","profile":[[0,1]]'])
+    def test_dim_cap_is_inclusive(self, capsys, monkeypatch, family):
+        monkeypatch.setattr(cli, "_EVAL_MAX_DIM", 3)
+        code, out, _ = run_cli(capsys, "eval", "--set", f'{{{family},"dim":3}}')
+        assert code == 0
+        assert len(json.loads(out)["barycenter"]) == 3
+        code, out, err = run_cli(capsys, "eval", "--set", f'{{{family},"dim":4}}')
+        assert (code, out) == (2, "")
+        assert err == "error: eval: dim must be at most 3, the longest barycenter it prints, got 4\n"
 
 
 class TestVerify:

@@ -20,6 +20,14 @@ A second record was re-pinned on purpose: the margin of
 ``0x1.0ea04c9ca4626p-9`` when ``mc_measure`` began to draw a ball's ``|x|^2``
 from the chi-square law instead of the point in R^n (other draws, the same
 estimator).
+
+A third record was re-pinned on purpose: the margin of
+``highdim-measure-vs-monte-carlo`` moved from ``0x1.0ea04c9ca4626p-9`` to
+``0x1.06688534da4f3p-9`` when ``verify`` began to draw one chi-square stream
+per ball dimension, on that dimension's own seed, and to test every ball of
+that dimension against it, instead of one stream per ball on the ball's own
+seed (other draws, the same estimator per member: still 200,000 iid draws
+and its own standard error).
 """
 
 import contextlib
@@ -32,7 +40,7 @@ from gaussiso.verify import SuiteConfig, run_suite
 
 FROZEN_CHECKS = [
     ('interval-measure-vs-quadrature', 0, '0x1.b7cd9d9d7bdbbp-34', {'oracle': 'adaptive quadrature of the density per interval'}),
-    ('highdim-measure-vs-monte-carlo', 0, '0x1.0ea04c9ca4626p-9', {'oracle': 'Monte Carlo indicator average within 6 standard errors'}),
+    ('highdim-measure-vs-monte-carlo', 0, '0x1.06688534da4f3p-9', {'oracle': 'Monte Carlo indicator average within 6 standard errors'}),
     ('isoperimetric-lower-bound', 0, '0x1.12e0b6826d695p-30', {'equality_members': 60}),
     ('barycenter-norm-maximality', 0, '0x1.12e0bc026d695p-30', {'equality_members': 60}),
     ('deficit-controls-strong-asymmetry', 0, '0x1.121fbd4d7458cp-30', {'main_constant': '0x1.eec9e0f86379dp+10'}),

@@ -18,7 +18,7 @@ from gaussiso import sets, verify
 from gaussiso.corpus import _child_seeds, _child_unions, _mixed_batch, mixed_corpus
 from gaussiso.functionals import STABILITY_CONSTANT, quantity_columns
 from gaussiso.quadrature import _MAX_END, QuadSettings, _chained_quad_many, _sums_from_the_tail, adaptive_quad_many
-from gaussiso.sets import IntervalUnion1D, _interval_mass, mc_measure
+from gaussiso.sets import IntervalUnion1D, _interval_mass, _mc_measures, mc_measure
 from gaussiso.verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -48,6 +48,15 @@ EXPECTED_CHECK_COUNTS = {
 }
 
 SMALL = SuiteConfig(samples=300, seed=5)
+
+
+def _ball_task_count(config: SuiteConfig) -> int:
+    """The ball draws' tasks of ``config``: one per distinct law of its Monte Carlo members."""
+    return len(verify._ball_draws(config, verify._build_corpus(config)))
+
+
+# SMALL's 20 Monte Carlo members are balls in 8 dimensions
+SMALL_TASKS = 8
 
 
 def _without_wall_time(report_json: str) -> str:
@@ -238,14 +247,15 @@ class TestRunSuite:
         assert len(built) == 1
 
     def test_each_check_time_lands_on_that_check(self, monkeypatch):
-        def slow_mc_measure(*args, **kwargs):
-            time.sleep(0.05)
-            return mc_measure(*args, **kwargs)
+        def slow_mc_measures(*args, **kwargs):
+            time.sleep(0.125)
+            return _mc_measures(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", slow_mc_measures)
         report = run_suite("measure-oracle", SMALL)
         checks = {c.name: c for c in report.checks}
-        # SMALL has 20 high-dimensional members, one sleep each
+        # SMALL has 20 high-dimensional members in 8 dimensions, one sleep per dimension
+        assert _ball_task_count(SMALL) == SMALL_TASKS
         assert checks["highdim-measure-vs-monte-carlo"].samples == 20
         assert checks["highdim-measure-vs-monte-carlo"].wall_time >= 1.0
         assert checks["interval-measure-vs-quadrature"].wall_time < 1.0
@@ -290,6 +300,16 @@ class TestCorpusBatch:
             assert built[name].tobytes() == column.tobytes(), name
 
     def test_measure_oracle_builds_only_the_monte_carlo_members(self, monkeypatch):
+        # the 20 Monte Carlo members are the first 20 balls of the corpus
+        self._check_built_members(SMALL, {"CenteredBall": 20}, monkeypatch)
+
+    def test_small_corpus_builds_its_slab_members_too(self, monkeypatch):
+        # at 100 samples the corpus has 10 balls, and its 5 slabs, each with its profile, fill the rest
+        members = {"CenteredBall": 10, "SlabSet": 5, "IntervalUnion1D": 5}
+        self._check_built_members(SuiteConfig(samples=100, seed=5), members, monkeypatch)
+
+    @staticmethod
+    def _check_built_members(config, members, monkeypatch):
         built = []
         for cls in (IntervalUnion1D, sets.SlabSet, sets.CenteredBall):
             post_init = cls.__post_init__
@@ -299,10 +319,9 @@ class TestCorpusBatch:
                 post_init(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        report = run_suite("measure-oracle", SMALL)
-        # the 20 Monte Carlo members are the first 20 balls of the corpus
-        assert report.checks[1].samples == 20
-        assert built == ["CenteredBall"] * 20
+        report = run_suite("measure-oracle", config)
+        assert report.checks[1].samples == members["CenteredBall"] + members.get("SlabSet", 0)
+        assert {name: built.count(name) for name in set(built)} == members
 
     def test_oracle_closed_side_is_the_interval_mass(self, monkeypatch):
         seen = []
@@ -455,16 +474,42 @@ def _one_matrix_slab_draws(seed: int) -> tuple[list[float], list[float]]:
 
 
 def _serial_ball_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
-    """The ball draws as the one serial loop they were first written as: |error| and 6 SE each."""
+    """The ball draws as one serial loop over the dimensions: |error| and 6 SE per member, in member order.
+
+    Dimension ``dim`` draws 200,000 chi-square variates in blocks of 65,536
+    on ``SeedSequence([seed, 11, dim])``, and every member of that dimension
+    counts its hits ``x < r^2``; the slabs of a small corpus share the
+    standard normals on index 0, tested against their profiles.
+    """
     corpus = verify._build_corpus(config)
-    rows = np.flatnonzero(corpus.batch.dims > 1)[:20].tolist()
-    seeds = _child_seeds(config.seed, 11, len(rows)).tolist()
+    batch = corpus.batch
+    rows = np.flatnonzero(batch.dims > 1)[:20].tolist()
+    members = dict(zip(rows, sets._members(batch, rows)))
+    laws = {row: int(batch.dims[row]) if batch.kinds[row] == sets._BALL else 0 for row in rows}
+    seeds = _child_seeds(config.seed, 11, 11)
+    hits = dict.fromkeys(rows, 0)
+    for law in sorted(set(laws.values())):
+        rng = np.random.default_rng(int(seeds[law]))
+        for start in range(0, 200_000, 65_536):
+            m = min(65_536, 200_000 - start)
+            x = rng.chisquare(law, m) if law else rng.standard_normal(m)
+            for row in rows:
+                if laws[row] != law:
+                    continue
+                e = members[row]
+                if law:
+                    inside = x < e.radius * e.radius
+                else:
+                    inside = np.zeros(m, dtype=bool)
+                    for lo, hi in e.profile.intervals:
+                        inside |= (x > lo) & (x < hi)
+                hits[row] += int(np.count_nonzero(inside))
     diffs = []
     bounds = []
-    for i, e, seed in zip(rows, sets._members(corpus.batch, rows), seeds):
-        est, err = mc_measure(e, n_samples=200_000, seed=seed)
-        diffs.append(abs(float(corpus.columns["measure"][i]) - est))
-        bounds.append(6.0 * err)
+    for row in rows:
+        p = hits[row] / 200_000
+        diffs.append(abs(float(corpus.columns["measure"][row]) - p))
+        bounds.append(6.0 * math.sqrt(p * (1.0 - p) / 200_000))
     return diffs, bounds
 
 
@@ -482,9 +527,9 @@ class TestMonteCarloWorker:
     def test_draws_overlap_the_oracle_and_keep_their_own_time(self, monkeypatch):
         # 0.6 s of ball draws run while the oracle sleeps 1 s; the draws' row
         # is charged their 0.6 s, not the moment it waited for them
-        def slow_mc_measure(*args, **kwargs):
-            time.sleep(0.03)
-            return mc_measure(*args, **kwargs)
+        def slow_mc_measures(*args, **kwargs):
+            time.sleep(0.6 / SMALL_TASKS)
+            return _mc_measures(*args, **kwargs)
 
         quad = verify.adaptive_quad_many
 
@@ -492,7 +537,7 @@ class TestMonteCarloWorker:
             time.sleep(1.0)
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", slow_mc_measures)
         monkeypatch.setattr(verify, "adaptive_quad_many", slow_quad)
         started = time.perf_counter()
         report = run_suite("measure-oracle", SMALL)
@@ -508,11 +553,11 @@ class TestMonteCarloWorker:
         config = SuiteConfig(samples=300, seed=7)
         plain = render_report(run_suite("all", config))
 
-        def slow_mc_measure(*args, **kwargs):
-            time.sleep(0.01)
-            return mc_measure(*args, **kwargs)
+        def slow_mc_measures(*args, **kwargs):
+            time.sleep(0.025)
+            return _mc_measures(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", slow_mc_measures)
         slow = render_report(run_suite("all", config))
         assert _without_wall_time(slow) == _without_wall_time(plain)
 
@@ -520,10 +565,10 @@ class TestMonteCarloWorker:
         class DrawError(Exception):
             pass
 
-        def failing_mc_measure(*args, **kwargs):
+        def failing_mc_measures(*args, **kwargs):
             raise DrawError("draw failed")
 
-        monkeypatch.setattr(verify, "mc_measure", failing_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", failing_mc_measures)
         before = threading.active_count()
         with pytest.raises(DrawError, match="draw failed"):
             run_suite("all", SMALL)
@@ -563,9 +608,9 @@ class TestMonteCarloWorker:
 
         draws_started = []
 
-        def recorded_mc_measure(*args, **kwargs):
+        def recorded_mc_measures(*args, **kwargs):
             draws_started.append(time.perf_counter())
-            return mc_measure(*args, **kwargs)
+            return _mc_measures(*args, **kwargs)
 
         raised = []
 
@@ -574,30 +619,39 @@ class TestMonteCarloWorker:
             raise RuntimeError("oracle failed")
 
         monkeypatch.setattr(verify, "contains_points", slow_contains_points)
-        monkeypatch.setattr(verify, "mc_measure", recorded_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", recorded_mc_measures)
         monkeypatch.setattr(verify, "adaptive_quad_many", failing_quad)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="oracle failed"):
             run_suite("all", SMALL)
         assert threading.active_count() == before
-        assert len(draws_started) < 20
+        assert len(draws_started) < SMALL_TASKS
         assert all(t < raised[0] for t in draws_started)
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_ball_draws_do_not_depend_on_the_thread(self, seed, monkeypatch):
-        config = SuiteConfig(samples=300, seed=seed)
+        self._check_thread_independence(SuiteConfig(samples=300, seed=seed), monkeypatch)
+
+    # below 200 samples the slabs fill the 20 members up, and share one task
+    @pytest.mark.parametrize("samples", [100, 150, 199, 200])
+    def test_small_corpus_draws_do_not_depend_on_the_thread(self, samples, monkeypatch):
+        self._check_thread_independence(SuiteConfig(samples=samples, seed=5), monkeypatch)
+
+    @staticmethod
+    def _check_thread_independence(config, monkeypatch):
+        tasks = _ball_task_count(config)
         on_main = []
         gate = threading.Event()
 
-        def recorded_mc_measure(*args, **kwargs):
-            value = mc_measure(*args, **kwargs)
+        def recorded_mc_measures(*args, **kwargs):
+            value = _mc_measures(*args, **kwargs)
             on_main.append(threading.current_thread() is threading.main_thread())
-            if len(on_main) == 20:
+            if len(on_main) == tasks:
                 gate.set()
             return value
 
         def held_contains_points(e, pts):
-            # the worker holds the slab task until the 20 ball tasks ran
+            # the worker holds the slab task until the ball tasks ran
             gate.wait(timeout=10.0)
             gate.set()  # later blocks do not wait, should the gate have timed out
             return sets.contains_points(e, pts)
@@ -605,7 +659,7 @@ class TestMonteCarloWorker:
         quad = verify.adaptive_quad_many
 
         def held_quad(*args, **kwargs):
-            # the oracle waits until the worker ran the 20 ball tasks
+            # the oracle waits until the worker ran the ball tasks
             gate.wait(timeout=10.0)
             return quad(*args, **kwargs)
 
@@ -619,7 +673,7 @@ class TestMonteCarloWorker:
                 return _margins_le(a, b)
 
             with monkeypatch.context() as m:
-                m.setattr(verify, "mc_measure", recorded_mc_measure)
+                m.setattr(verify, "_mc_measures", recorded_mc_measures)
                 m.setattr(verify, "_margins_le", recorded_margins_le)
                 if name:
                     m.setattr(verify, name, value)
@@ -631,27 +685,27 @@ class TestMonteCarloWorker:
         want_diffs, want_bounds = _serial_ball_draws(config)
         plain = run()
         on_the_main_thread = run("contains_points", held_contains_points)
-        assert on_main == [True] * 20
+        assert on_main == [True] * tasks
         on_the_worker = run("adaptive_quad_many", held_quad)
-        assert on_main == [False] * 20
+        assert on_main == [False] * tasks
         for report, diffs, bounds in (plain, on_the_main_thread, on_the_worker):
             assert diffs == [x.hex() for x in want_diffs]
             assert bounds == [x.hex() for x in want_bounds]
             assert _without_wall_time(report) == _without_wall_time(plain[0])
 
     def test_both_threads_share_the_ball_tasks(self, monkeypatch):
-        # 20 ball tasks of 0.05 s each and a fast oracle: the main thread
+        # 8 ball tasks of 0.125 s each and a fast oracle: the main thread
         # takes tasks from the back while the worker runs them from the front
         runs = []
 
-        def slow_mc_measure(*args, **kwargs):
+        def slow_mc_measures(*args, **kwargs):
             started = time.perf_counter()
-            time.sleep(0.05)
-            value = mc_measure(*args, **kwargs)
+            time.sleep(1.0 / SMALL_TASKS)
+            value = _mc_measures(*args, **kwargs)
             runs.append((threading.current_thread() is threading.main_thread(), started, time.perf_counter()))
             return value
 
-        monkeypatch.setattr(verify, "mc_measure", slow_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", slow_mc_measures)
         report = run_suite("measure-oracle", SMALL)
         assert report.checks[1].wall_time >= 1.0
         assert sorted({on_main for on_main, _, _ in runs}) == [False, True]
@@ -690,13 +744,13 @@ class TestMonteCarloWorker:
             gate.set()  # later blocks do not wait, should the gate have timed out
             return sets.contains_points(e, pts)
 
-        def failing_mc_measure(*args, **kwargs):
+        def failing_mc_measures(*args, **kwargs):
             on_main.append(threading.current_thread() is threading.main_thread())
             gate.set()
             raise DrawError("draw failed")
 
         monkeypatch.setattr(verify, "contains_points", held_contains_points)
-        monkeypatch.setattr(verify, "mc_measure", failing_mc_measure)
+        monkeypatch.setattr(verify, "_mc_measures", failing_mc_measures)
         before = threading.active_count()
         with pytest.raises(DrawError, match="draw failed"):
             run_suite("all", SMALL)
@@ -759,6 +813,75 @@ class TestMonteCarloWorker:
         assert started == []
         run_suite("all", SMALL)
         assert len(started) == 1
+
+
+class TestBallDrawsPerDimension:
+    """The Monte Carlo members draw one stream per law: chi-square per ball dimension, one normal stream for slabs."""
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [sets.CenteredBall(dim=4, radius=r) for r in (0.5, 1.7, 2.0, 3.9)],
+            [sets.CenteredBall(dim=2, radius=1.0)],
+            [
+                sets.SlabSet(dim=3, profile=IntervalUnion1D(intervals=((-math.inf, -0.5), (0.3, 0.9)))),
+                sets.SlabSet(dim=5, profile=IntervalUnion1D(intervals=((0.1, math.inf),))),
+                sets.HalfSpace(omega=(0.6, 0.8), s=-0.4),
+            ],
+        ],
+        ids=["balls", "one-ball", "profiles"],
+    )
+    def test_each_member_is_its_own_mc_measure(self, members):
+        # 150,000 draws end in a partial block
+        shared = _mc_measures(members, 150_000, 2024)
+        alone = [mc_measure(e, n_samples=150_000, seed=2024) for e in members]
+        assert [(p.hex(), se.hex()) for p, se in shared] == [(p.hex(), se.hex()) for p, se in alone]
+
+    def test_members_must_share_one_law(self):
+        balls = [sets.CenteredBall(dim=3, radius=1.0), sets.CenteredBall(dim=4, radius=1.0)]
+        with pytest.raises(ValueError, match="share one law"):
+            _mc_measures(balls, 10, 0)
+        with pytest.raises(ValueError, match="share one law"):
+            _mc_measures([balls[0], sets.SlabSet(dim=3, profile=IntervalUnion1D(intervals=((0.0, 1.0),)))], 10, 0)
+
+    def test_one_chi_square_stream_per_dimension(self, monkeypatch):
+        # seed 1501's 20 balls span 8 dimensions: 8 x 200,000 variates, not 20 x 200,000
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def chisquare(self, df, size):
+                drawn.append((df, size))
+                return self._rng.chisquare(df, size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: Spy(default_rng(*args)))
+        config = SuiteConfig(samples=10_000, seed=1501)
+        report = run_suite("measure-oracle", config)
+        assert report.checks[1].samples == 20
+        dims = {df for df, _ in drawn}
+        assert len(dims) == 8
+        for dim in dims:
+            assert sum(size for df, size in drawn if df == dim) == 200_000
+        assert sum(size for _, size in drawn) == 8 * 200_000
+
+    @pytest.mark.parametrize("n, balls, slabs", [(100, 10, 5), (150, 15, 5), (199, 19, 1), (200, 20, 0)])
+    def test_small_corpora_keep_their_slab_members(self, n, balls, slabs):
+        config = SuiteConfig(samples=n, seed=5)
+        batch = verify._build_corpus(config).batch
+        rows = verify._ball_rows(batch)
+        kinds = batch.kinds[rows].tolist()
+        assert (kinds.count(sets._BALL), kinds.count(sets._SLAB)) == (balls, slabs)
+        # the slabs share one task; every ball dimension has its own
+        ball_dims = {int(batch.dims[row]) for row in rows if batch.kinds[row] == sets._BALL}
+        assert _ball_task_count(config) == len(ball_dims) + (slabs > 0)
+        check = run_suite("measure-oracle", config).checks[1]
+        assert (check.samples, check.violations) == (balls + slabs, 0)
 
 
 @pytest.fixture(scope="module")
