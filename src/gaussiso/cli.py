@@ -78,9 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="mass-penalty weight: a number or 'paper'")
     p_min.add_argument("--kmax", type=int, default=_K_MAX)
     p_min.add_argument("--starts", type=int, default=OptimizerSettings.multistarts,
-                       help="random simplex starts; used only when eps >= 2 pi")
+                       help="random simplex starts; used only where the face search is not proven complete")
     p_min.add_argument("--seed", type=int, default=OptimizerSettings.seed,
-                       help="seed of the random simplex starts; used only when eps >= 2 pi")
+                       help="seed of the random simplex starts; used only where the face search is not "
+                            "proven complete")
     p_min.add_argument("--diagnostics", action="store_true",
                        help="add every start's or face piece's outcome as a 'starts' list")
     p_min.set_defaults(run=_run_minimize)

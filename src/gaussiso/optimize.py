@@ -3,15 +3,16 @@
 The search space is the family of interval unions with at most ``k_max``
 components, parameterized per template (an optional left ray, an optional
 right ray, and a number of bounded intervals) by the vector of finite
-endpoints in increasing order. Which search runs depends on the barycenter
-weight alone: below ``eps = 2 pi`` an exact face search, otherwise a
-multistart simplex search. Both evaluate F from the closed-form endpoint
-sums of ``functionals._penalized``, so no set is built per evaluation.
+endpoints in increasing order. An exact face search runs on every call; a
+multistart simplex search replaces its result only where a sublevel bound
+does not prove the faces complete. Both evaluate F from the closed-form
+endpoint sums of ``functionals._penalized``, so no set is built per
+evaluation.
 
-Why the face search is complete for eps < 2 pi. Write ``u_i = Phi(x_i)`` for
-the finite endpoints, ``nu_i = +-1`` for their outer normals and ``w_i`` for
-their weights ``exp(-x_i^2/2)``. The mass is linear in ``u``, and off the
-mass kink ``gamma(E) = Phi(params.s)`` the Hessian of F in ``u`` is
+Why the face search is complete. Write ``u_i = Phi(x_i)`` for the finite
+endpoints, ``nu_i = +-1`` for their outer normals and ``w_i`` for their
+weights ``exp(-x_i^2/2)``. The mass is linear in ``u``, and off the mass
+kink ``gamma(E) = Phi(params.s)`` the Hessian of F in ``u`` is
 
     H = diag((-2 pi + sqrt(2 pi) eps b nu_i) / w_i) + eps (nu x)(nu x)^T.
 
@@ -21,16 +22,31 @@ coordinates: ``mass_preserving_flow`` moves ``u`` along the line
 ``J = D H D / (2 pi)``, and the completeness argument and the stationarity
 layer read one derivation.
 
-Since ``|b| <= 1/sqrt(2 pi)`` for every set, the diagonal is negative
-definite when eps < 2 pi, and a rank-one update leaves at most one eigenvalue
-``>= 0``. So no local minimum has two or more endpoints off the kink. On the
-kink F is smooth along the kink hyperplane, and restricting to a hyperplane
-removes at most one negative eigenvalue, so no local minimum has three or
-more endpoints on it. Endpoints that collide or escape to +-inf give a
-template with fewer endpoints. Every minimizer over the templates up to
-``k_max`` therefore lies on one of four one-dimensional faces: the left ray
-``(-inf, x)``, the right ray ``(x, inf)``, the bounded interval on the kink,
-and (for ``k_max >= 2``) the two-ray set on the kink.
+At a set with ``sqrt(2 pi) eps |b| < 2 pi`` the diagonal is negative
+definite, and a rank-one update leaves at most one eigenvalue ``>= 0``. So
+no local minimum there has two or more endpoints off the kink. On the kink F
+is smooth along the kink hyperplane, and restricting to a hyperplane removes
+at most one negative eigenvalue, so no local minimum there has three or more
+endpoints on it. Endpoints that collide or escape to +-inf give a template
+with fewer endpoints. A global minimizer over the templates up to ``k_max``
+that lies there is therefore on one of four one-dimensional faces: the left
+ray ``(-inf, x)``, the right ray ``(x, inf)``, the bounded interval on the
+kink, and (for ``k_max >= 2``) the two-ray set on the kink.
+
+Since ``|b| <= 1/sqrt(2 pi)`` for every set, every set is there when
+eps < 2 pi. For eps >= 2 pi, take a set with ``sqrt(2 pi) eps |b| >= 2 pi``
+and mass m, and write ``I(m) = exp(-Phi^{-1}(m)^2/2)``. Barycenter
+maximality gives ``I(m) >= sqrt(2 pi) |b| >= 2 pi / eps``, so
+``|Phi^{-1}(m)| <= r = sqrt(2 ln(eps / 2 pi))``; Gaussian isoperimetry gives
+``P >= I(m)``; and ``(eps/2) b^2 >= pi / eps``. ``I(m) + lambda_pen |m -
+Phi(s)|`` is concave on each side of ``Phi(s)``, so the set has F >= B, the
+sublevel bound ``pi / eps`` plus the least of ``exp(-t^2/2) + lambda_pen
+|Phi(t) - Phi(s)|`` over t in ``{-r, r}``, and t = s where ``|s| <= r``
+(:func:`_sublevel_bound`; B is +inf below 2 pi). A global minimizer has F at
+most V, the best value on the faces. So where B > V, it has a negative
+diagonal and lies on the faces. The search keeps the faces where B exceeds V
+by the relative margin ``_BOUND_MARGIN``, which covers rounding in both, and
+runs the simplex search where it does not.
 
 F is invariant under the reflection ``x -> -x``. It maps the right ray
 ``(-x, inf)`` onto the left ray ``(-inf, x)``, value for value, so only the
@@ -110,14 +126,15 @@ _STEP_TOL = 1e-10
 #: value, with the half-line's.
 _F_TOL = 1e-12
 
+#: The face search stands when the sublevel bound exceeds its best value by
+#: more than this, relative to that value (module docstring).
+_BOUND_MARGIN = 1e-9
+
 #: Objective evaluations a simplex search may spend from one start.
 _BUDGET = 10000
 
 #: Component cap of :func:`minimize_penalized_functional` and of ``minimize --kmax``.
 _K_MAX = 3
-
-#: Below this barycenter weight the face search is complete (module docstring).
-_FACE_SEARCH_EPS = 2.0 * math.pi
 
 #: Points of the grid each face piece is evaluated on, its ends included.
 _GRID_POINTS = 120
@@ -210,7 +227,7 @@ _TWO_RAY = IntervalTemplate(left_ray=True, right_ray=True, bounded=0)
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Multistart simplex-search configuration, read only when eps >= 2 pi."""
+    """Multistart simplex-search configuration, read only where the bound does not certify the faces."""
 
     multistarts: int = 64
     seed: int = 0
@@ -517,8 +534,8 @@ def _grid_values(grids, params: FunctionalParams) -> list[list[float]]:
 
 
 def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTemplate, StartDiagnostic]]:
-    """Search the faces that hold every minimizer when eps < 2 pi (module
-    docstring), one diagnostic per searched piece.
+    """Search the faces that hold every minimizer where the sublevel bound
+    certifies them (module docstring), one diagnostic per searched piece.
 
     The pieces start from the named sets of :func:`_named_starts`. The left
     ray, which stands for its mirror image the right ray, is searched from
@@ -566,6 +583,19 @@ def _face_search(params: FunctionalParams, k_max: int) -> list[tuple[IntervalTem
     ]
 
 
+def _sublevel_bound(params: FunctionalParams) -> float:
+    """The sublevel bound B of the module docstring: F >= B on every set with
+    ``sqrt(2 pi) eps |b| >= 2 pi``, and +inf where eps < 2 pi leaves no such set."""
+    if params.eps < 2.0 * math.pi:
+        return math.inf
+    r = math.sqrt(2.0 * math.log(params.eps / (2.0 * math.pi)))
+    values = [gauss_weight(t) + params.lambda_pen * abs(gauss_cdf(t) - params.target) for t in (-r, r)]
+    if abs(params.s) <= r:
+        # at t = s the mass term is 0
+        values.append(gauss_weight(params.s))
+    return math.pi / params.eps + min(values)
+
+
 def minimize_penalized_functional(
     s: float,
     params: FunctionalParams,
@@ -574,13 +604,15 @@ def minimize_penalized_functional(
 ) -> MinimizeOutcome:
     """Minimize F over all templates up to ``k_max``.
 
-    For ``params.eps < 2 pi`` every minimizer lies on a face that
-    :func:`_face_search` searches completely (module docstring), with one
-    diagnostic per searched piece. ``settings`` is not read, a ray
-    minimizer is reported as the left ray ``(-inf, x)``, and the half-line
-    at ``params.s`` is that ray's kink point.
+    :func:`_face_search` runs first, with one diagnostic per searched piece.
+    Where the sublevel bound exceeds its best value (module docstring),
+    every minimizer lies on the faces it searched completely: its result
+    stands, ``settings`` is not read, a ray minimizer is reported as the left
+    ray ``(-inf, x)``, and the half-line at ``params.s`` is that ray's kink
+    point.
 
-    Otherwise a Nelder-Mead simplex search runs from ``settings.multistarts``
+    Where the bound does not certify the faces, a Nelder-Mead simplex search
+    replaces that result. It runs from ``settings.multistarts``
     random initializations (Gaussian endpoint proposal, scale 2, distributed
     across templates) plus the named sets of :func:`_named_starts`, from
     which the face search starts too.
@@ -606,9 +638,9 @@ def minimize_penalized_functional(
     # params.s is finite, so this refuses every non-finite s
     if s != params.s:
         raise ValueError(f"mass level must be finite and equal params.s = {params.s!r}, got {s!r}")
-    if params.eps < _FACE_SEARCH_EPS:
-        searched = _face_search(params, k_max)
-    else:
+    searched = _face_search(params, k_max)
+    faces_best = min(d.final_value for _, d in searched)
+    if not _sublevel_bound(params) > faces_best * (1.0 + _BOUND_MARGIN):
         searched = _multistart_search(params, enumerate_templates(k_max), settings)
 
     candidates = [

@@ -28,7 +28,8 @@ PERIM_M1 = 0.60653065971263342  # e^{-1/2}
 B_M1 = -0.24197072451914337  # barycenter of the half-line at level -1
 F_HALF_0 = 1.0002015720902075  # optimal objective value at level 0
 # SHA-256 of the stdout of `minimize --s=S --kmax 3 --starts 11 --seed 5`, the
-# calls of the minimize-levels benchmark; below eps = 2 pi the seed is not read
+# calls of the minimize-levels benchmark; below eps = 2 pi the face search is
+# proven complete, so the seed is not read
 BENCHMARK_MINIMIZE_SHA256 = {
     "0": "76ea0dab29465a81c723308e34cad60c39a2e2d5fb7855f18e98cd7d03dfb432",
     "-0.5": "6b8c1974a2c738766f9ec772f9882b56c44a6e9a43a8a112b694df34e093a98d",
@@ -302,8 +303,9 @@ class TestMinimize:
         assert "error:" in err
 
     def test_no_degenerate_start_at_zero_mass(self, capsys):
-        # Phi(-38.5) is 0: the kink holds only the empty set, so the simplex
-        # starts from no two-ray set (-inf, -inf) u (inf, inf) and no interval
+        # Phi(-38.5) is 0: the kink holds only the empty set, so no kink face
+        # runs from a two-ray set (-inf, -inf) u (inf, inf) or an interval;
+        # the faces reach F = 0, below the sublevel bound, so the simplex does not run
         code, out, _ = run_cli(
             capsys, "minimize", "--s=-38.5", "--eps", "10", "--lambda", "1",
             "--kmax", "2", "--starts", "2", "--diagnostics",
@@ -311,7 +313,38 @@ class TestMinimize:
         assert code == 0
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-finite {name} in output"))
         assert payload["target_mass"] == 0
-        assert {d["kind"] for d in payload["starts"]} == {"random", "half-line"}
+        assert [d["kind"] for d in payload["starts"]] == ["below-kink", "above-kink"]
+        assert payload["best_value"] == 0.0
+
+    # best_set, best_value, achieved_mass and half_line_value at the paper's
+    # weights, as the multistart simplex search printed them before the
+    # sublevel bound moved these levels to the face search
+    PAPER_TAIL_OUTPUTS = {
+        "-5": ([["-inf", -5]], 3.7266820639736467e-06, 2.866515718791946e-07, 3.7266820639736467e-06),
+        "-7.5": ([["-inf", -7.5]], 6.1019581619744147e-13, 3.1908916729109197e-14, 6.1019581619744147e-13),
+    }
+
+    @pytest.mark.parametrize("s", list(PAPER_TAIL_OUTPUTS))
+    def test_paper_weights_at_negative_tail_levels_keep_their_minimizer(self, capsys, s):
+        code, out, _ = run_cli(capsys, "minimize", f"--s={s}", "--diagnostics")
+        assert code == 0
+        payload = json.loads(out)
+        fields = (payload["best_set"]["items"], payload["best_value"], payload["achieved_mass"],
+                  payload["half_line_value"])
+        assert fields == self.PAPER_TAIL_OUTPUTS[s]
+        assert payload["half_line_optimal"] is True
+        assert {d["kind"] for d in payload["starts"]} == {"below-kink", "above-kink", "kink"}
+
+    @pytest.mark.parametrize("s", ["5", "7"])
+    def test_paper_weights_at_positive_tail_levels_return_the_half_line(self, capsys, s):
+        # the multistart simplex search returned the mirror ray (-s, inf), a
+        # few 1e-17 below F of the half-line through rounding in the mass penalty
+        code, out, _ = run_cli(capsys, "minimize", f"--s={s}")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["best_set"]["items"] == [["-inf", float(s)]]
+        assert payload["best_value"] == payload["half_line_value"]
+        assert payload["half_line_optimal"] is True
 
     def test_diagnostics_flag_adds_every_start(self, capsys):
         argv = ["minimize", "--s=-1", "--kmax", "2", "--starts", "6", "--seed", "3"]
@@ -438,9 +471,10 @@ options:
   --eps EPS            barycenter weight: a number or 'paper'
   --lambda LAMBDA_PEN  mass-penalty weight: a number or 'paper'
   --kmax KMAX
-  --starts STARTS      random simplex starts; used only when eps >= 2 pi
-  --seed SEED          seed of the random simplex starts; used only when eps
-                       >= 2 pi
+  --starts STARTS      random simplex starts; used only where the face search
+                       is not proven complete
+  --seed SEED          seed of the random simplex starts; used only where the
+                       face search is not proven complete
   --diagnostics        add every start's or face piece's outcome as a 'starts'
                        list
 """,

@@ -1,6 +1,7 @@
 """Frozen digest of the face search: every output of 600 ``minimize`` calls.
 
-Each call runs below eps = 2 pi, so it is decided by the exact face search.
+Every call's barycenter weight is below 2 pi, where the sublevel bound of
+``gaussiso.optimize`` is infinite, so the exact face search alone decides it.
 The digest is a SHA-256 over every field of every outcome, floats as
 ``float.hex``: the best set, its value, the target and achieved masses, the
 half-line's value and verdict, and every piece's diagnostic (template, kind,

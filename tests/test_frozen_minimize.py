@@ -6,25 +6,27 @@ calls at ``multistarts=12, seed=7`` (level 0 with ``k_max=2``, level -1 with
 plus the exact stdout of one CLI call at level -1 and of the same call at
 levels 0, -0.5, -2 and 0.7.
 
-Only the supercritical case runs the simplex search. Its numbers were first
-recorded while the local search still ran through SciPy's
+Only the supercritical case runs the simplex search: its sublevel bound,
+1 + pi/10, does not exceed the faces' best value sqrt 2, so the bound does
+not certify the face search there. Its numbers were first recorded while
+the local search still ran through SciPy's
 ``minimize(method="Nelder-Mead")`` (SciPy 1.17.1, NumPy 2.4.6), before the
 in-house simplex search replaced it; the search orders its vertices by a
 stable sort, so tied vertices keep their order and the diagnostics are the
 same on every machine (SciPy's unstable sort swapped some ties, and one of
 its starts was re-pinned when the stable sort came in).
 
-The other three calls and the CLI call have eps below 2 pi, so they run the
-face search, one diagnostic per searched piece; they were re-pinned when the
-face search replaced the simplex search there. The CLI's ``best_value`` and
+For the other three calls and the CLI call the bound certifies the face
+search, which alone runs, one diagnostic per searched piece; they were
+re-pinned when the face search replaced the simplex search there. The CLI's ``best_value`` and
 ``half_line_value`` kept their bits. They were re-pinned again when the
 right-ray pieces, the left ray's mirror image, were dropped and a grid dip
 within the tie margin stopped being refined: the right-ray rows went,
 ``budget-20``'s ``below-kink`` piece fell from 166 to 120 evaluations, the
 CLI's ``starts_total`` and ``starts_converged`` fell from 6 to 4, and every
 other field kept its bits. The ``budget-20`` call once capped the simplex at
-20 evaluations per start; its settings are not read below eps = 2 pi, so it
-now passes ``FAST`` and keeps every pin.
+20 evaluations per start; the face search reads no settings, so it now
+passes ``FAST`` and keeps every pin.
 """
 
 import contextlib

@@ -38,11 +38,13 @@ from gaussiso.optimize import (
     IntervalTemplate,
     MassSweepRow,
     OptimizerSettings,
+    _BOUND_MARGIN,
     _MIN_SEPARATION,
     _endpoint_objective,
     _face_search,
     _grid_values,
     _multistart_search,
+    _sublevel_bound,
     enumerate_templates,
     mass_sweep,
     minimize_penalized_functional,
@@ -87,9 +89,15 @@ ASYMPTOTE = 1.7374623212723181   # sqrt(2 pi) * ln 2
 FAST = OptimizerSettings(multistarts=12, seed=7)
 
 
-def supercritical(s):
-    """The stability weights at level s with eps = 10, where the simplex search runs."""
-    return FunctionalParams(s=s, eps=10.0, lambda_pen=stability_params(s).lambda_pen)
+#: The paper's mass penalty at level -0.5 with eps = 20: the sublevel bound
+#: (1.040) does not exceed the faces' best value (1.191), so the simplex search runs.
+UNCERTIFIED = FunctionalParams(s=-0.5, eps=20.0, lambda_pen=stability_params(-0.5).lambda_pen)
+
+
+def certified(params, k_max):
+    """Whether the sublevel bound certifies the face search at these weights."""
+    faces_best = min(d.final_value for _, d in _face_search(params, k_max))
+    return _sublevel_bound(params) > faces_best * (1.0 + _BOUND_MARGIN)
 
 
 class TestTemplates:
@@ -119,11 +127,12 @@ class TestTemplates:
         True: "component cap must be an integer, got True",
     }
 
-    @pytest.mark.parametrize("eps", [0.5, 10.0], ids=["face-search", "simplex"])
+    @pytest.mark.parametrize(
+        "params", [FunctionalParams(s=-1.0, eps=0.5, lambda_pen=2.0), UNCERTIFIED], ids=["face-search", "simplex"]
+    )
     @pytest.mark.parametrize("k_max", list(CAP_ERRORS), ids=repr)
-    def test_minimize_refuses_a_bad_cap_on_both_paths(self, eps, k_max):
-        params = FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)
-        for s in (-1.0, 0.0):  # the cap is refused before the level is compared
+    def test_minimize_refuses_a_bad_cap_on_both_paths(self, params, k_max):
+        for s in (params.s, params.s + 1.0):  # the cap is refused before the level is compared
             with pytest.raises(ValueError, match=re.escape(self.CAP_ERRORS[k_max]) + "$"):
                 minimize_penalized_functional(s, params, k_max=k_max, settings=FAST)
 
@@ -139,7 +148,7 @@ class TestTemplates:
             minimize_penalized_functional(s, stability_params(s), k_max=3)
         minimize_penalized_functional(-1.0, FunctionalParams(s=-1.0, eps=6.28, lambda_pen=1.0), k_max=2)
         assert built == []
-        minimize_penalized_functional(-1.0, supercritical(-1.0), k_max=2, settings=FAST)
+        minimize_penalized_functional(-0.5, UNCERTIFIED, k_max=2, settings=FAST)
         assert built == [2]
 
     def test_decode_half_line(self):
@@ -380,8 +389,16 @@ class TestMinimize:
         two_ray_finals = [d.final_value for d in out.starts if d.kind == "two-ray"]
         assert two_ray_finals == [pytest.approx(PERIM_E0, rel=1e-9)]
 
+    def test_simplex_names_no_degenerate_start_at_zero_mass(self):
+        # Phi(-38.5) is 0: the kink holds only the empty set, so the simplex
+        # starts from no two-ray set (-inf, -inf) u (inf, inf) and no interval
+        params = FunctionalParams(s=-38.5, eps=10.0, lambda_pen=1.0)
+        searched = _multistart_search(params, enumerate_templates(2), OptimizerSettings(multistarts=2))
+        assert [d.kind for _, d in searched] == ["random", "random", "half-line"]
+        assert all(math.isfinite(d.final_value) for _, d in searched)
+
     def test_diagnostics_cover_deterministic_kinds(self):
-        out = minimize_penalized_functional(-1.0, supercritical(-1.0), k_max=2, settings=FAST)
+        out = minimize_penalized_functional(-0.5, UNCERTIFIED, k_max=2, settings=FAST)
         kinds = {d.kind for d in out.starts}
         assert {"half-line", "two-ray", "symmetric-interval", "random"} <= kinds
         assert sum(1 for d in out.starts if d.kind == "random") == FAST.multistarts
@@ -394,7 +411,7 @@ class TestMinimize:
         with pytest.raises(ValueError, match="finite"):
             minimize_penalized_functional(math.nan, stability_params(0.0), k_max=2, settings=FAST)
 
-    @pytest.mark.parametrize("params", [stability_params(-0.5), supercritical(-0.5)])
+    @pytest.mark.parametrize("params", [stability_params(-0.5), UNCERTIFIED])
     def test_level_must_be_that_of_params(self, params):
         with pytest.raises(ValueError, match="equal params.s = -0.5, got -1.0"):
             minimize_penalized_functional(-1.0, params, k_max=2, settings=FAST)
@@ -404,7 +421,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("budget", [1, 3, 20])
     def test_budget_caps_evaluations_and_convergence(self, budget, monkeypatch):
         monkeypatch.setattr(optimize, "_BUDGET", budget)
-        out = minimize_penalized_functional(-0.5, supercritical(-0.5), k_max=2, settings=FAST)
+        out = minimize_penalized_functional(-0.5, UNCERTIFIED, k_max=2, settings=FAST)
         assert len(out.starts) == 15
         for diag in out.starts:
             assert diag.evaluations <= budget
@@ -428,7 +445,7 @@ class TestRandomStarts:
         monkeypatch.setattr(optimize, "_nelder_mead", record)
         templates = enumerate_templates(k_max)
         settings = OptimizerSettings(multistarts=multistarts, seed=seed)
-        searched = _multistart_search(supercritical(-0.5), templates, settings)
+        searched = _multistart_search(UNCERTIFIED, templates, settings)
         randoms = [template for template, d in searched if d.kind == "random"]
         assert [template for template, _ in searched[:multistarts]] == randoms
         # each template takes a block of starts, in order; the first `extra` take one more
@@ -451,19 +468,28 @@ class TestFaceSearch:
 
     @pytest.mark.parametrize("s", LEVELS)
     def test_never_above_the_simplex(self, s):
-        # weights from the paper's eps up to just below 2 pi, with the mass
-        # penalty at the paper's value, weak and absent; at eps = 6 with the
-        # paper's penalty the symmetric interval (s = 0.7) or the two-ray set
-        # (s = -1) beats the half-line
+        # weights from the paper's eps up to 100, with the mass penalty at
+        # the paper's value, weak and absent; at eps = 6 with the paper's
+        # penalty the symmetric interval (s = 0.7) or the two-ray set (s = -1)
+        # beats the half-line. From eps = 2 pi on, the calls that the
+        # sublevel bound certifies run the faces alone
         paper = stability_params(s)
+        compared = 0
         for i, (eps, lam) in enumerate(
-            (eps, lam) for eps in (paper.eps, 4.0, 6.0) for lam in (paper.lambda_pen, 0.3, 0.0)
+            (eps, lam)
+            for eps in (paper.eps, 4.0, 6.0, 2.0 * math.pi, 10.0, 20.0, 100.0)
+            for lam in (paper.lambda_pen, 0.3, 0.0)
         ):
             params = FunctionalParams(s=s, eps=eps, lambda_pen=lam)
             k_max = 1 + (i + i // 3) % 3
+            if not certified(params, k_max):
+                continue
             face = minimize_penalized_functional(s, params, k_max=k_max)
+            assert "random" not in {d.kind for d in face.starts}
             simplex = simplex_best(params, k_max, OptimizerSettings(multistarts=11, seed=1))
             assert face.best_value <= simplex + 1e-12, (eps, lam, k_max)
+            compared += 1
+        assert compared >= 18
 
     def test_refines_an_asymmetric_two_ray_minimum(self):
         # a minimum inside the two-ray face, off its symmetric set, which only
@@ -497,15 +523,33 @@ class TestFaceSearch:
         out = minimize_penalized_functional(-0.5, params, k_max=3, settings=FAST)
         assert out.best_value <= out.half_line_value + 1e-12
 
-    def test_not_called_from_two_pi_on(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the face search ran at eps >= 2 pi")
+    def test_simplex_runs_exactly_where_the_bound_does_not_certify(self, monkeypatch):
+        ran = []
+        multistart_search = optimize._multistart_search
 
-        monkeypatch.setattr(optimize, "_face_search", refuse)
-        for s, eps in itertools.product((0.0, 0.7), (2.0 * math.pi, 10.0)):
-            params = FunctionalParams(s=s, eps=eps, lambda_pen=LAM_0)
-            out = minimize_penalized_functional(s, params, k_max=2, settings=FAST)
-            assert {d.kind for d in out.starts} == {"random", "half-line", "two-ray", "symmetric-interval"}
+        def spy(params, templates, settings):
+            ran.append(params)
+            return multistart_search(params, templates, settings)
+
+        monkeypatch.setattr(optimize, "_multistart_search", spy)
+        cases = [FunctionalParams(s=s, eps=eps, lambda_pen=LAM_0)
+                 for s, eps in itertools.product((0.0, 0.7), (2.0 * math.pi, 10.0, 20.0))]
+        cases += [UNCERTIFIED, FunctionalParams(s=-0.25, eps=10.0, lambda_pen=stability_params(-0.25).lambda_pen)]
+        cases += [stability_params(s) for s in (-4.68, -5.0, 6.0)]
+        verdicts = []
+        for params in cases:
+            ran.clear()
+            out = minimize_penalized_functional(params.s, params, k_max=2, settings=FAST)
+            verdicts.append(certified(params, 2))
+            if verdicts[-1]:
+                assert ran == []
+                assert {d.kind for d in out.starts} == {"below-kink", "above-kink", "kink"}
+            else:
+                assert ran == [params]
+                assert {d.kind for d in out.starts} == {"random", "half-line", "two-ray", "symmetric-interval"}
+        # eps = 2 pi and the paper's weights past it are certified; eps = 10
+        # and 20 with the paper's penalty at 0, and the pinned fallbacks, are not
+        assert verdicts == [True, False, False, True, True, True, False, False, True, True, True]
 
     @pytest.mark.parametrize("s", [0.0, -0.5, -1.0, -2.0, 0.5, 1.5])
     def test_benchmark_levels_return_the_exact_half_line(self, s):
@@ -582,6 +626,69 @@ class TestFaceSearch:
         out = minimize_penalized_functional(s, params, k_max=2)
         assert sum(d.kind == "kink" for d in out.starts) == kink_pieces
         assert math.isfinite(out.best_value)
+
+
+class TestSublevelBound:
+    """``_sublevel_bound``: B <= F on every set with ``sqrt(2 pi) eps |b| >= 2 pi``,
+    attained by the half-lines at +-r when ``|s| > r``."""
+
+    @staticmethod
+    def lambdas(s):
+        return (0.0, 0.3, stability_params(s).lambda_pen)
+
+    def test_infinite_below_two_pi(self):
+        for eps in (0.0, 1.0, math.nextafter(2.0 * math.pi, 0.0)):
+            assert _sublevel_bound(FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)) == math.inf
+        assert _sublevel_bound(FunctionalParams(s=-1.0, eps=2.0 * math.pi, lambda_pen=2.0)) < math.inf
+
+    def test_frozen_supercritical_case(self):
+        # s = 0, eps = 10: r = 0.964 >= |s|, and the level s gives B = 1 + pi/10;
+        # escaping to the whole line costs Lambda/2 = 1.414 on the faces
+        params = FunctionalParams(s=0.0, eps=10.0, lambda_pen=LAM_0)
+        assert _sublevel_bound(params) == 1.0 + math.pi / 10.0
+        assert min(d.final_value for _, d in _face_search(params, 2)) == LAM_0 / 2.0
+        assert not certified(params, 2)
+
+    def test_bound_holds_in_the_excluded_region(self):
+        # seeded random templates up to four components, kept where
+        # sqrt(2 pi) eps |b| >= 2 pi
+        rng = np.random.default_rng(4168)
+        templates = enumerate_templates(4)
+        checked = 0
+        while checked < 600:
+            template = templates[rng.integers(len(templates))]
+            theta = np.sort(rng.normal(0.0, 1.5, template.dimension)).tolist()
+            if any(hi - lo < _MIN_SEPARATION for lo, hi in zip(theta, theta[1:])):
+                continue
+            s = float(rng.uniform(-8.0, 8.0))
+            eps = 2.0 * math.pi * math.exp(float(rng.uniform(0.0, math.log(1e6 / (2.0 * math.pi)))))
+            lam = self.lambdas(s)[checked % 3]
+            params = FunctionalParams(s=s, eps=eps, lambda_pen=lam)
+            e = template.decode(np.array(theta))
+            if SQRT_2PI * eps * abs(barycenter(e)[0]) < 2.0 * math.pi:
+                continue
+            f = penalized_functional(e, params)
+            bound = _sublevel_bound(params)
+            assert bound <= f, (template, theta, params)
+            checked += 1
+
+    @pytest.mark.parametrize("s", [-8.0, -2.5, -0.3, 0.0, 1.2, 6.0])
+    def test_attained_by_the_half_lines_at_plus_minus_r(self, s):
+        # |b| of the half-line at t is exp(-t^2/2)/sqrt(2 pi), so it lies in
+        # the excluded region exactly for |t| <= r, and at t = +-r its
+        # barycenter term is pi/eps; the left ray (-inf, t) and its mirror
+        # (-t, inf) have equal F
+        for eps, lam in itertools.product((2.0 * math.pi, 10.0, 300.0, 1e6), self.lambdas(s)):
+            params = FunctionalParams(s=s, eps=eps, lambda_pen=lam)
+            r = math.sqrt(2.0 * math.log(eps / (2.0 * math.pi)))
+            bound = _sublevel_bound(params)
+            at_r = min(penalized_functional(half_line_set(t), params) for t in (-r, r))
+            for t in np.linspace(-r, r, 41).tolist():
+                assert bound <= penalized_functional(half_line_set(t), params) * (1.0 + 1e-12), (params, t)
+            if abs(s) > r:
+                assert bound == pytest.approx(at_r, rel=1e-12), params
+            else:
+                assert bound <= at_r * (1.0 + 1e-12), params
 
 
 class TestGridBatch:
@@ -730,6 +837,18 @@ class TestHessianClaim:
                 assert np.count_nonzero(eigenvalues >= 0.0) <= 1, (template, x, params)
                 checked += 1
         assert checked == 90
+
+    def test_at_most_one_nonnegative_eigenvalue_past_two_pi_off_the_excluded_region(self):
+        # from eps = 2 pi on, the diagonal is negative where sqrt(2 pi) eps |b| < 2 pi:
+        # eps is drawn from [2 pi, sqrt(2 pi) / |b|)
+        rng = np.random.default_rng(2106)
+        for template, x, params in self.random_cases(160):
+            e = template.decode(np.array(x))
+            eps = float(rng.uniform(2.0 * math.pi, SQRT_2PI / abs(barycenter(e)[-1])))
+            params = FunctionalParams(s=params.s, eps=eps, lambda_pen=params.lambda_pen)
+            assert 2.0 * math.pi <= eps and SQRT_2PI * eps * abs(barycenter(e)[-1]) < 2.0 * math.pi
+            eigenvalues = np.linalg.eigvalsh(self.hessian(e, params))
+            assert np.count_nonzero(eigenvalues >= 0.0) <= 1, (template, x, params)
 
     def test_second_variation_form_is_the_same_derivation(self):
         # a normal velocity phi moves u by D phi / sqrt(2 pi), D = diag(nu_i w_i)
@@ -1015,7 +1134,8 @@ class TestImports:
             "functionals": {"FunctionalParams.__post_init__"}
         }
         closed_forms = {"gauss_cdf", "gauss_cdf_inv", "two_ray_endpoint", "symmetric_interval_halfwidth"}
-        assert self.owners("optimize", calls(closed_forms)) == {"_named_starts", "mass_sweep"}
+        # _sublevel_bound takes Phi at its own levels +-r, never at s
+        assert self.owners("optimize", calls(closed_forms)) == {"_named_starts", "_sublevel_bound", "mass_sweep"}
         # the face maps receive the scalar CDF and its inverse by name
         def passes_by_name(node):
             return isinstance(node, ast.Call) and any(
