@@ -143,6 +143,10 @@ _GRID_POINTS = 120
 #: the Gaussian tail are below 3e-18, so F is within that of its limit.
 _REACH = 9.0
 
+#: Largest |s| that :func:`minimize_penalized_functional` takes: the face grids
+#: span 2 (|s| + _REACH), and their last points overflow from about 8.9885e307 on.
+_MAX_LEVEL = 8.98e307
+
 #: Golden-section shrink factor, and an iteration cap that a grid bracket
 #: never reaches before its width falls below _STEP_TOL.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -623,11 +627,11 @@ def minimize_penalized_functional(
     a start that fails to converge is recorded, and the call fails only if
     every start fails.
 
-    ``s`` must equal ``params.s``. Either way the half-line at s is
-    evaluated, so ``best_value <= half_line_value + 1e-12`` holds on return;
-    ``half_line_optimal`` records whether the half-line remained the global
-    optimum among explored configurations, within a relative 1e-12 of its
-    own value.
+    ``s`` must equal ``params.s``, with |s| at most ``_MAX_LEVEL``. Either
+    way the half-line at s is evaluated, so ``best_value <= half_line_value
+    + 1e-12`` holds on return; ``half_line_optimal`` records whether the
+    half-line remained the global optimum among explored configurations,
+    within a relative 1e-12 of its own value.
 
     On either path, ties within 1e-12 of the best value resolve to fewer
     finite endpoints, then fewer components: energy alone cannot distinguish
@@ -638,6 +642,8 @@ def minimize_penalized_functional(
     # params.s is finite, so this refuses every non-finite s
     if s != params.s:
         raise ValueError(f"mass level must be finite and equal params.s = {params.s!r}, got {s!r}")
+    if abs(s) > _MAX_LEVEL:
+        raise ValueError(f"|s| must be at most {_MAX_LEVEL:g}, where the face grids' span 2 (|s| + 9) is finite, got {s!r}")
     searched = _face_search(params, k_max)
     faces_best = min(d.final_value for _, d in searched)
     if not _sublevel_bound(params) > faces_best * (1.0 + _BOUND_MARGIN):

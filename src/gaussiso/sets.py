@@ -593,9 +593,8 @@ def contains_points(e: GaussianSet, pts: np.ndarray) -> np.ndarray:
     family, _, intervals = _profile(e)
     if family == _BALL:
         return np.einsum("ij,ij->i", pts, pts) < e.radius * e.radius
-    # x . e_n is x_n, bit for bit; one contiguous copy of that column is
-    # cheaper to read than the product, and than the strided column
-    x = pts @ np.asarray(e.omega, dtype=float) if family == _HALFSPACE else np.ascontiguousarray(pts[:, -1])
+    # a slab's x . e_n is x_n, bit for bit, so it reads that column
+    x = pts @ np.asarray(e.omega, dtype=float) if family == _HALFSPACE else pts[:, -1]
     return _in_intervals(x, intervals)
 
 

@@ -17,19 +17,21 @@ that breaks one is counted there, not refused.  The quadrature oracle reads
 the batch's interval endpoints and stored masses, chaining each side's rays
 through their sorted anchors; only the Monte Carlo members become set objects.
 
-The two Monte Carlo checks draw on one worker thread that ``run_suite``
-owns: NumPy's generators release the GIL while they fill, so the draws run
-beside the corpus build and the quadrature oracle.  The registry names each
-suite's draws as a list of tasks.  The slab draws need no corpus and are one
-task, submitted before the corpus is built; the ball draws are one task per
-dimension, submitted once the batch exists: a dimension's chi-square draws
-are tested against every ball of that dimension, so the 20 balls, in
-dimensions 2 to 10, cost at most 9 streams.  A suite collects its draws where
-it yields their row: the main thread then runs the tasks the worker has not
-started, from the last back, while the worker goes on from the first, and
-waits only for the one in flight.  Each value lands at its task's index, so
-the draws keep every bit of the serial loop whichever thread ran them, and
-the row counts the worker's share by its duration, not by the wait.
+The two Monte Carlo checks draw on one worker thread that ``run_suite`` owns:
+NumPy's generators release the GIL while they fill, so the draws run beside
+the corpus build and the quadrature oracle.  The registry names each suite's
+draws as a list of tasks.  The slab draws need no corpus and are one task,
+submitted before the corpus is built: the four slabs share one stream, a
+profile column that each tests against its own profile and one transverse
+column per axis.  The ball draws are one task per dimension, submitted once
+the batch exists: a dimension's chi-square draws are tested against every
+ball of that dimension, so the 20 balls, in dimensions 2 to 10, cost at most
+9 streams.  A suite collects its draws where it yields their row: the main
+thread then runs the tasks the worker has not started, from the last back,
+while the worker goes on from the first, and waits only for the one in
+flight.  Each value lands at its task's index, so the draws keep every bit of
+the serial loop whichever thread ran them, and the row counts the worker's
+share by its duration, not by the wait.
 
 An inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
@@ -59,12 +61,11 @@ from .quadrature import QuadSettings, _chained_quad_many, adaptive_quad_many
 from .sets import (
     _LINE,
     IntervalUnion1D,
-    SlabSet,
     _Batch,
+    _in_intervals,
     _mc_law,
     _mc_measures,
     _members,
-    contains_points,
     half_line_set,
     two_ray_endpoint,
     two_ray_set,
@@ -455,40 +456,31 @@ def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     return linear - 0.5 * math.exp(0.5 * s * s) * (SQRT_2PI * delta) ** 2
 
 
-#: Rows of standard normals a slab draw fills at a time.
-_SLAB_BLOCK = 16_384
-
-
 def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
     """Monte Carlo transverse barycenter of a random slab per ``_SLAB_DIMS``: |mean| and ``_MC_SIGMAS`` SE per axis.
 
-    The slab draws are one task, since they need no corpus and every dim
-    shares one buffer; ``run_suite`` submits it before the corpus is built.
-    The ``(_MC_SAMPLES, dim)`` normals are drawn in row blocks from one
-    generator, which is the same stream; each transverse axis fills its own
-    contiguous column, so ``mean`` and ``std`` see the values and the layout
-    of the one-matrix product ``points[:, axis] * inside``.
+    Gauss space is a product measure, so the slabs share one stream, as the
+    balls of one dimension do: the profile column ``x``, which each slab
+    tests against its own profile, then one transverse column per axis.
+    Each row still has ``_MC_SAMPLES`` iid draws and its own standard error;
+    the rows come slab by slab, then axis by axis.  ``run_suite`` submits
+    this one task before the corpus is built, since it needs none.
     """
-    diffs = []
-    bounds = []
     profiles = _child_unions(config.seed, _STREAM_MC_SLAB_PROFILE, len(_SLAB_DIMS), (1, 3))
-    # one buffer for every dim: its rows are the contiguous axis columns
-    buffer = np.empty((max(_SLAB_DIMS) - 1, _MC_SAMPLES))
-    inside = np.empty(_MC_SAMPLES, dtype=bool)
-    for i, (dim, profile) in enumerate(zip(_SLAB_DIMS, profiles)):
-        slab = SlabSet(dim=dim, profile=profile)
-        rng = np.random.default_rng([config.seed, _STREAM_MC_SLAB, i])
-        columns = buffer[: dim - 1]
-        for start in range(0, _MC_SAMPLES, _SLAB_BLOCK):
-            block = rng.standard_normal((min(_SLAB_BLOCK, _MC_SAMPLES - start), dim))
-            rows = slice(start, start + len(block))
-            columns[:, rows] = block[:, :-1].T
-            inside[rows] = contains_points(slab, block)
-        columns *= inside
-        for vals in columns:
-            diffs.append(abs(float(vals.mean())))
-            bounds.append(_MC_SIGMAS * float(vals.std()) / math.sqrt(_MC_SAMPLES))
-    return diffs, bounds
+    rng = np.random.default_rng([config.seed, _STREAM_MC_SLAB])
+    x = rng.standard_normal(_MC_SAMPLES)
+    insides = [_in_intervals(x, profile.intervals) for profile in profiles]
+    del x
+    # one column at a time, times one slab's membership at a time, bounds the memory
+    rows = {}
+    for axis in range(max(_SLAB_DIMS) - 1):
+        column = rng.standard_normal(_MC_SAMPLES)
+        for i, (dim, inside) in enumerate(zip(_SLAB_DIMS, insides)):
+            if axis < dim - 1:
+                vals = column * inside
+                rows[i, axis] = abs(float(vals.mean())), _MC_SIGMAS * float(vals.std()) / math.sqrt(_MC_SAMPLES)
+    diffs, bounds = zip(*(rows[key] for key in sorted(rows)))
+    return list(diffs), list(bounds)
 
 
 def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
@@ -703,15 +695,15 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
 
     The selected suites' Monte Carlo draws are tasks on one worker thread,
     which runs them in the order they are submitted.  Draws that need no
-    corpus (the one slab task of ``scalar-functions``) are submitted before
-    the corpus is built, so the worker starts at once; the ball draws of
-    ``measure-oracle``, one task per dimension, follow once the batch exists
-    and overlap the quadrature oracle.  A suite collects its draws where it
-    yields their row: the main thread runs the tasks the worker has not
-    started, from the last back, waits for the one in flight, and re-raises
-    a task's exception there.  Only selected suites submit draws, so a suite
-    without any starts no thread.  On return or on an exception the pending
-    tasks are cancelled and the worker is joined.
+    corpus (``scalar-functions``' one slab task, a stream its four slabs
+    share) are submitted before the corpus is built, so the worker starts at
+    once; the ball draws of ``measure-oracle``, one task per dimension,
+    follow once the batch exists and overlap the quadrature oracle.  A suite
+    collects its draws where it yields their row: the main thread runs the
+    tasks the worker has not started, from the last back, waits for the one
+    in flight, and re-raises a task's exception there.  Only selected suites
+    submit draws, so a suite without any starts no thread.  On return or on
+    an exception the pending tasks are cancelled and the worker is joined.
 
     Each check's ``wall_time`` runs from resuming its suite's generator to
     the end of its record, so it covers that check's own work only,

@@ -273,6 +273,27 @@ class TestMinimize:
         assert "error: stability_params: |s| must be at most 37.67712072049519" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("s", ["9e307", "-9e307"])
+    def test_level_whose_face_grids_overflow_exits_two(self, capsys, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "minimize", f"--s={s}", "--eps", "1", "--lambda", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: |s| must be at most 8.98e+307, where the face grids' span 2 (|s| + 9) is finite, got {float(s)!r}"
+        ]
+
+    def test_largest_levels_keep_their_output(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "minimize", "--s=8.9e307", "--eps", "1", "--lambda", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"achieved_mass": 1, "best_set": {"items": [["-inf", 7.4789915966385642e+305]], "type": "intervals"}, '
+            '"best_value": 0, "eps": 1, "half_line_optimal": true, "half_line_value": 0, "k_max": 3, "lambda": 1, '
+            '"s": 8.9000000000000001e+307, "starts_converged": 2, "starts_total": 2, "target_mass": 1}\n'
+        )
+
     def test_explicit_weights_need_no_paper_weights(self, capsys):
         code, out, _ = run_cli(capsys, "minimize", "--s", "-40", "--eps", "1", "--lambda", "1")
         assert code == 0

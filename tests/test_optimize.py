@@ -19,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,25 @@ class TestMinimize:
     def test_level_must_be_that_of_params(self, params):
         with pytest.raises(ValueError, match="equal params.s = -0.5, got -1.0"):
             minimize_penalized_functional(-1.0, params, k_max=2, settings=FAST)
+
+    # from about 8.9885e307 on, 2 (|s| + 9) or the last grid point overflows
+    @pytest.mark.parametrize("s", [9e307, -9e307, 8.98846567431158e307, 8.9885e307, 1.7e308])
+    def test_level_whose_face_grids_overflow_is_refused(self, s):
+        params = FunctionalParams(s=s, eps=1.0, lambda_pen=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("|s| must be at most 8.98e+307, where the face grids")):
+                minimize_penalized_functional(s, params, k_max=3)
+
+    @pytest.mark.parametrize("s", [8.98e307, -8.98e307])
+    def test_largest_level_searches_finite_grids(self, s):
+        params = FunctionalParams(s=s, eps=1.0, lambda_pen=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = minimize_penalized_functional(s, params, k_max=3)
+        assert [d.kind for d in out.starts] == ["below-kink", "above-kink"]
+        # every piece ends on its own grid, which spans [-(|s| + 9), |s| + 9]
+        assert all(d.converged and abs(x) <= abs(s) + 9.0 for d in out.starts for x in d.endpoints)
 
 
 class TestEvaluationBudget:

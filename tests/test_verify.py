@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,17 +456,25 @@ class TestChainedOracle:
         assert np.all(np.abs(_sums_from_the_tail(x) - exact) <= np.spacing(exact))
 
 
-def _one_matrix_slab_draws(seed: int) -> tuple[list[float], list[float]]:
-    """The slab check's draws as one (200000, dim) matrix per dim, as they were first written."""
+def _shared_stream_slab_draws(seed: int) -> tuple[list[float], list[float]]:
+    """The slab check's draws from one stream: |mean| and 6 SE per slab, then per axis.
+
+    ``default_rng([seed, 17])`` draws the 200,000-draw profile column, then
+    one transverse column per axis, up to the 4 of the 5-dimensional slab;
+    the slab of dimension ``dim`` is the points of its first ``dim - 1``
+    columns and the profile column, tested by ``contains_points``.
+    """
     diffs = []
     bounds = []
     n_mc = 200_000
     dims = (2, 3, 4, 5)
     profiles = _child_unions(seed, 13, len(dims), (1, 3))
-    for i, (dim, profile) in enumerate(zip(dims, profiles)):
-        slab = sets.SlabSet(dim=dim, profile=profile)
-        points = np.random.default_rng([seed, 17, i]).standard_normal((n_mc, dim))
-        inside = sets.contains_points(slab, points)
+    rng = np.random.default_rng([seed, 17])
+    x = rng.standard_normal(n_mc)
+    columns = [rng.standard_normal(n_mc) for _ in range(max(dims) - 1)]
+    for dim, profile in zip(dims, profiles):
+        points = np.column_stack(columns[: dim - 1] + [x])
+        inside = sets.contains_points(sets.SlabSet(dim=dim, profile=profile), points)
         for axis in range(dim - 1):
             vals = points[:, axis] * inside
             diffs.append(abs(float(vals.mean())))
@@ -515,14 +524,6 @@ def _serial_ball_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
 
 class TestMonteCarloWorker:
     """The suites' Monte Carlo draws run on one worker thread and leave the report alone."""
-
-    @pytest.mark.parametrize("seed", [1, 42])
-    def test_row_block_slab_draws_are_the_one_matrix_draws(self, seed):
-        diffs, bounds = verify._slab_draws(SuiteConfig(samples=1, seed=seed))
-        want_diffs, want_bounds = _one_matrix_slab_draws(seed)
-        assert len(diffs) == 1 + 2 + 3 + 4
-        assert [x.hex() for x in diffs] == [x.hex() for x in want_diffs]
-        assert [x.hex() for x in bounds] == [x.hex() for x in want_bounds]
 
     def test_draws_overlap_the_oracle_and_keep_their_own_time(self, monkeypatch):
         # 0.6 s of ball draws run while the oracle sleeps 1 s; the draws' row
@@ -583,9 +584,9 @@ class TestMonteCarloWorker:
     def test_slab_draws_start_before_the_corpus_is_built(self, monkeypatch):
         slab_started = threading.Event()
 
-        def recorded_contains_points(e, pts):
+        def recorded_in_intervals(x, intervals):
             slab_started.set()
-            return sets.contains_points(e, pts)
+            return sets._in_intervals(x, intervals)
 
         waited = []
 
@@ -594,17 +595,21 @@ class TestMonteCarloWorker:
             waited.append(slab_started.wait(timeout=10.0))
             return _mixed_batch(n, seed)
 
-        monkeypatch.setattr(verify, "contains_points", recorded_contains_points)
+        monkeypatch.setattr(verify, "_in_intervals", recorded_in_intervals)
         monkeypatch.setattr(verify, "_mixed_batch", waiting_batch)
         run_suite("all", SMALL)
         assert waited == [True]
 
     def test_main_thread_error_cancels_the_queued_draws(self, monkeypatch):
-        # the slab draws hold the worker for about 0.5 s and the oracle fails
-        # at once, so the ball tasks queued behind them never start
-        def slow_contains_points(e, pts):
-            time.sleep(0.01)
-            return sets.contains_points(e, pts)
+        # the slab draws hold the worker for about 0.5 s (their four profile
+        # tests) and the oracle fails at once, so the ball tasks queued
+        # behind them never start
+        slowed = []
+
+        def slow_in_intervals(x, intervals):
+            slowed.append(threading.current_thread() is threading.main_thread())
+            time.sleep(0.125)
+            return sets._in_intervals(x, intervals)
 
         draws_started = []
 
@@ -618,7 +623,7 @@ class TestMonteCarloWorker:
             raised.append(time.perf_counter())
             raise RuntimeError("oracle failed")
 
-        monkeypatch.setattr(verify, "contains_points", slow_contains_points)
+        monkeypatch.setattr(verify, "_in_intervals", slow_in_intervals)
         monkeypatch.setattr(verify, "_mc_measures", recorded_mc_measures)
         monkeypatch.setattr(verify, "adaptive_quad_many", failing_quad)
         before = threading.active_count()
@@ -627,6 +632,8 @@ class TestMonteCarloWorker:
         assert threading.active_count() == before
         assert len(draws_started) < SMALL_TASKS
         assert all(t < raised[0] for t in draws_started)
+        # the worker ran the slab task, one profile test per slab
+        assert slowed == [False] * len(verify._SLAB_DIMS)
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_ball_draws_do_not_depend_on_the_thread(self, seed, monkeypatch):
@@ -641,6 +648,7 @@ class TestMonteCarloWorker:
     def _check_thread_independence(config, monkeypatch):
         tasks = _ball_task_count(config)
         on_main = []
+        held = []
         gate = threading.Event()
 
         def recorded_mc_measures(*args, **kwargs):
@@ -650,11 +658,12 @@ class TestMonteCarloWorker:
                 gate.set()
             return value
 
-        def held_contains_points(e, pts):
+        def held_in_intervals(x, intervals):
             # the worker holds the slab task until the ball tasks ran
+            held.append(threading.current_thread() is threading.main_thread())
             gate.wait(timeout=10.0)
-            gate.set()  # later blocks do not wait, should the gate have timed out
-            return sets.contains_points(e, pts)
+            gate.set()  # later slabs do not wait, should the gate have timed out
+            return sets._in_intervals(x, intervals)
 
         quad = verify.adaptive_quad_many
 
@@ -684,8 +693,9 @@ class TestMonteCarloWorker:
 
         want_diffs, want_bounds = _serial_ball_draws(config)
         plain = run()
-        on_the_main_thread = run("contains_points", held_contains_points)
+        on_the_main_thread = run("_in_intervals", held_in_intervals)
         assert on_main == [True] * tasks
+        assert held == [False] * len(verify._SLAB_DIMS)
         on_the_worker = run("adaptive_quad_many", held_quad)
         assert on_main == [False] * tasks
         for report, diffs, bounds in (plain, on_the_main_thread, on_the_worker):
@@ -737,24 +747,27 @@ class TestMonteCarloWorker:
 
         gate = threading.Event()
         on_main = []
+        held = []
 
-        def held_contains_points(e, pts):
+        def held_in_intervals(x, intervals):
             # the worker holds the slab task, so the main thread runs the ball tasks
+            held.append(threading.current_thread() is threading.main_thread())
             gate.wait(timeout=10.0)
-            gate.set()  # later blocks do not wait, should the gate have timed out
-            return sets.contains_points(e, pts)
+            gate.set()  # later slabs do not wait, should the gate have timed out
+            return sets._in_intervals(x, intervals)
 
         def failing_mc_measures(*args, **kwargs):
             on_main.append(threading.current_thread() is threading.main_thread())
             gate.set()
             raise DrawError("draw failed")
 
-        monkeypatch.setattr(verify, "contains_points", held_contains_points)
+        monkeypatch.setattr(verify, "_in_intervals", held_in_intervals)
         monkeypatch.setattr(verify, "_mc_measures", failing_mc_measures)
         before = threading.active_count()
         with pytest.raises(DrawError, match="draw failed"):
             run_suite("all", SMALL)
         assert on_main == [True]
+        assert held == [False] * len(verify._SLAB_DIMS)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [1, 7])
@@ -813,6 +826,68 @@ class TestMonteCarloWorker:
         assert started == []
         run_suite("all", SMALL)
         assert len(started) == 1
+
+
+class TestSlabDraws:
+    """The four slabs draw from one stream: a shared profile column and one transverse column per axis."""
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_slab_draws_are_the_shared_stream_draws(self, seed):
+        diffs, bounds = verify._slab_draws(SuiteConfig(samples=1, seed=seed))
+        want_diffs, want_bounds = _shared_stream_slab_draws(seed)
+        assert len(diffs) == 1 + 2 + 3 + 4
+        assert [x.hex() for x in diffs] == [x.hex() for x in want_diffs]
+        assert [x.hex() for x in bounds] == [x.hex() for x in want_bounds]
+
+    def test_one_generator_draws_a_million_normals_and_builds_no_slab(self, monkeypatch):
+        # the profile column and 4 transverse columns: 5 x 200,000, not 14 x 200,000
+        generators = []
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, size):
+                drawn.append(size)
+                return self._rng.standard_normal(size)
+
+        def spied_rng(*args):
+            generators.append(args)
+            return Spy(default_rng(*args))
+
+        def refused(self):
+            raise AssertionError("the slab draws built a SlabSet")
+
+        monkeypatch.setattr(np.random, "default_rng", spied_rng)
+        monkeypatch.setattr(sets.SlabSet, "__post_init__", refused)
+        verify._slab_draws(SuiteConfig(samples=1, seed=3))
+        assert generators == [([3, 17],)]
+        assert drawn == [200_000] * 5
+        assert sum(drawn) == 1_000_000
+
+    # the smallest margin of these seeds, 1.8e-3, is at seed 2
+    @pytest.mark.parametrize("seed", [1, 2, 3, 42, 1501, *range(5101, 5111)])
+    def test_no_violations(self, seed):
+        diffs, bounds = verify._slab_draws(SuiteConfig(samples=1, seed=seed))
+        margins = _margins_le(diffs, bounds)
+        assert margins.size == 10
+        assert np.all(margins > 0.0)
+
+    def test_peak_memory_stays_below_eight_mib(self):
+        # one transverse column and one product at a time; the whole
+        # transverse block and its products at once would not fit
+        tracemalloc.start()
+        try:
+            verify._slab_draws(SuiteConfig(samples=1, seed=42))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBallDrawsPerDimension:
