@@ -12,7 +12,10 @@ draw's mass-window test adds its ``_interval_mass`` values left to right
 from 0.0, the sum that ``measure`` takes, and the batch keeps those masses.
 ``verify`` reads the batch as it is; :func:`mixed_corpus` and
 :func:`random_interval_union` wrap the same batch into set objects, so there
-is one draw loop.
+is one draw loop.  ``_sizes`` holds the composition, and ``_high_dim_rows``
+draws the balls and slabs, the rows of dimension above 1, for
+``_mixed_batch`` and, without the rest of the corpus, for ``verify``'s Monte
+Carlo members.
 
 Seeding.  Random member ``i`` of stream ``t`` (0 for the interval unions, 2
 for the slab profiles) under corpus seed ``seed`` takes the child seed
@@ -33,7 +36,8 @@ and ``Generator.integers``; those are copied from NumPy 2.4.6, and
 ``tests/test_corpus.py::TestStreams`` compares them with the installed
 ``Generator``, so a change there fails that test instead of moving the
 corpus.  The balls' stream is a plain ``default_rng([seed, 1])``, as is every
-other single stream in the package.
+other single stream in the package, ``verify``'s one Monte Carlo sample
+(``default_rng([seed, 17])``) included.
 """
 
 from __future__ import annotations
@@ -88,13 +92,12 @@ _MAX_RETRIES = 100
 #: Standard deviation of the Gaussian endpoint draws.
 _ENDPOINT_SCALE = 2.0
 
-#: Stream tags namespacing the per-purpose child seeds of a corpus seed, ``verify``'s Monte Carlo draws last.
+#: Stream tags namespacing the per-purpose child seeds of a corpus seed, ``verify``'s slab profiles and Monte Carlo sample last.
 _STREAM_RANDOM = 0
 _STREAM_BALL = 1
 _STREAM_SLAB = 2
-_STREAM_MC_BALL = 11
 _STREAM_MC_SLAB_PROFILE = 13
-_STREAM_MC_SLAB = 17
+_STREAM_MC = 17
 
 
 @dataclass(frozen=True)
@@ -461,14 +464,48 @@ def random_interval_union(spec: RandomSetSpec) -> IntervalUnion1D:
     return next(_members(_line_rows(*_draw_profiles(_entropy((spec.seed,)), spec.k_range))))
 
 
+def _sizes(n: int) -> tuple[int, int, int, int]:
+    """The random, two-ray, ball and slab member counts of a corpus of ``n``: 70%, 15%, 10% and 5%."""
+    n_two_ray = (15 * n) // 100
+    n_ball = (10 * n) // 100
+    n_slab = (5 * n) // 100
+    return n - n_two_ray - n_ball - n_slab, n_two_ray, n_ball, n_slab
+
+
+def _high_dim_rows(n: int, seed: int, count: int | None = None) -> _Batch:
+    """The first ``count`` rows of dimension above 1 of ``_mixed_batch(n, seed)``, all by default: balls, then slabs.
+
+    The ball stream draws every dimension before any radius, so all of the
+    corpus's ball dimensions and uniforms are drawn, and only the kept radii
+    are solved for; each slab draws on its own child seed, so only the kept
+    slabs are drawn.
+    """
+    _, _, n_ball, n_slab = _sizes(n)
+    count = n_ball + n_slab if count is None else count
+    balls = min(n_ball, count)
+    slabs = min(n_slab, count - balls)
+    dims = np.empty(0, dtype=np.int64)
+    radii = np.empty(0)
+    if balls:
+        rng = np.random.default_rng([seed, _STREAM_BALL])
+        dims = rng.integers(2, 11, size=n_ball)[:balls]
+        radii = np.sqrt(_chi2_quantile_many(dims, rng.uniform(0.02, 0.98, size=n_ball)[:balls]))
+    slab_counts, slab_points, slab_masses = _draw_profiles([_child_seeds(seed, _STREAM_SLAB, slabs)], (1, 3))
+    return _Batch(
+        kinds=np.repeat([_BALL, _SLAB], [balls, slabs]),
+        dims=np.concatenate([dims, 2 + np.arange(slabs) % 4]),
+        counts=np.concatenate([np.zeros(balls, dtype=np.int64), slab_counts]),
+        radii=np.concatenate([radii, np.zeros(slabs)]),
+        points=slab_points,
+        masses=slab_masses,
+    )
+
+
 def _mixed_batch(n: int, seed: int = 0) -> _Batch:
     """The rows of ``mixed_corpus(n, seed)`` as one batch, drawn without set objects."""
     _check_integer(n, "corpus size", 1)
     _check_integer(seed, "seed", 0)
-    n_two_ray = (15 * n) // 100
-    n_ball = (10 * n) // 100
-    n_slab = (5 * n) // 100
-    n_random = n - n_two_ray - n_ball - n_slab
+    n_random, n_two_ray, _, _ = _sizes(n)
 
     random_counts, random_points, random_masses = _draw_profiles(
         [_child_seeds(seed, _STREAM_RANDOM, n_random)], (1, 6)
@@ -479,23 +516,15 @@ def _mixed_batch(n: int, seed: int = 0) -> _Batch:
     two_ray_points = np.stack([np.full(n_two_ray, -math.inf), a, -a, np.full(n_two_ray, math.inf)], axis=1).ravel()
     two_ray_masses = _interval_masses(two_ray_points[0::2], two_ray_points[1::2])
 
-    dims = np.empty(0, dtype=np.int64)
-    radii = np.empty(0)
-    if n_ball:
-        rng = np.random.default_rng([seed, _STREAM_BALL])
-        dims = rng.integers(2, 11, size=n_ball)
-        radii = np.sqrt(_chi2_quantile_many(dims, rng.uniform(0.02, 0.98, size=n_ball)))
-
-    slab_counts, slab_points, slab_masses = _draw_profiles([_child_seeds(seed, _STREAM_SLAB, n_slab)], (1, 3))
-
+    high = _high_dim_rows(n, seed)
     n_line = n_random + n_two_ray
     return _Batch(
-        kinds=np.repeat([_LINE, _BALL, _SLAB], [n_line, n_ball, n_slab]),
-        dims=np.concatenate([np.ones(n_line, dtype=np.int64), dims, 2 + np.arange(n_slab) % 4]),
-        counts=np.concatenate([random_counts, np.full(n_two_ray, 2), np.zeros(n_ball, dtype=np.int64), slab_counts]),
-        radii=np.concatenate([np.zeros(n_line), radii, np.zeros(n_slab)]),
-        points=np.concatenate([random_points, two_ray_points, slab_points]),
-        masses=np.concatenate([random_masses, two_ray_masses, slab_masses]),
+        kinds=np.concatenate([np.full(n_line, _LINE), high.kinds]),
+        dims=np.concatenate([np.ones(n_line, dtype=np.int64), high.dims]),
+        counts=np.concatenate([random_counts, np.full(n_two_ray, 2), high.counts]),
+        radii=np.concatenate([np.zeros(n_line), high.radii]),
+        points=np.concatenate([random_points, two_ray_points, high.points]),
+        masses=np.concatenate([random_masses, two_ray_masses, high.masses]),
     )
 
 

@@ -52,14 +52,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .quadrature import QuadSettings, adaptive_quad_many
 from .special import (
-    SQRT_2PI, _check_endpoint, _check_integer, _check_real, _elementwise, _gauss_cdf_unchecked,
+    SQRT_2PI, _check_endpoint, _check_integer, _check_real, _chi2_cdf_many, _gauss_cdf_unchecked,
     _gauss_cdf_inv_many, _gauss_cdf_many, _gauss_weight_many, chi2_cdf, gauss_cdf, gauss_cdf_inv,
 )
 
@@ -550,7 +549,7 @@ def _ball_halfspace_mass(dim: int, radius: float, s: float) -> float:
     def slice_mass(theta: np.ndarray) -> np.ndarray:
         t = radius * np.sin(theta)
         half_chord = radius * np.cos(theta)
-        chi = _elementwise(partial(chi2_cdf, dim - 1), half_chord * half_chord)
+        chi = _chi2_cdf_many(dim - 1, half_chord * half_chord)
         return np.exp(-0.5 * t * t) / SQRT_2PI * chi * half_chord
 
     r = adaptive_quad_many(slice_mass, [-0.5 * math.pi], [math.asin(s / radius)], _SLICE_SETTINGS)
@@ -616,49 +615,23 @@ def mc_measure(e: GaussianSet, n_samples: int = 1_000_000, seed: int = 0) -> tup
     sampler, independent of the closed form's ``gammainc``), and ``X . axis``,
     a standard normal, for a profile set, tested against the profile's open
     intervals as :func:`contains_points` tests it. So the cost is
-    ``n_samples`` draws in every dimension. It is ``_mc_measures`` with one
-    member.
+    ``n_samples`` draws in every dimension. Blocks of at most 65,536 draws
+    (512 KiB of doubles) bound the memory; as they fill in stream order and
+    the hit count is an integer, they leave the bits alone.
     """
     n_samples = _check_integer(n_samples, "mc_measure: n_samples", 1)
-    return _mc_measures([e], n_samples, _check_integer(seed, "mc_measure: seed", 0))[0]
-
-
-def _mc_law(e: GaussianSet) -> int:
-    """The law of the scalar that ``mc_measure`` draws for ``e``: a ball's dimension (chi-square), else 0 (normal)."""
-    family, n, _ = _profile(e)
-    return n if family == _BALL else 0
-
-
-def _mc_measures(members: Sequence[GaussianSet], n_samples: int, seed: int) -> list[tuple[float, float]]:
-    """``mc_measure`` of members that share one law, from one stream: each block is tested against every member.
-
-    The members are centered balls of one dimension, whose membership reads
-    ``|X|^2``, or profile sets of any dimension, whose membership reads
-    ``X . axis`` (``_mc_law``). Each member's estimate is still an indicator
-    average over ``n_samples`` iid draws, with its own standard error, and
-    its bits do not depend on the other members; only the members' errors
-    are correlated. Blocks of at most 65,536 draws (512 KiB of
-    doubles) bound the memory; as they fill in stream order and the hit
-    counts are integers, they leave the bits alone.
-    """
-    laws = {_mc_law(e) for e in members}
-    if len(laws) != 1:
-        raise ValueError(f"_mc_measures: the members must share one law, got {sorted(laws)}")
-    (law,) = laws
-    rng = np.random.default_rng(seed)
-    draw = partial(rng.chisquare, law) if law else rng.standard_normal
-    profiles = [_profile(e) for e in members]
-    hits = [0] * len(members)
+    rng = np.random.default_rng(_check_integer(seed, "mc_measure: seed", 0))
+    family, n, intervals = _profile(e)
+    hits = 0
     for start in range(0, n_samples, 65_536):
-        x = draw(min(65_536, n_samples - start))
-        for i, (e, (family, _, intervals)) in enumerate(zip(members, profiles)):
-            inside = x < e.radius * e.radius if family == _BALL else _in_intervals(x, intervals)
-            hits[i] += int(np.count_nonzero(inside))
-    estimates = []
-    for count in hits:
-        p = count / n_samples
-        estimates.append((p, math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)))
-    return estimates
+        size = min(65_536, n_samples - start)
+        if family == _BALL:
+            inside = rng.chisquare(n, size) < e.radius * e.radius
+        else:
+            inside = _in_intervals(rng.standard_normal(size), intervals)
+        hits += int(np.count_nonzero(inside))
+    p = hits / n_samples
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
 
 
 # ---------------------------------------------------------------------------

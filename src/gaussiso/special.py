@@ -213,6 +213,11 @@ def chi2_cdf(dim: int, t: float) -> float:
     return float(gammainc(0.5 * dim, 0.5 * t))
 
 
+def _chi2_cdf_many(dims, t: np.ndarray) -> np.ndarray:
+    """:func:`chi2_cdf` at every ``t[j]`` with ``dims`` (or ``dims[j]``) degrees of freedom, unchecked: the same ufunc on an array."""
+    return gammainc(0.5 * dims, 0.5 * t)
+
+
 def _chi2_quantile_many(dims: np.ndarray, p: np.ndarray) -> np.ndarray:
     """:func:`chi2_quantile` of every pair ``(dims[j], p[j])``, unchecked: the same ufunc on an array."""
     return 2.0 * gammaincinv(0.5 * dims, p)

@@ -15,23 +15,22 @@ object per member, and the corpus suites share one evaluation of its
 non-finite members; each claim is decided in its suite alone, so a member
 that breaks one is counted there, not refused.  The quadrature oracle reads
 the batch's interval endpoints and stored masses, chaining each side's rays
-through their sorted anchors; only the Monte Carlo members become set objects.
+through their sorted anchors.  No ball becomes a set object; only the slab
+members that fill a small corpus's Monte Carlo members up do.
 
-The two Monte Carlo checks draw on one worker thread that ``run_suite`` owns:
-NumPy's generators release the GIL while they fill, so the draws run beside
-the corpus build and the quadrature oracle.  The registry names each suite's
-draws as a list of tasks.  The slab draws need no corpus and are one task,
-submitted before the corpus is built: the four slabs share one stream, a
-profile column that each tests against its own profile and one transverse
-column per axis.  The ball draws are one task per dimension, submitted once
-the batch exists: a dimension's chi-square draws are tested against every
-ball of that dimension, so the 20 balls, in dimensions 2 to 10, cost at most
-9 streams.  A suite collects its draws where it yields their row: the main
-thread then runs the tasks the worker has not started, from the last back,
-while the worker goes on from the first, and waits only for the one in
-flight.  Each value lands at its task's index, so the draws keep every bit of
-the serial loop whichever thread ran them, and the row counts the worker's
-share by its duration, not by the wait.
+The two Monte Carlo checks read one sample of ``_MC_SAMPLES`` standard
+Gaussian points, drawn by one task (``_mc_draws``) on one worker thread that
+``run_suite`` owns.  Gauss space is a product measure, so the first k
+coordinates of a point are a standard Gaussian point of R^k: the task draws
+one coordinate column at a time from one generator, a ball of dimension k
+reads the running sum of squares after column k, and the slabs read column 1
+as their profile coordinate and columns 2 to 5 as their transverse axes.  The
+task needs no corpus, since it draws the Monte Carlo members from the
+corpus's own ball and slab streams, so it is submitted before the corpus is
+built; NumPy's generator releases the GIL while it fills, so the draws run
+beside the corpus build and the quadrature oracle.  A row that reads the
+sample waits for the task where it yields; the first one is charged the
+task's duration in place of its wait, a later one nothing.
 
 An inequality a <= b counts as violated when a - b > 1e-9 * max(1, |b|); the
 recorded margin folds that tolerance in, so it is negative exactly when the
@@ -48,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import _STREAM_MC_BALL, _STREAM_MC_SLAB, _STREAM_MC_SLAB_PROFILE, _child_seeds, _child_unions, _mixed_batch
+from .corpus import _STREAM_MC, _STREAM_MC_SLAB_PROFILE, _child_unions, _high_dim_rows, _mixed_batch, _sizes
 from .functionals import (
     STABILITY_CONSTANT,
     FunctionalParams,
@@ -59,12 +58,11 @@ from .functionals import (
 )
 from .quadrature import QuadSettings, _chained_quad_many, adaptive_quad_many
 from .sets import (
+    _BALL,
     _LINE,
     IntervalUnion1D,
     _Batch,
     _in_intervals,
-    _mc_law,
-    _mc_measures,
     _members,
     half_line_set,
     two_ray_endpoint,
@@ -112,7 +110,7 @@ ORACLE_SETTINGS = QuadSettings(abs_tol=1e-13, rel_tol=1e-13, max_depth=60)
 #: Largest ``SuiteConfig.main_constant`` whose bounds and ratios stay finite.
 _MAX_MAIN_CONSTANT = 1e290
 
-#: Draws per Monte Carlo estimate, the standard errors a check allows, and the corpus members of
+#: Points of the Monte Carlo sample, the standard errors a check allows, and the corpus members of
 #: dimension above 1 it estimates (balls, and below 200 samples the slabs after them).
 _MC_SAMPLES = 200_000
 _MC_SIGMAS = 6.0
@@ -232,19 +230,15 @@ def _build_corpus(config: SuiteConfig) -> _Corpus:
 
 
 class _Draws:
-    """One suite's Monte Carlo draws: tasks queued on the worker thread until the suite collects them.
+    """The one Monte Carlo task's future, read by every row that needs its sample.
 
-    Collecting them runs on the calling thread, from the last back, every
-    task the worker has not started, while the worker goes on from the
-    first; then it waits for the one in flight.  Each value lands at its
-    task's index, so the values do not depend on which thread ran a task.
-    The row that collects them is charged the durations of the tasks the
-    worker ran in place of the time it waited for them.
+    The first row that collects the sample is charged the task's duration
+    in place of the time it waited for it; a later row is charged nothing.
     """
 
-    def __init__(self, worker, tasks: list) -> None:
-        self._tasks = tasks
-        self._futures = [worker.submit(self._timed, task) for task in tasks]
+    def __init__(self, worker, task) -> None:
+        self._future = worker.submit(self._timed, task)
+        self._collected = False
         self._charge = 0.0
 
     @staticmethod
@@ -253,23 +247,17 @@ class _Draws:
         value = task()
         return value, time.perf_counter() - started
 
-    def result(self) -> list:
-        """The tasks' values in task order; a task's exception, if one raised, re-raised here."""
-        values = [None] * len(self._tasks)
-        # the worker runs the tasks from the first on; this thread takes the
-        # last one the worker has not started until the two meet
-        ours = len(self._tasks)
-        while ours and self._futures[ours - 1].cancel():
-            ours -= 1
-            values[ours] = self._tasks[ours]()
-        for i, future in enumerate(self._futures[:ours]):
-            started = time.perf_counter()
-            values[i], took = future.result()
-            self._charge += took - (time.perf_counter() - started)
-        return values
+    def result(self):
+        """The task's value; its exception, if it raised one, re-raised here."""
+        started = time.perf_counter()
+        value, took = self._future.result()
+        if not self._collected:
+            self._collected = True
+            self._charge = took - (time.perf_counter() - started)
+        return value
 
     def charge(self) -> float:
-        """Seconds to add to the wall time of the row that collected the draws, then 0."""
+        """Seconds to add to the wall time of the row that collected the sample, then 0."""
         charge, self._charge = self._charge, 0.0
         return charge
 
@@ -286,7 +274,7 @@ def _oracle_density(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Draws):
+def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, draws: _Draws | None):
     batch = corpus.batch
     # the intervals of the members on the line; their closed side is the
     # stored _interval_mass that measure() sums, right-tail mirror included
@@ -305,57 +293,18 @@ def _suite_measure_oracle(config: SuiteConfig, corpus: _Corpus, ball_draws: _Dra
         {"oracle": "adaptive quadrature of the density per interval"},
     )
 
-    estimates = {row: value for task in ball_draws.result() for row, value in task.items()}
-    if estimates:
-        # the members in row order, which is member order
-        rows = sorted(estimates)
-        measures = corpus.columns["measure"]
-        diffs = [abs(float(measures[row]) - estimates[row][0]) for row in rows]
-        bounds = [_MC_SIGMAS * estimates[row][1] for row in rows]
+    rows = np.flatnonzero(batch.dims > 1)[:_MC_MEMBERS]
+    if rows.size:
+        # the sample's member estimates come in row order
+        estimates, _ = draws.result()
+        diffs = [abs(m - p) for m, (p, _) in zip(corpus.columns["measure"][rows].tolist(), estimates)]
+        bounds = [_MC_SIGMAS * se for _, se in estimates]
         yield (
             "highdim-measure-vs-monte-carlo",
             _MEASURE_ANCHOR,
             _margins_le(diffs, bounds),
             {"oracle": f"Monte Carlo indicator average within {_text(_MC_SIGMAS)} standard errors"},
         )
-
-
-def _ball_rows(batch: _Batch) -> list[int]:
-    """The Monte Carlo members: the first ``_MC_MEMBERS`` rows of dimension above 1.
-
-    They are balls from 200 samples on; below that the corpus has fewer
-    than 20 balls, and the slabs that follow them fill the rest (at 100
-    samples, 10 balls and all 5 slabs).
-    """
-    return np.flatnonzero(batch.dims > 1)[:_MC_MEMBERS].tolist()
-
-
-def _ball_draws(config: SuiteConfig, corpus: _Corpus) -> list:
-    """The ball draws, one task per dimension: ``_mc_measures`` of its members at ``_MC_SAMPLES`` draws.
-
-    The members are grouped by ``sets._mc_law``: a ball's law is its
-    dimension, and the slabs of a small corpus share law 0, one standard
-    normal ``X . e_n``.  The task of law ``k`` draws on the seed
-    ``_child_seeds(seed, _STREAM_MC_BALL, k + 1)[k]``, which does not depend
-    on the members, so a dimension's chi-square variates are drawn once and
-    tested against each of its balls' squared radii.  Each member's estimate
-    is still an indicator average over ``_MC_SAMPLES`` iid draws with its own
-    standard error.  A task returns them by corpus row, and the suite turns
-    them into |error| and ``_MC_SIGMAS`` SE in member order.  Only these
-    members become set objects.
-    """
-    rows = _ball_rows(corpus.batch)
-    groups: dict[int, list] = {}
-    for row, e in zip(rows, _members(corpus.batch, rows)):
-        groups.setdefault(_mc_law(e), []).append((row, e))
-    seeds = _child_seeds(config.seed, _STREAM_MC_BALL, max(groups, default=0) + 1).tolist()
-    return [partial(_ball_estimates, groups[law], seeds[law]) for law in sorted(groups)]
-
-
-def _ball_estimates(pairs: list, seed: int) -> dict[int, tuple[float, float]]:
-    """One ball task: the estimate and standard error of each ``(row, member)`` pair, by row."""
-    rows, members = zip(*pairs)
-    return dict(zip(rows, _mc_measures(members, _MC_SAMPLES, seed)))
 
 
 def _suite_iso(config: SuiteConfig, corpus: _Corpus):
@@ -456,34 +405,63 @@ def _slab_gain(s: float, t: np.ndarray) -> np.ndarray:
     return linear - 0.5 * math.exp(0.5 * s * s) * (SQRT_2PI * delta) ** 2
 
 
-def _slab_draws(config: SuiteConfig) -> tuple[list[float], list[float]]:
-    """Monte Carlo transverse barycenter of a random slab per ``_SLAB_DIMS``: |mean| and ``_MC_SIGMAS`` SE per axis.
+def _mc_draws(config: SuiteConfig, members: int, slabs: bool) -> tuple[list, tuple[list, list]]:
+    """The one Monte Carlo sample and the rows read from it: the member estimates, then the slab rows.
 
-    Gauss space is a product measure, so the slabs share one stream, as the
-    balls of one dimension do: the profile column ``x``, which each slab
-    tests against its own profile, then one transverse column per axis.
-    Each row still has ``_MC_SAMPLES`` iid draws and its own standard error;
-    the rows come slab by slab, then axis by axis.  ``run_suite`` submits
-    this one task before the corpus is built, since it needs none.
+    The sample is ``_MC_SAMPLES`` standard Gaussian points from
+    ``default_rng([seed, _STREAM_MC])``, drawn one coordinate column at a
+    time into one buffer, and only up to the last column a row reads (at
+    most 10).  The members are the first ``members`` corpus rows of
+    dimension above 1, from the corpus's own streams, with no corpus and no
+    set object for a ball.  A ball of dimension k counts its hits
+    ``|x|^2 < r^2`` on the running sum of squares after column k; a slab
+    member of a small corpus tests its profile on column 1.  Each estimate
+    is an indicator average with its own standard error.  With ``slabs``,
+    each slab of ``_SLAB_DIMS`` tests its own profile on column 1, and each
+    of its transverse axes, columns 2 to ``dim``, gives one row: |mean| and
+    ``_MC_SIGMAS`` SE of the coordinate times the membership, formed in one
+    product buffer, with the variance from the buffer's sum and its sum of
+    squares.  The slab rows come slab by slab, then axis by axis.
     """
-    profiles = _child_unions(config.seed, _STREAM_MC_SLAB_PROFILE, len(_SLAB_DIMS), (1, 3))
-    rng = np.random.default_rng([config.seed, _STREAM_MC_SLAB])
-    x = rng.standard_normal(_MC_SAMPLES)
-    insides = [_in_intervals(x, profile.intervals) for profile in profiles]
-    del x
-    # one column at a time, times one slab's membership at a time, bounds the memory
-    rows = {}
-    for axis in range(max(_SLAB_DIMS) - 1):
-        column = rng.standard_normal(_MC_SAMPLES)
-        for i, (dim, inside) in enumerate(zip(_SLAB_DIMS, insides)):
-            if axis < dim - 1:
-                vals = column * inside
-                rows[i, axis] = abs(float(vals.mean())), _MC_SIGMAS * float(vals.std()) / math.sqrt(_MC_SAMPLES)
-    diffs, bounds = zip(*(rows[key] for key in sorted(rows)))
-    return list(diffs), list(bounds)
+    n = _MC_SAMPLES
+    batch = _high_dim_rows(config.samples, config.seed, members)
+    balls = batch.kinds == _BALL
+    # the last column each member reads: a ball its dimension, a slab member its profile coordinate
+    reads = np.where(balls, batch.dims, 1)
+    columns = max(reads.max(initial=0), max(_SLAB_DIMS) if slabs else 0)
+    profiles = _child_unions(config.seed, _STREAM_MC_SLAB_PROFILE, len(_SLAB_DIMS), (1, 3)) if slabs else []
+    slab_members = np.flatnonzero(~balls).tolist()
+    hits = [0] * len(reads)
+    slab_rows = {}
+    rng = np.random.default_rng([config.seed, _STREAM_MC])
+    column = np.empty(n)
+    product = np.empty(n)
+    squares = np.zeros(n) if balls.any() else None
+    for j in range(columns):
+        rng.standard_normal(out=column)
+        if j == 0:
+            insides = [_in_intervals(column, profile.intervals) for profile in profiles]
+            for i, e in zip(slab_members, _members(batch, slab_members)):
+                hits[i] = int(np.count_nonzero(_in_intervals(column, e.profile.intervals)))
+        for k, (dim, inside) in enumerate(zip(_SLAB_DIMS, insides)):
+            if 0 < j < dim:
+                np.multiply(column, inside, out=product)
+                mean = float(product.sum()) / n
+                np.square(product, out=product)
+                sd = math.sqrt(max(float(product.sum()) / n - mean * mean, 0.0))
+                slab_rows[k, j] = abs(mean), _MC_SIGMAS * sd / math.sqrt(n)
+        if squares is not None:
+            np.square(column, out=product)
+            squares += product
+            for i in np.flatnonzero(balls & (batch.dims == j + 1)).tolist():
+                r = float(batch.radii[i])
+                hits[i] = int(np.count_nonzero(squares < r * r))
+    estimates = [(h / n, math.sqrt(max(h / n * (1.0 - h / n), 0.0) / n)) for h in hits]
+    diffs_bounds = [slab_rows[key] for key in sorted(slab_rows)]
+    return estimates, ([d for d, _ in diffs_bounds], [b for _, b in diffs_bounds])
 
 
-def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
+def _suite_scalar_functions(config: SuiteConfig, draws: _Draws):
     s_deep = np.linspace(-40.0, 0.0, 4001)
     weight = np.exp(-0.5 * s_deep**2)
     phi = _gauss_cdf_many(s_deep)
@@ -544,7 +522,7 @@ def _suite_scalar_functions(config: SuiteConfig, slab_draws: _Draws):
         {"levels": _text(levels), "mass_fractions": _text(_SLAB_FRACTIONS)},
     )
 
-    ((diffs, bounds),) = slab_draws.result()
+    _, (diffs, bounds) = draws.result()
     yield (
         "slab-transverse-barycenter-vanishes",
         "b(E).e_j = 0 for every axis transverse to a slab",
@@ -673,17 +651,16 @@ def _suite_stationarity(config: SuiteConfig):
 # registry, dispatch and emission
 
 #: Every suite in report order: its row generator, whether it reads the
-#: corpus, and the tasks of the Monte Carlo draws it collects, if any, as a
-#: function of its inputs.
+#: corpus, and which rows of the Monte Carlo sample it reads, if any.
 _SUITES = {
-    "measure-oracle": (_suite_measure_oracle, True, _ball_draws),
+    "measure-oracle": (_suite_measure_oracle, True, "members"),
     "iso": (_suite_iso, True, None),
     "barycenter-max": (_suite_barycenter_max, True, None),
     "main": (_suite_main, True, None),
     "strong-vs-standard": (_suite_strong_vs_standard, True, None),
     "alpha-hat-corollary": (_suite_alpha_hat_corollary, True, None),
     "excess-identity": (_suite_excess_identity, True, None),
-    "scalar-functions": (_suite_scalar_functions, False, lambda config: [partial(_slab_draws, config)]),
+    "scalar-functions": (_suite_scalar_functions, False, "slabs"),
     "stationarity": (_suite_stationarity, False, None),
 }
 
@@ -693,23 +670,20 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationReport:
     """Run one named suite (or ``all``) and return its report.
 
-    The selected suites' Monte Carlo draws are tasks on one worker thread,
-    which runs them in the order they are submitted.  Draws that need no
-    corpus (``scalar-functions``' one slab task, a stream its four slabs
-    share) are submitted before the corpus is built, so the worker starts at
-    once; the ball draws of ``measure-oracle``, one task per dimension,
-    follow once the batch exists and overlap the quadrature oracle.  A suite
-    collects its draws where it yields their row: the main thread runs the
-    tasks the worker has not started, from the last back, waits for the one
-    in flight, and re-raises a task's exception there.  Only selected suites
-    submit draws, so a suite without any starts no thread.  On return or on
-    an exception the pending tasks are cancelled and the worker is joined.
+    The selected suites' Monte Carlo rows read one sample, drawn by one task
+    (``_mc_draws``) on one worker thread.  The task needs no corpus, so it
+    is submitted before the corpus is built and runs beside it and the
+    quadrature oracle.  A row that reads the sample waits for the task where
+    it yields, and the task's exception, if it raised one, is re-raised
+    there.  A run with nothing to draw (no suite that reads the sample, or
+    ``measure-oracle`` alone on a corpus without a member of dimension
+    above 1) submits nothing and starts no thread.  On return or on an
+    exception the worker is joined.
 
     Each check's ``wall_time`` runs from resuming its suite's generator to
-    the end of its record, so it covers that check's own work only,
-    including the tasks the main thread ran for it; the row that collects
-    draws counts the durations of the tasks the worker ran in place of the
-    time it waited for them.
+    the end of its record, so it covers that check's own work only; the
+    first row that collects the sample counts the task's duration in place
+    of the time it waited for it, and a later row counts nothing for it.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(
@@ -719,34 +693,26 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> VerificationRep
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            checks = _run_checks(SUITE_NAMES if name == "all" else (name,), config, worker)
-        except BaseException:
-            # no row will collect the tasks still queued; the with block joins the worker
-            worker.shutdown(cancel_futures=True)
-            raise
+        checks = _run_checks(SUITE_NAMES if name == "all" else (name,), config, worker)
     return VerificationReport(suite=name, checks=tuple(checks))
 
 
 def _run_checks(names: tuple[str, ...], config: SuiteConfig, worker) -> list[CheckRecord]:
-    selected = {n: _SUITES[n] for n in names}
-    # draws that need no corpus are submitted first, so the worker is busy while it is built
-    jobs = {
-        n: _Draws(worker, draws(config))
-        for n, (_, reads_corpus, draws) in selected.items()
-        if draws and not reads_corpus
-    }
+    selected = [_SUITES[n] for n in names]
+    reads = {part for _, _, part in selected}
+    _, _, n_ball, n_slab = _sizes(config.samples)
+    members = min(_MC_MEMBERS, n_ball + n_slab) if "members" in reads else 0
+    slabs = "slabs" in reads
+    # the one task needs no corpus, so the worker draws while it is built
+    draws = _Draws(worker, partial(_mc_draws, config, members, slabs)) if members or slabs else None
     # the corpus is built before any check's timer starts
-    corpus = _build_corpus(config) if any(s[1] for s in selected.values()) else None
+    corpus = _build_corpus(config) if any(reads_corpus for _, reads_corpus, _ in selected) else None
     suites = []
-    for suite_name, (suite, reads_corpus, draws) in selected.items():
+    for suite, reads_corpus, part in selected:
         inputs = (config, corpus) if reads_corpus else (config,)
-        if draws and reads_corpus:
-            jobs[suite_name] = _Draws(worker, draws(*inputs))
-        job = jobs.get(suite_name)
-        suites.append((suite(*inputs, job) if job else suite(*inputs), job))
+        suites.append(suite(*inputs, draws) if part else suite(*inputs))
     checks: list[CheckRecord] = []
-    for rows, job in suites:
+    for rows in suites:
         started = time.perf_counter()
         for check, anchor, margins, params in rows:
             margins = np.asarray(margins, dtype=float).ravel()
@@ -761,7 +727,7 @@ def _run_checks(names: tuple[str, ...], config: SuiteConfig, worker) -> list[Che
                     worst_margin=float(margins.min()),
                     params=params,
                     seed=config.seed,
-                    wall_time=time.perf_counter() - started + (job.charge() if job else 0.0),
+                    wall_time=time.perf_counter() - started + (draws.charge() if draws else 0.0),
                 )
             )
             # the next check's time starts as the for loop resumes the suite

@@ -26,6 +26,7 @@ from gaussiso.sets import CenteredBall, HalfSpace, IntervalUnion1D, SlabSet, bar
 from gaussiso.special import (
     SQRT_2PI,
     _check_real,
+    _chi2_cdf_many,
     _chi2_quantile_many,
     _gauss_cdf_inv_many,
     _gauss_cdf_many,
@@ -286,6 +287,18 @@ class TestChi2:
         dims = rng.integers(1, 1001, size=10_000)
         p = np.concatenate([rng.uniform(0.0, 1.0, size=9_996), [0.0, 5e-324, 0.5, 1.0 - 2.0**-53]])
         assert hexes(_chi2_quantile_many(dims, p)) == hexes(chi2_quantile(n, q) for n, q in zip(dims, p.tolist()))
+
+    def test_vector_cdf_is_the_scalar_cdf(self):
+        # every dimension a ball slice reads (1 to 11), at the edges and at
+        # 5,000 points per dimension spread over the distribution's bulk and tails
+        rng = np.random.default_rng(6)
+        edges = [0.0, 5e-324, 1e-300, 0.5, 1e300, math.inf]
+        for dim in range(1, 12):
+            t = np.concatenate([rng.gamma(0.5 * dim, 2.0, size=4_000), rng.uniform(0.0, 200.0, size=1_000), edges])
+            assert hexes(_chi2_cdf_many(dim, t)) == hexes(chi2_cdf(dim, x) for x in t.tolist())
+        dims = rng.integers(1, 12, size=1_000)
+        t = rng.uniform(0.0, 40.0, size=1_000)
+        assert hexes(_chi2_cdf_many(dims, t)) == hexes(chi2_cdf(n, x) for n, x in zip(dims.tolist(), t.tolist()))
 
     def test_against_monte_carlo_norms(self):
         # independent oracle: sums of squares of standard normal draws,
