@@ -16,8 +16,10 @@ math: the ufunc that the scalar form calls, or the scalar form elementwise
 (``_elementwise``). The two that run element by element on endpoint columns,
 ``_gauss_cdf_many`` and ``_gauss_weight_many``, call libm only where ``x`` is
 not infinite and write the values it gives at +-inf (0.0 and 1.0 for the CDF,
-0.0 for the weight), as rays put many infinite ends in a batch; NaN still
-goes through libm.
+0.0 for the weight), as rays put many infinite ends in a batch; an array with
+no infinity goes to libm whole, with no mask, and NaN still goes through libm.
+The ``_unchecked`` scalar forms skip the argument check, for callers that
+have already made it.
 
 The closed forms here are validated elsewhere against two independent routes:
 adaptive quadrature (:mod:`gaussiso.quadrature`) and seeded Monte Carlo.
@@ -35,7 +37,9 @@ seeds and caps, ``_check_real``, for levels, weights, radii, steps, margins
 and directions, and ``_check_endpoint``, for interval endpoints. A Python or
 NumPy number of the right kind passes; a bool, a string, None or any other
 object raises ValueError, as does NaN, an int past the float range, or +-inf
-anywhere but in ``_check_endpoint``.
+anywhere but in ``_check_endpoint``. ``_check_real`` lets a plain ``float``,
+its commonest input, skip the type test and the conversion, which it would
+pass unchanged; a ``float`` subclass is converted as before.
 """
 
 from __future__ import annotations
@@ -101,13 +105,16 @@ def _check_integer(value, what: str, least: int | None = None) -> int:
 def _check_real(value, what: str, sign: str | None = None) -> float:
     """``value`` as a finite float; refuses a non-number (NumPy numbers pass), NaN, +-inf,
     or one that is not ``sign``, "positive" or "nonnegative"."""
-    # float() would read True as 1.0 and "1" as 1.0
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int past the float range
-        x = math.inf
+    x = value
+    # a plain float, the common case, is its own float()
+    if type(value) is not float:
+        # float() would read True as 1.0 and "1" as 1.0
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{what} must be a real number, got {value!r}")
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {value!r}")
     if sign is not None and not (x > 0.0 if sign == "positive" else x >= 0.0):
@@ -139,8 +146,11 @@ def _gauss_cdf_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_cdf` on a 1-D array: ``math.erfc`` element by element (a
     vector ``erfc`` or ``ndtr`` would move last bits) where ``x`` is not
     infinite, and ``0.5*erfc(-+inf)``, 1.0 or 0.0, at +-inf; NaN gives NaN."""
+    inf = np.isinf(x)
+    if not np.count_nonzero(inf):
+        return 0.5 * _elementwise(math.erfc, -x / _SQRT_2)
     cdf = (x > 0.0).astype(float)
-    at = ~np.isinf(x)
+    at = ~inf
     cdf[at] = 0.5 * _elementwise(math.erfc, -x[at] / _SQRT_2)
     return cdf
 
@@ -156,6 +166,11 @@ def gauss_cdf_inv(p: float) -> float:
     """Inverse of :func:`gauss_cdf` on [0, 1]; maps 0 -> -inf and 1 -> +inf."""
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"gauss_cdf_inv: probability must lie in [0, 1], got {p!r}")
+    return float(ndtri(p))
+
+
+def _gauss_cdf_inv_unchecked(p: float) -> float:
+    """:func:`gauss_cdf_inv` without its range check, for a ``p`` known to lie in [0, 1]."""
     return float(ndtri(p))
 
 
@@ -193,11 +208,17 @@ def gauss_weight(x: float) -> float:
 def _gauss_weight_many(x: np.ndarray) -> np.ndarray:
     """:func:`gauss_weight` on a 1-D array: ``math.exp`` element by element
     where ``x`` is not infinite, and ``exp(-inf)``, 0.0, at +-inf; NaN gives NaN."""
-    weight = np.zeros(len(x))
-    at = ~np.isinf(x)
-    x = x[at]
+    inf = np.isinf(x)
+    finite = not np.count_nonzero(inf)
+    if not finite:
+        at = ~inf
+        x = x[at]
     with np.errstate(over="ignore"):  # from |x| ~ 1.9e154 on -0.5 x x is -inf, as in the scalar
-        weight[at] = _elementwise(math.exp, -0.5 * x * x)
+        values = _elementwise(math.exp, -0.5 * x * x)
+    if finite:
+        return values
+    weight = np.zeros(len(inf))
+    weight[at] = values
     return weight
 
 

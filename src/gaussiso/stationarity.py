@@ -39,14 +39,28 @@ and of the Householder basis are Python floats, which round element by
 element as NumPy's element-wise operations do.  NumPy keeps only the
 reductions whose bits are pinned: the weighted mean of the residuals
 (``np.dot`` and the weights' sum), ``v @ v``, the two projection products,
-and, for a reduced form larger than 1x1, the symmetrization and
-``np.linalg.eigh``.  A 1x1 form (two boundary points, some weight nonzero)
-is its own eigenvalue, ``0.5 * (r + r)`` as the symmetrization rounds it,
-with the basis column as witness, which is what ``eigh`` returns there.
+and, for a reduced form larger than 1x1, the symmetrization and the
+eigen-solve.  The eigen-solve is ``np.linalg.eigh``'s own gufunc,
+``eigh_lo`` with the signature ``d->dd``, under the error state ``eigh``
+sets, so the values, the vectors and the ``LinAlgError`` are ``eigh``'s;
+only its wrapper's checks and casts, which a square float64 matrix passes
+unchanged, are skipped.  A 1x1 form (two boundary points, some weight
+nonzero) is its own eigenvalue, ``0.5 * (r + r)`` as the symmetrization
+rounds it, with the basis column as witness, which is what ``eigh``
+returns there.
+
+``second_variation_form`` builds its ``QuadraticFormJ`` without the
+constructor's checks, which it cannot fail: entries (i, j) and (j, i) are
+the same product ``eps * (db_i * db_j)``, so the matrix is exactly
+symmetric, it is k by k beside the k weights, and it is finite, since
+|db_i| = |x_i| w_i / sqrt(2 pi) < 0.25 and |h_i| <= 1 + eps / (2 pi).
+A form built by hand goes through every check.
+
 ``second_derivative_along_flow`` takes both of its steps from one boundary
 pass through ``_flows``, the helper behind ``mass_preserving_flow``, and
 prices the flowed endpoint pairs with the sums ``penalized_functional``
-reads, without building set objects.
+reads, without building set objects.  ``_flows`` checks each target mass
+against (0, 1) itself and inverts it with ``special``'s unchecked inverse.
 """
 
 from __future__ import annotations
@@ -55,10 +69,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .functionals import FunctionalParams, _penalized
 from .sets import IntervalUnion1D, _check_intervals, _endpoints, _pairs, _profile_sums
-from .special import SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_unchecked, gauss_cdf_inv
+from .special import (
+    SQRT_2PI, _SQRT_MAX, _SQRT_MIN_NORMAL, _check_real, _gauss_cdf_inv_unchecked, _gauss_cdf_unchecked,
+)
 
 __all__ = [
     "EulerReport",
@@ -126,6 +143,15 @@ class QuadraticFormJ:
             raise ValueError("form matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constraint", c)
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray, constraint: np.ndarray) -> QuadraticFormJ:
+        """The form of a float64 ``matrix`` that is square and exactly symmetric,
+        and a float64 ``constraint`` of its size, without the constructor's checks."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "matrix", matrix)
+        object.__setattr__(form, "constraint", constraint)
+        return form
 
     @property
     def size(self) -> int:
@@ -248,7 +274,21 @@ def second_variation_form(e: IntervalUnion1D, params: FunctionalParams) -> Quadr
     # diagonal 0.0 + x, so a product of -0.0 reads +0.0
     matrix = np.array([(h_i if i == j else 0.0) + eps * (p * q)
                        for i, (h_i, p) in enumerate(zip(h, db)) for j, q in enumerate(db)]).reshape(k, k)
-    return QuadraticFormJ(matrix=matrix, constraint=np.array(w))
+    # exactly symmetric, k by k and finite, so QuadraticFormJ's checks cannot
+    # fail (see the module docstring)
+    return QuadraticFormJ._unchecked(matrix, np.array(w))
+
+
+def _eigh_did_not_converge(err: str, flag: int) -> None:
+    """The error state's callback: raises as ``np.linalg.eigh`` does when LAPACK fails."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a square float64 ``matrix``: the same gufunc under
+    the same error state, without the wrapper's checks and casts."""
+    with np.errstate(call=_eigh_did_not_converge, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(matrix, signature="d->dd")
 
 
 def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
@@ -295,8 +335,7 @@ def psd_on_zero_average(form: QuadraticFormJ) -> tuple[float, np.ndarray]:
         lam = 0.5 * (r + r)
         if math.isfinite(lam):
             return lam, basis[:, 0].copy()
-    reduced = 0.5 * (reduced + reduced.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(reduced)
+    eigenvalues, eigenvectors = _eigh(0.5 * (reduced + reduced.T))
     witness = basis @ eigenvectors[:, 0]
     return float(eigenvalues[0]), witness
 
@@ -323,7 +362,7 @@ def _flows(e: IntervalUnion1D, phi: np.ndarray, times: tuple[float, ...]) -> lis
                 raise ValueError(
                     f"flow time {t!r} pushes the boundary point at {p!r} outside the mass range"
                 )
-        moved = iter([gauss_cdf_inv(target) for target in targets])
+        moved = iter([_gauss_cdf_inv_unchecked(target) for target in targets])
         points = [next(moved) if math.isfinite(p) else p for p in ends]
         pairs = tuple(_pairs(points))
         _check_intervals(pairs)

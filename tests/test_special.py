@@ -29,6 +29,7 @@ from gaussiso.special import (
     _chi2_cdf_many,
     _chi2_quantile_many,
     _gauss_cdf_inv_many,
+    _gauss_cdf_inv_unchecked,
     _gauss_cdf_many,
     _gauss_cdf_unchecked,
     _gauss_weight_many,
@@ -105,6 +106,24 @@ def hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _masked_gauss_cdf_many(x):
+    """``_gauss_cdf_many`` through its infinity mask, whatever ``x`` holds."""
+    cdf = (x > 0.0).astype(float)
+    at = ~np.isinf(x)
+    cdf[at] = 0.5 * special._elementwise(math.erfc, -x[at] / math.sqrt(2.0))
+    return cdf
+
+
+def _masked_gauss_weight_many(x):
+    """``_gauss_weight_many`` through its infinity mask, whatever ``x`` holds."""
+    weight = np.zeros(len(x))
+    at = ~np.isinf(x)
+    x = x[at]
+    with np.errstate(over="ignore"):
+        weight[at] = special._elementwise(math.exp, -0.5 * x * x)
+    return weight
+
+
 class TestVectorCdf:
     """The vector normal CDF, its inverse and the vector weight equal the scalar ones bit for bit."""
 
@@ -129,6 +148,17 @@ class TestVectorCdf:
         assert hexes(_gauss_cdf_many(x)) == [_gauss_cdf_unchecked(math.nan).hex(), "0x0.0p+0", "nan", "0x1.0000000000000p+0"]
         assert hexes(_gauss_weight_many(x)) == [math.exp(-0.5 * math.nan * math.nan).hex(), "0x0.0p+0", "nan", "0x0.0p+0"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], [math.nan], [math.inf, -math.inf], [math.nan, -math.inf, math.nan, math.inf]],
+        ids=["finite", "nan", "inf", "nan-and-inf"],
+    )
+    def test_unmasked_path_is_the_masked_path(self, extra):
+        # an array with no infinity goes to libm whole, with or without NaN
+        x = np.concatenate([self.X[np.isfinite(self.X)], extra])
+        assert hexes(_gauss_cdf_many(x)) == hexes(_masked_gauss_cdf_many(x))
+        assert hexes(_gauss_weight_many(x)) == hexes(_masked_gauss_weight_many(x))
+
     def test_empty_arrays(self):
         assert _gauss_cdf_many(np.empty(0)).tolist() == []
         assert _gauss_weight_many(np.empty(0)).tolist() == []
@@ -139,7 +169,9 @@ class TestVectorCdf:
             _gauss_cdf_many(np.linspace(-38.0, 8.0, 20_001)),
             [0.0, 1.0, 5e-324, 1e-300, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 0.5],
         ])
-        assert hexes(_gauss_cdf_inv_many(p)) == hexes(gauss_cdf_inv(v) for v in p.tolist())
+        scalar = hexes(gauss_cdf_inv(v) for v in p.tolist())
+        assert hexes(_gauss_cdf_inv_many(p)) == scalar
+        assert hexes(map(_gauss_cdf_inv_unchecked, p.tolist())) == scalar
         assert _gauss_cdf_inv_many(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, -math.inf])
@@ -414,7 +446,44 @@ REAL_SITES = {
 }
 
 
+def _reference_check_real(value, what, sign=None):
+    """``_check_real`` with every input on one path, plain floats included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    if sign is not None and not (x > 0.0 if sign == "positive" else x >= 0.0):
+        raise ValueError(f"{what} must be {sign}, got {value!r}")
+    return x
+
+
+class _Real(float):
+    pass
+
+
+CHECK_REAL_INPUTS = [
+    0.0, -0.0, 5e-324, 1.5, -1.5, 1.7e308, math.inf, -math.inf, math.nan, _Real(2.5), _Real(-0.0),
+    np.float64(-1.5), np.float32(0.25), True, 1, 10**400, "1",
+]
+
+
 class TestCheckReal:
+    @pytest.mark.parametrize("sign", [None, "positive", "nonnegative"])
+    def test_plain_floats_skip_the_type_test_with_the_same_result(self, sign):
+        for value in CHECK_REAL_INPUTS:
+            outcomes = []
+            for check in (_check_real, _reference_check_real):
+                try:
+                    x = check(value, "w", sign)
+                    outcomes.append((type(x), x.hex()))
+                except ValueError as exc:
+                    outcomes.append((ValueError, str(exc)))
+            assert outcomes[0] == outcomes[1], value
+
     def test_wording(self):
         assert _check_real(np.float32(0.5), "w") == 0.5
         with pytest.raises(ValueError, match=r"^w must be a real number, got True$"):
@@ -534,6 +603,18 @@ assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:5]
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.returncode == 0, out.stderr
+
+    def test_only_special_names_a_stub(self):
+        # the other modules reach SciPy's ufuncs through special's functions
+        stubs = {"gammainc", "gammaincinv", "log_ndtr", "ndtri"}
+        naming = set()
+        for path in Path(gaussiso.__file__).resolve().parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                # a Name's id, an Attribute's attr, an import alias's (or a def's) name
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name in stubs:
+                    naming.add(path.stem)
+        assert naming == {"special"}
 
     def test_every_bound_ufunc_is_reached_through_a_checked_scalar_function(self):
         # each ufunc that _load_scipy binds is called by a function that the

@@ -268,6 +268,18 @@ class TestSecondVariationForm:
                     with pytest.raises(ValueError, match="symmetric"):
                         QuadraticFormJ(matrix=m, constraint=np.array([1.0, 1.0]))
 
+    def test_public_constructor_keeps_its_messages(self):
+        with pytest.raises(ValueError, match=r"^form matrix must be square, got shape \(2, 3\)$"):
+            QuadraticFormJ(matrix=np.zeros((2, 3)), constraint=np.ones(2))
+        with pytest.raises(ValueError, match=r"^form matrix must be square, got shape \(4,\)$"):
+            QuadraticFormJ(matrix=np.zeros(4), constraint=np.ones(4))
+        with pytest.raises(ValueError, match=r"^constraint length \(3,\) does not match matrix size 2$"):
+            QuadraticFormJ(matrix=np.eye(2), constraint=np.ones(3))
+        with pytest.raises(ValueError, match=r"^constraint length \(2, 1\) does not match matrix size 2$"):
+            QuadraticFormJ(matrix=np.eye(2), constraint=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=r"^form matrix must be symmetric$"):
+            QuadraticFormJ(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), constraint=np.ones(2))
+
     def test_form_validation_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="constraint length"):
             QuadraticFormJ(matrix=np.eye(2), constraint=np.array([1.0]))
@@ -684,6 +696,15 @@ def _bit_identity_sets():
     return [IntervalUnion1D(intervals=iv) for iv in intervals]
 
 
+def _bit_identity_params(e, eps):
+    """The stability weights at ``e``'s level for ``eps`` None, else ``eps``
+    with the mass penalty 2 at s = -1; None where ``e``'s level is infinite."""
+    if eps is not None:
+        return FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)
+    s = gauss_cdf_inv(measure(e))
+    return stability_params(s) if math.isfinite(s) else None
+
+
 class TestBitIdentity:
     """The residual's multiplier, the form and the eigen-solve equal their
     NumPy element-wise forms in every bit."""
@@ -692,13 +713,9 @@ class TestBitIdentity:
     def test_python_float_entries_match_numpy_elementwise(self, eps):
         compared = 0
         for e in _bit_identity_sets():
-            s = gauss_cdf_inv(measure(e))
-            if eps is None:
-                if not math.isfinite(s):
-                    continue
-                params = stability_params(s)
-            else:
-                params = FunctionalParams(s=-1.0, eps=eps, lambda_pen=2.0)
+            params = _bit_identity_params(e, eps)
+            if params is None:
+                continue
             w, g, _, _ = stationarity._variation(e, params, "the residual")
             if any(w):
                 weights = np.array(w)
@@ -715,6 +732,28 @@ class TestBitIdentity:
                 assert _hexes(witness) == _hexes(ref_witness)
             compared += 1
         assert compared >= 250
+
+    @pytest.mark.parametrize("eps", [None, 0.0, 0.3, 7.0, 1e300])
+    def test_unchecked_form_would_pass_the_checks(self, eps):
+        # second_variation_form builds its form without QuadraticFormJ's
+        # checks: every matrix is float64, square, finite, exactly symmetric
+        # and sized to its constraint, and the checked constructor takes it as it is
+        checked = 0
+        for e in _bit_identity_sets():
+            params = _bit_identity_params(e, eps)
+            if params is None:
+                continue
+            form = second_variation_form(e, params)
+            m, c = form.matrix, form.constraint
+            assert m.dtype == c.dtype == np.float64
+            assert c.ndim == 1
+            assert m.shape == (len(c), len(c))
+            assert np.isfinite(m).all()
+            assert np.array_equal(m, m.T)
+            rebuilt = QuadraticFormJ(matrix=m, constraint=c)
+            assert rebuilt.matrix is m and rebuilt.constraint is c
+            checked += 1
+        assert checked >= 250
 
     def test_boundary_alone_evaluates_the_weight(self):
         # one exp pass per set: _boundary gives the weights and b(E) together
@@ -823,3 +862,60 @@ class TestBitIdentity:
         assert mass_preserving_flow(e, phi, t) == mass_preserving_flow(e, phi, float(t))
         with pytest.raises(OverflowError):
             mass_preserving_flow(e, phi, 10**400)
+
+
+class TestEigenSolve:
+    """``psd_on_zero_average`` calls ``np.linalg.eigh``'s gufunc under its error
+    state, without the wrapper: the same values, vectors and error."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(36)
+        for k in range(2, 7):
+            for _ in range(300):
+                a = rng.normal(size=(k, k)) * 10.0 ** float(rng.integers(-200, 201))
+                yield 0.5 * (a + a.T)
+            yield np.zeros((k, k))
+            yield np.full((k, k), -0.0)
+            yield np.diag(np.full(k, 5e-324))
+            yield np.diag([math.inf] + [1.0] * (k - 1))
+            yield np.diag([math.nan] + [1.0] * (k - 1))  # eigh returns NaN here, not an error
+
+    def test_gufunc_matches_eigh(self):
+        for m in self._matrices():
+            values, vectors = stationarity._eigh(m)
+            ref_values, ref_vectors = np.linalg.eigh(m)
+            assert _hexes(values) == _hexes(ref_values)
+            assert _hexes(vectors) == _hexes(ref_vectors)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_nan_form_raises_as_eigh(self, k):
+        m = np.full((k, k), math.nan)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            np.linalg.eigh(m)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            stationarity._eigh(m)
+        assert str(got.value) == str(expected.value) == "Eigenvalues did not converge"
+
+    def test_nan_reduced_form_raises_from_psd(self):
+        # every entry +inf: the projection meets inf - inf in every entry of
+        # the 3x3 reduced form
+        form = QuadraticFormJ(matrix=np.full((4, 4), math.inf), constraint=np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                psd_on_zero_average(form)
+
+    def test_only_stationarity_names_the_gufunc_module(self):
+        package = Path(stationarity.__file__).resolve().parent
+        naming = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (
+                    (isinstance(node, ast.Name) and node.id == "_umath_linalg")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_umath_linalg")
+                    or (isinstance(node, ast.alias) and "_umath_linalg" in (node.name, node.asname))
+                    or (isinstance(node, ast.ImportFrom) and "_umath_linalg" in (node.module or ""))
+                ):
+                    naming.add(path.stem)
+        assert naming == {"stationarity"}
